@@ -53,6 +53,7 @@ import numpy as np
 
 from ..storage.relation import Relation
 from ..storage.schema import RelationSchema
+from .dominance import dominated_mask
 
 __all__ = [
     "merge_skylines",
@@ -136,47 +137,6 @@ def resolve_merge_block(block: Optional[int] = None) -> int:
     return block
 
 
-def _dominated_by(
-    by: np.ndarray, targets: np.ndarray, block: Optional[int]
-) -> np.ndarray:
-    """Mask over ``targets`` rows strictly dominated by some ``by`` row.
-
-    Both inputs are in minimization space. ``block=None`` runs one
-    unbounded broadcast (the legacy reference); an integer runs the same
-    elementwise comparisons in ``(block, block)`` tiles — identical
-    output, bounded peak memory.
-    """
-    n_targets = targets.shape[0]
-    if by.shape[0] == 0 or n_targets == 0:
-        return np.zeros(n_targets, dtype=bool)
-    if block is None:
-        no_worse = (by[:, None, :] <= targets[None, :, :]).all(axis=2)
-        better = (by[:, None, :] < targets[None, :, :]).any(axis=2)
-        return (no_worse & better).any(axis=0)
-    out = np.zeros(n_targets, dtype=bool)
-    dims = by.shape[1]
-    for j in range(0, n_targets, block):
-        tgt = targets[j : j + block]
-        # Bound the broadcast intermediates to block² elements per
-        # attribute: when one side is short, the other side's chunk
-        # grows to compensate, so a lopsided comparison (a handful of
-        # incoming rows against a big running skyline) still runs in a
-        # single numpy pass instead of many tiny tiles.
-        rows = max(block, (block * block) // tgt.shape[0])
-        for i in range(0, by.shape[0], rows):
-            blk = by[i : i + rows]
-            # Attribute-at-a-time 2-D comparisons: the equivalent
-            # (R, T, d) broadcast forces numpy onto a strided inner
-            # loop that is an order of magnitude slower here.
-            no_worse = blk[:, 0:1] <= tgt[:, 0]
-            better = blk[:, 0:1] < tgt[:, 0]
-            for a in range(1, dims):
-                no_worse &= blk[:, a : a + 1] <= tgt[:, a]
-                better |= blk[:, a : a + 1] < tgt[:, a]
-            out[j : j + block] |= (no_worse & better).any(axis=0)
-    return out
-
-
 def merge_skylines(
     current: Relation,
     incoming: Relation,
@@ -213,12 +173,12 @@ def merge_skylines(
     # a dominates b: a <= b everywhere, a < b somewhere (minimization
     # space). Incoming tuples are tested against the *pre-merge* current
     # set and vice versa, exactly as the nested loop of the paper does.
-    inc_dominated = _dominated_by(cur_vals, inc_vals, block)
+    inc_dominated = dominated_mask(cur_vals, inc_vals, block)
     keep_incoming = ~(inc_dominated | dup_incoming)
     # Only non-duplicate incoming survivors may evict current members —
     # a duplicate carries no new information, and a dominated incoming
     # tuple cannot dominate anything the current set keeps.
-    cur_dominated = _dominated_by(inc_vals[keep_incoming], cur_vals, block)
+    cur_dominated = dominated_mask(inc_vals[keep_incoming], cur_vals, block)
     keep_current = ~cur_dominated
 
     merged_xy = np.vstack([current.xy[keep_current], incoming.xy[keep_incoming]])
@@ -429,13 +389,13 @@ class SkylineAssembler:
                 within.add(key)
 
         # Which incoming rows does the (pre-merge) current set dominate?
-        keep_incoming &= ~_dominated_by(self._norm, inc_norm, self._block)
+        keep_incoming &= ~dominated_mask(self._norm, inc_norm, self._block)
         if not keep_incoming.any():
             return
 
         # Which current rows do the surviving incoming rows dominate?
         kept_norm = inc_norm[keep_incoming]
-        cur_dominated = _dominated_by(kept_norm, self._norm, self._block)
+        cur_dominated = dominated_mask(kept_norm, self._norm, self._block)
         if cur_dominated.any():
             keep = ~cur_dominated
             coords.difference_update(
@@ -618,7 +578,7 @@ class SkylineAssembler:
         if self._n_alive:
             dominators = self._candidate_positions(inc_norm, lower=True)
             if dominators.size:
-                keep_incoming &= ~_dominated_by(
+                keep_incoming &= ~dominated_mask(
                     self._buf_norm[dominators], inc_norm, self._block
                 )
         if not keep_incoming.any():
@@ -628,7 +588,7 @@ class SkylineAssembler:
         if self._n_alive:
             targets = self._candidate_positions(kept_norm, lower=False)
             if targets.size:
-                dominated = _dominated_by(
+                dominated = dominated_mask(
                     kept_norm, self._buf_norm[targets], self._block
                 )
                 if dominated.any():

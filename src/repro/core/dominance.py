@@ -18,6 +18,7 @@ __all__ = [
     "dominates",
     "dominates_values",
     "dominates_or_equal",
+    "dominated_mask",
     "dominance_mask",
     "any_dominator",
     "incomparable",
@@ -79,6 +80,52 @@ def dominates_or_equal(
     return all(p.better_or_equal(x, y) for p, x, y in zip(preferences, a, b))
 
 
+def dominated_mask(
+    by: np.ndarray, targets: np.ndarray, block: Optional[int] = 256
+) -> np.ndarray:
+    """Mask over ``targets`` rows strictly dominated by some ``by`` row.
+
+    This is the one vectorised dominance kernel: the skyline engine, the
+    result assembler and the filter-pruning steps all call it. Both
+    inputs are 2-D and in minimization space.
+
+    ``block=None`` runs one unbounded ``(B, T, d)`` broadcast (the legacy
+    reference). An integer runs the same elementwise comparisons in tiles
+    of at most ``block²`` pairs, so every intermediate is bounded by
+    ``block²`` booleans whatever the input sizes; the output is identical.
+    """
+    n_by, n_targets = by.shape[0], targets.shape[0]
+    if n_by == 0 or n_targets == 0:
+        return np.zeros(n_targets, dtype=bool)
+    if block is None:
+        no_worse = (by[:, None, :] <= targets[None, :, :]).all(axis=2)
+        better = (by[:, None, :] < targets[None, :, :]).any(axis=2)
+        return (no_worse & better).any(axis=0)
+    out = np.zeros(n_targets, dtype=bool)
+    dims = by.shape[1]
+    area = block * block
+    # Tiles hold at most block² pairs but stretch along the longer side:
+    # a lopsided comparison (one pivot row against thousands of targets,
+    # or a handful of rows against a big running skyline) then runs in
+    # one numpy pass instead of many tiny tiles.
+    cols = max(block, area // n_by)
+    for j in range(0, n_targets, cols):
+        tgt = targets[j : j + cols]
+        rows = max(block, area // tgt.shape[0])
+        for i in range(0, n_by, rows):
+            blk = by[i : i + rows]
+            # Attribute-at-a-time 2-D comparisons: the equivalent
+            # (R, T, d) broadcast forces numpy onto a strided inner
+            # loop that is an order of magnitude slower here.
+            no_worse = blk[:, 0:1] <= tgt[:, 0]
+            better = blk[:, 0:1] < tgt[:, 0]
+            for a in range(1, dims):
+                no_worse &= blk[:, a : a + 1] <= tgt[:, a]
+                better |= blk[:, a : a + 1] < tgt[:, a]
+            out[j : j + cols] |= (no_worse & better).any(axis=0)
+    return out
+
+
 def dominance_mask(point: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Vectorised: which rows of ``block`` does ``point`` dominate?
 
@@ -91,9 +138,7 @@ def dominance_mask(point: np.ndarray, block: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"shape mismatch: point {point.shape} vs block {block.shape}"
         )
-    no_worse = (point[None, :] <= block).all(axis=1)
-    better = (point[None, :] < block).any(axis=1)
-    return no_worse & better
+    return dominated_mask(point[None, :], block)
 
 
 def any_dominator(point: np.ndarray, block: np.ndarray) -> bool:
@@ -103,11 +148,7 @@ def any_dominator(point: np.ndarray, block: np.ndarray) -> bool:
     """
     point = np.asarray(point, dtype=np.float64)
     block = np.asarray(block, dtype=np.float64)
-    if block.shape[0] == 0:
-        return False
-    no_worse = (block <= point[None, :]).all(axis=1)
-    better = (block < point[None, :]).any(axis=1)
-    return bool((no_worse & better).any())
+    return bool(dominated_mask(block, point[None, :])[0])
 
 
 def incomparable(

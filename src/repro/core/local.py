@@ -52,7 +52,7 @@ from ..storage.base import AccessStats, StorageModel
 from ..storage.flat import FlatStorage
 from ..storage.hybrid import HybridStorage
 from ..storage.relation import Relation
-from .dominance import ComparisonCounter
+from .dominance import ComparisonCounter, dominance_mask
 from .filtering import (
     Estimation,
     FilteringTuple,
@@ -841,9 +841,7 @@ def _local_skyline_values_fast(
 
     if flt is not None and unreduced:
         counter.count_value(dims * unreduced)
-        fvals = np.asarray(flt.values, dtype=np.float64)[None, :]
-        wvals = values[window]
-        flt_dom = (fvals <= wvals).all(axis=1) & (fvals < wvals).any(axis=1)
+        flt_dom = dominance_mask(flt.values, values[window])
         same_site = (xy[window, 0] == flt.site.x) & (xy[window, 1] == flt.site.y)
         survivors = window[~same_site & ~flt_dom]
     else:
@@ -990,30 +988,27 @@ def local_skyline_vectorized(
             # on ``skipped`` and charges only the O(n) check.
             skipped_dominated = True
 
-    in_range = relation.within(query.pos, query.d)
-    scoped = relation.take(np.nonzero(in_range)[0])
-    if scoped.cardinality == 0:
+    # The kernel runs on the in-range rows of the cached normalized
+    # values; only the skyline rows are taken into a new relation.
+    in_idx = np.flatnonzero(relation.within(query.pos, query.d))
+    if in_idx.shape[0] == 0:
         return LocalSkylineResult(
             skyline=empty, unreduced_size=0, updated_filter=flt,
             comparisons=counter, scanned=relation.cardinality, in_range=0,
         )
-    sky_idx = skyline_numpy(scoped.normalized_values())
-    sky = scoped.take(sky_idx)
+    sky = relation.take(in_idx[skyline_numpy(norm[in_idx])])
     unreduced = sky.cardinality
     if skipped_dominated:
         return LocalSkylineResult(
             skyline=empty, unreduced_size=unreduced, skipped="dominated",
             updated_filter=flt, comparisons=counter,
-            scanned=relation.cardinality, in_range=scoped.cardinality,
+            scanned=relation.cardinality, in_range=in_idx.shape[0],
         )
 
     if flt_norm is not None:
-        sky_norm = sky.normalized_values()
-        no_worse = (flt_norm[None, :] <= sky_norm).all(axis=1)
-        better = (flt_norm[None, :] < sky_norm).any(axis=1)
+        dominated = dominance_mask(flt_norm, sky.normalized_values())
         same_site = (sky.xy[:, 0] == flt.site.x) & (sky.xy[:, 1] == flt.site.y)
-        keep = ~((no_worse & better) | same_site)
-        sky = sky.take(np.nonzero(keep)[0])
+        sky = sky.take(np.nonzero(~(dominated | same_site))[0])
 
     local_highs = local_worst if estimation is Estimation.UNDER else None
     if sky.cardinality:
@@ -1039,5 +1034,5 @@ def local_skyline_vectorized(
         updated_filter=updated,
         comparisons=counter,
         scanned=relation.cardinality,
-        in_range=scoped.cardinality,
+        in_range=in_idx.shape[0],
     )

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..data.spatial import mindist_point_rect
 from ..storage.relation import Relation
+from .dominance import dominance_mask
 from .filtering import (
     Estimation,
     FilteringTuple,
@@ -73,12 +74,10 @@ def prune_with_filters(
     dominated = np.zeros(skyline.cardinality, dtype=bool)
     for flt in filters:
         f = np.asarray(normalize_values(flt.values, schema), dtype=np.float64)
-        no_worse = (f[None, :] <= values).all(axis=1)
-        better = (f[None, :] < values).any(axis=1)
         same_site = (skyline.xy[:, 0] == flt.site.x) & (
             skyline.xy[:, 1] == flt.site.y
         )
-        dominated |= (no_worse & better) | same_site
+        dominated |= dominance_mask(f, values) | same_site
     return skyline.take(np.nonzero(~dominated)[0])
 
 
@@ -127,20 +126,19 @@ def local_skyline_multifilter(
             skipped_dominated = True
             break
 
-    in_range = relation.within(query.pos, query.d)
-    scoped = relation.take(np.nonzero(in_range)[0])
-    if scoped.cardinality == 0:
+    in_idx = np.flatnonzero(relation.within(query.pos, query.d))
+    if in_idx.shape[0] == 0:
         return MultiFilterResult(
             skyline=empty, unreduced_size=0, updated_filters=filters,
             scanned=relation.cardinality, in_range=0,
         )
-    sky = scoped.take(skyline_numpy(scoped.normalized_values()))
+    sky = relation.take(in_idx[skyline_numpy(norm[in_idx])])
     unreduced = sky.cardinality
     if skipped_dominated:
         return MultiFilterResult(
             skyline=empty, unreduced_size=unreduced, skipped="dominated",
             updated_filters=filters,
-            scanned=relation.cardinality, in_range=scoped.cardinality,
+            scanned=relation.cardinality, in_range=in_idx.shape[0],
         )
 
     reduced = prune_with_filters(sky, filters)
@@ -185,5 +183,5 @@ def local_skyline_multifilter(
         unreduced_size=unreduced,
         updated_filters=updated,
         scanned=relation.cardinality,
-        in_range=scoped.cardinality,
+        in_range=in_idx.shape[0],
     )

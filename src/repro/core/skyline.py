@@ -8,8 +8,11 @@ These are the building blocks and baselines of the paper:
 * :func:`skyline_sfs` — Sort-Filter-Skyline (Chomicki et al., ICDE 2003);
   the paper's hybrid-storage local algorithm is an ID-based SFS variant.
 * :func:`skyline_divide_conquer` — the D&C algorithm of Börzsönyi et al.
-* :func:`skyline_numpy` — a vectorised sorted-block engine used to keep the
-  large simulation experiments tractable in Python.
+* :func:`skyline_numpy` — the vectorised engine every device runs per
+  query: an elimination filter (drop rows dominated by the minimum-sum
+  row, the LESS pre-pass), an SFS sort of the survivors, then blocked
+  dominance passes through :func:`~repro.core.dominance.dominated_mask`.
+  Its memory stays O(block² + n·d); it never builds an n×n matrix.
 
 All functions take values **in minimization space** (smaller is better on
 every axis) and return sorted row indices of the skyline members. Use
@@ -29,7 +32,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..storage.relation import Relation
-from .dominance import ComparisonCounter
+from .dominance import ComparisonCounter, dominated_mask
 
 __all__ = [
     "skyline_bruteforce",
@@ -134,23 +137,19 @@ def sfs_sort_order(values: np.ndarray) -> np.ndarray:
 def skyline_sfs(
     values: np.ndarray,
     counter: Optional[ComparisonCounter] = None,
-    presorted: bool = False,
 ) -> np.ndarray:
     """Sort-Filter-Skyline.
 
     After sorting by a monotone score, a single scan suffices: each tuple is
     compared against the (already confirmed) window; undominated tuples are
-    skyline members. ``presorted=True`` skips the sort for storage schemes
-    that maintain a sorted order (the paper's hybrid storage keeps the
-    relation sorted on its widest attribute, Section 4.2).
+    skyline members.
     """
     values = _as_matrix(values)
     n, dims = values.shape
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    order = np.arange(n, dtype=np.int64) if presorted else sfs_sort_order(values)
     window: List[int] = []
-    for idx in order:
+    for idx in sfs_sort_order(values):
         v = values[idx]
         dominated = False
         for w in window:
@@ -212,59 +211,48 @@ def _dc_recurse(
 
 
 def skyline_numpy(values: np.ndarray, block: int = 256) -> np.ndarray:
-    """Vectorised sorted-block skyline — the fast engine.
+    """Vectorised skyline — the fast engine.
 
-    Tuples are scanned in SFS order in blocks; each block is first reduced
-    against the confirmed skyline with one broadcast comparison, then the
-    survivors are resolved within the block. Output matches the other
-    algorithms exactly; the only difference is wall-clock speed, which is
-    what makes anti-correlated workloads (large skylines) tractable for
-    the simulation experiments.
+    Three steps, none of them a Python row-at-a-time loop:
+
+    1. **Elimination filter.** Every row dominated by the minimum-sum row
+       is dropped in one O(n·d) pass. Any dominated row may serve as the
+       pivot too (dominance is transitive), so a pivot that float-sum
+       collapse left dominated is still a safe filter.
+    2. **Sort the survivors** into SFS order (:func:`sfs_sort_order`), so
+       no row can be dominated by a row after it.
+    3. **Blocked resolution.** Each ``block``-row chunk of the scan is
+       tested against the confirmed skyline, then against itself, with
+       :func:`~repro.core.dominance.dominated_mask`.
+
+    Every intermediate is bounded by ``block²`` booleans or by O(n·d):
+    there is no all-pairs matrix. Output matches the other algorithms
+    exactly.
     """
     values = _as_matrix(values)
     n = values.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
     if block < 1:
         raise ValueError("block must be >= 1")
-    order = sfs_sort_order(values)
-    sky_idx: List[np.ndarray] = []
-    # The confirmed skyline is kept as a *list* of per-block arrays and
-    # compared block-by-block: re-vstacking the whole window every block
-    # made the loop O(S²) in the skyline size S.
-    sky_blocks: List[np.ndarray] = []
-    for start in range(0, n, block):
-        chunk_idx = order[start : start + block]
-        chunk = values[chunk_idx]
-        if sky_blocks:
-            dominated = np.zeros(chunk.shape[0], dtype=bool)
-            dims = chunk.shape[1]
-            for blk in sky_blocks:
-                # Does any confirmed skyline row in this block dominate
-                # each chunk row? Compared attribute-at-a-time with 2-D
-                # broadcasts — the equivalent (S_b, C, d) broadcast
-                # forces numpy onto a strided inner loop that is an
-                # order of magnitude slower here.
-                no_worse = blk[:, 0:1] <= chunk[:, 0]
-                better = blk[:, 0:1] < chunk[:, 0]
-                for a in range(1, dims):
-                    no_worse &= blk[:, a : a + 1] <= chunk[:, a]
-                    better |= blk[:, a : a + 1] < chunk[:, a]
-                dominated |= (no_worse & better).any(axis=0)
-            chunk_idx = chunk_idx[~dominated]
-            chunk = chunk[~dominated]
-        if chunk.shape[0] == 0:
-            continue
-        # Resolve dominance within the chunk (scan order is SFS order, so
-        # only earlier rows can dominate later ones).
-        local = skyline_sfs(chunk, presorted=True)
-        chunk_idx = chunk_idx[local]
-        chunk = chunk[local]
-        sky_idx.append(chunk_idx)
-        sky_blocks.append(chunk)
-    if not sky_idx:
+    if n == 0:
         return np.empty(0, dtype=np.int64)
-    return np.sort(np.concatenate(sky_idx)).astype(np.int64)
+    pivot = int(np.argmin(values.sum(axis=1)))
+    cand = np.flatnonzero(~dominated_mask(values[pivot : pivot + 1], values, block))
+    cand = cand[sfs_sort_order(values[cand])]
+    scan = values[cand]
+    # Confirmed skyline rows, in scan order, filled up to ``kept``.
+    sky = np.empty_like(scan)
+    keep = np.zeros(cand.shape[0], dtype=bool)
+    kept = 0
+    for start in range(0, cand.shape[0], block):
+        chunk = scan[start : start + block]
+        alive = np.flatnonzero(~dominated_mask(sky[:kept], chunk, block))
+        rows = chunk[alive]
+        inner = ~dominated_mask(rows, rows, block)
+        alive, rows = alive[inner], rows[inner]
+        keep[start + alive] = True
+        sky[kept : kept + rows.shape[0]] = rows
+        kept += rows.shape[0]
+    return np.sort(cand[keep])
 
 
 _ALGORITHMS = {

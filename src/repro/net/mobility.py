@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import abc
 import math
+from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,24 +78,17 @@ class StaticPlacement(MobilityModel):
         return self._array.copy()
 
 
-@dataclass(frozen=True)
-class _Leg:
-    """One segment of a node's trajectory: travel or pause."""
-
-    t_start: float
-    t_end: float
-    start: Position
-    end: Position
-
-    def at(self, t: float) -> Position:
-        if self.t_end <= self.t_start:
-            return self.end
-        frac = (t - self.t_start) / (self.t_end - self.t_start)
-        frac = min(max(frac, 0.0), 1.0)
-        return (
-            self.start[0] + frac * (self.end[0] - self.start[0]),
-            self.start[1] + frac * (self.end[1] - self.start[1]),
-        )
+def _leg_at(
+    t0: float, t1: float, sx: float, sy: float, ex: float, ey: float, t: float
+) -> Position:
+    """Position at ``t`` on the leg from ``(sx, sy)`` at ``t0`` to
+    ``(ex, ey)`` at ``t1``, clamped to the leg; a zero-length leg (a
+    pause, or a degenerate trip) answers its end point."""
+    if t1 <= t0:
+        return (ex, ey)
+    frac = (t - t0) / (t1 - t0)
+    frac = min(max(frac, 0.0), 1.0)
+    return (sx + frac * (ex - sx), sy + frac * (ey - sy))
 
 
 class RandomWaypoint(MobilityModel):
@@ -143,14 +136,18 @@ class RandomWaypoint(MobilityModel):
         self._rngs = [
             np.random.default_rng(s) for s in seed_seq.spawn(node_count)
         ]
-        self._legs: List[List[_Leg]] = [[] for _ in range(node_count)]
-        #: Parallel list of leg end times per node (for bisection), and a
+        #: Each node's legs, flat: five float64 values per leg (start
+        #: time, start x/y, end x/y). A long run appends thousands of legs
+        #: per node; one object per leg made this history the largest
+        #: memory growth of a mobile simulation.
+        self._legs = [array("d") for _ in range(node_count)]
+        #: Parallel array of leg end times per node (for bisection), and a
         #: per-node cursor remembering the last covering leg: repeated
         #: queries at the same (or a nearby) time hit the cursor and skip
         #: the log-time search entirely. Connectivity sweeps ask for all
         #: nodes at one time, then again at the same time — the cursor
         #: makes those follow-up lookups O(1).
-        self._ends: List[List[float]] = [[] for _ in range(node_count)]
+        self._ends = [array("d") for _ in range(node_count)]
         self._cursors: List[int] = [0] * node_count
         #: Struct-of-arrays mirror of every node's *current* leg
         #: (`t_start`, `t_end`, start/end coordinates, and the previous
@@ -193,18 +190,19 @@ class RandomWaypoint(MobilityModel):
     def position(self, node: int, t: float) -> Position:
         if t < 0:
             raise ValueError("time must be >= 0")
-        return self._legs[node][self._locate(node, t)].at(t)
+        cur = self._locate(node, t)
+        t0, sx, sy, ex, ey = self._legs[node][5 * cur : 5 * cur + 5]
+        return _leg_at(t0, self._ends[node][cur], sx, sy, ex, ey, t)
 
     def _locate(self, node: int, t: float) -> int:
         """Index of the covering leg (first with end time >= ``t``),
         extending the trajectory as needed and updating the cursor."""
-        legs = self._legs[node]
         ends = self._ends[node]
         while not ends or ends[-1] < t:
             self._extend(node)
         # Cursor fast path: re-querying the same leg skips the bisection.
         cur = self._cursors[node]
-        if cur < len(legs) and ends[cur] >= t and (cur == 0 or ends[cur - 1] < t):
+        if cur < len(ends) and ends[cur] >= t and (cur == 0 or ends[cur - 1] < t):
             return cur
         cur = bisect_left(ends, t)
         self._cursors[node] = cur
@@ -226,11 +224,11 @@ class RandomWaypoint(MobilityModel):
         for node in np.nonzero(stale)[0]:
             node = int(node)
             cur = self._locate(node, t)
-            leg = self._legs[node][cur]
-            self._soa_t0[node] = leg.t_start
-            self._soa_t1[node] = leg.t_end
-            self._soa_sx[node], self._soa_sy[node] = leg.start
-            self._soa_ex[node], self._soa_ey[node] = leg.end
+            t0, sx, sy, ex, ey = self._legs[node][5 * cur : 5 * cur + 5]
+            self._soa_t0[node] = t0
+            self._soa_t1[node] = self._ends[node][cur]
+            self._soa_sx[node], self._soa_sy[node] = sx, sy
+            self._soa_ex[node], self._soa_ey[node] = ex, ey
             self._soa_prev[node] = (
                 self._ends[node][cur - 1] if cur else -np.inf
             )
@@ -266,16 +264,16 @@ class RandomWaypoint(MobilityModel):
         rng = self._rngs[node]
         legs = self._legs[node]
         ends = self._ends[node]
-        if legs:
-            t0 = legs[-1].t_end
-            pos = legs[-1].end
+        if ends:
+            t0 = ends[-1]
+            pos = (legs[-2], legs[-1])
         else:
             t0 = 0.0
             pos = self._starts[node]
         # Pause at the current waypoint (initial pause models devices
         # starting at rest, matching the classic RWP formulation).
         if self._holding > 0:
-            legs.append(_Leg(t0, t0 + self._holding, pos, pos))
+            legs.extend((t0, pos[0], pos[1], pos[0], pos[1]))
             t0 += self._holding
             ends.append(t0)
         x_min, y_min, x_max, y_max = self._extent
@@ -285,5 +283,5 @@ class RandomWaypoint(MobilityModel):
         duration = distance / speed if speed > 0 else 0.0
         if duration <= 0:
             duration = 1e-9  # degenerate zero-length trip
-        legs.append(_Leg(t0, t0 + duration, pos, dest))
+        legs.extend((t0, pos[0], pos[1], dest[0], dest[1]))
         ends.append(t0 + duration)

@@ -21,6 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..core.assembly import SkylineAssembler
+from ..core.dominance import dominance_mask
 from ..core.filtering import (
     Estimation,
     FilteringTuple,
@@ -91,14 +92,9 @@ class StaticGridCache:
         unreduced = sky.cardinality
         if flt is None or unreduced == 0:
             return sky, unreduced
-        fvals = np.asarray(
-            normalize_values(flt.values, self.dataset.schema), dtype=np.float64
-        )
-        sky_norm = sky.normalized_values()
-        no_worse = (fvals[None, :] <= sky_norm).all(axis=1)
-        better = (fvals[None, :] < sky_norm).any(axis=1)
+        fvals = normalize_values(flt.values, self.dataset.schema)
         same_site = (sky.xy[:, 0] == flt.site.x) & (sky.xy[:, 1] == flt.site.y)
-        keep = ~((no_worse & better) | same_site)
+        keep = ~(dominance_mask(fvals, sky.normalized_values()) | same_site)
         return sky.take(np.nonzero(keep)[0]), unreduced
 
     def promote(

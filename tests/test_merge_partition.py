@@ -8,7 +8,7 @@ level —
   (grid-cell dominance pruning) against both references, across
   dimensionalities, mixed MIN/MAX schemas, and grid budgets;
 * :func:`~repro.core.assembly.merge_tree` against the sequential fold;
-* the ``_dominated_by`` / ``_duplicate_mask`` kernel edge cases: d=1,
+* the ``dominated_mask`` / ``_duplicate_mask`` kernel edge cases: d=1,
   single-row inputs, all-duplicate batches, block sizes of 1 and
   larger than the input, and ``block=None`` vs tiled invariance;
 * the configuration surface: ``ProtocolConfig`` validation and the
@@ -27,7 +27,6 @@ from repro.core.assembly import (
     ASSEMBLERS,
     DEFAULT_MERGE_BLOCK,
     SkylineAssembler,
-    _dominated_by,
     _duplicate_mask,
     configure_assembler,
     merge_skylines,
@@ -35,6 +34,7 @@ from repro.core.assembly import (
     resolve_assembler,
     resolve_merge_block,
 )
+from repro.core.dominance import dominated_mask
 from repro.core.local import LocalResultCache
 from repro.core.query import SkylineQuery
 from repro.core.skyline import skyline_of_relation
@@ -192,7 +192,7 @@ class TestDominatedByEdges:
         by = np.array([[2.0]])
         targets = np.array([[1.0], [2.0], [3.0]])
         for block in (None, 1, 2, 512):
-            assert _dominated_by(by, targets, block).tolist() == [
+            assert dominated_mask(by, targets, block).tolist() == [
                 False, False, True,
             ]
 
@@ -200,17 +200,17 @@ class TestDominatedByEdges:
         a = np.array([[1.0, 2.0]])
         b = np.array([[2.0, 3.0]])
         for block in (None, 1, 512):
-            assert _dominated_by(a, b, block).tolist() == [True]
-            assert _dominated_by(b, a, block).tolist() == [False]
+            assert dominated_mask(a, b, block).tolist() == [True]
+            assert dominated_mask(b, a, block).tolist() == [False]
             # Equal rows never dominate themselves (strict somewhere).
-            assert _dominated_by(a, a, block).tolist() == [False]
+            assert dominated_mask(a, a, block).tolist() == [False]
 
     def test_empty_inputs(self):
         empty = np.empty((0, 2))
         rows = np.array([[1.0, 1.0]])
         for block in (None, 1):
-            assert _dominated_by(empty, rows, block).tolist() == [False]
-            assert _dominated_by(rows, empty, block).shape == (0,)
+            assert dominated_mask(empty, rows, block).tolist() == [False]
+            assert dominated_mask(rows, empty, block).shape == (0,)
 
     @pytest.mark.parametrize("block", [1, 3, 7, 512])
     def test_tiled_matches_unbounded(self, block):
@@ -222,8 +222,8 @@ class TestDominatedByEdges:
             targets = rng.integers(0, 6, size=(rng.integers(1, 40), 3)).astype(
                 float
             )
-            reference = _dominated_by(by, targets, None)
-            assert np.array_equal(_dominated_by(by, targets, block), reference)
+            reference = dominated_mask(by, targets, None)
+            assert np.array_equal(dominated_mask(by, targets, block), reference)
 
 
 class TestDuplicateMaskEdges:
