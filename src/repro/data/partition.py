@@ -198,23 +198,25 @@ def make_global_dataset(
 
     grid = GridPartition(k=k, extent=schema.spatial_extent)
     cell_of = grid.assign(xy)
-    per_cell: Dict[int, List[int]] = {c: [] for c in range(grid.cells)}
-    for row_idx, cell in enumerate(cell_of):
-        per_cell[int(cell)].append(row_idx)
+    # A stable sort by cell keeps each cell's row indices ascending.
+    order = np.argsort(cell_of, kind="stable")
+    bounds = np.cumsum(np.bincount(cell_of, minlength=grid.cells))[:-1]
+    per_cell = np.split(order, bounds)
 
     if replication > 0.0 and cardinality > 0:
         n_rep = int(round(replication * cardinality))
         chosen = rng.choice(cardinality, size=min(n_rep, cardinality), replace=False)
+        extra: Dict[int, List[int]] = {}
         for row_idx in chosen:
-            home = int(cell_of[row_idx])
-            options = grid.neighbors(home)
+            options = grid.neighbors(int(cell_of[row_idx]))
             if options:
                 target = int(options[rng.integers(0, len(options))])
-                per_cell[target].append(int(row_idx))
+                extra.setdefault(target, []).append(int(row_idx))
+        for cell, rows in extra.items():
+            per_cell[cell] = np.sort(np.concatenate((per_cell[cell], rows)))
 
     locals_: List[Relation] = []
-    for cell in range(grid.cells):
-        idx = np.asarray(sorted(per_cell[cell]), dtype=np.int64)
+    for idx in per_cell:
         if idx.size:
             locals_.append(
                 Relation(

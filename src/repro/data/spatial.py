@@ -50,9 +50,13 @@ def uniform_positions(
     )
     if ensure_distinct and n > 1:
         for _ in range(32):
-            _, first = np.unique(pts, axis=0, return_index=True)
-            dup_mask = np.ones(n, dtype=bool)
-            dup_mask[first] = False
+            # Flag every row of a group of equal positions except the
+            # lowest index: a stable sort keeps each group in index order.
+            order = np.lexsort((pts[:, 1], pts[:, 0]))
+            ranked = pts[order]
+            same = (ranked[1:] == ranked[:-1]).all(axis=1)
+            dup_mask = np.zeros(n, dtype=bool)
+            dup_mask[order[1:][same]] = True
             count = int(dup_mask.sum())
             if count == 0:
                 break

@@ -136,7 +136,12 @@ class AodvRouter:
         self.routes: Dict[int, Route] = {}
         self._seq = 0
         self._rreq_id = 0
-        self._seen_rreq: set = set()
+        #: RREQ duplicate cache: one flag byte per ``rreq_id`` for each
+        #: origin. Ids are per-origin counters from 1 that survive
+        #: :meth:`reset`, so the flags are exact, and a flood reaches
+        #: most nodes, so they cost far less than a set of
+        #: ``(origin, rreq_id)`` tuples.
+        self._seen_rreq: Dict[int, bytearray] = {}
         self._pending: Dict[int, _Pending] = {}
 
     @property
@@ -336,7 +341,7 @@ class AodvRouter:
             "hops": 0,
             "ttl": self.config.ttl,
         }
-        self._seen_rreq.add((self.node_id, self._rreq_id))
+        self._mark_seen(self.node_id, self._rreq_id)
         self.world.broadcast(
             Frame(
                 kind=FrameKind.RREQ, src=self.node_id, dst=None,
@@ -392,11 +397,22 @@ class AodvRouter:
 
     # -- control frames -----------------------------------------------------
 
+    def _mark_seen(self, origin: int, rreq_id: int) -> bool:
+        """Record RREQ ``(origin, rreq_id)``; return whether it was
+        already seen."""
+        flags = self._seen_rreq.get(origin)
+        if flags is None:
+            flags = self._seen_rreq[origin] = bytearray()
+        if rreq_id >= len(flags):
+            flags.extend(bytes(rreq_id + 1 - len(flags)))
+        elif flags[rreq_id]:
+            return True
+        flags[rreq_id] = 1
+        return False
+
     def _on_rreq(self, payload: dict, sender: int) -> None:
-        key = (payload["origin"], payload["rreq_id"])
-        if key in self._seen_rreq:
+        if self._mark_seen(payload["origin"], payload["rreq_id"]):
             return
-        self._seen_rreq.add(key)
         hops = payload["hops"] + 1
         self._install(payload["origin"], sender, hops, payload["origin_seq"])
         dest = payload["dest"]

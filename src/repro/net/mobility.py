@@ -36,6 +36,11 @@ Position = Tuple[float, float]
 class MobilityModel(abc.ABC):
     """Answers "where is node i at time t" for every node."""
 
+    #: Whether positions are the same at every time. A property of the
+    #: model type: the neighbor index keys a static model's positions and
+    #: adjacency on the connectivity epoch alone, never on time.
+    static = False
+
     @property
     @abc.abstractmethod
     def node_count(self) -> int:
@@ -54,6 +59,8 @@ class MobilityModel(abc.ABC):
 
 class StaticPlacement(MobilityModel):
     """Nodes that never move — the static pre-test setting (Section 5.2.2-I)."""
+
+    static = True
 
     def __init__(self, positions: Sequence[Position]) -> None:
         if not positions:

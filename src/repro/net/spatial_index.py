@@ -26,10 +26,17 @@ module memoises the answer per simulation time:
   Python-loop build is retained as the reference (``bulk=False`` or
   ``REPRO_BULK_INDEX=0``) and the differential suite pins both paths
   bit-identical.
-* **Epoch layer** — fault state (crashed nodes, link blackouts) and
-  topology changes (late ``attach``) bump a generation counter; the
-  adjacency cache is keyed on ``(sim.now, epoch, radio_range)`` so fault
-  injection can never be served a stale connectivity answer.
+* **Epoch layer** — fault state (crashed nodes, link blackouts,
+  partitions) and topology changes (late ``attach``) bump a generation
+  counter; the adjacency cache is keyed on ``(sim.now, epoch,
+  radio_range)`` so fault injection can never be served a stale
+  connectivity answer. For a static mobility model
+  (:attr:`~repro.net.mobility.MobilityModel.static`) the time is left
+  out of every key: positions are computed once and adjacency is built
+  once per epoch, however many distinct times the simulation visits.
+* **Reachability memo** — each :meth:`NeighborIndex.reachable_from`
+  closure is kept per (adjacency key, node) until the next build, and
+  callers get a copy.
 
 Determinism contract: neighbor lists are sorted by node id, so BFS
 order, broadcast delivery order, and therefore event sequence numbers
@@ -103,6 +110,7 @@ class NeighborIndex:
             bulk = os.environ.get("REPRO_BULK_INDEX", "1") != "0"
         self.bulk = bulk
         self._world = world
+        self._static = world.mobility.static
         self._epoch = 0
         self._rebuilds = 0
         # position layer, keyed by simulation time only (mobility does
@@ -111,6 +119,8 @@ class NeighborIndex:
         self._pos: Optional[np.ndarray] = None
         # adjacency layer, keyed by (time, epoch, radio range)
         self._adj_key: Optional[Tuple[float, int, float]] = None
+        # reachable_from closures of the current adjacency, by node
+        self._reach: Dict[int, set] = {}
         # reference-path products (python dicts of sorted lists)
         self._geom: Dict[int, List[int]] = {}
         self._eff: Dict[int, List[int]] = {}
@@ -154,15 +164,21 @@ class NeighborIndex:
 
     # -- position layer -----------------------------------------------------
 
+    def _now(self) -> float:
+        """The time component of every cache key: the simulation time,
+        or a constant for a static mobility model."""
+        return 0.0 if self._static else self._world.sim.now
+
     def positions(self) -> np.ndarray:
         """All node positions at the current simulation time.
 
-        One vectorised mobility sweep per distinct time; the returned
-        array is the cache itself — treat it as read-only.
+        One vectorised mobility sweep per distinct time (one in all for
+        a static model); the returned array is the cache itself — treat
+        it as read-only.
         """
-        t = self._world.sim.now
+        t = self._now()
         if self._pos_time != t or self._pos is None:
-            self._pos = self._world.mobility.positions(t)
+            self._pos = self._world.mobility.positions(self._world.sim.now)
             self._pos_time = t
         return self._pos
 
@@ -175,17 +191,15 @@ class NeighborIndex:
         sweep. Scalar and vectorised lookups yield identical float64
         values, so answers never depend on which path served them.
         """
-        t = self._world.sim.now
-        if self._pos_time == t and self._pos is not None:
+        if self._pos_time == self._now() and self._pos is not None:
             row = self._pos[node]
             return (float(row[0]), float(row[1]))
-        return self._world.mobility.position(node, t)
+        return self._world.mobility.position(node, self._world.sim.now)
 
     # -- adjacency layer ----------------------------------------------------
 
     def _key(self) -> Tuple[float, int, float]:
-        world = self._world
-        return (world.sim.now, self._epoch, world.radio.radio_range)
+        return (self._now(), self._epoch, self._world.radio.radio_range)
 
     def neighbors(self, node: int) -> List[int]:
         """Fault-aware neighbor ids of ``node``, sorted ascending.
@@ -237,10 +251,20 @@ class NeighborIndex:
         return lst
 
     def reachable_from(self, node: int) -> set:
-        """Transitive fault-aware closure of ``node`` (BFS, includes it)."""
+        """Transitive fault-aware closure of ``node`` (BFS, includes it).
+
+        Memoised until the next adjacency build; the caller owns the
+        returned set.
+        """
         self._ensure()
-        if not self.bulk:
-            return self._reachable_from_lists(node)
+        hit = self._reach.get(node)
+        if hit is None:
+            hit = (self._reachable_bulk(node) if self.bulk
+                   else self._reachable_from_lists(node))
+            self._reach[node] = hit
+        return set(hit)
+
+    def _reachable_bulk(self, node: int) -> set:
         indptr = self._eff_indptr
         nbr = self._eff_nbr
         n = len(self._ids)
@@ -374,6 +398,7 @@ class NeighborIndex:
             self._build_bulk(key)
         else:
             self._build_reference(key)
+        self._reach = {}
 
     def _build_bulk(self, key: Tuple[float, int, float]) -> None:
         """Vectorised full build: grid bucketing, candidate-pair

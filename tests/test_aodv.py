@@ -237,7 +237,7 @@ class TestFailurePaths:
         nodes[0].router.reset()
         assert nodes[0].router.routes == {}
         assert nodes[0].router._pending == {}
-        assert nodes[0].router._seen_rreq == set()
+        assert nodes[0].router._seen_rreq == {}
         # still functional after the wipe
         nodes[0].router.send_data(2, FrameKind.RESULT, "two", 10)
         sim.run(until=10.0)

@@ -323,3 +323,116 @@ class TestUnattachedNodeFallback:
         assert world2.neighbors(2) == [0, 1]
         with pytest.raises(ValueError):
             world2.reachable_from(2)
+
+
+def static_world(m=24, seed=5, radio_range=180.0, side=600.0, bulk=None):
+    rng = np.random.default_rng(seed)
+    positions = [tuple(p) for p in rng.uniform(0.0, side, size=(m, 2))]
+    sim = Simulator()
+    world = World(sim, StaticPlacement(positions),
+                  RadioConfig(radio_range=radio_range), seed=seed,
+                  bulk_index=bulk)
+    nodes = [Recorder(world, i) for i in range(m)]
+    return sim, world, nodes
+
+
+class TestStaticTopology:
+    """A static world keys its caches on the connectivity epoch alone:
+    answers must still equal the uncached reference at every time and
+    after every fault transition."""
+
+    def test_model_types_declare_whether_they_move(self):
+        assert StaticPlacement([(0, 0)]).static is True
+        assert RandomWaypoint(2, seed=1).static is False
+
+    @pytest.mark.parametrize("bulk", [True, False],
+                             ids=["bulk-build", "reference-build"])
+    def test_faults_at_many_times_match_reference(self, bulk):
+        m = 24
+        sim, world, _ = static_world(m=m, bulk=bulk)
+        rng = np.random.default_rng(8)
+        times = np.sort(rng.uniform(0.0, 900.0, size=120))
+        for k, t in enumerate(times):
+            sim.run(until=float(t))
+            action = k % 8
+            node = int(rng.integers(m))
+            if action == 0:
+                world.fail_node(node)
+            elif action == 1:
+                world.restore_node(node)
+            elif action == 2:
+                a, b = rng.choice(m, size=2, replace=False)
+                world.set_link_blackout(int(a), int(b), True)
+            elif action == 3 and world._blackouts:
+                a, b = sorted(next(iter(world._blackouts)))
+                world.set_link_blackout(a, b, False)
+            elif action == 4:
+                world.set_partition(str(rng.choice(["x", "y"])),
+                                    float(rng.uniform(100.0, 500.0)), True)
+            elif action == 5 and world.partitions:
+                axis, coord = world.partitions[0]
+                world.set_partition(axis, coord, False)
+            # actions 6 and 7 only advance time
+            assert_world_agrees(world)
+
+    def test_rebuilds_follow_epoch_bumps_not_time(self):
+        sim, world, _ = static_world()
+        world.neighbors(0)
+        world.reachable_from(0)
+        before = world._index.rebuilds
+        for t in (1.0, 2.5, 40.0, 300.0, 301.0):
+            sim.run(until=t)
+            for i in world.node_ids:
+                world.neighbors(i)
+                world.reachable_from(i)
+            world.connectivity_snapshot()
+        assert world._index.rebuilds == before
+        world.fail_node(3)
+        sim.run(until=302.0)
+        world.reachable_from(0)
+        world.neighbors(1)
+        assert world._index.rebuilds == before + 1
+        world.set_partition("x", 300.0, True)
+        sim.run(until=400.0)
+        world._index.edges()
+        assert world._index.rebuilds == before + 2
+
+    def test_positions_swept_once(self):
+        sim, world, _ = static_world()
+        calls = []
+        sweep = world.mobility.positions
+
+        def counted(t):
+            calls.append(t)
+            return sweep(t)
+
+        world.mobility.positions = counted
+        for t in (0.0, 5.0, 60.0, 61.0):
+            sim.run(until=t)
+            world.positions()
+            world.neighbor_map()
+        world.fail_node(0)
+        world.neighbor_map()
+        assert len(calls) == 1
+
+    def test_returned_reachable_set_is_a_copy(self):
+        sim, world, _ = static_world()
+        first = world.reachable_from(0)
+        expected = set(first)
+        first.clear()
+        first.add(-1)
+        sim.run(until=10.0)
+        assert world.reachable_from(0) == expected
+        again = world.reachable_from(0)
+        assert again is not world.reachable_from(0)
+
+    def test_moving_world_rebuilds_when_time_advances(self):
+        sim, world, _ = waypoint_world(m=10)
+        world.neighbor_map()
+        before = world._index.rebuilds
+        for step, t in enumerate((5.0, 10.0, 15.0), start=1):
+            sim.run(until=t)
+            world.neighbor_map()
+            world.reachable_from(0)
+            assert world._index.rebuilds == before + step
+            assert_world_agrees(world)
