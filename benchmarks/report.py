@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Merged benchmark trend report.
 
-Folds every committed benchmark document (``BENCH_world.json``,
-``BENCH_query.json``, ``BENCH_local.json``, ``BENCH_merge.json``, ...)
-into one flat trend table, as markdown and JSON. The speedup summary
+Folds every committed benchmark document (``BENCH_obs.json``,
+``BENCH_resilience.json``, ``BENCH_continuous.json``) into one flat
+trend table, as markdown and JSON. The speedup summary
 puts every suite's headline ratios side by side, so one glance answers
 "did any fast path regress since the last run?".
 
@@ -34,16 +34,11 @@ REPORT_SCHEMA = "bench_report/v1"
 #: after ``benchmarks/obs_overhead.py`` has run); files with any other
 #: schema version fail the run.
 SUITE_SCHEMAS = {
-    "world": "bench_world/v2",
-    "query": "bench_query/v1",
-    "local": "bench_local/v1",
-    "merge": "bench_merge/v1",
     "obs": "bench_obs/v2",
     "resilience": "bench_resilience/v1",
     "continuous": "bench_continuous/v1",
 }
-#: Canonical display order — engine layers first (world/query/local/
-#: merge), then the cross-cutting suites. Every table and section is
+#: Canonical display order. Every table and section is
 #: rendered in this order, never alphabetically, so trend diffs stay
 #: stable when suites come and go.
 SUITES = tuple(SUITE_SCHEMAS)

@@ -40,13 +40,11 @@ from .core import (
     QueryLog,
     SkylineAssembler,
     SkylineQuery,
-    configure_local_path,
     dominates,
     dominates_values,
     local_skyline,
     local_skyline_vectorized,
     merge_skylines,
-    resolve_local_path,
     select_filter,
     select_filter_set,
     skyline_bnl,
@@ -152,7 +150,6 @@ __all__ = [
     "__version__",
     "bf_response_time",
     "collect_metrics",
-    "configure_local_path",
     "data_reduction_rate",
     "df_response_time",
     "dominates",
@@ -166,7 +163,6 @@ __all__ = [
     "run_manet_simulation",
     "run_static_grid",
     "run_static_query",
-    "resolve_local_path",
     "select_filter",
     "select_filter_set",
     "skyline_bnl",

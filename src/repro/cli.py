@@ -17,8 +17,6 @@ import time
 from typing import Callable, Dict, List
 
 from . import experiments as ex
-from .core.assembly import ASSEMBLERS, configure_assembler
-from .core.local import LOCAL_PATHS, configure_local_path
 
 __all__ = ["main"]
 
@@ -198,25 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
             "blackbox.json instead of running a simulation"
         ),
     )
-    parser.add_argument(
-        "--local-path",
-        choices=LOCAL_PATHS,
-        help=(
-            "local skyline processing path: 'fast' tiled numpy kernels "
-            "or 'reference' row-at-a-time loops (default: fast; results "
-            "and operation counts are identical, only wall time differs)"
-        ),
-    )
-    parser.add_argument(
-        "--assembler",
-        choices=ASSEMBLERS,
-        help=(
-            "result-assembly engine: 'incremental' running arrays, "
-            "'partitioned' grid-cell pruning + merge tree, or 'legacy' "
-            "rebuild-per-merge (default: incremental; results are "
-            "bit-identical, only wall time differs)"
-        ),
-    )
     return parser
 
 
@@ -388,8 +367,6 @@ def main(argv=None) -> int:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
     ex.configure(workers=args.workers, cache_dir=args.cache_dir)
-    configure_local_path(args.local_path)
-    configure_assembler(args.assembler)
     if args.obs is not None:
         from .obs import configure_telemetry
 

@@ -36,7 +36,7 @@ from ..net.mobility import (
     RandomWaypoint,
     StaticPlacement,
 )
-from ..net.world import DELIVERY_MODES, RadioConfig, TrafficStats, World
+from ..net.world import RadioConfig, TrafficStats, World
 from ..obs.observer import Observer
 from ..protocol.device import ProtocolConfig
 from ..resilience import ResiliencePolicy
@@ -183,20 +183,10 @@ class ContinuousConfig:
     )
     speed_range: Tuple[float, float] = DEFAULT_SPEED_RANGE
     holding_time: float = DEFAULT_HOLDING_TIME
-    #: Broadcast delivery mode forwarded to the world — ``"wave"`` /
-    #: ``"per_receiver"`` / ``None`` (environment default). Subscription
-    #: runs are bit-identical across modes; the wave differential suite
-    #: pins it.
-    delivery: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.delivery is not None and self.delivery not in DELIVERY_MODES:
-            raise ValueError(
-                f"delivery must be None or one of {DELIVERY_MODES}, "
-                f"got {self.delivery!r}"
-            )
         if not 0 <= self.originator < self.devices:
             raise ValueError("originator must be a valid device id")
         if self.install_time < 0:
@@ -301,7 +291,7 @@ def run_continuous_simulation(
         )
     world = World(
         sim, mobility, RadioConfig(loss_rate=config.loss_rate),
-        seed=config.seed, delivery=config.delivery,
+        seed=config.seed,
     )
     devices = [
         ContinuousDevice(

@@ -1,13 +1,9 @@
 """Core skyline machinery: dominance, algorithms, filtering, assembly."""
 
 from .assembly import (
-    ASSEMBLERS,
     SkylineAssembler,
-    configure_assembler,
     merge_skylines,
     merge_tree,
-    resolve_assembler,
-    resolve_merge_block,
 )
 from .dominance import (
     ComparisonCounter,
@@ -31,13 +27,10 @@ from .filtering import (
     vdr_matrix,
 )
 from .local import (
-    LOCAL_PATHS,
     LocalResultCache,
     LocalSkylineResult,
-    configure_local_path,
     local_skyline,
     local_skyline_vectorized,
-    resolve_local_path,
 )
 from .multifilter import (
     MultiFilterResult,
@@ -55,12 +48,10 @@ from .skyline import (
 )
 
 __all__ = [
-    "ASSEMBLERS",
     "COUNTER_MODULUS",
     "ComparisonCounter",
     "Estimation",
     "FilteringTuple",
-    "LOCAL_PATHS",
     "LocalResultCache",
     "LocalSkylineResult",
     "MultiFilterResult",
@@ -69,8 +60,6 @@ __all__ = [
     "SkylineAssembler",
     "SkylineQuery",
     "any_dominator",
-    "configure_assembler",
-    "configure_local_path",
     "dominance_mask",
     "dominates",
     "dominates_or_equal",
@@ -85,9 +74,6 @@ __all__ = [
     "normalize_values",
     "promote_filter",
     "prune_with_filters",
-    "resolve_assembler",
-    "resolve_local_path",
-    "resolve_merge_block",
     "select_filter",
     "select_filter_set",
     "skyline_bnl",

@@ -89,8 +89,7 @@ def dominated_mask(
     result assembler and the filter-pruning steps all call it. Both
     inputs are 2-D and in minimization space.
 
-    ``block=None`` runs one unbounded ``(B, T, d)`` broadcast (the legacy
-    reference). An integer runs the same elementwise comparisons in tiles
+    ``block=None`` runs one unbounded ``(B, T, d)`` broadcast. An integer runs the same elementwise comparisons in tiles
     of at most ``block²`` pairs, so every intermediate is bounded by
     ``block²`` booleans whatever the input sizes; the output is identical.
     """

@@ -20,27 +20,20 @@ The algorithm, per the paper:
    is promoted to the new filtering tuple if it beats the incoming one
    (Section 3.4's dynamic update).
 
-Every storage model has **two** implementations of this pipeline:
-
-* a *reference* path that walks tuples row by row, exactly as the
-  pseudocode reads — the ground truth for differential testing; and
-* a *fast* path built on bounded-tile numpy kernels
-  (:func:`_sfs_scan_sorted` for the sorted hybrid layout,
-  :func:`_bnl_scan` for the unsorted value layouts) that produces
-  bit-identical skylines, the same ``skipped`` decisions, and the same
-  :class:`ComparisonCounter` / ``AccessStats`` totals, computed
-  analytically instead of per comparison.
-
-Pick the path per call (``path=``), per process
-(:func:`configure_local_path`), or via the ``REPRO_LOCAL_PATH``
-environment variable; the default is ``"fast"``. A separate vectorised
-variant over raw relations (:func:`local_skyline_vectorized`) remains
-for mixed-preference schemas and the large simulation experiments.
+Every storage model runs this pipeline on bounded-tile numpy kernels
+(:func:`_sfs_scan_sorted` for the sorted hybrid layout, :func:`_bnl_scan`
+for the unsorted value layouts). They produce the skyline, the
+``skipped`` decision, and the :class:`ComparisonCounter` /
+``AccessStats`` totals that a row-at-a-time walk of the pseudocode
+would, with the counts computed analytically instead of per
+comparison. The row-at-a-time walk lives in the test suite as the
+differential oracle. A separate vectorised variant over raw relations
+(:func:`local_skyline_vectorized`) serves mixed-preference schemas and
+the large simulation experiments.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -68,52 +61,14 @@ from .skyline import skyline_numpy
 __all__ = [
     "LocalSkylineResult",
     "LocalResultCache",
-    "LOCAL_PATHS",
-    "configure_local_path",
-    "resolve_local_path",
     "local_skyline",
     "local_skyline_vectorized",
 ]
 
-#: Recognized local-processing path names.
-LOCAL_PATHS = ("fast", "reference")
-
-#: Default candidate/window tile edge for the fast kernels. 512 keeps
+#: Default candidate/window tile edge for the tiled kernels. 512 keeps
 #: every intermediate dominance matrix under ~256 KiB of bools while
 #: leaving enough rows per tile to amortize numpy dispatch.
 DEFAULT_BLOCK = 512
-
-_PATH_OVERRIDE: Optional[str] = None
-
-
-def _validate_path(path: str) -> str:
-    if path not in LOCAL_PATHS:
-        raise ValueError(f"unknown local path {path!r}; expected one of {LOCAL_PATHS}")
-    return path
-
-
-def configure_local_path(path: Optional[str]) -> None:
-    """Set a process-wide local-processing path override.
-
-    ``None`` clears the override, restoring environment/default
-    resolution. The CLI's ``--local-path`` flag lands here.
-    """
-    global _PATH_OVERRIDE
-    _PATH_OVERRIDE = _validate_path(path) if path is not None else None
-
-
-def resolve_local_path(path: Optional[str] = None) -> str:
-    """Resolve the effective path: explicit argument beats the
-    :func:`configure_local_path` override beats ``REPRO_LOCAL_PATH``
-    beats the ``"fast"`` default."""
-    if path is not None:
-        return _validate_path(path)
-    if _PATH_OVERRIDE is not None:
-        return _PATH_OVERRIDE
-    env = os.environ.get("REPRO_LOCAL_PATH")
-    if env:
-        return _validate_path(env)
-    return "fast"
 
 
 class LocalResultCache:
@@ -245,7 +200,6 @@ def local_skyline(
     flt: Optional[FilteringTuple] = None,
     estimation: Estimation = Estimation.UNDER,
     over_margin: float = 0.2,
-    path: Optional[str] = None,
     block: int = DEFAULT_BLOCK,
 ) -> LocalSkylineResult:
     """Run the Figure 4 algorithm against any storage model.
@@ -255,10 +209,8 @@ def local_skyline(
     pointer layouts (domain / ring storage), whose per-read indirection
     costs are recorded in ``storage.stats``.
 
-    ``path`` picks between the tiled numpy kernels (``"fast"``) and the
-    row-at-a-time loops (``"reference"``); both produce bit-identical
-    results and counters (see :func:`resolve_local_path` for the default
-    chain). ``block`` bounds the fast kernels' tile edge.
+    ``block`` bounds the tiled kernels' tile edge; results and counters
+    do not depend on it.
 
     The faithful storage paths assume the paper's all-MIN schemas; for
     mixed-preference schemas use :func:`local_skyline_vectorized`, which
@@ -269,32 +221,22 @@ def local_skyline(
             "the faithful storage paths assume minimized attributes; "
             "use local_skyline_vectorized for mixed-preference schemas"
         )
-    fast = resolve_local_path(path) == "fast"
     if isinstance(storage, HybridStorage):
-        if fast:
-            return _local_skyline_hybrid_fast(
-                storage, query, flt, estimation, over_margin, block
-            )
-        return _local_skyline_hybrid(storage, query, flt, estimation, over_margin)
-    if isinstance(storage, FlatStorage):
-        if fast:
-            return _local_skyline_values_fast(
-                storage, storage.values_matrix(), query, flt, estimation,
-                over_margin, count_value_reads=True, block=block,
-            )
-        return _local_skyline_values(
-            storage, storage.values_matrix(), query, flt, estimation, over_margin,
-            count_value_reads=True, rows=storage.values_rows(),
-        )
-    if fast:
-        return _local_skyline_generic_fast(
+        return _local_skyline_hybrid(
             storage, query, flt, estimation, over_margin, block
         )
-    return _local_skyline_generic(storage, query, flt, estimation, over_margin)
+    if isinstance(storage, FlatStorage):
+        return _local_skyline_values(
+            storage, storage.values_matrix(), query, flt, estimation,
+            over_margin, count_value_reads=True, block=block,
+        )
+    return _local_skyline_generic(
+        storage, query, flt, estimation, over_margin, block
+    )
 
 
 # ---------------------------------------------------------------------------
-# Tiled dominance kernels (the fast path's engine)
+# Tiled dominance kernels
 # ---------------------------------------------------------------------------
 
 
@@ -561,89 +503,8 @@ def _local_skyline_hybrid(
     flt: Optional[FilteringTuple],
     estimation: Estimation,
     over_margin: float,
-) -> LocalSkylineResult:
-    counter = ComparisonCounter()
-    skip, thr_ge, thr_gt = _hybrid_prologue(storage, query, flt, counter)
-    if skip is not None:
-        return skip
-
-    dims = storage.dimensions
-    ids = storage.ids_rows()
-    xy = storage.xy
-    dx = xy[:, 0] - query.pos[0]
-    dy = xy[:, 1] - query.pos[1]
-    in_range_mask = (dx * dx + dy * dy) <= query.d * query.d
-    counter.count_distance(storage.cardinality)
-
-    window: List[int] = []
-    for row in range(storage.cardinality):
-        if not in_range_mask[row]:
-            continue
-        t_ids = ids[row]
-        dominated = False
-        for w in window:
-            w_ids = ids[w]
-            counter.count_id(dims)
-            # Stored order is lexicographic, so window members can never
-            # be dominated by later tuples — no eviction pass needed.
-            no_worse = True
-            better = False
-            for a, b in zip(w_ids, t_ids):
-                if a > b:
-                    no_worse = False
-                    break
-                if a < b:
-                    better = True
-            if no_worse and better:
-                dominated = True
-                break
-        if not dominated:
-            window.append(row)
-
-    unreduced = len(window)
-    in_range = int(in_range_mask.sum())
-
-    # Filter pass over SK_i (paper: strict-dominance removal + same-site
-    # duplicate removal), in ID space.
-    survivors: List[int] = []
-    if flt is not None:
-        fx, fy = flt.site.x, flt.site.y
-        for row in window:
-            t_ids = ids[row]
-            counter.count_id(dims)
-            if xy[row, 0] == fx and xy[row, 1] == fy:
-                continue  # same site as the filter: a duplicate copy
-            ge_all = all(t >= g for t, g in zip(t_ids, thr_ge))
-            gt_any = any(t >= g for t, g in zip(t_ids, thr_gt))
-            if ge_all and gt_any:
-                continue  # dominated by the filtering tuple
-            survivors.append(row)
-    else:
-        survivors = window
-
-    reduced = _rows_to_relation(storage, survivors)
-    updated = _promote_filter(
-        reduced, flt, estimation, over_margin, storage, counter
-    )
-    return LocalSkylineResult(
-        skyline=reduced,
-        unreduced_size=unreduced,
-        updated_filter=updated,
-        comparisons=counter,
-        scanned=storage.cardinality,
-        in_range=in_range,
-    )
-
-
-def _local_skyline_hybrid_fast(
-    storage: HybridStorage,
-    query: SkylineQuery,
-    flt: Optional[FilteringTuple],
-    estimation: Estimation,
-    over_margin: float,
     block: int,
 ) -> LocalSkylineResult:
-    """Tiled-kernel twin of :func:`_local_skyline_hybrid`."""
     counter = ComparisonCounter()
     skip, thr_ge, thr_gt = _hybrid_prologue(storage, query, flt, counter)
     if skip is not None:
@@ -737,88 +598,8 @@ def _local_skyline_values(
     estimation: Estimation,
     over_margin: float,
     count_value_reads: bool,
-    rows: Optional[List[List[float]]] = None,
-) -> LocalSkylineResult:
-    counter = ComparisonCounter()
-    skip = _values_prologue(storage, query, flt, counter)
-    if skip is not None:
-        return skip
-
-    dims = storage.dimensions
-    xy = storage.xy
-    dx = xy[:, 0] - query.pos[0]
-    dy = xy[:, 1] - query.pos[1]
-    in_range_mask = (dx * dx + dy * dy) <= query.d * query.d
-    counter.count_distance(storage.cardinality)
-
-    if rows is None:
-        rows = values.tolist()
-    window: List[int] = []
-    for row in range(storage.cardinality):
-        if not in_range_mask[row]:
-            continue
-        v = rows[row]
-        if count_value_reads:
-            storage.stats.value_reads += dims
-        dominated = False
-        survivors: List[int] = []
-        changed = False
-        for w in window:
-            wv = rows[w]
-            counter.count_value(dims)
-            if _dom(wv, v):
-                dominated = True
-                break
-            if _dom(v, wv):
-                changed = True  # window member evicted
-                continue
-            survivors.append(w)
-        if dominated:
-            continue
-        if changed:
-            window = survivors
-        window.append(row)
-
-    unreduced = len(window)
-    survivors = []
-    if flt is not None:
-        fvals = list(flt.values)
-        fx, fy = flt.site.x, flt.site.y
-        for row in window:
-            counter.count_value(dims)
-            if xy[row, 0] == fx and xy[row, 1] == fy:
-                continue
-            if _dom(fvals, rows[row]):
-                continue
-            survivors.append(row)
-    else:
-        survivors = window
-
-    reduced = _rows_to_relation(storage, survivors)
-    updated = _promote_filter(
-        reduced, flt, estimation, over_margin, storage, counter
-    )
-    return LocalSkylineResult(
-        skyline=reduced,
-        unreduced_size=unreduced,
-        updated_filter=updated,
-        comparisons=counter,
-        scanned=storage.cardinality,
-        in_range=int(in_range_mask.sum()),
-    )
-
-
-def _local_skyline_values_fast(
-    storage: StorageModel,
-    values: np.ndarray,
-    query: SkylineQuery,
-    flt: Optional[FilteringTuple],
-    estimation: Estimation,
-    over_margin: float,
-    count_value_reads: bool,
     block: int,
 ) -> LocalSkylineResult:
-    """Tiled-kernel twin of :func:`_local_skyline_values`."""
     counter = ComparisonCounter()
     skip = _values_prologue(storage, query, flt, counter)
     if skip is not None:
@@ -867,48 +648,16 @@ def _local_skyline_generic(
     flt: Optional[FilteringTuple],
     estimation: Estimation,
     over_margin: float,
-) -> LocalSkylineResult:
-    """BNL through ``get_value`` so pointer layouts pay their real
-    per-read indirection costs (recorded in ``storage.stats``)."""
-    n, dims = storage.cardinality, storage.dimensions
-    values = np.empty((n, dims), dtype=np.float64)
-    for row in range(n):
-        for attr in range(dims):
-            values[row, attr] = storage.get_value(row, attr)
-    return _local_skyline_values(
-        storage, values, query, flt, estimation, over_margin,
-        count_value_reads=False,
-    )
-
-
-def _local_skyline_generic_fast(
-    storage: StorageModel,
-    query: SkylineQuery,
-    flt: Optional[FilteringTuple],
-    estimation: Estimation,
-    over_margin: float,
     block: int,
 ) -> LocalSkylineResult:
-    """Fast accessor path: one bulk read with analytic access charges
-    (``StorageModel.read_all_values``) in place of the per-cell
+    """Pointer layouts: one bulk read with analytic access charges
+    (``StorageModel.read_all_values``) in place of a per-cell
     ``get_value`` loop, then the tiled BNL."""
     values = storage.read_all_values()
-    return _local_skyline_values_fast(
+    return _local_skyline_values(
         storage, values, query, flt, estimation, over_margin,
         count_value_reads=False, block=block,
     )
-
-
-def _dom(a, b) -> bool:
-    no_worse = True
-    better = False
-    for x, y in zip(a, b):
-        if x > y:
-            no_worse = False
-            break
-        if x < y:
-            better = True
-    return no_worse and better
 
 
 # ---------------------------------------------------------------------------

@@ -52,15 +52,11 @@ SMOKE_SEEDS: Tuple[int, ...] = (11, 23, 37, 58, 71)
 CHAOS_DEADLINE = 60.0
 
 
-def chaos_protocol_config(
-    failover: bool = True, assembler: Optional[str] = None
-) -> ProtocolConfig:
+def chaos_protocol_config(failover: bool = True) -> ProtocolConfig:
     """Protocol knobs tightened for fault-heavy short runs.
 
     Retry budgets are deliberately small so the watchdog exhausts (and
     DF failover actually triggers) inside the deadline window.
-    ``assembler=None`` resolves through the usual override/environment
-    chain; CI's partitioned chaos step pins it explicitly.
     """
     return ProtocolConfig(
         query_timeout=CHAOS_DEADLINE,
@@ -68,7 +64,6 @@ def chaos_protocol_config(
         result_retries=2,
         token_watchdog=12.0,
         token_reissues=1,
-        assembler=assembler,
         resilience=ResiliencePolicy(
             deadline=CHAOS_DEADLINE,
             df_failover=failover,
@@ -174,7 +169,6 @@ def run_chaos_point(
     devices: int = 9,
     cardinality: int = 900,
     sim_time: float = 150.0,
-    assembler: Optional[str] = None,
     observer: Optional[Observer] = None,
     include_faults: bool = True,
 ) -> ChaosPoint:
@@ -203,7 +197,7 @@ def run_chaos_point(
     faults = _chaos_faults(
         seed + 2, devices, sim_time, extent=(x_max - x_min, y_max - y_min)
     ) if include_faults else None
-    protocol = chaos_protocol_config(failover, assembler=assembler)
+    protocol = chaos_protocol_config(failover)
     config = SimulationConfig(
         strategy=strategy,
         sim_time=sim_time,
@@ -251,7 +245,6 @@ def chaos_suite(
     strategies: Sequence[str] = ("bf", "df"),
     failover: bool = True,
     progress: Optional[int] = None,
-    assembler: Optional[str] = None,
 ) -> ChaosReport:
     """Run the invariant suite over many seeds and strategies.
 
@@ -262,8 +255,6 @@ def chaos_suite(
             (ignored by BF, which has no token to lose).
         progress: If given, print one status line every ``progress``
             completed runs.
-        assembler: Result-assembly engine for every run (``None``
-            resolves via the override/environment chain).
 
     Returns:
         A :class:`ChaosReport`; ``report.ok`` is the pass/fail verdict.
@@ -274,7 +265,7 @@ def chaos_suite(
     for seed in seeds:
         for strategy in strategies:
             report.points.append(
-                run_chaos_point(seed, strategy, failover, assembler=assembler)
+                run_chaos_point(seed, strategy, failover)
             )
             done += 1
             if progress and done % progress == 0:

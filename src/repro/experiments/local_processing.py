@@ -12,7 +12,7 @@ produced by ``benchmarks/test_fig5_*``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -63,15 +63,12 @@ def measure_local_time(
     relation: Relation,
     storage_kind: str,
     cost_model: DeviceCostModel = PDA_2006,
-    path: Optional[str] = None,
 ) -> float:
     """Modelled PDA seconds for one local skyline over ``relation``.
 
     ``storage_kind`` is ``"hybrid"`` (the paper's HS + ID-based SFS) or
     ``"flat"`` (FS + BNL). Runs the faithful algorithm and prices its
-    exact operation counts; ``path`` picks the fast kernels or the
-    reference loops (identical counts either way, so the modelled
-    seconds don't depend on it — only wall time does).
+    exact operation counts.
     """
     if storage_kind == "hybrid":
         storage = HybridStorage(relation)
@@ -84,14 +81,13 @@ def measure_local_time(
         (relation.schema.spatial_extent[1] + relation.schema.spatial_extent[3]) / 2,
     )
     query = SkylineQuery(origin=0, cnt=0, pos=center, d=_UNBOUNDED)
-    result = local_skyline(storage, query, None, path=path)
+    result = local_skyline(storage, query, None)
     return cost_model.time_for_counter(result.comparisons, scanned=result.scanned)
 
 
 def figure_5a(
     scale: ExperimentScale = DEFAULT,
     cost_model: DeviceCostModel = PDA_2006,
-    path: Optional[str] = None,
 ) -> FigureResult:
     """Processing time vs. cardinality (2 non-spatial attributes)."""
     result = FigureResult(
@@ -110,10 +106,10 @@ def figure_5a(
                 cardinality, 2, dist, seed=scale.seed + i
             )
             series[f"HS-{tag}"].append(
-                measure_local_time(relation, "hybrid", cost_model, path=path)
+                measure_local_time(relation, "hybrid", cost_model)
             )
             series[f"FS-{tag}"].append(
-                measure_local_time(relation, "flat", cost_model, path=path)
+                measure_local_time(relation, "flat", cost_model)
             )
     for name in ("HS-IN", "FS-IN", "HS-AC", "FS-AC"):
         result.add_series(name, series[name])
@@ -123,7 +119,6 @@ def figure_5a(
 def figure_5b(
     scale: ExperimentScale = DEFAULT,
     cost_model: DeviceCostModel = PDA_2006,
-    path: Optional[str] = None,
 ) -> FigureResult:
     """Processing time vs. dimensionality (fixed cardinality).
 
@@ -149,10 +144,10 @@ def figure_5b(
                 seed=scale.seed + 100 + i,
             )
             hs_times.append(
-                measure_local_time(relation, "hybrid", cost_model, path=path)
+                measure_local_time(relation, "hybrid", cost_model)
             )
             fs_times.append(
-                measure_local_time(relation, "flat", cost_model, path=path)
+                measure_local_time(relation, "flat", cost_model)
             )
         hs.append(sum(hs_times) / len(hs_times))
         fs.append(sum(fs_times) / len(fs_times))

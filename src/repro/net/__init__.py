@@ -20,7 +20,7 @@ from .mobility import (
 from .node import Node
 from .spatial_index import NeighborIndex
 from .trace import TraceEvent, Tracer
-from .world import DELIVERY_MODES, NetworkNode, RadioConfig, TrafficStats, World
+from .world import NetworkNode, RadioConfig, TrafficStats, World
 
 __all__ = [
     "AodvConfig",
@@ -28,7 +28,6 @@ __all__ = [
     "CONTROL_BYTES",
     "DEFAULT_HOLDING_TIME",
     "DEFAULT_SPEED_RANGE",
-    "DELIVERY_MODES",
     "DataPacket",
     "EventHandle",
     "Frame",

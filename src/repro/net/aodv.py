@@ -22,8 +22,11 @@ detected on use).
 Queries flooding through the skyline protocols double as route
 advertisements: devices call :meth:`AodvRouter.learn_route` for the
 path back toward the query originator, exactly as AODV learns reverse
-routes from RREQs — this is why result unicasts rarely need a fresh
-discovery.
+routes from RREQs, so result unicasts mostly travel installed routes.
+Nothing learns the route back to the source of a routed DATA frame,
+though, so the originator's result ACKs (and DELTAs on expired routes)
+each start a fresh discovery; on BF workloads RREQs are most of the
+radio traffic (see ``docs/simulator.md``).
 
 Determinism: RREQ floods rely on ``World.broadcast``, whose receiver
 order is the world's sorted-id neighbor order (never attach order), so

@@ -260,12 +260,6 @@ class RandomWaypoint(MobilityModel):
             y = np.where(degenerate, self._soa_ey, y)
         return np.stack((x, y), axis=1)
 
-    def positions_reference(self, t: float) -> np.ndarray:
-        """The pre-SoA scalar sweep (one :meth:`position` call per node)
-        — kept as the reference the differential tests pin the
-        vectorised :meth:`positions` against."""
-        return MobilityModel.positions(self, t)
-
     def _extend(self, node: int) -> None:
         """Append one (pause, travel) pair to the node's trajectory."""
         rng = self._rngs[node]

@@ -59,10 +59,9 @@ class Node:
         common reply-to-neighbour case.
 
         Ordering contract: within one broadcast, receivers hear the
-        frame in sorted-id order regardless of the world's delivery mode
-        (``wave`` fans out inside a single event in that order;
-        ``per_receiver`` schedules same-time events in that order) — so
-        protocol logic may not depend on which mode is active.
+        frame in sorted-id order (the world fans a delivery wave out
+        inside a single event in that order), exactly as if each
+        delivery were its own same-time event.
         """
         self.router.learn_route(sender, sender, hops=1)
         if self.router.handle_frame(frame, sender):

@@ -22,10 +22,8 @@ module memoises the answer per simulation time:
   comparison-space pruning the skyline literature applies to dominance
   tests, applied here to unit-disk neighborhood tests. The bulk build
   enumerates all candidate pairs with array arithmetic (no Python loop
-  over cells or pairs) and emits CSR adjacency; the pre-existing
-  Python-loop build is retained as the reference (``bulk=False`` or
-  ``REPRO_BULK_INDEX=0``) and the differential suite pins both paths
-  bit-identical.
+  over cells or pairs) and emits CSR adjacency. The differential suite
+  pins it bit-identical to a Python-loop build kept as a test oracle.
 * **Epoch layer** — fault state (crashed nodes, link blackouts,
   partitions) and topology changes (late ``attach``) bump a generation
   counter; the adjacency cache is keyed on ``(sim.now, epoch,
@@ -42,14 +40,12 @@ Determinism contract: neighbor lists are sorted by node id, so BFS
 order, broadcast delivery order, and therefore event sequence numbers
 depend only on the topology — never on the order nodes were attached.
 The in-range predicate is the squared-distance test
-``dx*dx + dy*dy <= r*r`` evaluated in IEEE float64, bit-identical
-between the cached (vectorised) and uncached (scalar) paths.
+``dx*dx + dy*dy <= r*r`` evaluated in IEEE float64, so the vectorised
+build answers exactly as per-pair scalar tests would.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -100,15 +96,9 @@ class NeighborIndex:
 
     Args:
         world: The owning world.
-        bulk: Use the vectorised all-pairs build + CSR adjacency
-            (default) or the Python-loop reference build. ``None``
-            consults ``REPRO_BULK_INDEX`` (any value but ``0`` enables).
     """
 
-    def __init__(self, world: "World", bulk: Optional[bool] = None) -> None:
-        if bulk is None:
-            bulk = os.environ.get("REPRO_BULK_INDEX", "1") != "0"
-        self.bulk = bulk
+    def __init__(self, world: "World") -> None:
         self._world = world
         self._static = world.mobility.static
         self._epoch = 0
@@ -121,11 +111,8 @@ class NeighborIndex:
         self._adj_key: Optional[Tuple[float, int, float]] = None
         # reachable_from closures of the current adjacency, by node
         self._reach: Dict[int, set] = {}
-        # reference-path products (python dicts of sorted lists)
-        self._geom: Dict[int, List[int]] = {}
-        self._eff: Dict[int, List[int]] = {}
-        # bulk-path products: CSR adjacency in index space over the
-        # sorted attached-id array, plus lazily materialised lists
+        # CSR adjacency in index space over the sorted attached-id
+        # array, plus lazily materialised lists
         self._ids: Optional[np.ndarray] = None
         self._ids_epoch = -1
         self._ids_arange = True
@@ -137,7 +124,7 @@ class NeighborIndex:
         self._eff_edges: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._eff_lists: Dict[int, List[int]] = {}
         self._geom_lists: Dict[int, List[int]] = {}
-        # lazy row cache (bulk path only)
+        # lazy row cache
         self._row_key: Optional[Tuple[float, int, float]] = None
         self._rows: Dict[int, List[int]] = {}
 
@@ -208,13 +195,13 @@ class NeighborIndex:
         """
         world = self._world
         if node not in world._nodes:
-            # Unattached node: answer geometrically against the attached
-            # set (legacy World.neighbors semantics), without polluting
-            # the cache.
-            return world._uncached_neighbors(node)
-        if not self.bulk:
-            self._ensure()
-            return self._eff[node]
+            # Unattached node: answer by pairwise tests against the
+            # attached set, without polluting the cache.
+            return [
+                other
+                for other in sorted(world._nodes)
+                if world.can_communicate(node, other)
+            ]
         key = self._key()
         if self._adj_key == key:
             return self._eff_list(node)
@@ -240,8 +227,6 @@ class NeighborIndex:
                 if self._world.in_range(node, other)
             ]
         self._ensure()
-        if not self.bulk:
-            return self._geom[node]
         lst = self._geom_lists.get(node)
         if lst is None:
             i = self._idx(node)
@@ -259,8 +244,7 @@ class NeighborIndex:
         self._ensure()
         hit = self._reach.get(node)
         if hit is None:
-            hit = (self._reachable_bulk(node) if self.bulk
-                   else self._reachable_from_lists(node))
+            hit = self._reachable_bulk(node)
             self._reach[node] = hit
         return set(hit)
 
@@ -290,38 +274,11 @@ class NeighborIndex:
             seen[frontier] = True
         return set(self._ids[np.flatnonzero(seen)].tolist())
 
-    def _reachable_from_lists(self, node: int) -> set:
-        """Python-loop BFS — kept as the ground truth the vectorised
-        frontier expansion is compared against. Reads the adjacency
-        through the same per-node rows as :meth:`neighbors`, so it works
-        against either build mode."""
-        self._ensure()
-        row = (self._eff_list if self.bulk
-               else lambda n: self._eff.get(n, ()))
-        seen = {node}
-        frontier = [node]
-        while frontier:
-            nxt = []
-            for current in frontier:
-                for other in row(current):
-                    if other not in seen:
-                        seen.add(other)
-                        nxt.append(other)
-            frontier = nxt
-        return seen
-
     def edges(self) -> List[Tuple[int, int]]:
         """Every fault-aware link as an ``(i, j)`` id pair with
         ``i < j`` — the bulk query ``connectivity_snapshot`` consumes
         instead of probing every node's neighbor list."""
         self._ensure()
-        if not self.bulk:
-            return [
-                (i, j)
-                for i, lst in self._eff.items()
-                for j in lst
-                if i < j
-            ]
         lo, hi = self._eff_edges
         return list(zip(lo.tolist(), hi.tolist()))
 
@@ -394,16 +351,10 @@ class NeighborIndex:
         return lst
 
     def _build(self, key: Tuple[float, int, float]) -> None:
-        if self.bulk:
-            self._build_bulk(key)
-        else:
-            self._build_reference(key)
-        self._reach = {}
-
-    def _build_bulk(self, key: Tuple[float, int, float]) -> None:
         """Vectorised full build: grid bucketing, candidate-pair
         enumeration, and range testing all happen in array arithmetic;
         the result is CSR adjacency plus the undirected edge list."""
+        self._reach = {}
         world = self._world
         pos_all = self.positions()
         ids = self._ids_array()
@@ -535,85 +486,3 @@ class NeighborIndex:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         return indptr, dst
-
-    def _build_reference(self, key: Tuple[float, int, float]) -> None:
-        """The original Python-loop build (cells dict, per-pair appends,
-        per-node fault filtering) — the reference the bulk build is
-        differentially tested against."""
-        world = self._world
-        pos = self.positions()
-        ids = sorted(world._nodes)
-        r = world.radio.radio_range
-        r2 = r * r
-        geom: Dict[int, List[int]] = {i: [] for i in ids}
-
-        # Spatial hash: cell side = radio range, so candidates live in
-        # the 3x3 neighborhood of a node's cell.
-        cells: Dict[Tuple[int, int], List[int]] = {}
-        for i in ids:
-            cell = (
-                int(math.floor(pos[i, 0] / r)),
-                int(math.floor(pos[i, 1] / r)),
-            )
-            cells.setdefault(cell, []).append(i)
-
-        cand_a: List[int] = []
-        cand_b: List[int] = []
-        for (cx, cy), members in cells.items():
-            for idx, u in enumerate(members):
-                for v in members[idx + 1:]:
-                    cand_a.append(u)
-                    cand_b.append(v)
-            for ox, oy in _HALF_NEIGHBORHOOD:
-                other = cells.get((cx + ox, cy + oy))
-                if not other:
-                    continue
-                for u in members:
-                    for v in other:
-                        cand_a.append(u)
-                        cand_b.append(v)
-        if cand_a:
-            a = np.asarray(cand_a, dtype=np.int64)
-            b = np.asarray(cand_b, dtype=np.int64)
-            dx = pos[a, 0] - pos[b, 0]
-            dy = pos[a, 1] - pos[b, 1]
-            hits = (dx * dx + dy * dy) <= r2
-            for u, v in zip(a[hits], b[hits]):
-                geom[int(u)].append(int(v))
-                geom[int(v)].append(int(u))
-
-        down = world._down
-        blackouts = world._blackouts
-        partitions = world._partitions
-        # Partition cuts assign every node a side signature; two nodes
-        # communicate only when their signatures match. The >= test on
-        # the memoised float64 positions is identical to the scalar
-        # reference path in World._same_partition_side.
-        side: Dict[int, Tuple[bool, ...]] = {}
-        if partitions:
-            for i in ids:
-                side[i] = tuple(
-                    bool(pos[i, 0 if axis == "x" else 1] >= coord)
-                    for axis, coord in partitions
-                )
-        eff: Dict[int, List[int]] = {}
-        for i in ids:
-            geom[i].sort()
-            if i in down:
-                eff[i] = []
-            elif blackouts or partitions:
-                eff[i] = [
-                    j
-                    for j in geom[i]
-                    if j not in down
-                    and frozenset((i, j)) not in blackouts
-                    and (not partitions or side[j] == side[i])
-                ]
-            elif down:
-                eff[i] = [j for j in geom[i] if j not in down]
-            else:
-                eff[i] = geom[i][:]
-        self._geom = geom
-        self._eff = eff
-        self._adj_key = key
-        self._rebuilds += 1

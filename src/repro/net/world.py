@@ -7,28 +7,18 @@ receiver has moved out of range by delivery time (mobility-induced loss,
 the dominant loss mode the paper's setting cares about). IEEE
 802.11b-flavoured defaults: 250 m range, 2 Mbit/s effective bandwidth.
 
-Broadcast delivery has two modes (``World(delivery=...)``,
-``REPRO_DELIVERY`` env override):
-
-* ``"wave"`` (default) — one engine event per broadcast *wave*: the
-  receiver set is resolved once at transmit time and the single event
-  fans out to every receiver callback in sorted-id order. At 10k nodes
-  this collapses the per-broadcast heap traffic from ``O(degree)``
-  events to one.
-* ``"per_receiver"`` — the original reference path: one scheduled event
-  per receiver. Kept bit-identical; the differential suite pins full
-  BF/DF/continuous runs equal between the modes (traffic counters,
-  records, energy — everything except the engine's event tally).
-
-Both modes draw loss/duplication/jitter randomness in the same
-per-receiver order and re-check fault state at fire time, so fault
-schedules and RNG streams replay identically.
+A broadcast is delivered as one engine event per *wave*: the receiver
+set is resolved once at transmit time and the single event fans out to
+every receiver callback in sorted-id order. At 10k nodes this collapses
+the per-broadcast heap traffic from ``O(degree)`` events to one. Loss,
+duplication and jitter randomness is drawn per receiver in that order,
+and fault state is re-checked per receiver at fire time, so the
+outcome matches scheduling one event per receiver.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Protocol
 
@@ -40,12 +30,7 @@ from .messages import Frame, FrameKind
 from .mobility import MobilityModel
 from .spatial_index import NeighborIndex
 
-__all__ = ["World", "RadioConfig", "TrafficStats", "NetworkNode",
-           "DELIVERY_MODES"]
-
-#: Broadcast delivery modes: one event per wave (fast path, default) or
-#: one event per receiver (the bit-identical reference path).
-DELIVERY_MODES = ("wave", "per_receiver")
+__all__ = ["World", "RadioConfig", "TrafficStats", "NetworkNode"]
 
 
 @dataclass(frozen=True)
@@ -141,25 +126,13 @@ class World:
     Connectivity questions are answered by an epoch-cached
     :class:`~repro.net.spatial_index.NeighborIndex` (one vectorised
     position sweep per simulation time, spatial-hash adjacency, epoch
-    invalidation on fault transitions). Set ``cache=False`` to force the
-    scalar O(m²) reference path — the differential test suite asserts
-    both paths agree bit for bit.
+    invalidation on fault transitions).
 
     Args:
         sim: The event engine.
         mobility: Position oracle for all nodes.
         radio: Physical-layer parameters.
         seed: Seed for the loss process.
-        cache: Answer connectivity queries from the neighbor index
-            (default) rather than the uncached reference path.
-        delivery: Broadcast delivery mode — ``"wave"`` (one event per
-            broadcast wave, the fast path) or ``"per_receiver"`` (one
-            event per receiver, the reference). ``None`` consults the
-            ``REPRO_DELIVERY`` environment variable, defaulting to
-            ``"wave"``.
-        bulk_index: Forwarded to :class:`NeighborIndex` — vectorised
-            all-pairs adjacency build (default) or the Python-loop
-            reference build.
     """
 
     def __init__(
@@ -168,17 +141,7 @@ class World:
         mobility: MobilityModel,
         radio: RadioConfig = RadioConfig(),
         seed: Optional[int] = None,
-        cache: bool = True,
-        delivery: Optional[str] = None,
-        bulk_index: Optional[bool] = None,
     ) -> None:
-        if delivery is None:
-            delivery = os.environ.get("REPRO_DELIVERY") or "wave"
-        if delivery not in DELIVERY_MODES:
-            raise ValueError(
-                f"delivery must be one of {DELIVERY_MODES}, got {delivery!r}"
-            )
-        self.delivery = delivery
         self.sim = sim
         self.mobility = mobility
         self.radio = radio
@@ -202,8 +165,7 @@ class World:
         self._dup_rate: float = 0.0
         #: Delay-jitter fault: max extra uniform delay per hop, seconds.
         self._jitter: float = 0.0
-        self.cache_enabled = cache
-        self._index = NeighborIndex(self, bulk=bulk_index)
+        self._index = NeighborIndex(self)
         #: Observability sink (``repro.obs``). Defaults to the shared
         #: no-op observer; every instrumentation site below guards on
         #: ``self.obs.enabled``, so the off path is one attribute load
@@ -242,9 +204,7 @@ class World:
 
     def position(self, node: int) -> tuple:
         """Current position of ``node``."""
-        if self.cache_enabled:
-            return self._index.position(node)
-        return self.mobility.position(node, self.sim.now)
+        return self._index.position(node)
 
     def positions(self) -> "np.ndarray":
         """``(node_count, 2)`` array of all positions right now (one
@@ -259,8 +219,7 @@ class World:
     def in_range(self, a: int, b: int) -> bool:
         """Are ``a`` and ``b`` geometrically within radio range?
 
-        The squared-distance unit-disk test, evaluated identically on
-        the cached and uncached paths.
+        The squared-distance unit-disk test on float64 positions.
         """
         if a == b:
             return False
@@ -300,9 +259,7 @@ class World:
     def neighbors(self, node: int) -> List[int]:
         """Nodes ``node`` can currently exchange frames with, in sorted
         id order (determinism contract: never attach order)."""
-        if self.cache_enabled:
-            return self._index.neighbors(node)
-        return self._uncached_neighbors(node)
+        return self._index.neighbors(node)
 
     def neighbor_map(self) -> Dict[int, List[int]]:
         """Current fault-aware neighbor lists for every attached node.
@@ -321,52 +278,7 @@ class World:
         """
         if node not in self._nodes:
             raise ValueError(f"unknown node {node}")
-        if self.cache_enabled:
-            return self._index.reachable_from(node)
-        return self._uncached_reachable_from(node)
-
-    # -- uncached reference path -------------------------------------------
-    #
-    # The pre-index O(m²) implementations, kept as the ground truth the
-    # differential tests and `benchmarks/bench_world.py` compare the
-    # cached path against. They bypass the position memo entirely.
-
-    def _uncached_position(self, node: int) -> tuple:
-        return self.mobility.position(node, self.sim.now)
-
-    def _uncached_can_communicate(self, a: int, b: int) -> bool:
-        if a == b or a in self._down or b in self._down:
-            return False
-        if frozenset((a, b)) in self._blackouts:
-            return False
-        pa = self._uncached_position(a)
-        pb = self._uncached_position(b)
-        dx = pa[0] - pb[0]
-        dy = pa[1] - pb[1]
-        r = self.radio.radio_range
-        if dx * dx + dy * dy > r * r:
-            return False
-        return not self._partitions or self._same_partition_side(pa, pb)
-
-    def _uncached_neighbors(self, node: int) -> List[int]:
-        return [
-            other
-            for other in sorted(self._nodes)
-            if self._uncached_can_communicate(node, other)
-        ]
-
-    def _uncached_reachable_from(self, node: int) -> set:
-        seen = {node}
-        frontier = [node]
-        while frontier:
-            nxt = []
-            for current in frontier:
-                for other in self._uncached_neighbors(current):
-                    if other not in seen:
-                        seen.add(other)
-                        nxt.append(other)
-            frontier = nxt
-        return seen
+        return self._index.reachable_from(node)
 
     # -- fault state --------------------------------------------------------
 
@@ -531,23 +443,15 @@ class World:
         Fault-aware: crashed nodes appear isolated and blacked-out links
         are absent, matching what :meth:`can_communicate` would answer.
 
-        On the cached path the edge set comes from the index's bulk
+        The edge set comes from the index's bulk
         :meth:`~repro.net.spatial_index.NeighborIndex.edges` query (one
-        adjacency build, no per-node probing); ``cache=False`` keeps the
-        Python-loop per-node reference.
+        adjacency build, no per-node probing).
         """
         import networkx as nx
 
         g = nx.Graph()
-        ids = self.node_ids
-        g.add_nodes_from(ids)
-        if self.cache_enabled:
-            g.add_edges_from(self._index.edges())
-            return g
-        for i in ids:
-            for j in self._uncached_neighbors(i):
-                if i < j:
-                    g.add_edge(i, j)
+        g.add_nodes_from(self.node_ids)
+        g.add_edges_from(self._index.edges())
         return g
 
     # -- transmission -------------------------------------------------------
@@ -598,11 +502,12 @@ class World:
         """Transmit a one-hop broadcast; returns the receiver ids.
 
         One broadcast is one transmission on the air regardless of how
-        many neighbours hear it (wireless multicast advantage). In
-        ``"wave"`` delivery mode all receivers sharing a delivery time
-        ride one engine event; ``"per_receiver"`` schedules one event
-        each (the reference). Randomness (loss, duplication, jitter) is
-        drawn in identical per-receiver order on both paths.
+        many neighbours hear it (wireless multicast advantage). Receivers
+        are bucketed by delivery delay and each distinct delay fires one
+        engine event; without the jitter fault the whole wave is a single
+        event. Same-time deliveries fire in receiver-loop order, and a
+        fault-injected duplicate lands directly after its primary when
+        their jittered delays tie.
         """
         if frame.dst is not None:
             raise ValueError("broadcast frames must have dst=None")
@@ -614,41 +519,6 @@ class World:
             self.obs.frame_sent(frame)
         receivers = []
         delay = self.radio.transfer_delay(frame.size_bytes)
-        if self.delivery == "wave":
-            return self._broadcast_wave(frame, delay, receivers)
-        for other in self.neighbors(frame.src):
-            if self._lossy():
-                self.stats.drops += 1
-                if self.obs.enabled:
-                    self.obs.frame_dropped(frame, "loss")
-                continue
-            receivers.append(other)
-            self.sim.schedule(
-                self._jittered(delay), self._deliver_broadcast, other, frame
-            )
-            if self._duplicated():
-                self.stats.duplicates += 1
-                if self.obs.enabled:
-                    self.obs.frame_duplicated(frame)
-                self.sim.schedule(
-                    self._jittered(delay), self._deliver_broadcast, other, frame
-                )
-        return receivers
-
-    def _broadcast_wave(
-        self, frame: Frame, delay: float, receivers: List[int]
-    ) -> List[int]:
-        """Wave-delivery tail of :meth:`broadcast`: bucket receivers by
-        delivery delay and fire one event per distinct delay.
-
-        Without the jitter fault every receiver shares one delay, so the
-        whole wave is a single event. Bucketing preserves the reference
-        path's ordering contract exactly: same-time deliveries fire in
-        schedule order (here: list order inside one bucket, which is the
-        per-receiver loop order), distinct times order themselves on the
-        heap, and a fault-injected duplicate delivery lands directly
-        after its primary when their jittered delays tie.
-        """
         waves: Dict[float, List[int]] = {}
         for other in self.neighbors(frame.src):
             if self._lossy():
@@ -670,11 +540,11 @@ class World:
     def _deliver_wave(self, nodes: List[int], frame: Frame) -> None:
         """Fan one broadcast wave out to its receivers in order.
 
-        Each receiver's fault state is re-checked immediately before its
-        callback — identical to the per-receiver path, where same-time
-        delivery events fire back to back and each performs the check at
-        its own fire time. A callback that crashes a later receiver in
-        the same wave therefore suppresses that delivery on both paths.
+        Each receiver's fault state (crash, link blackout; not mobility)
+        is re-checked immediately before its callback, as if each
+        delivery were its own event firing back to back. A callback that
+        crashes a later receiver in the same wave therefore suppresses
+        that delivery.
         """
         for node in nodes:
             if (
@@ -686,20 +556,6 @@ class World:
                     self.obs.frame_dropped(frame, "fault")
                 continue
             self._deliver_to(node, frame)
-
-    def _deliver_broadcast(self, node: int, frame: Frame) -> None:
-        # Fault re-check only (no mobility re-check, matching the
-        # original broadcast semantics): a receiver that crashed or lost
-        # its link mid-flight hears nothing.
-        if (
-            node in self._down
-            or frozenset((frame.src, node)) in self._blackouts
-        ):
-            self.stats.drops += 1
-            if self.obs.enabled:
-                self.obs.frame_dropped(frame, "fault")
-            return
-        self._deliver_to(node, frame)
 
     def _deliver(self, frame: Frame, on_failure: Optional[Callable[[Frame], None]]) -> None:
         # Check again at delivery time: the receiver may have moved out

@@ -26,7 +26,7 @@ from ..net.mobility import (
     MobilityModel,
     RandomWaypoint,
 )
-from ..net.world import DELIVERY_MODES, RadioConfig, TrafficStats, World
+from ..net.world import RadioConfig, TrafficStats, World
 from ..obs.observer import Observer
 from .device import BFDevice, DFDevice, ProtocolConfig, QueryRecord, SkylineDevice
 
@@ -57,21 +57,6 @@ class SimulationConfig:
             relation perturbations applied to devices mid-run (the
             continuous layer's event source; one-shot runs accept it
             too, so a query can race a data update).
-        use_neighbor_cache: Answer connectivity queries from the world's
-            epoch-cached neighbor index (default) or the uncached O(m²)
-            reference path. Both produce bit-identical runs — the flag
-            exists for differential tests and benchmarks.
-        delivery: Broadcast delivery mode — ``"wave"`` (one engine event
-            per broadcast wave, the scale-out fast path) or
-            ``"per_receiver"`` (one event per receiver, the reference).
-            ``None`` defers to the ``REPRO_DELIVERY`` environment
-            variable, then ``"wave"``. Runs are bit-identical across
-            modes in every result-bearing counter (the differential
-            suite pins this); only the engine's raw event tally differs.
-        bulk_index: Neighbor-index build mode — ``True`` for the
-            vectorised all-pairs build (default), ``False`` for the
-            Python-loop reference, ``None`` to defer to
-            ``REPRO_BULK_INDEX``.
     """
 
     strategy: str = "bf"
@@ -85,19 +70,11 @@ class SimulationConfig:
     drain_time: float = 120.0
     faults: Optional[FaultSchedule] = None
     updates: Optional[DataUpdateSchedule] = None
-    use_neighbor_cache: bool = True
-    delivery: Optional[str] = None
-    bulk_index: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}"
-            )
-        if self.delivery is not None and self.delivery not in DELIVERY_MODES:
-            raise ValueError(
-                f"delivery must be None or one of {DELIVERY_MODES}, "
-                f"got {self.delivery!r}"
             )
         if self.sim_time <= 0:
             raise ValueError("sim_time must be > 0")
@@ -157,12 +134,7 @@ def build_network(
             f"mobility tracks {mobility.node_count} nodes but the dataset "
             f"has {dataset.devices} partitions"
         )
-    world = World(
-        sim, mobility, config.radio, seed=config.seed,
-        cache=config.use_neighbor_cache,
-        delivery=config.delivery,
-        bulk_index=config.bulk_index,
-    )
+    world = World(sim, mobility, config.radio, seed=config.seed)
     device_cls = BFDevice if config.strategy == "bf" else DFDevice
     devices: List[SkylineDevice] = [
         device_cls(

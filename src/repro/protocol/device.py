@@ -24,16 +24,9 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..core.assembly import (
-    ASSEMBLERS,
-    SkylineAssembler,
-    merge_skylines,
-    resolve_assembler,
-    resolve_merge_block,
-)
+from ..core.assembly import SkylineAssembler, merge_skylines
 from ..core.filtering import Estimation, FilteringTuple, select_filter
 from ..core.local import (
-    LOCAL_PATHS,
     LocalResultCache,
     LocalSkylineResult,
     local_skyline,
@@ -91,10 +84,6 @@ class ProtocolConfig:
         over_margin: Margin for over-estimation.
         processor: ``vectorized`` (fast, for simulations), ``hybrid`` or
             ``flat`` (faithful per-tuple paths with operation counts).
-        local_path: For the storage processors, ``fast`` runs the tiled
-            numpy kernels and ``reference`` the row-at-a-time loops —
-            bit-identical results and counters either way (the switch
-            exists for differential tests and benchmarks).
         cost_model: Converts local work into simulated processing time.
         model_processing_delay: If True, local processing delays message
             sends by the modelled device time (the paper adds estimated
@@ -130,21 +119,6 @@ class ProtocolConfig:
             deadline budgets, DF→BF failover, orphan suppression,
             completion reports. Defaults are inert: a default policy
             reproduces the pre-resilience protocol bit for bit.
-        assembler: ``incremental`` merges partial skylines via the
-            running-array assembler and chunked dominance passes;
-            ``partitioned`` adds grid-cell dominance-frontier pruning
-            and merge-tree batching; ``legacy`` rebuilds a relation per
-            contribution with one unbounded broadcast — the reference
-            path. Results are bit-identical across all three. ``None``
-            (default) resolves via
-            :func:`~repro.core.assembly.resolve_assembler`: the CLI's
-            ``--assembler`` override, then ``REPRO_ASSEMBLER``, then
-            ``incremental``.
-        merge_block: Chunk edge for the incremental dominance passes
-            (bounds peak merge memory at ``merge_block² · n`` booleans).
-            ``None`` (default) resolves via
-            :func:`~repro.core.assembly.resolve_merge_block`
-            (``REPRO_MERGE_BLOCK``, then 512).
         local_cache: Memoize local skyline evaluations per device, keyed
             on ``(data_epoch, query signature)`` and invalidated by
             data updates — repeated and continuous-refresh queries skip
@@ -164,7 +138,6 @@ class ProtocolConfig:
     estimation: Estimation = Estimation.UNDER
     over_margin: float = 0.2
     processor: str = "vectorized"
-    local_path: str = "fast"
     cost_model: DeviceCostModel = PDA_2006
     model_processing_delay: bool = True
     query_timeout: float = 600.0
@@ -177,8 +150,6 @@ class ProtocolConfig:
     token_reissues: int = 2
     backtrack_slack: int = 4
     backtrack_retry_delay: float = _BACKTRACK_RETRY_DELAY
-    assembler: Optional[str] = None
-    merge_block: Optional[int] = None
     local_cache: bool = True
     local_cache_size: int = 64
     obs_ring: Optional[int] = None
@@ -187,12 +158,6 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.processor not in ("vectorized", "hybrid", "flat"):
             raise ValueError(f"unknown processor {self.processor!r}")
-        if self.local_path not in LOCAL_PATHS:
-            raise ValueError(f"unknown local_path {self.local_path!r}")
-        if self.assembler is not None and self.assembler not in ASSEMBLERS:
-            raise ValueError(f"unknown assembler {self.assembler!r}")
-        if self.merge_block is not None and self.merge_block < 1:
-            raise ValueError("merge_block must be >= 1")
         if self.local_cache_size < 1:
             raise ValueError("local_cache_size must be >= 1")
         if self.obs_ring is not None and self.obs_ring < 1:
@@ -224,18 +189,6 @@ class ProtocolConfig:
         else ``query_timeout``."""
         deadline = self.resilience.deadline
         return self.query_timeout if deadline is None else deadline
-
-    @property
-    def effective_assembler(self) -> str:
-        """The resolved assembler mode (explicit field → process
-        override → ``REPRO_ASSEMBLER`` → ``incremental``)."""
-        return resolve_assembler(self.assembler)
-
-    @property
-    def effective_merge_block(self) -> int:
-        """The resolved merge block (explicit field →
-        ``REPRO_MERGE_BLOCK`` → 512)."""
-        return resolve_merge_block(self.merge_block)
 
     @property
     def effective_obs_ring(self) -> Optional[int]:
@@ -505,7 +458,6 @@ class SkylineDevice(Node):
                 self._storage, query, flt,
                 estimation=self.config.estimation,
                 over_margin=self.config.over_margin,
-                path=self.config.local_path,
             )
             stats_delta: Optional[AccessStats] = None
             if cache is not None:
@@ -530,21 +482,6 @@ class SkylineDevice(Node):
                 time.perf_counter() - wall0,
             )
         return result
-
-    def _make_assembler(self, initial: Optional[Relation]) -> SkylineAssembler:
-        """Build this device's result assembler per ``config.assembler``."""
-        return SkylineAssembler(
-            self.relation.schema,
-            initial,
-            mode=self.config.effective_assembler,
-            block=self.config.effective_merge_block,
-        )
-
-    def _merge_partials(self, current: Relation, incoming: Relation) -> Relation:
-        """Merge two partial skylines per ``config.assembler``."""
-        mode = self.config.effective_assembler
-        block = None if mode == "legacy" else self.config.effective_merge_block
-        return merge_skylines(current, incoming, block=block)
 
     def processing_delay(self, result: LocalSkylineResult) -> float:
         """Simulated device time the run took (0 if not modelled)."""
@@ -614,7 +551,7 @@ class SkylineDevice(Node):
             originator=self.node_id,
             local_unreduced=local.unreduced_size,
             local_reduced=local.reduced_size,
-            assembler=self._make_assembler(local.skyline),
+            assembler=SkylineAssembler(self.relation.schema, local.skyline),
             reachable_at_issue=frozenset(
                 self.world.reachable_from(self.node_id)
             ),
@@ -1215,7 +1152,7 @@ class DFDevice(SkylineDevice):
         if self.query_log.check_and_record(token.query):
             flt = token.flt if self.config.use_filter else None
             result = self.compute_local(token.query, flt)
-            merged = self._merge_partials(token.result, result.skyline)
+            merged = merge_skylines(token.result, result.skyline)
             out_flt = token.flt
             if self.config.use_filter and self.config.dynamic_filter:
                 out_flt = result.updated_filter

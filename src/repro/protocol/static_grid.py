@@ -133,7 +133,6 @@ def run_static_query(
     use_filter: bool = True,
     cache: Optional[StaticGridCache] = None,
     assemble: bool = True,
-    assembler: str = "incremental",
 ) -> StaticQueryOutcome:
     """One query, forwarded recursively outward from ``originator``.
 
@@ -153,11 +152,6 @@ def run_static_query(
             The DRR experiments only need the per-device size pairs, and
             assembly dominates their runtime on anti-correlated data —
             pass False there; ``outcome.result`` is then empty.
-        assembler: ``incremental`` (default), ``partitioned``, or
-            ``legacy`` result assembly — bit-identical outputs, see
-            :class:`~repro.core.assembly.SkylineAssembler`. The
-            partitioned engine additionally tree-combines the collected
-            partials (:meth:`~repro.core.assembly.SkylineAssembler.add_batch`).
     """
     if not 0 <= originator < dataset.devices:
         raise ValueError(
@@ -188,7 +182,7 @@ def run_static_query(
         )
 
     asm = (
-        SkylineAssembler(dataset.schema, org_skyline, mode=assembler)
+        SkylineAssembler(dataset.schema, org_skyline)
         if assemble
         else None
     )
@@ -243,9 +237,8 @@ def run_static_query(
 
     if asm is not None:
         # One batched merge in BFS discovery order — identical rows and
-        # order to per-arrival adds; the partitioned engine pairwise
-        # tree-combines the batch first.
-        asm.add_batch(partials)
+        # order to per-arrival adds.
+        asm.add_all(partials)
 
     return StaticQueryOutcome(
         originator=originator,
@@ -267,7 +260,6 @@ def run_static_grid(
     originators: Optional[List[int]] = None,
     cache: Optional[StaticGridCache] = None,
     assemble: bool = True,
-    assembler: str = "incremental",
 ) -> List[StaticQueryOutcome]:
     """Run the pre-test with every device as originator once (default).
 
@@ -288,7 +280,6 @@ def run_static_grid(
             use_filter=use_filter,
             cache=cache,
             assemble=assemble,
-            assembler=assembler,
         )
         for org in originators
     ]

@@ -1,0 +1,13 @@
+"""Reference implementations that the fast paths in ``repro`` replaced.
+
+Each oracle is the straightforward version of one concern, kept only so
+the differential tests can require the production code to match it bit
+for bit:
+
+* :mod:`.local`: the row-at-a-time Figure 4 pipeline per storage model;
+* :mod:`.assembly`: the legacy fold-of-merges result assembler;
+* :mod:`.world`: the uncached world, per-receiver broadcast delivery,
+  and a world on the reference neighbor-index build;
+* :mod:`.spatial_index`: the Python-loop index build and loop BFS;
+* :mod:`.mobility`: the scalar position sweep.
+"""

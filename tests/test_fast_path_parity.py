@@ -1,14 +1,14 @@
 """Differential suite pinning the fast query path to its reference paths.
 
-Three independent fast paths shipped together and each has a slow
-reference implementation that defines correctness:
+Several independent fast paths each have a slow reference
+implementation that defines correctness:
 
-* the **incremental** and **partitioned** modes of
-  :class:`~repro.core.assembly.SkylineAssembler` (running array triple
-  with chunked dominance; grid-cell pruning plus merge tree) versus the
-  **legacy** rebuild-per-merge assembler — compared bit for bit, both
-  on synthetic merge sequences and through full MANET simulations (BF
-  and DF, both distributions, with faults injected);
+* the incremental :class:`~repro.core.assembly.SkylineAssembler`
+  (running array triple with chunked dominance) versus the legacy
+  rebuild-per-merge assembler of :mod:`tests.oracles.assembly` —
+  compared bit for bit, both on synthetic merge sequences and through
+  full MANET simulations (BF and DF, both distributions, with faults
+  injected);
 * the **device-side result cache**
   (:class:`~repro.core.local.LocalResultCache`) versus uncached
   recomputation — full runs with the cache on and off must agree on
@@ -53,6 +53,8 @@ from repro.protocol.coordinator import SimulationConfig, run_manet_simulation
 from repro.protocol.device import ProtocolConfig
 from repro.storage import Relation, uniform_schema
 from repro.storage.schema import AttributeSpec, Preference, RelationSchema
+
+from .oracles.assembly import LegacyAssembler, install_legacy_assembler
 
 # ---------------------------------------------------------------------------
 # Assembler: synthetic merge sequences
@@ -112,14 +114,14 @@ def _assert_bit_identical(a: Relation, b: Relation):
 
 
 class TestAssemblerDifferential:
-    @pytest.mark.parametrize("mode", ["incremental", "partitioned"])
+    @pytest.mark.parametrize("mode", ["incremental"])
     @pytest.mark.parametrize("block", [1, 2, 512])
     def test_legacy_vs_fast_modes_exact(self, mode, block):
         """Same merge sequence → bit-identical result, any chunk size."""
         for seed in range(20):
             schema, parts = _pool_partials(seed)
-            fast = SkylineAssembler(schema, parts[0], mode=mode, block=block)
-            slow = SkylineAssembler(schema, parts[0], incremental=False)
+            fast = SkylineAssembler(schema, parts[0], block=block)
+            slow = LegacyAssembler(schema, parts[0])
             for part in parts[1:]:
                 fast.add(part)
                 slow.add(part)
@@ -159,13 +161,9 @@ class TestAssemblerDifferential:
             asm.add_all([parts[i] for i in perm])
             assert _rows(asm.result()) == want
 
-        slow = SkylineAssembler(schema, incremental=False)
+        slow = LegacyAssembler(schema)
         slow.add_all(parts)
         assert _rows(slow.result()) == want
-
-        grid = SkylineAssembler(schema, mode="partitioned")
-        grid.add_batch(parts)
-        assert _rows(grid.result()) == want
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +171,7 @@ class TestAssemblerDifferential:
 # ---------------------------------------------------------------------------
 
 
-def _simulate(assembler, strategy, distribution):
+def _simulate(strategy, distribution):
     dataset = make_global_dataset(
         1500, 2, 9, distribution, seed=101, value_step=1.0
     )
@@ -195,9 +193,7 @@ def _simulate(assembler, strategy, distribution):
     config = SimulationConfig(
         strategy=strategy,
         sim_time=300.0,
-        protocol=ProtocolConfig(
-            use_filter=True, dynamic_filter=True, assembler=assembler
-        ),
+        protocol=ProtocolConfig(use_filter=True, dynamic_filter=True),
         seed=104,
         faults=faults,
     )
@@ -230,14 +226,15 @@ def _assert_runs_identical(fast, slow, strategy):
 
 @pytest.mark.parametrize("strategy", ["bf", "df"])
 @pytest.mark.parametrize("distribution", ["independent", "anticorrelated"])
-def test_simulation_assembler_parity(strategy, distribution):
-    """A faulty MANET run is bit-identical under every assembler:
-    every QueryRecord field, every result table, and the aggregated
-    metrics."""
-    slow = _simulate("legacy", strategy, distribution)
-    for mode in ("incremental", "partitioned"):
-        _assert_runs_identical(_simulate(mode, strategy, distribution),
-                               slow, strategy)
+def test_simulation_assembler_parity(strategy, distribution, monkeypatch):
+    """A faulty MANET run is bit-identical with the legacy assembler
+    installed: every QueryRecord field, every result table, and the
+    aggregated metrics."""
+    fast = _simulate(strategy, distribution)
+    with monkeypatch.context() as patch:
+        install_legacy_assembler(patch)
+        slow = _simulate(strategy, distribution)
+    _assert_runs_identical(fast, slow, strategy)
 
 
 # ---------------------------------------------------------------------------

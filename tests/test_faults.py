@@ -21,6 +21,8 @@ from repro.net import (
 )
 from repro.net.trace import Tracer
 
+from .oracles.world import UncachedWorld
+
 
 class Recorder:
     """Minimal node: records deliveries and crash/recover hook calls."""
@@ -417,9 +419,9 @@ class TestPartitionFaults:
         positions = [(50.0 * i, 40.0 * ((i * 7) % 5)) for i in range(12)]
         for cached in (True, False):
             sim = Simulator()
-            world = World(
-                sim, StaticPlacement(positions), RadioConfig(),
-                seed=0, cache=cached,
+            world_cls = World if cached else UncachedWorld
+            world = world_cls(
+                sim, StaticPlacement(positions), RadioConfig(), seed=0,
             )
             for i in range(len(positions)):
                 Recorder(world, i)

@@ -1,7 +1,7 @@
-"""Differential suite pinning the local-processing fast path.
+"""Differential suite pinning the local-processing kernels.
 
-The tiled numpy kernels of :mod:`repro.core.local` (``path="fast"``)
-shadow the row-at-a-time Figure 4 reference loops (``path="reference"``).
+The tiled numpy kernels of :mod:`repro.core.local` shadow the
+row-at-a-time Figure 4 loops kept in :mod:`tests.oracles.local`.
 The contract is *bit-identical everything*: skyline rows in order,
 skip decisions, every :class:`ComparisonCounter` field, every
 :class:`AccessStats` field, and the promoted filtering tuple — for all
@@ -15,12 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.filtering import Estimation, FilteringTuple
-from repro.core.local import (
-    LOCAL_PATHS,
-    configure_local_path,
-    local_skyline,
-    resolve_local_path,
-)
+from repro.core.local import local_skyline
 from repro.core.query import SkylineQuery
 from repro.data import make_global_dataset
 from repro.data.workload import generate_workload
@@ -35,16 +30,18 @@ from repro.storage import (
     RingStorage,
 )
 
+from .oracles.local import install_reference_local, local_skyline_reference
+
 ALL_STORAGES = [FlatStorage, HybridStorage, DomainStorage, RingStorage]
 
 QUERY = SkylineQuery(origin=0, cnt=0, pos=(500.0, 500.0), d=700.0)
 WIDE = SkylineQuery(origin=0, cnt=0, pos=(500.0, 500.0), d=1.0e12)
 
 
-def _observe(storage_cls, rel, query, **kwargs):
+def _observe(evaluate, storage_cls, rel, query, **kwargs):
     """Everything the contract pins, as one comparable tuple."""
     storage = storage_cls(rel)
-    res = local_skyline(storage, query, **kwargs)
+    res = evaluate(storage, query, **kwargs)
     flt = res.updated_filter
     return (
         res.skyline.xy.tobytes(),
@@ -63,10 +60,11 @@ def _observe(storage_cls, rel, query, **kwargs):
     )
 
 
-def _assert_paths_agree(rel, query, **kwargs):
+def _assert_paths_agree(rel, query, block=None, **kwargs):
+    tiles = {} if block is None else {"block": block}
     for storage_cls in ALL_STORAGES:
-        fast = _observe(storage_cls, rel, query, path="fast", **kwargs)
-        ref = _observe(storage_cls, rel, query, path="reference", **kwargs)
+        fast = _observe(local_skyline, storage_cls, rel, query, **tiles, **kwargs)
+        ref = _observe(local_skyline_reference, storage_cls, rel, query, **kwargs)
         assert fast == ref, storage_cls.__name__
 
 
@@ -118,52 +116,12 @@ class TestKernelParity:
         _assert_paths_agree(rel, far)
 
 
-class TestPathResolution:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            resolve_local_path("turbo")
-        rel = device_dataset(10, 2, "independent", seed=0)
-        with pytest.raises(ValueError):
-            local_skyline(FlatStorage(rel), WIDE, path="turbo")
-
-    def test_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LOCAL_PATH", raising=False)
-        configure_local_path(None)
-        assert resolve_local_path(None) == "fast"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LOCAL_PATH", "reference")
-        configure_local_path(None)
-        assert resolve_local_path(None) == "reference"
-        with pytest.raises(ValueError):
-            monkeypatch.setenv("REPRO_LOCAL_PATH", "bogus")
-            resolve_local_path(None)
-
-    def test_configure_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LOCAL_PATH", "reference")
-        configure_local_path("fast")
-        try:
-            assert resolve_local_path(None) == "fast"
-            assert resolve_local_path("reference") == "reference"
-        finally:
-            configure_local_path(None)
-
-    def test_explicit_beats_all(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LOCAL_PATH", "fast")
-        for path in LOCAL_PATHS:
-            assert resolve_local_path(path) == path
-
-    def test_protocol_config_validates(self):
-        with pytest.raises(ValueError):
-            ProtocolConfig(local_path="bogus")
-
-
 # ---------------------------------------------------------------------------
-# Full simulations: the path choice must be invisible end to end
+# Full simulations: the kernels must be invisible end to end
 # ---------------------------------------------------------------------------
 
 
-def _simulate(local_path, strategy, processor):
+def _simulate(strategy, processor):
     dataset = make_global_dataset(
         1500, 2, 9, "anticorrelated", seed=201, value_step=1.0
     )
@@ -181,7 +139,6 @@ def _simulate(local_path, strategy, processor):
             use_filter=True,
             dynamic_filter=True,
             processor=processor,
-            local_path=local_path,
         ),
         seed=203,
     )
@@ -190,11 +147,14 @@ def _simulate(local_path, strategy, processor):
 
 @pytest.mark.parametrize("strategy", ["bf", "df"])
 @pytest.mark.parametrize("processor", ["hybrid", "flat"])
-def test_simulation_path_parity(strategy, processor):
-    """A full MANET run is bit-identical under either local path: every
-    QueryRecord field, every result table, the aggregated metrics."""
-    fast = _simulate("fast", strategy, processor)
-    ref = _simulate("reference", strategy, processor)
+def test_simulation_path_parity(strategy, processor, monkeypatch):
+    """A full MANET run is bit-identical with the reference local path
+    installed: every QueryRecord field, every result table, the
+    aggregated metrics."""
+    fast = _simulate(strategy, processor)
+    with monkeypatch.context() as patch:
+        install_reference_local(patch)
+        ref = _simulate(strategy, processor)
 
     assert fast.issued == ref.issued
     assert fast.suppressed == ref.suppressed

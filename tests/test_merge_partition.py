@@ -1,19 +1,17 @@
-"""Partitioned assembly, merge kernels, and the device result cache.
+"""Result assembly, merge kernels, and the device result cache.
 
 Companion to ``test_fast_path_parity.py``: that suite pins the fast
-paths through full simulations; this one pins the new pieces at unit
+paths through full simulations; this one pins the pieces at unit
 level —
 
-* the **partitioned** :class:`~repro.core.assembly.SkylineAssembler`
-  (grid-cell dominance pruning) against both references, across
-  dimensionalities, mixed MIN/MAX schemas, and grid budgets;
+* the incremental :class:`~repro.core.assembly.SkylineAssembler`
+  against the legacy fold of :mod:`tests.oracles.assembly`, across
+  dimensionalities and mixed MIN/MAX schemas;
 * :func:`~repro.core.assembly.merge_tree` against the sequential fold;
 * the ``dominated_mask`` / ``_duplicate_mask`` kernel edge cases: d=1,
   single-row inputs, all-duplicate batches, block sizes of 1 and
   larger than the input, and ``block=None`` vs tiled invariance;
-* the configuration surface: ``ProtocolConfig`` validation and the
-  assembler / merge-block resolution chains (explicit → override →
-  environment → default);
+* ``ProtocolConfig`` validation;
 * :class:`~repro.core.local.LocalResultCache` bookkeeping (LRU
   eviction, counters, invalidation).
 """
@@ -24,15 +22,10 @@ import numpy as np
 import pytest
 
 from repro.core.assembly import (
-    ASSEMBLERS,
-    DEFAULT_MERGE_BLOCK,
     SkylineAssembler,
     _duplicate_mask,
-    configure_assembler,
     merge_skylines,
     merge_tree,
-    resolve_assembler,
-    resolve_merge_block,
 )
 from repro.core.dominance import dominated_mask
 from repro.core.local import LocalResultCache
@@ -42,15 +35,10 @@ from repro.protocol.device import ProtocolConfig
 from repro.storage import Relation
 from repro.storage.schema import AttributeSpec, Preference, RelationSchema
 
+from .oracles.assembly import LegacyAssembler
 
-@pytest.fixture(autouse=True)
-def _clean_overrides(monkeypatch):
-    """Tests run with no ambient assembler/block configuration."""
-    monkeypatch.delenv("REPRO_ASSEMBLER", raising=False)
-    monkeypatch.delenv("REPRO_MERGE_BLOCK", raising=False)
-    configure_assembler(None)
-    yield
-    configure_assembler(None)
+#: The assembler and its oracle, which must agree on every call.
+ASSEMBLERS = (SkylineAssembler, LegacyAssembler)
 
 
 # ---------------------------------------------------------------------------
@@ -94,66 +82,36 @@ def _assert_bit_identical(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Partitioned assembler differential
+# Assembler differential
 # ---------------------------------------------------------------------------
 
 
-class TestPartitionedAssembler:
+class TestAssemblerAgainstLegacy:
     @pytest.mark.parametrize("d", [1, 2, 4])
     def test_stream_matches_references_across_dims(self, d):
         for seed in range(8):
             schema, parts = _partials(seed, d=d)
-            asms = {
-                mode: SkylineAssembler(schema, mode=mode)
-                for mode in ASSEMBLERS
-            }
+            fast = SkylineAssembler(schema)
+            slow = LegacyAssembler(schema)
             for part in parts:
-                for asm in asms.values():
-                    asm.add(part)
-                reference = asms["legacy"].result()
-                _assert_bit_identical(asms["incremental"].result(), reference)
-                _assert_bit_identical(asms["partitioned"].result(), reference)
-            assert len({a.merges for a in asms.values()}) == 1
-
-    @pytest.mark.parametrize("grid_budget", [1, 8, 4096])
-    def test_grid_budget_never_changes_rows(self, grid_budget):
-        """Resolution only moves work between pruning and the kernel."""
-        schema, parts = _partials(3, d=3)
-        coarse = SkylineAssembler(
-            schema, mode="partitioned", grid_budget=grid_budget
-        )
-        reference = SkylineAssembler(schema, mode="legacy")
-        for part in parts:
-            coarse.add(part)
-            reference.add(part)
-            _assert_bit_identical(coarse.result(), reference.result())
-
-    def test_add_batch_matches_streaming(self):
-        schema, parts = _partials(11, d=2, parts=7)
-        streamed = SkylineAssembler(schema, mode="partitioned")
-        for part in parts:
-            streamed.add(part)
-        batched = SkylineAssembler(schema, mode="partitioned")
-        batched.add_batch(parts)
-        _assert_bit_identical(streamed.result(), batched.result())
-        assert batched.merges == streamed.merges == len(parts)
+                fast.add(part)
+                slow.add(part)
+                _assert_bit_identical(fast.result(), slow.result())
+            assert fast.merges == slow.merges == len(parts)
 
     def test_seeded_initial_matches_add(self):
         schema, parts = _partials(13, d=2)
-        seeded = SkylineAssembler(schema, parts[0], mode="partitioned")
-        grown = SkylineAssembler(schema, mode="partitioned")
+        seeded = SkylineAssembler(schema, parts[0])
+        grown = SkylineAssembler(schema)
         grown.add(parts[0])
         _assert_bit_identical(seeded.result(), grown.result())
+        _assert_bit_identical(
+            seeded.result(), LegacyAssembler(schema, parts[0]).result()
+        )
 
-    def test_mode_property_and_bool_backcompat(self):
-        schema = _mixed_schema(2)
-        assert SkylineAssembler(schema, mode="partitioned").mode == "partitioned"
-        assert SkylineAssembler(schema, incremental=False).mode == "legacy"
-        assert SkylineAssembler(schema, incremental=True).mode == "incremental"
+    def test_block_must_be_positive(self):
         with pytest.raises(ValueError):
-            SkylineAssembler(schema, mode="legacy", incremental=True)
-        with pytest.raises(ValueError):
-            SkylineAssembler(schema, mode="quantum")
+            SkylineAssembler(_mixed_schema(2), block=0)
 
 
 class TestMergeTree:
@@ -240,77 +198,26 @@ class TestDuplicateMaskEdges:
 
     def test_all_duplicate_batch_merges_to_first_copy(self):
         """An incoming partial that duplicates every location leaves the
-        running result untouched (first copy wins), in every mode."""
+        running result untouched (first copy wins), in both assemblers."""
         schema, parts = _partials(7, d=2, parts=1)
-        for mode in ASSEMBLERS:
-            asm = SkylineAssembler(schema, parts[0], mode=mode)
+        for assembler in ASSEMBLERS:
+            asm = assembler(schema, parts[0])
             before = asm.result()
             asm.add(parts[0])
             _assert_bit_identical(asm.result(), before)
 
 
 # ---------------------------------------------------------------------------
-# Configuration surface
+# Protocol configuration
 # ---------------------------------------------------------------------------
 
 
 class TestConfigValidation:
-    def test_protocol_config_accepts_known_assemblers(self):
-        for mode in ASSEMBLERS:
-            assert ProtocolConfig(assembler=mode).effective_assembler == mode
-        assert ProtocolConfig().effective_assembler == "incremental"
-
     def test_protocol_config_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            ProtocolConfig(assembler="quantum")
-        with pytest.raises(ValueError):
-            ProtocolConfig(merge_block=0)
-        with pytest.raises(ValueError):
             ProtocolConfig(local_cache_size=0)
-
-    def test_merge_block_resolution_chain(self, monkeypatch):
-        assert ProtocolConfig().effective_merge_block == DEFAULT_MERGE_BLOCK
-        assert ProtocolConfig(merge_block=7).effective_merge_block == 7
-        monkeypatch.setenv("REPRO_MERGE_BLOCK", "33")
-        assert ProtocolConfig().effective_merge_block == 33
-        assert ProtocolConfig(merge_block=7).effective_merge_block == 7
-        assert resolve_merge_block() == 33
-        assert resolve_merge_block(9) == 9
-
-    def test_merge_block_env_invalid_is_loud(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MERGE_BLOCK", "many")
         with pytest.raises(ValueError):
-            resolve_merge_block()
-        monkeypatch.setenv("REPRO_MERGE_BLOCK", "0")
-        with pytest.raises(ValueError):
-            resolve_merge_block()
-        with pytest.raises(ValueError):
-            resolve_merge_block(-3)
-
-    def test_assembler_resolution_chain(self, monkeypatch):
-        assert resolve_assembler() == "incremental"
-        monkeypatch.setenv("REPRO_ASSEMBLER", "legacy")
-        assert resolve_assembler() == "legacy"
-        configure_assembler("partitioned")  # override beats environment
-        assert resolve_assembler() == "partitioned"
-        assert resolve_assembler("incremental") == "incremental"
-        configure_assembler(None)
-        assert resolve_assembler() == "legacy"
-
-    def test_assembler_invalid_is_loud(self, monkeypatch):
-        with pytest.raises(ValueError):
-            configure_assembler("quantum")
-        monkeypatch.setenv("REPRO_ASSEMBLER", "quantum")
-        with pytest.raises(ValueError):
-            resolve_assembler()
-        with pytest.raises(ValueError):
-            resolve_assembler("quantum")
-
-    def test_assembler_config_reaches_assembler(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ASSEMBLER", "partitioned")
-        monkeypatch.setenv("REPRO_MERGE_BLOCK", "17")
-        asm = SkylineAssembler(_mixed_schema(2))
-        assert asm.mode == "partitioned"
+            ProtocolConfig(obs_ring=0)
 
 
 # ---------------------------------------------------------------------------

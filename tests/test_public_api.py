@@ -6,10 +6,16 @@ keeps refactors from silently breaking the README.
 """
 
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
+
+#: The only environment variables the package reads. A new knob must
+#: earn its place here; a second code path behind a selector does not.
+ENV_KNOBS = {"REPRO_CACHE_DIR", "REPRO_OBS", "REPRO_OBS_RING", "REPRO_WORKERS"}
 
 
 class TestTopLevelExports:
@@ -76,3 +82,12 @@ class TestPublicModuleDocstrings:
 
         module = importlib.import_module(module_name)
         assert module.__doc__ and len(module.__doc__.strip()) > 20
+
+
+class TestEnvironmentKnobs:
+    def test_src_reads_only_the_known_variables(self):
+        src = Path(repro.__file__).parent
+        found = set()
+        for path in src.rglob("*.py"):
+            found.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+        assert found == ENV_KNOBS

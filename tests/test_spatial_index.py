@@ -1,9 +1,10 @@
 """Differential tests for the epoch-cached neighbor index.
 
 The cached path (position memo + spatial hash grid + epoch
-invalidation) must agree *bit for bit* with the uncached O(m²)
-reference path — across random-waypoint motion, node crashes and
-recoveries, and link blackouts, at hundreds of sampled times.
+invalidation) must agree *bit for bit* with the uncached O(m²) world
+and the Python-loop index build of :mod:`tests.oracles` — across
+random-waypoint motion, node crashes and recoveries, link blackouts and
+partitions, at hundreds of sampled times.
 """
 
 import numpy as np
@@ -18,6 +19,19 @@ from repro.net import (
     StaticPlacement,
     World,
 )
+from repro.net.spatial_index import _ROW_BUILD_THRESHOLD
+
+from .oracles.spatial_index import reachable_from_lists
+from .oracles.world import (
+    ReferenceIndexWorld,
+    UncachedWorld,
+    install_world,
+    uncached_neighbors,
+    uncached_reachable_from,
+)
+
+#: Index build -> the world class that runs it.
+BUILDS = {"bulk-build": World, "reference-build": ReferenceIndexWorld}
 
 
 class Recorder:
@@ -33,13 +47,13 @@ class Recorder:
 
 
 def waypoint_world(m=24, seed=11, radio_range=180.0, extent=(0, 0, 600, 600),
-                   bulk=None):
+                   world_cls=World):
     sim = Simulator()
     mobility = RandomWaypoint(
         node_count=m, extent=extent, holding_time=5.0, seed=seed
     )
-    world = World(sim, mobility, RadioConfig(radio_range=radio_range),
-                  seed=seed, bulk_index=bulk)
+    world = world_cls(sim, mobility, RadioConfig(radio_range=radio_range),
+                      seed=seed)
     nodes = [Recorder(world, i) for i in range(m)]
     return sim, world, nodes
 
@@ -48,16 +62,17 @@ def assert_world_agrees(world):
     """Cached answers == uncached reference answers, for every node."""
     ids = world.node_ids
     for i in ids:
-        assert world.neighbors(i) == world._uncached_neighbors(i), (
+        assert world.neighbors(i) == uncached_neighbors(world, i), (
             f"neighbors({i}) diverged at t={world.sim.now}"
         )
     for i in ids:
-        assert world.reachable_from(i) == world._uncached_reachable_from(i), (
+        assert (world.reachable_from(i)
+                == uncached_reachable_from(world, i)), (
             f"reachable_from({i}) diverged at t={world.sim.now}"
         )
     g = world.connectivity_snapshot()
     expected_edges = {
-        (i, j) for i in ids for j in world._uncached_neighbors(i) if i < j
+        (i, j) for i in ids for j in uncached_neighbors(world, i) if i < j
     }
     assert {tuple(sorted(e)) for e in g.edges} == expected_edges
     assert set(g.nodes) == set(ids)
@@ -68,21 +83,20 @@ def assert_world_agrees(world):
     assert edges == sorted(edges)
     for i in ids:
         assert (world._index.reachable_from(i)
-                == world._index._reachable_from_lists(i)), (
+                == reachable_from_lists(world._index, i)), (
             f"vectorised reachable_from({i}) != list reference "
             f"at t={world.sim.now}"
         )
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("bulk", [True, False],
-                             ids=["bulk-build", "reference-build"])
-    def test_motion_and_faults_200_sampled_times(self, bulk):
+    @pytest.mark.parametrize("build", list(BUILDS))
+    def test_motion_and_faults_200_sampled_times(self, build):
         """≥200 sampled times under RWP motion with churn and blackouts,
         for both the vectorised all-pairs build and the Python-loop
         reference build."""
         m = 24
-        sim, world, _ = waypoint_world(m=m, seed=11, bulk=bulk)
+        sim, world, _ = waypoint_world(m=m, seed=11, world_cls=BUILDS[build])
         rng = np.random.default_rng(42)
         times = np.sort(rng.uniform(0.0, 900.0, size=220))
         for k, t in enumerate(times):
@@ -136,7 +150,7 @@ class TestDifferential:
         assert world.connectivity_epoch == epoch
 
     def test_cache_disabled_world_matches_cached_world(self):
-        """The public API of a cache=False world equals a cached twin's."""
+        """The public API of an uncached world equals a cached twin's."""
         m = 12
         mob_kwargs = dict(node_count=m, extent=(0, 0, 500, 500), seed=3)
         sim_a = Simulator()
@@ -144,11 +158,10 @@ class TestDifferential:
             sim_a, RandomWaypoint(**mob_kwargs), RadioConfig(radio_range=200)
         )
         sim_b = Simulator()
-        world_b = World(
+        world_b = UncachedWorld(
             sim_b,
             RandomWaypoint(**mob_kwargs),
             RadioConfig(radio_range=200),
-            cache=False,
         )
         for i in range(m):
             Recorder(world_a, i)
@@ -248,11 +261,11 @@ class TestAttachOrderDeterminism:
 
 class TestEndToEndDifferential:
     @pytest.mark.parametrize("strategy", ["bf", "df"])
-    def test_full_simulation_identical_with_and_without_cache(self, strategy):
+    def test_full_simulation_identical_with_and_without_cache(
+        self, strategy, monkeypatch
+    ):
         """An entire MANET run (mobility, AODV, skyline protocol, fault
         schedule) replays bit-identically on cached and uncached worlds."""
-        from dataclasses import replace
-
         from repro.data import QueryRequest, make_global_dataset
         from repro.faults import FaultSchedule
         from repro.protocol import SimulationConfig, run_manet_simulation
@@ -273,15 +286,15 @@ class TestEndToEndDifferential:
             strategy=strategy, sim_time=200.0, seed=99, faults=faults,
         )
         variants = {
-            "cached-bulk": dict(use_neighbor_cache=True, bulk_index=True),
-            "cached-reference": dict(use_neighbor_cache=True,
-                                     bulk_index=False),
-            "uncached": dict(use_neighbor_cache=False),
+            "cached-bulk": World,
+            "cached-reference": ReferenceIndexWorld,
+            "uncached": UncachedWorld,
         }
         outs = {}
-        for name, overrides in variants.items():
-            config = replace(base, **overrides)
-            outs[name] = run_manet_simulation(dataset, workload, config)
+        for name, world_cls in variants.items():
+            with monkeypatch.context() as patch:
+                install_world(patch, world_cls)
+                outs[name] = run_manet_simulation(dataset, workload, base)
         a = outs["cached-bulk"]
         for b in (outs["cached-reference"], outs["uncached"]):
             assert a.events == b.events
@@ -297,6 +310,88 @@ class TestEndToEndDifferential:
                 assert ra.issue_time == rb.issue_time
                 assert ra.originator == rb.originator
                 assert ra.completion_time == rb.completion_time
+
+
+    @pytest.mark.parametrize("build", ["cached-reference", "uncached"])
+    def test_subscription_run_identical_on_oracle_worlds(
+        self, build, monkeypatch
+    ):
+        """A delta-maintained subscription under moving nodes replays
+        identically on the reference-build and uncached worlds."""
+        from repro.continuous import ContinuousConfig, run_continuous_simulation
+
+        config = ContinuousConfig(
+            mode="delta", devices=9, cardinality=600, epochs=3,
+            interval=15.0, data_updates=4, seed=11,
+        )
+        fast = run_continuous_simulation(config)
+        world_cls = (ReferenceIndexWorld if build == "cached-reference"
+                     else UncachedWorld)
+        with monkeypatch.context() as patch:
+            install_world(patch, world_cls)
+            ref = run_continuous_simulation(config)
+        assert fast.traffic.transmissions == ref.traffic.transmissions
+        assert fast.traffic.deliveries == ref.traffic.deliveries
+        assert fast.traffic.drops == ref.traffic.drops
+        assert fast.traffic.by_kind == ref.traffic.by_kind
+        assert fast.update_events == ref.update_events
+        assert [(e.epoch, e.messages, e.divergence) for e in fast.epochs] == [
+            (e.epoch, e.messages, e.divergence) for e in ref.epochs
+        ]
+        assert fast.messages_per_refresh == ref.messages_per_refresh
+
+
+class TestLargeWorld:
+    """m=2,025 moving nodes, the smallest scale point of the 10k-node
+    simulator, with a crash, a link blackout and a partition cut: the
+    lazy-row answers and the full build both match the Python-loop
+    reference build."""
+
+    M = 2025
+
+    def build(self, world_cls):
+        side = 1000.0 * (self.M / 50.0) ** 0.5  # ~m/8 nodes per radio disk
+        sim, world, _ = waypoint_world(
+            m=self.M, seed=1234, radio_range=250.0,
+            extent=(0.0, 0.0, side, side), world_cls=world_cls,
+        )
+        world.fail_node(7)
+        world.set_link_blackout(*self.linked_pair(world), True)
+        world.set_partition("x", side / 2, True)
+        return sim, world
+
+    @staticmethod
+    def linked_pair(world):
+        """Two nodes in range at time 0, so the blackout cuts a link."""
+        for i in range(world.mobility.node_count):
+            row = world._index.geometric_neighbors(i)
+            if row:
+                return i, row[0]
+        raise AssertionError("no link at time 0")
+
+    def test_rows_and_full_build_match_reference_build(self):
+        sim, world = self.build(World)
+        ref_sim, ref = self.build(ReferenceIndexWorld)
+        assert world._blackouts == ref._blackouts
+        probes = list(range(0, self.M, 97))
+        for t in (0.0, 45.0, 130.0, 400.0):
+            sim.run(until=t)
+            ref_sim.run(until=t)
+            rebuilds = world._index.rebuilds
+            # Lazy rows: the first distinct rows at a new time are
+            # answered one distance row at a time, with no build.
+            for node in probes[:_ROW_BUILD_THRESHOLD]:
+                assert world.neighbors(node) == ref.neighbors(node), (node, t)
+            assert world._index.rebuilds == rebuilds
+            # One more distinct row triggers the full build.
+            node = probes[_ROW_BUILD_THRESHOLD]
+            assert world.neighbors(node) == ref.neighbors(node)
+            assert world._index.rebuilds == rebuilds + 1
+            for node in range(self.M):
+                assert world.neighbors(node) == ref.neighbors(node), (node, t)
+            assert world._index.edges() == sorted(ref._index.edges())
+            for node in probes:
+                assert world.reachable_from(node) == ref.reachable_from(node)
 
 
 class TestUnattachedNodeFallback:
@@ -325,13 +420,13 @@ class TestUnattachedNodeFallback:
             world2.reachable_from(2)
 
 
-def static_world(m=24, seed=5, radio_range=180.0, side=600.0, bulk=None):
+def static_world(m=24, seed=5, radio_range=180.0, side=600.0,
+                 world_cls=World):
     rng = np.random.default_rng(seed)
     positions = [tuple(p) for p in rng.uniform(0.0, side, size=(m, 2))]
     sim = Simulator()
-    world = World(sim, StaticPlacement(positions),
-                  RadioConfig(radio_range=radio_range), seed=seed,
-                  bulk_index=bulk)
+    world = world_cls(sim, StaticPlacement(positions),
+                      RadioConfig(radio_range=radio_range), seed=seed)
     nodes = [Recorder(world, i) for i in range(m)]
     return sim, world, nodes
 
@@ -345,11 +440,10 @@ class TestStaticTopology:
         assert StaticPlacement([(0, 0)]).static is True
         assert RandomWaypoint(2, seed=1).static is False
 
-    @pytest.mark.parametrize("bulk", [True, False],
-                             ids=["bulk-build", "reference-build"])
-    def test_faults_at_many_times_match_reference(self, bulk):
+    @pytest.mark.parametrize("build", list(BUILDS))
+    def test_faults_at_many_times_match_reference(self, build):
         m = 24
-        sim, world, _ = static_world(m=m, bulk=bulk)
+        sim, world, _ = static_world(m=m, world_cls=BUILDS[build])
         rng = np.random.default_rng(8)
         times = np.sort(rng.uniform(0.0, 900.0, size=120))
         for k, t in enumerate(times):

@@ -1,23 +1,21 @@
 """Differential tests for wave broadcast delivery.
 
-``World(delivery="wave")`` fires one engine event per broadcast wave and
-fans out to receivers inside it; ``delivery="per_receiver"`` is the
-original one-event-per-receiver reference. The two must replay *bit for
-bit* in every result-bearing quantity — traffic counters, query records,
+:class:`~repro.net.World` fires one engine event per broadcast wave and
+fans out to receivers inside it;
+:class:`~tests.oracles.world.PerReceiverWorld` is the original
+one-event-per-receiver reference. The two must replay *bit for bit* in
+every result-bearing quantity — traffic counters, query records,
 contributions, completion reports, energy, observability spans/metrics —
 across full BF/DF/continuous runs under fault schedules (crashes,
 blackouts, loss bursts, duplication, delay jitter, partitions) and
 mobility. Only the engine's raw event tally may differ.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro.data import QueryRequest, make_global_dataset
 from repro.faults import FaultSchedule
 from repro.net import (
-    DELIVERY_MODES,
     Frame,
     FrameKind,
     RadioConfig,
@@ -26,6 +24,11 @@ from repro.net import (
     World,
 )
 from repro.protocol import SimulationConfig, run_manet_simulation
+
+from .oracles.world import PerReceiverWorld, install_world
+
+#: Delivery mode -> the world class that implements it.
+WORLDS = {"wave": World, "per_receiver": PerReceiverWorld}
 
 
 class Recorder:
@@ -44,9 +47,9 @@ class Recorder:
 def line_world(delivery, positions=((0, 0), (100, 0), (200, 0)),
                radio_range=250.0, seed=5):
     sim = Simulator()
-    world = World(
+    world = WORLDS[delivery](
         sim, StaticPlacement(list(positions)),
-        RadioConfig(radio_range=radio_range), seed=seed, delivery=delivery,
+        RadioConfig(radio_range=radio_range), seed=seed,
     )
     nodes = [Recorder(world, i) for i in range(len(positions))]
     return sim, world, nodes
@@ -69,37 +72,6 @@ def snapshot(world, nodes):
     }
 
 
-# -- mode selection ----------------------------------------------------------
-
-
-class TestModeSelection:
-    def test_default_is_wave(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DELIVERY", raising=False)
-        sim = Simulator()
-        world = World(sim, StaticPlacement([(0, 0)]))
-        assert world.delivery == "wave"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DELIVERY", "per_receiver")
-        world = World(Simulator(), StaticPlacement([(0, 0)]))
-        assert world.delivery == "per_receiver"
-
-    def test_explicit_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DELIVERY", "per_receiver")
-        world = World(Simulator(), StaticPlacement([(0, 0)]), delivery="wave")
-        assert world.delivery == "wave"
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="delivery"):
-            World(Simulator(), StaticPlacement([(0, 0)]), delivery="bogus")
-        with pytest.raises(ValueError, match="delivery"):
-            SimulationConfig(delivery="bogus")
-
-    def test_config_accepts_modes_and_none(self):
-        for mode in DELIVERY_MODES + (None,):
-            assert SimulationConfig(delivery=mode).delivery == mode
-
-
 # -- wave edge cases ---------------------------------------------------------
 
 
@@ -109,7 +81,7 @@ class TestWaveEdgeCases:
 
     def both_modes(self, scenario):
         outs = {}
-        for mode in DELIVERY_MODES:
+        for mode in WORLDS:
             outs[mode] = scenario(mode)
         assert outs["wave"] == outs["per_receiver"]
         return outs["wave"]
@@ -152,9 +124,9 @@ class TestWaveEdgeCases:
 
         def scenario(mode):
             sim = Simulator()
-            world = World(
+            world = WORLDS[mode](
                 sim, StaticPlacement([(0, 0), (100, 0), (200, 0)]),
-                RadioConfig(radio_range=250.0), seed=5, delivery=mode,
+                RadioConfig(radio_range=250.0), seed=5,
             )
             nodes = [Assassin(world, 0), Assassin(world, 1),
                      Recorder(world, 2)]
@@ -334,7 +306,7 @@ class TestFullRunDifferential:
     @pytest.mark.parametrize("strategy", ["bf", "df"])
     @pytest.mark.parametrize("fault_family", ["base", "extended"])
     def test_simulation_identical_across_delivery_modes(
-        self, dataset, workload, strategy, fault_family
+        self, dataset, workload, strategy, fault_family, monkeypatch
     ):
         from repro.protocol.device import ProtocolConfig
 
@@ -350,11 +322,12 @@ class TestFullRunDifferential:
             protocol=protocol,
         )
         outs = {}
-        for mode in DELIVERY_MODES:
-            config = replace(base, delivery=mode)
-            outs[mode] = run_manet_simulation(
-                dataset, workload, config, keep_network=True
-            )
+        for mode, world_cls in WORLDS.items():
+            with monkeypatch.context() as patch:
+                install_world(patch, world_cls)
+                outs[mode] = run_manet_simulation(
+                    dataset, workload, base, keep_network=True
+                )
         assert_results_bit_identical(outs["wave"], outs["per_receiver"])
         for da, db in zip(outs["wave"].network[2],
                           outs["per_receiver"].network[2]):
@@ -373,7 +346,7 @@ class TestFullRunDifferential:
 
     @pytest.mark.parametrize("strategy", ["bf", "df"])
     def test_obs_spans_and_metrics_identical(self, dataset, workload,
-                                             strategy):
+                                             strategy, monkeypatch):
         """Observability output (span structure in simulated time +
         metric counters) is delivery-mode independent."""
         from repro.obs import Observer
@@ -383,12 +356,13 @@ class TestFullRunDifferential:
             faults=_extended_faults(),
         )
         summaries = {}
-        for mode in DELIVERY_MODES:
+        for mode, world_cls in WORLDS.items():
             observer = Observer()
-            run_manet_simulation(
-                dataset, workload, replace(base, delivery=mode),
-                observer=observer,
-            )
+            with monkeypatch.context() as patch:
+                install_world(patch, world_cls)
+                run_manet_simulation(
+                    dataset, workload, base, observer=observer,
+                )
             summaries[mode] = (
                 sorted(
                     (
@@ -410,7 +384,9 @@ class TestFullRunDifferential:
 
 
 class TestContinuousDifferential:
-    def test_subscription_run_identical_across_delivery_modes(self):
+    def test_subscription_run_identical_across_delivery_modes(
+        self, monkeypatch
+    ):
         """A delta-maintained subscription (install flood, safe regions,
         routed deltas, refresh epochs) replays identically in both
         delivery modes."""
@@ -421,11 +397,12 @@ class TestContinuousDifferential:
             interval=15.0, data_updates=4, seed=11,
         )
         outs = {}
-        for mode in DELIVERY_MODES:
-            result = run_continuous_simulation(
-                replace(base, delivery=mode), keep_network=True
-            )
-            outs[mode] = result
+        for mode, world_cls in WORLDS.items():
+            with monkeypatch.context() as patch:
+                install_world(patch, world_cls)
+                outs[mode] = run_continuous_simulation(
+                    base, keep_network=True
+                )
         a, b = outs["wave"], outs["per_receiver"]
         assert a.traffic.transmissions == b.traffic.transmissions
         assert a.traffic.deliveries == b.traffic.deliveries
@@ -457,7 +434,7 @@ class TestAttachOrderDeterminismWave:
             sim = Simulator()
             world = World(
                 sim, StaticPlacement(self.POSITIONS),
-                RadioConfig(radio_range=160), delivery="wave",
+                RadioConfig(radio_range=160),
             )
             nodes = {i: Recorder(world, i) for i in order}
             receivers = world.broadcast(qframe(1, size_bytes=10))
