@@ -124,6 +124,7 @@ class ContinuousDevice(BFDevice):
             cnt=self.query_counter.next_value(),
             pos=self.position,
             d=d,
+            origin_seq=self.router.advance_seq(),
         )
         if query.key in self.subscriptions:  # pragma: no cover - cnt wraps
             raise RuntimeError(f"subscription key {query.key} already live")
@@ -175,10 +176,7 @@ class ContinuousDevice(BFDevice):
         if extra_epochs <= 0:
             raise ValueError("extra_epochs must be > 0")
         record.epochs_total += extra_epochs
-        flood = replace(
-            record.spec.query, cnt=self.query_counter.next_value()
-        )
-        self.query_log.record(flood)
+        flood = self._next_flood(record)
         if self.world.obs.enabled:
             self.world.obs.event(
                 "subscription.renew", query=key, node=self.node_id,
@@ -206,10 +204,7 @@ class ContinuousDevice(BFDevice):
             self.world.obs.subscription_cancelled(
                 key, self.node_id, "cancelled"
             )
-        flood = replace(
-            record.spec.query, cnt=self.query_counter.next_value()
-        )
-        self.query_log.record(flood)
+        flood = self._next_flood(record)
         message = UnsubscribeMessage(sub_key=key, flood=flood,
                                      trace=self._trace(key))
         self.world.broadcast(
@@ -266,10 +261,7 @@ class ContinuousDevice(BFDevice):
             record.own_report = local.skyline
             record.own_data_epoch = self.data_epoch
         if record.spec.mode == "reflood":
-            flood = replace(
-                record.spec.query, cnt=self.query_counter.next_value()
-            )
-            self.query_log.record(flood)
+            flood = self._next_flood(record)
             self._broadcast_subscribe(
                 SubscribeMessage(
                     spec=record.spec, flood=flood, kind="reflood",
@@ -330,10 +322,7 @@ class ContinuousDevice(BFDevice):
                 # enrolled devices dedup it in one hop via the query
                 # log, so the cost is one flood — and only on epochs
                 # with a coverage hole; reflood mode pays it always.
-                flood = replace(
-                    record.spec.query, cnt=self.query_counter.next_value()
-                )
-                self.query_log.record(flood)
+                flood = self._next_flood(record)
                 if self.world.obs.enabled:
                     self.world.obs.event(
                         "subscription.heal-flood", query=key,
@@ -393,7 +382,9 @@ class ContinuousDevice(BFDevice):
         ):
             self._reap_orphan(message.sub_key, "subscribe-flood")
             return
-        self.router.learn_route(origin, sender, message.hops)
+        self.router.learn_route(
+            origin, sender, message.hops, message.flood.origin_seq
+        )
         if not self.query_log.check_and_record(message.flood):
             # Same flood via another path, or a fault-injected duplicate
             # delivery: either way it was fully handled the first time.
@@ -681,6 +672,17 @@ class ContinuousDevice(BFDevice):
             pending.timer.cancel()
 
     # -- shared --------------------------------------------------------------
+
+    def _next_flood(self, record: SubscriptionRecord) -> SkylineQuery:
+        """A fresh identity for one more flood of ``record``: a new
+        ``cnt`` for the duplicate log, and a new sequence number so the
+        reverse routes the flood installs supersede older ones."""
+        flood = replace(
+            record.spec.query, cnt=self.query_counter.next_value(),
+            origin_seq=self.router.advance_seq(),
+        )
+        self.query_log.record(flood)
+        return flood
 
     def _broadcast_subscribe(self, message: SubscribeMessage) -> None:
         self.world.broadcast(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
 from ..core.query import SkylineQuery
-from ..net.messages import QUERY_BYTES, tuple_bytes
+from ..net.messages import QUERY_BYTES, SEQ_BYTES, tuple_bytes
 from ..storage.relation import Relation
 
 # Wire payloads carry an optional causal ``trace``
@@ -123,9 +123,9 @@ class SubscribeMessage:
     trace: Optional[Any] = field(default=None, compare=False, repr=False)
 
     def size_bytes(self, dimensions: int) -> int:
-        """Two query specs (subscription + flood identity) plus the
-        schedule parameters."""
-        return 2 * QUERY_BYTES + 16
+        """Two query specs (subscription + flood identity), the flood's
+        originator sequence number, and the schedule parameters."""
+        return 2 * QUERY_BYTES + SEQ_BYTES + 16
 
     @property
     def sub_key(self) -> Tuple[int, int]:

@@ -4,11 +4,16 @@ A query is ``Q_ds = (id, cnt, pos_org, d)`` (Sections 2 and 3.4): ``id``
 identifies the originating device, ``cnt`` is a small per-originator
 counter used for duplicate suppression during forwarding, ``pos_org`` is
 the originator's position and ``d`` the distance of interest.
+
+Every flood also carries the originator's AODV sequence number
+(``origin_seq``), so the reverse routes it installs supersede older ones
+(RFC 3561 §6.1). That field is routing metadata, not query identity: it
+is excluded from equality, hashing and the duplicate-suppression log.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, Tuple
 
 __all__ = ["SkylineQuery", "QueryLog", "QueryCounter", "COUNTER_MODULUS"]
@@ -27,12 +32,15 @@ class SkylineQuery:
         pos: ``(x, y)`` position of the originator at issue time.
         d: Distance of interest — sites farther than ``d`` from ``pos``
             are out of scope.
+        origin_seq: The originator's AODV sequence number when it sent
+            this flood (0 when it never rides a flood).
     """
 
     origin: int
     cnt: int
     pos: Tuple[float, float]
     d: float
+    origin_seq: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.origin < 0:

@@ -59,7 +59,7 @@ __all__ = [
 #: Code-schema version of cached run documents. Bump on ANY change that
 #: can alter simulation output (protocol semantics, RNG consumption,
 #: metric definitions) — old entries then miss and are recomputed.
-CACHE_SCHEMA = "manet-run/v1"
+CACHE_SCHEMA = "manet-run/v2"
 
 _WORKERS_ENV = "REPRO_WORKERS"
 _CACHE_ENV = "REPRO_CACHE_DIR"

@@ -8,25 +8,39 @@ Implements the core of Ad hoc On-demand Distance Vector routing:
   node with a fresh-enough route) answers with an RREP unicast back along
   the reverse path, installing forward routes as it travels.
 * **Data forwarding** — hop-by-hop via the routing table; using a route
-  refreshes its lifetime.
+  refreshes its lifetime, and every hop learns the route back to the
+  frame's source (RFC 3561 §6.2).
 * **Route maintenance** — a failed hop invalidates the route; the
   detecting node attempts a local repair (its own discovery for the
   destination) and, failing that, sends an RERR toward the source, which
   may retry end to end.
 
-Simplifications relative to RFC 3561, none of which affect the paper's
-metrics: no expanding-ring search (fixed TTL), no precursor lists (RERRs
-unicast toward the data source), no HELLO beacons (link failures are
-detected on use).
+Route learning has one rule, :meth:`AodvRouter.learn_route`, keyed on
+the destination's sequence number: a lower number never replaces an
+entry, a higher one always does, and an equal one only with strictly
+fewer hops or over an invalid entry. Everything goes through it: RREQs
+(route to the origin), RREPs (route to the destination), routed DATA
+frames (route to the source, at the source's number when it sent the
+frame), 1-hop overhearing (at the entry's current number) and the
+skyline protocols' floods. A BF query, a DF token walk, a DF→BF
+failover flood and every subscription flood carry a fresh originator
+sequence number (:meth:`AodvRouter.advance_seq`), so the routes toward
+the originator they install supersede older ones. A broken route is
+invalidated, not deleted: it expires and its number goes up by one
+(RFC 3561 §6.11), so the next RREQ asks for a fresher route than any
+neighbour whose own route still runs back through this node can offer.
+Result ACKs and DELTAs therefore ride routes that already exist, and
+the valid next-hop graph toward any destination stays loop-free.
 
-Queries flooding through the skyline protocols double as route
-advertisements: devices call :meth:`AodvRouter.learn_route` for the
-path back toward the query originator, exactly as AODV learns reverse
-routes from RREQs, so result unicasts mostly travel installed routes.
-Nothing learns the route back to the source of a routed DATA frame,
-though, so the originator's result ACKs (and DELTAs on expired routes)
-each start a fresh discovery; on BF workloads RREQs are most of the
-radio traffic (see ``docs/simulator.md``).
+Simplifications relative to RFC 3561, none of which affect the paper's
+metrics:
+
+* no expanding-ring search (fixed TTL);
+* no precursor lists (RERRs unicast toward the data source and carry
+  no sequence number; the receiver bumps its own copy);
+* no HELLO beacons (link failures are detected on use);
+* no separate "valid" flag: an entry is valid until it expires, and
+  invalidation expires it.
 
 Determinism: RREQ floods rely on ``World.broadcast``, whose receiver
 order is the world's sorted-id neighbor order (never attach order), so
@@ -40,7 +54,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs.observer import query_key_of
 from .engine import EventHandle, Simulator
-from .messages import CONTROL_BYTES, Frame, FrameKind, HEADER_BYTES
+from .messages import CONTROL_BYTES, Frame, FrameKind, HEADER_BYTES, SEQ_BYTES
 from .world import World
 
 __all__ = ["AodvConfig", "AodvRouter", "Route", "DataPacket"]
@@ -69,7 +83,11 @@ class AodvConfig:
 
 @dataclass
 class Route:
-    """One routing-table entry."""
+    """One routing-table entry.
+
+    An expired or invalidated entry stays in the table: its ``dest_seq``
+    is the freshness any new route to the destination must match.
+    """
 
     next_hop: int
     hops: int
@@ -87,9 +105,10 @@ class DataPacket:
 
     ``kind`` is the upper-layer frame kind (query / result / token), kept
     so traffic statistics can attribute DATA hops to the protocol that
-    caused them. ``hops_left`` is the packet TTL: transient routing loops
-    (possible while topology and tables disagree) consume it instead of
-    circulating forever.
+    caused them. ``hops_left`` is the packet TTL: a routing loop would
+    consume it instead of circulating forever. ``source_seq`` is the
+    source's sequence number at send time, from which every hop learns
+    the route back to the source.
     """
 
     source: int
@@ -99,6 +118,7 @@ class DataPacket:
     size_bytes: int
     repairs: int = 0
     hops_left: int = 32
+    source_seq: int = 0
 
 
 @dataclass
@@ -169,41 +189,60 @@ class AodvRouter:
         packet = DataPacket(
             source=self.node_id, dest=dest, kind=kind,
             payload=payload, size_bytes=size_bytes,
-            hops_left=self.config.ttl,
+            hops_left=self.config.ttl, source_seq=self._seq,
         )
         self._dispatch(packet, on_undeliverable)
 
-    def learn_route(self, dest: int, next_hop: int, hops: int) -> None:
-        """Install/refresh a route learned from overheard protocol traffic.
+    def learn_route(self, dest: int, next_hop: int, hops: int, seq: int) -> None:
+        """Install or refresh the route to ``dest`` via ``next_hop`` —
+        the one rule every piece of route learning goes through (RFC
+        3561 §6.2), whether the news came from an RREQ, an RREP, a
+        routed DATA frame or a protocol flood.
 
-        Mirrors AODV's reverse-route installation from RREQ floods; the
-        skyline query dissemination calls this so results can flow back
-        without a dedicated discovery. Existing strictly better (fewer
-        hops) valid routes are kept.
+        A lower ``seq`` never replaces an entry, valid or invalid; a
+        higher one always does; an equal one only with strictly fewer
+        hops or over an invalid entry. Re-learning the current next hop
+        without replacing the entry refreshes its lifetime.
         """
         if dest == self.node_id:
             return
         now = self.sim.now
         current = self.routes.get(dest)
-        if current is not None and current.valid_at(now):
-            if current.next_hop == next_hop:
-                current.hops = min(current.hops, hops)
-                current.expires = now + self.config.active_route_timeout
+        if current is not None:
+            if seq < current.dest_seq:
                 return
-            if current.hops <= hops:
-                # Keep the existing route: replacing an equal-length
-                # route with a different next hop is how two nodes end up
-                # pointing at each other (a routing loop).
-                current.expires = max(
-                    current.expires, now + self.config.active_route_timeout
-                )
+            if (
+                seq == current.dest_seq
+                and hops >= current.hops
+                and current.valid_at(now)
+            ):
+                if next_hop == current.next_hop:
+                    current.expires = now + self.config.active_route_timeout
                 return
         self.routes[dest] = Route(
-            next_hop=next_hop,
-            hops=hops,
-            dest_seq=current.dest_seq if current else 0,
+            next_hop=next_hop, hops=hops, dest_seq=seq,
             expires=now + self.config.active_route_timeout,
         )
+
+    def learn_neighbor(self, neighbor: int) -> None:
+        """Install the 1-hop route to a node just heard transmitting.
+
+        It keeps the entry's current sequence number: a route straight
+        to the destination cannot loop, so it needs no fresher one.
+        """
+        current = self.routes.get(neighbor)
+        seq = current.dest_seq if current is not None else 0
+        self.learn_route(neighbor, neighbor, 1, seq)
+
+    def advance_seq(self) -> int:
+        """Bump and return this node's own sequence number.
+
+        Called for every flood the node originates, which carries the
+        value so the reverse routes it installs supersede older ones
+        (RFC 3561 §6.1).
+        """
+        self._seq += 1
+        return self._seq
 
     def has_route(self, dest: int) -> bool:
         """Is a valid route to ``dest`` currently installed?"""
@@ -267,17 +306,18 @@ class AodvRouter:
             src=self.node_id,
             dst=route.next_hop,
             payload=packet,
-            size_bytes=HEADER_BYTES + packet.size_bytes,
+            size_bytes=HEADER_BYTES + SEQ_BYTES + packet.size_bytes,
         )
 
-        def failed(_frame: Frame) -> None:
-            self._on_hop_failure(packet, on_undeliverable)
+        def failed(frame: Frame) -> None:
+            self._on_hop_failure(packet, frame.dst, on_undeliverable)
 
         self.world.send(frame, on_failure=failed)
 
     def _on_hop_failure(
         self,
         packet: DataPacket,
+        next_hop: int,
         on_undeliverable: Optional[Callable[[DataPacket], None]],
     ) -> None:
         """The next hop is gone: invalidate and attempt local repair."""
@@ -287,10 +327,10 @@ class AodvRouter:
                 node=self.node_id, dest=packet.dest, repairs=packet.repairs,
             )
             self.world.obs.metrics.counter("aodv.route_breaks").inc()
-        self.routes.pop(packet.dest, None)
+        self._invalidate(packet.dest, next_hop)
         if packet.repairs < self.config.repair_attempts:
             packet.repairs += 1
-            self._enqueue_pending(packet, on_undeliverable)
+            self._dispatch(packet, on_undeliverable)
             return
         if packet.source == self.node_id:
             self._give_up(packet, on_undeliverable)
@@ -299,6 +339,12 @@ class AodvRouter:
             self._give_up(packet, on_undeliverable)
 
     def _on_data_frame(self, packet: DataPacket, sender: int) -> None:
+        # Every hop learns the route back to the source (RFC 3561 §6.2),
+        # so replies such as result ACKs find it already installed.
+        self.learn_route(
+            packet.source, sender,
+            self.config.ttl - packet.hops_left + 1, packet.source_seq,
+        )
         if packet.dest == self.node_id:
             if self.on_data is not None:
                 self.on_data(packet)
@@ -307,6 +353,13 @@ class AodvRouter:
         if packet.hops_left <= 0:
             # TTL expired — a routing loop or an absurdly long path;
             # drop and tell the source so it can rediscover.
+            if self.world.obs.enabled:
+                self.world.obs.event(
+                    "aodv.ttl-expired", query=query_key_of(packet),
+                    node=self.node_id, source=packet.source,
+                    dest=packet.dest, kind=packet.kind,
+                )
+                self.world.obs.metrics.counter("aodv.ttl_expired").inc()
             self._send_rerr(packet)
             return
         self._dispatch(packet, on_undeliverable=None)
@@ -334,11 +387,10 @@ class AodvRouter:
             )
             self.world.obs.metrics.counter("aodv.discoveries").inc()
         self._rreq_id += 1
-        self._seq += 1
         payload = {
             "rreq_id": self._rreq_id,
             "origin": self.node_id,
-            "origin_seq": self._seq,
+            "origin_seq": self.advance_seq(),
             "dest": dest,
             "dest_seq": self.routes[dest].dest_seq if dest in self.routes else 0,
             "hops": 0,
@@ -417,7 +469,7 @@ class AodvRouter:
         if self._mark_seen(payload["origin"], payload["rreq_id"]):
             return
         hops = payload["hops"] + 1
-        self._install(payload["origin"], sender, hops, payload["origin_seq"])
+        self.learn_route(payload["origin"], sender, hops, payload["origin_seq"])
         dest = payload["dest"]
         route = self.routes.get(dest)
         if dest == self.node_id:
@@ -458,7 +510,7 @@ class AodvRouter:
 
     def _on_rrep(self, payload: dict, sender: int) -> None:
         hops = payload["hops"] + 1
-        self._install(payload["dest"], sender, hops, payload["dest_seq"])
+        self.learn_route(payload["dest"], sender, hops, payload["dest_seq"])
         if payload["origin"] == self.node_id:
             self._flush_pending(payload["dest"])
             return
@@ -486,9 +538,7 @@ class AodvRouter:
         )
 
     def _on_rerr(self, payload: dict, sender: int) -> None:
-        route = self.routes.get(payload["dest"])
-        if route is not None and route.next_hop == sender:
-            self.routes.pop(payload["dest"], None)
+        self._invalidate(payload["dest"], sender)
         if payload["source"] != self.node_id:
             nxt = self.routes.get(payload["source"])
             if nxt is not None and nxt.valid_at(self.sim.now):
@@ -499,18 +549,16 @@ class AodvRouter:
                     )
                 )
 
-    def _install(self, dest: int, next_hop: int, hops: int, seq: int) -> None:
-        if dest == self.node_id:
-            return
+    def _invalidate(self, dest: int, next_hop: int) -> None:
+        """Expire a valid route to ``dest`` through the broken link to
+        ``next_hop`` and bump its sequence number (RFC 3561 §6.11).
+
+        The entry stays in the table: the next RREQ asks for a route
+        fresher than the bumped number, so no neighbour whose own route
+        still runs back through this node can answer it.
+        """
+        route = self.routes.get(dest)
         now = self.sim.now
-        current = self.routes.get(dest)
-        if current is not None and current.valid_at(now):
-            if current.dest_seq > seq:
-                return
-            if current.dest_seq == seq and current.hops <= hops:
-                current.expires = now + self.config.active_route_timeout
-                return
-        self.routes[dest] = Route(
-            next_hop=next_hop, hops=hops, dest_seq=seq,
-            expires=now + self.config.active_route_timeout,
-        )
+        if route is not None and route.next_hop == next_hop and route.valid_at(now):
+            route.expires = now
+            route.dest_seq += 1

@@ -20,12 +20,15 @@ __all__ = [
     "HEADER_BYTES",
     "QUERY_BYTES",
     "CONTROL_BYTES",
+    "SEQ_BYTES",
 ]
 
 #: Fixed per-frame header (addresses, kind, ids).
 HEADER_BYTES = 24
 #: A query specification: id + cnt + position + distance (Section 3.4).
 QUERY_BYTES = 16
+#: The originator's AODV sequence number riding a DATA frame or a flood.
+SEQ_BYTES = 4
 #: AODV control frames (RREQ/RREP/RERR) are small and fixed-size.
 CONTROL_BYTES = 24
 

@@ -54,16 +54,17 @@ class Node:
         everything else to the protocol handler.
 
         Receiving any frame proves the transmitter is currently within
-        radio range, so a 1-hop route to it is installed — the standard
-        overhearing optimization, which saves a route discovery for the
-        common reply-to-neighbour case.
+        radio range, so a 1-hop route to it is installed at the entry's
+        current sequence number — the standard overhearing optimization,
+        which saves a route discovery for the common reply-to-neighbour
+        case.
 
         Ordering contract: within one broadcast, receivers hear the
         frame in sorted-id order (the world fans a delivery wave out
         inside a single event in that order), exactly as if each
         delivery were its own same-time event.
         """
-        self.router.learn_route(sender, sender, hops=1)
+        self.router.learn_neighbor(sender)
         if self.router.handle_frame(frame, sender):
             return
         self.on_protocol_frame(frame, sender)

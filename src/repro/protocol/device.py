@@ -529,6 +529,7 @@ class SkylineDevice(Node):
             cnt=self.query_counter.next_value(),
             pos=self.position,
             d=d,
+            origin_seq=self.router.advance_seq(),
         )
         self.query_log.record(query)  # never reprocess our own query
         local = self.compute_local(query, None)
@@ -677,7 +678,10 @@ class SkylineDevice(Node):
             self._reap_orphan(message.query.key, "flood-query")
             return
         # The flood doubles as an AODV reverse-route advertisement.
-        self.router.learn_route(message.query.origin, sender, message.hops)
+        self.router.learn_route(
+            message.query.origin, sender, message.hops,
+            message.query.origin_seq,
+        )
         if not self.query_log.check_and_record(message.query):
             return
         if self.node_id in message.exclude:
@@ -987,7 +991,10 @@ class DFDevice(SkylineDevice):
     def _reissue(self, record: QueryRecord) -> None:
         """Send a fresh token for ``record`` under an incremented cnt,
         seeded with everything merged so far."""
-        query = replace(record.query, cnt=self.query_counter.next_value())
+        query = replace(
+            record.query, cnt=self.query_counter.next_value(),
+            origin_seq=self.router.advance_seq(),
+        )
         self._reissue_alias[query.key] = record.query.key
         if self.world.obs.enabled:
             self.world.obs.query_alias(query.key, record.query.key)
@@ -1033,7 +1040,10 @@ class DFDevice(SkylineDevice):
         (``resilience.failovers``, QUERY/RESULT/ACK frames in a DF run).
         """
         record.failovers += 1
-        query = replace(record.query, cnt=self.query_counter.next_value())
+        query = replace(
+            record.query, cnt=self.query_counter.next_value(),
+            origin_seq=self.router.advance_seq(),
+        )
         self._reissue_alias[query.key] = record.query.key
         self.query_log.record(query)
         merged = record.assembler.result()
@@ -1090,13 +1100,14 @@ class DFDevice(SkylineDevice):
         # the token's forward path).
         if token.query.origin != self.node_id:
             self.router.learn_route(
-                token.query.origin, sender, hops=len(token.path) + 1
+                token.query.origin, sender, len(token.path) + 1,
+                token.query.origin_seq,
             )
         self._receive_token(token, sender)
 
     def on_data(self, packet: DataPacket) -> None:
         # Backtracking tokens travel routed (the parent may have moved);
-        # packet.source is not a neighbour, so no route learning here.
+        # the router already learned the route back to packet.source.
         # RESULT/ACK packets belong to the failover flood path.
         if packet.kind == FrameKind.ACK and isinstance(
             packet.payload, ResultAckMessage

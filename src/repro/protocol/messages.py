@@ -14,7 +14,7 @@ from typing import Any, FrozenSet, Optional, Tuple
 
 from ..core.filtering import FilteringTuple
 from ..core.query import SkylineQuery
-from ..net.messages import QUERY_BYTES, tuple_bytes
+from ..net.messages import QUERY_BYTES, SEQ_BYTES, tuple_bytes
 from ..storage.relation import Relation
 
 __all__ = ["QueryMessage", "ResultAckMessage", "ResultMessage", "TokenMessage"]
@@ -50,9 +50,10 @@ class QueryMessage:
     trace: Optional[Any] = field(default=None, compare=False, repr=False)
 
     def size_bytes(self, dimensions: int) -> int:
-        """Query spec plus one tuple when a filter rides along, plus an
-        exclude-set bitmap on failover floods."""
-        size = QUERY_BYTES
+        """Query spec and originator sequence number, plus one tuple
+        when a filter rides along, plus an exclude-set bitmap on
+        failover floods."""
+        size = QUERY_BYTES + SEQ_BYTES
         if self.flt is not None:
             size += tuple_bytes(dimensions)
         if self.exclude:
@@ -130,8 +131,12 @@ class TokenMessage:
     trace: Optional[Any] = field(default=None, compare=False, repr=False)
 
     def size_bytes(self, dimensions: int) -> int:
-        """Query spec + filter + carried tuples + visited-set bitmap."""
-        size = QUERY_BYTES + self.result.cardinality * tuple_bytes(dimensions)
+        """Query spec + originator sequence number + filter + carried
+        tuples + visited-set bitmap."""
+        size = (
+            QUERY_BYTES + SEQ_BYTES
+            + self.result.cardinality * tuple_bytes(dimensions)
+        )
         if self.flt is not None:
             size += tuple_bytes(dimensions)
         size += (len(self.visited) + 7) // 8 + 2 * len(self.path)

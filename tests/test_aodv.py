@@ -12,6 +12,8 @@ from repro.net import (
     StaticPlacement,
     World,
 )
+from repro.net.messages import HEADER_BYTES, SEQ_BYTES
+from repro.obs import Observer
 
 
 class AppNode(Node):
@@ -89,42 +91,106 @@ class TestDiscoveryAndDelivery:
 class TestRouteTable:
     def test_learn_route_and_has_route(self):
         sim, world, nodes = line_network(3)
-        nodes[0].router.learn_route(2, next_hop=1, hops=2)
+        nodes[0].router.learn_route(2, next_hop=1, hops=2, seq=1)
         assert nodes[0].router.has_route(2)
 
     def test_route_expiry(self):
         aodv = AodvConfig(active_route_timeout=1.0)
         sim, world, nodes = line_network(3, aodv=aodv)
-        nodes[0].router.learn_route(2, next_hop=1, hops=2)
+        nodes[0].router.learn_route(2, next_hop=1, hops=2, seq=1)
         assert nodes[0].router.has_route(2)
         sim.schedule(2.0, lambda: None)
         sim.run()
         assert not nodes[0].router.has_route(2)
 
     def test_learn_route_keeps_shorter(self):
+        """At an equal sequence number the shorter route stays; a newer
+        sequence number wins regardless of hops."""
         sim, world, nodes = line_network(3)
-        nodes[0].router.learn_route(2, next_hop=1, hops=1)
-        nodes[0].router.learn_route(2, next_hop=2, hops=5)
-        assert nodes[0].router.routes[2].next_hop == 1
+        r = nodes[0].router
+        r.learn_route(2, next_hop=1, hops=1, seq=3)
+        r.learn_route(2, next_hop=2, hops=5, seq=3)
+        assert (r.routes[2].next_hop, r.routes[2].hops) == (1, 1)
+        r.learn_route(2, next_hop=2, hops=5, seq=4)
+        assert (r.routes[2].next_hop, r.routes[2].hops) == (2, 5)
+        assert r.routes[2].dest_seq == 4
 
     def test_learn_route_no_equal_hop_replacement(self):
-        """Equal-length alternatives must not replace the next hop — that
-        is how two nodes end up pointing at each other."""
+        """An equal sequence number replaces only with strictly fewer
+        hops: swapping next hops between equal-length routes is how two
+        nodes end up pointing at each other."""
         sim, world, nodes = line_network(4)
-        nodes[0].router.learn_route(3, next_hop=1, hops=2)
-        nodes[0].router.learn_route(3, next_hop=2, hops=2)
-        assert nodes[0].router.routes[3].next_hop == 1
+        r = nodes[0].router
+        r.learn_route(3, next_hop=1, hops=2, seq=1)
+        r.learn_route(3, next_hop=2, hops=2, seq=1)
+        assert r.routes[3].next_hop == 1
+        r.learn_route(3, next_hop=2, hops=1, seq=1)
+        assert (r.routes[3].next_hop, r.routes[3].hops) == (2, 1)
 
     def test_learn_route_self_ignored(self):
         _, _, nodes = line_network(2)
-        nodes[0].router.learn_route(0, next_hop=1, hops=1)
+        nodes[0].router.learn_route(0, next_hop=1, hops=1, seq=7)
+        nodes[0].router.learn_neighbor(0)
         assert 0 not in nodes[0].router.routes
+
+    def test_invalidated_route_refuses_older_seq(self):
+        """A broken route is invalidated with its sequence number bumped,
+        not deleted: the stale number it was learned at cannot revive
+        it, but the bumped one (or newer) can."""
+        sim, world, nodes = line_network(3)
+        r = nodes[0].router
+        r.learn_route(2, next_hop=1, hops=2, seq=5)
+        r.handle_frame(
+            Frame(kind=FrameKind.RERR, src=1, dst=0,
+                  payload={"dest": 2, "source": 0}),
+            sender=1,
+        )
+        assert not r.has_route(2)
+        assert r.routes[2].dest_seq == 6
+        r.learn_route(2, next_hop=1, hops=1, seq=5)
+        assert not r.has_route(2)
+        r.learn_route(2, next_hop=1, hops=2, seq=6)
+        assert r.has_route(2)
 
     def test_overhearing_installs_neighbor_route(self):
         sim, world, nodes = line_network(2)
         world.send(Frame(kind=FrameKind.RESULT, src=0, dst=1, size_bytes=10))
         sim.run(until=1.0)
         assert nodes[1].router.has_route(0)
+
+
+class TestReverseRoutes:
+    def test_routed_result_teaches_every_hop_the_way_back(self):
+        """A routed RESULT installs the route to its source at every hop,
+        so the originator's ACK rides it without a route discovery."""
+        sim, world, nodes = line_network(5)
+        # Routes toward node 0, as a query flood from node 0 leaves them.
+        for i in range(1, 5):
+            nodes[i].router.learn_route(0, next_hop=i - 1, hops=i, seq=1)
+        nodes[4].router.send_data(0, FrameKind.RESULT, "result", 10)
+        sim.run(until=2.0)
+        assert [p for p, *_ in nodes[0].delivered] == ["result"]
+        for i in range(4):
+            route = nodes[i].router.routes[4]
+            assert (route.next_hop, route.hops) == (i + 1, 4 - i)
+        nodes[0].router.send_data(4, FrameKind.ACK, "ack", 8)
+        sim.run(until=4.0)
+        assert [p for p, *_ in nodes[4].delivered] == ["ack"]
+        assert world.stats.by_kind.get("rreq", 0) == 0
+
+    def test_data_frame_charges_the_sequence_field(self):
+        sim, world, nodes = line_network(2)
+        sizes = []
+        original = world.send
+
+        def spy(frame, on_failure=None):
+            sizes.append(frame.size_bytes)
+            return original(frame, on_failure)
+
+        world.send = spy
+        nodes[0].router.learn_neighbor(1)
+        nodes[0].router.send_data(1, FrameKind.RESULT, "x", 10)
+        assert sizes == [HEADER_BYTES + SEQ_BYTES + 10]
 
 
 class TestLoopProtection:
@@ -134,13 +200,25 @@ class TestLoopProtection:
         aodv = AodvConfig(ttl=8, repair_attempts=0, rreq_retries=0)
         sim, world, nodes = line_network(3, aodv=aodv)
         # Manually corrupt tables: 0 -> 1 -> 0 for destination 2.
-        nodes[0].router.learn_route(2, next_hop=1, hops=1)
-        nodes[1].router.learn_route(2, next_hop=0, hops=1)
+        nodes[0].router.learn_route(2, next_hop=1, hops=1, seq=1)
+        nodes[1].router.learn_route(2, next_hop=0, hops=1, seq=1)
         # Prevent fixes: make node 2 unreachable physically is not needed;
         # just watch the frame count stay bounded.
         nodes[0].router.send_data(2, FrameKind.RESULT, "loop", 10)
         sim.run(until=30.0)
         assert world.stats.by_kind.get("data", 0) <= aodv.ttl + 1
+
+    def test_ttl_expiry_is_counted_when_observed(self):
+        aodv = AodvConfig(ttl=4, repair_attempts=0, rreq_retries=0)
+        sim, world, nodes = line_network(3, aodv=aodv)
+        observer = Observer().bind(world)
+        nodes[0].router.learn_route(2, next_hop=1, hops=1, seq=1)
+        nodes[1].router.learn_route(2, next_hop=0, hops=1, seq=1)
+        nodes[0].router.send_data(2, FrameKind.RESULT, "loop", 10)
+        sim.run(until=30.0)
+        assert observer.metrics.counter("aodv.ttl_expired").value == 1
+        (event,) = [e for e in observer.events if e.name == "aodv.ttl-expired"]
+        assert (event.attrs["source"], event.attrs["dest"]) == (0, 2)
 
 
 class TestMobilityRepair:

@@ -49,37 +49,37 @@ class TestInstallRules:
     def test_newer_sequence_replaces(self):
         sim, world, nodes = line(3)
         r = nodes[0].router
-        r._install(2, next_hop=1, hops=3, seq=1)
-        r._install(2, next_hop=2, hops=5, seq=2)  # newer seq wins
+        r.learn_route(2, next_hop=1, hops=3, seq=1)
+        r.learn_route(2, next_hop=2, hops=5, seq=2)  # newer seq wins
         assert r.routes[2].next_hop == 2
 
     def test_older_sequence_ignored(self):
         sim, world, nodes = line(3)
         r = nodes[0].router
-        r._install(2, next_hop=1, hops=3, seq=5)
-        r._install(2, next_hop=2, hops=1, seq=4)
+        r.learn_route(2, next_hop=1, hops=3, seq=5)
+        r.learn_route(2, next_hop=2, hops=1, seq=4)
         assert r.routes[2].next_hop == 1
 
     def test_same_seq_fewer_hops_replaces(self):
         sim, world, nodes = line(3)
         r = nodes[0].router
-        r._install(2, next_hop=1, hops=5, seq=1)
-        r._install(2, next_hop=2, hops=2, seq=1)
+        r.learn_route(2, next_hop=1, hops=5, seq=1)
+        r.learn_route(2, next_hop=2, hops=2, seq=1)
         assert r.routes[2].next_hop == 2
 
     def test_install_to_self_ignored(self):
         sim, world, nodes = line(2)
-        nodes[0].router._install(0, next_hop=1, hops=1, seq=1)
+        nodes[0].router.learn_route(0, next_hop=1, hops=1, seq=1)
         assert 0 not in nodes[0].router.routes
 
     def test_expired_route_freely_replaced(self):
         aodv = AodvConfig(active_route_timeout=1.0)
         sim, world, nodes = line(3, aodv=aodv)
         r = nodes[0].router
-        r.learn_route(2, next_hop=1, hops=1)
+        r.learn_route(2, next_hop=1, hops=1, seq=1)
         sim.schedule(5.0, lambda: None)
         sim.run()
-        r.learn_route(2, next_hop=2, hops=9)
+        r.learn_route(2, next_hop=2, hops=9, seq=1)
         assert r.routes[2].next_hop == 2
 
 
@@ -152,6 +152,35 @@ class TestRerrPropagation:
         assert nodes[0].router.has_route(2)
 
 
+class TestRouteInvalidation:
+    def test_neighbor_routing_back_through_requester_does_not_answer(self):
+        """Two-node loop regression. B's route to D breaks; neighbour A,
+        whose route to D runs through B, must not answer B's RREQ —
+        else B would route via A and A via B."""
+        sim = Simulator()
+        # A(0) - B(1) - D(2), with A and D out of each other's range.
+        world = World(
+            sim, StaticPlacement([(0.0, 0.0), (200.0, 0.0), (400.0, 0.0)]),
+            RadioConfig(radio_range=250.0),
+        )
+        a, b, d = (AppNode(world, i) for i in range(3))
+        a.router.send_data(2, FrameKind.RESULT, "warm", 10)
+        sim.run(until=5.0)
+        assert a.router.routes[2].next_hop == 1
+        assert b.router.routes[2].next_hop == 2
+        seq = b.router.routes[2].dest_seq
+        rreps_before = world.stats.by_kind.get("rrep", 0)
+        world.fail_node(2)
+        b.router.send_data(2, FrameKind.RESULT, "lost", 10)
+        sim.run(until=30.0)
+        # B's RREQs asked for a route fresher than the broken one ...
+        assert b.router.routes[2].dest_seq == seq + 1
+        # ... which A's stale copy is not, so nobody answered.
+        assert world.stats.by_kind.get("rrep", 0) == rreps_before
+        assert not b.router.has_route(2)
+        assert [p.payload for p in b.failed] == ["lost"]
+
+
 class TestDataPacketDefaults:
     def test_hops_left_set_from_config(self):
         aodv = AodvConfig(ttl=5)
@@ -165,7 +194,7 @@ class TestDataPacketDefaults:
             return original(frame, on_failure)
 
         world.send = spy
-        nodes[0].router.learn_route(1, next_hop=1, hops=1)
+        nodes[0].router.learn_neighbor(1)
         nodes[0].router.send_data(1, FrameKind.RESULT, "x", 10)
         sim.run(until=2.0)
         assert sent and sent[0].hops_left == 5

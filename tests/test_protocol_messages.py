@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import FilteringTuple, SkylineQuery
-from repro.net.messages import QUERY_BYTES, tuple_bytes
+from repro.net.messages import QUERY_BYTES, SEQ_BYTES, tuple_bytes
 from repro.protocol import QueryMessage, ResultMessage, TokenMessage
 from repro.storage import Relation, SiteTuple
 
@@ -30,11 +30,11 @@ def skyline(schema2):
 class TestQueryMessage:
     def test_size_without_filter(self, query):
         msg = QueryMessage(query=query)
-        assert msg.size_bytes(2) == QUERY_BYTES
+        assert msg.size_bytes(2) == QUERY_BYTES + SEQ_BYTES
 
     def test_size_with_filter_adds_one_tuple(self, query, flt):
         msg = QueryMessage(query=query, flt=flt)
-        assert msg.size_bytes(2) == QUERY_BYTES + tuple_bytes(2)
+        assert msg.size_bytes(2) == QUERY_BYTES + SEQ_BYTES + tuple_bytes(2)
 
     def test_hops_default(self, query):
         assert QueryMessage(query=query).hops == 1
@@ -66,6 +66,7 @@ class TestTokenMessage:
         )
         expected = (
             QUERY_BYTES
+            + SEQ_BYTES              # originator sequence number
             + 3 * tuple_bytes(2)     # carried result
             + tuple_bytes(2)         # the filter
             + 1                      # 3-bit visited bitmap -> 1 byte

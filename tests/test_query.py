@@ -27,6 +27,17 @@ class TestSkylineQuery:
         assert u.d == float("inf")
         assert u.key == q.key
 
+    def test_origin_seq_is_not_identity(self):
+        """The originator's sequence number rides the query for route
+        learning only: key, equality, hashing and dedup ignore it."""
+        q = SkylineQuery(origin=2, cnt=5, pos=(0, 0), d=5.0, origin_seq=1)
+        later = SkylineQuery(origin=2, cnt=5, pos=(0, 0), d=5.0, origin_seq=9)
+        assert q.key == later.key
+        assert q == later and hash(q) == hash(later)
+        log = QueryLog()
+        assert log.check_and_record(q)
+        assert not log.check_and_record(later)
+
     def test_frozen(self):
         q = SkylineQuery(origin=0, cnt=0, pos=(0, 0), d=5.0)
         with pytest.raises(AttributeError):
