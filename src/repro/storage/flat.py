@@ -8,7 +8,7 @@ beats.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class FlatStorage(StorageModel):
         self._values = relation.values
         self._site_ids = relation.site_ids
         self._mbr = relation.mbr() if relation.cardinality else (0.0, 0.0, 0.0, 0.0)
-        self._values_rows: Optional[List[List[float]]] = None
 
     @property
     def cardinality(self) -> int:
@@ -52,17 +51,6 @@ class FlatStorage(StorageModel):
 
     def values_matrix(self) -> np.ndarray:
         return self._values
-
-    def values_rows(self) -> List[List[float]]:
-        """The value matrix as nested Python lists, materialized once.
-
-        The reference (per-tuple) BNL iterates row lists; the
-        ``tolist()`` conversion is cached on the immutable storage so
-        repeated queries pay it once.
-        """
-        if self._values_rows is None:
-            self._values_rows = self._values.tolist()
-        return self._values_rows
 
     def read_all_values(self) -> np.ndarray:
         """Bulk fetch; charges one value read per cell."""

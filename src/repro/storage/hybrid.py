@@ -59,7 +59,6 @@ class HybridStorage(StorageModel):
 
     def __init__(self, relation: Relation, sort_attribute: Optional[int] = None) -> None:
         super().__init__(relation.schema)
-        self._ids_rows: Optional[List[List[int]]] = None
         n = relation.cardinality
         dims = relation.dimensions
         domains: List[np.ndarray] = []
@@ -118,17 +117,6 @@ class HybridStorage(StorageModel):
     def ids(self) -> np.ndarray:
         """``(N, n)`` ID matrix in stored (sorted) order."""
         return self._ids
-
-    def ids_rows(self) -> List[List[int]]:
-        """The ID matrix as nested Python lists, materialized once.
-
-        The reference (per-tuple) SFS scan iterates row lists; doing the
-        ``tolist()`` conversion per query dominated its setup cost, so it
-        is cached on the (immutable) storage object.
-        """
-        if self._ids_rows is None:
-            self._ids_rows = self._ids.tolist()
-        return self._ids_rows
 
     def domain(self, attr: int) -> np.ndarray:
         """Sorted distinct values of attribute ``attr``."""

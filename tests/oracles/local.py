@@ -48,7 +48,7 @@ def local_skyline_reference(
     if isinstance(storage, FlatStorage):
         return _local_skyline_values(
             storage, storage.values_matrix(), query, flt, estimation, over_margin,
-            count_value_reads=True, rows=storage.values_rows(),
+            count_value_reads=True, rows=storage.values_matrix().tolist(),
         )
     return _local_skyline_generic(storage, query, flt, estimation, over_margin)
 
@@ -66,7 +66,7 @@ def _local_skyline_hybrid(
         return skip
 
     dims = storage.dimensions
-    ids = storage.ids_rows()
+    ids = storage.ids.tolist()
     xy = storage.xy
     dx = xy[:, 0] - query.pos[0]
     dy = xy[:, 1] - query.pos[1]

@@ -206,12 +206,6 @@ class TestHybridSpecifics:
         with pytest.raises(ValueError):
             hs.encode_threshold((0.0, 0.0, 0.0), side="middle")
 
-    def test_ids_rows_cached(self):
-        hs = HybridStorage(quantized_relation(n=25))
-        rows = hs.ids_rows()
-        assert hs.ids_rows() is rows
-        assert rows == hs.ids.tolist()
-
     def test_local_bounds_o1_from_domains(self):
         rel = quantized_relation()
         hs = HybridStorage(rel)
@@ -288,14 +282,6 @@ class TestRingStorageSpecifics:
         # 3 attrs * 4 rings: value+pointer each, plus per-tuple pointers.
         expected = 1000 * (2 * 4 + 3 * 4) + 3 * 4 * (4 + 4)
         assert rs.size_bytes() == expected
-
-
-class TestFlatSpecifics:
-    def test_values_rows_cached(self):
-        fs = FlatStorage(quantized_relation(n=25))
-        rows = fs.values_rows()
-        assert fs.values_rows() is rows
-        assert rows == fs.values_matrix().tolist()
 
 
 @pytest.mark.parametrize("storage_cls", ALL_STORAGES)
