@@ -100,5 +100,20 @@ def rect_overlaps_circle(
     radius: float,
 ) -> bool:
     """True iff ``rect`` intersects the disk of ``radius`` around
-    ``center`` — the query-region overlap test."""
-    return mindist_point_rect(center, rect) <= radius
+    ``center`` — the query-region overlap test, and the negation of the
+    Figure 4 MBR skip.
+
+    It compares squared distances with the arithmetic of the per-row
+    range test (``dx*dx + dy*dy <= d*d``, as in ``Relation.within``)
+    rather than ``mindist_point_rect(...) <= radius``: ``math.hypot``
+    can round one ulp away from that test, so the skip could reject a
+    rectangle holding a row the range test keeps. With the same
+    arithmetic, every row inside the rectangle is at least as far in
+    each axis as the nearest point, so a row in range means an
+    overlapping rectangle.
+    """
+    x, y = center
+    x_min, y_min, x_max, y_max = rect
+    dx = max(x_min - x, 0.0, x - x_max)
+    dy = max(y_min - y, 0.0, y - y_max)
+    return dx * dx + dy * dy <= radius * radius

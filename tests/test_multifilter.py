@@ -58,6 +58,19 @@ class TestPruneWithFilters:
         assert (3.0, 3.0) not in {(s.x, s.y) for s in pruned.rows()}
 
 
+def test_mbr_skip_keeps_edge_tuple():
+    """The MBR skip agrees with the range test on a tuple where
+    ``math.hypot`` reads one ulp beyond the query distance."""
+    rel = Relation.from_rows(
+        uniform_schema(2, high=10.0),
+        [(33.67397851244425, 522.0060931059838, 1.0, 2.0)],
+    )
+    query = SkylineQuery(origin=0, cnt=0, pos=(0.0, 0.0), d=523.0910992060843)
+    res = local_skyline_multifilter(rel, query)
+    assert res.skipped is None
+    assert res.skyline.rows() == rel.rows()
+
+
 class TestMultiFilterLocal:
     def test_k1_matches_single_filter_path(self):
         """With one incoming filter and k=1, the multi-filter result's

@@ -58,6 +58,13 @@ class TestRectHelpers:
         assert rect_overlaps_circle((0, 0, 10, 10), (15, 5), 5.0)
         assert not rect_overlaps_circle((0, 0, 10, 10), (20, 5), 5.0)
 
+    def test_rect_overlaps_circle_matches_squared_range_test(self):
+        # math.hypot gives 523.0910992060844 here; the squared test keeps it.
+        x, y, d = 33.67397851244425, 522.0060931059838, 523.0910992060843
+        assert x * x + y * y <= d * d
+        assert mindist_point_rect((0.0, 0.0), (x, y, x, y)) > d
+        assert rect_overlaps_circle((x, y, x, y), (0.0, 0.0), d)
+
 
 class TestUniformPositions:
     def test_bounds_and_count(self, rng):
