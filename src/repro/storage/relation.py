@@ -8,10 +8,11 @@ skyline engines can operate vectorised, while still exposing row-level
 algorithms that model device-side processing.
 
 Relations are immutable (the backing arrays are marked read-only), so
-every derived view — normalized values, bounds, the MBR — is computed at
-most once per instance and never invalidated. Callers may hold the
-returned arrays indefinitely; they are read-only, so they can be shared
-freely between relations (see :meth:`Relation.take`).
+every derived view — normalized values, bounds, the MBR, the skyline
+rows — is computed at most once per instance and never invalidated.
+Callers may hold the returned arrays indefinitely; they are read-only,
+so they can be shared freely between relations (see
+:meth:`Relation.take`).
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ class Relation:
         ] = None
         self._normalized_worst: Optional[Tuple[float, ...]] = None
         self._normalized_best: Optional[Tuple[float, ...]] = None
+        self._skyline_rows: Optional[np.ndarray] = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -238,6 +240,7 @@ class Relation:
             rel._local_bounds = self._local_bounds
             rel._normalized_worst = self._normalized_worst
             rel._normalized_best = self._normalized_best
+            rel._skyline_rows = self._skyline_rows
             return rel
         return Relation._wrap(
             self._schema, self._xy[idx], self._values[idx], self._site_ids[idx]
@@ -323,6 +326,24 @@ class Relation:
                 tuple(float(v) for v in self._values.max(axis=0)),
             )
         return self._local_bounds
+
+    def skyline_rows(self) -> Optional[np.ndarray]:
+        """Sorted row indices of the relation's skyline over all its
+        rows (in minimization space), or None until stored.
+
+        Unlike the other views this one is never computed here: the
+        skyline kernels live in :mod:`repro.core`, and a query whose
+        range covers every row computes it anyway, so that query stores
+        it (:meth:`store_skyline_rows`) for the queries that follow.
+        """
+        return self._skyline_rows
+
+    def store_skyline_rows(self, rows: np.ndarray) -> None:
+        """Keep ``rows`` — the skyline of *every* row, as sorted row
+        indices — as the :meth:`skyline_rows` view. The array is marked
+        read-only and shared, not copied."""
+        rows.setflags(write=False)
+        self._skyline_rows = rows
 
     def union(self, other: "Relation") -> "Relation":
         """Bag union of two relations over the same schema."""

@@ -16,18 +16,28 @@ from hypothesis import strategies as st
 from repro.continuous import ContinuousConfig, run_continuous_simulation
 from repro.core import (
     Estimation,
+    FilteringTuple,
     SkylineQuery,
     local_skyline_vectorized,
     merge_skylines,
     select_filter,
+    skyline_bnl,
     skyline_of_relation,
 )
+from repro.core.multifilter import prune_with_filters
 from repro.data import QueryRequest, make_global_dataset
 from repro.net.aodv import AodvRouter
 from repro.obs import Observer
 from repro.protocol import SimulationConfig, run_manet_simulation
 from repro.protocol.static_grid import StaticGridCache, run_static_query
-from repro.storage import HybridStorage, Relation, uniform_schema
+from repro.storage import (
+    AttributeSpec,
+    HybridStorage,
+    Preference,
+    Relation,
+    RelationSchema,
+    uniform_schema,
+)
 
 # -- strategies -------------------------------------------------------------
 
@@ -124,6 +134,104 @@ class TestFilterSafety:
                     pytest.fail(
                         "dominated-skip removed a union skyline member"
                     )
+
+
+# -- the cached skyline view --------------------------------------------------
+
+
+def _view_relation(kind, rows, dims, seed, max_pref):
+    """A relation whose skyline rows sit in [0, 100]^2 and whose other
+    rows sit in [500, 1000]^2, so one disk holds exactly the skyline."""
+    rng = np.random.default_rng(seed)
+    schema = RelationSchema(attributes=tuple(
+        AttributeSpec(
+            f"p{j}", high=6.0,
+            preference=Preference.MAX if max_pref and j == 0 else Preference.MIN,
+        )
+        for j in range(dims)
+    ))
+    if kind == "all_skyline":
+        # Rows on an anti-diagonal (equal rows for one attribute): no
+        # row dominates another.
+        up = np.arange(rows, dtype=float) * 6.0 / rows
+        cols = [up] + [up[::-1]] * (dims - 1) if dims > 1 else [np.zeros(rows)]
+        values = np.column_stack(cols)
+        if max_pref:
+            values[:, 0] = 6.0 - values[:, 0]
+    else:
+        values = rng.integers(0, 7, size=(rows, dims)).astype(float)
+        if kind == "duplicates":
+            values = np.repeat(values[: max(rows // 2, 1)], 2, axis=0)[:rows]
+    sky = np.zeros(values.shape[0], dtype=bool)
+    sky[skyline_bnl(Relation(schema, np.zeros((values.shape[0], 2)),
+                             values).normalized_values())] = True
+    if kind == "all_skyline":
+        assert sky.all()
+    xy = np.where(
+        sky[:, None],
+        rng.uniform(0, 100, size=(values.shape[0], 2)),
+        rng.uniform(500, 1000, size=(values.shape[0], 2)),
+    )
+    return Relation(schema, xy, values)
+
+
+def _result_fields(res):
+    return (
+        res.skyline.xy.tolist(), res.skyline.values.tolist(),
+        res.skyline.site_ids.tolist(), res.unreduced_size, res.skipped,
+        res.updated_filter, res.scanned, res.in_range,
+    )
+
+
+class TestCachedSkylineView:
+    @given(
+        st.sampled_from(["random", "duplicates", "all_skyline"]),
+        st.integers(1, 30),
+        st.integers(1, 3),
+        st.integers(0, 10**6),
+        st.booleans(),
+        st.tuples(st.floats(0, 1000), st.floats(0, 1000), st.floats(1.0, 800)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_answers_equal_bnl_and_a_fresh_relation(
+        self, kind, rows, dims, seed, max_pref, disk
+    ):
+        """Every row covered, then only the skyline, then a partial and a
+        missing disk, each with and without a filter, on one relation:
+        each answer is the BNL skyline of the in-range rows and equals,
+        field for field, the answer of a relation with no cached view."""
+        rel = _view_relation(kind, rows, dims, seed, max_pref)
+        queries = [
+            ((500.0, 500.0), 1.0e9),   # every row
+            ((50.0, 50.0), 71.0),      # exactly the skyline rows
+            ((disk[0], disk[1]), disk[2]),  # partial (or any) disk
+            ((50.0, 50.0), 0.5),       # partial: most skyline rows missed
+            ((5000.0, 5000.0), 10.0),  # misses the MBR
+        ]
+        rng = np.random.default_rng(seed + 1)
+        flt_row = rel.row(int(rng.integers(rel.cardinality)))
+        filters = [None, FilteringTuple(site=flt_row, vdr=0.0),
+                   FilteringTuple(site=replace(flt_row, x=-1.0, y=-1.0), vdr=0.0)]
+        for pos, d in queries:
+            query = SkylineQuery(origin=0, cnt=0, pos=pos, d=d)
+            expected = skyline_of_relation(rel.restrict(pos, d), "bnl")
+            for flt in filters:
+                res = local_skyline_vectorized(rel, query, flt)
+                fresh_rel = Relation(rel.schema, rel.xy.copy(),
+                                     rel.values.copy(), rel.site_ids.copy())
+                fresh = local_skyline_vectorized(fresh_rel, query, flt)
+                assert _result_fields(res) == _result_fields(fresh)
+                assert res.unreduced_size == expected.cardinality
+                if flt is None:
+                    assert res.skyline.rows() == expected.rows()
+                elif res.skipped is None:
+                    pruned = prune_with_filters(expected, [flt])
+                    assert res.skyline.rows() == pruned.rows()
+        # The first query covered every row, so the view holds the
+        # skyline and the "exactly the skyline" disk was served by it.
+        assert rel.skyline_rows().tolist() == skyline_bnl(
+            rel.normalized_values()).tolist()
+        assert rel.within((50.0, 50.0), 71.0)[rel.skyline_rows()].all()
 
 
 # -- merge algebra -----------------------------------------------------------

@@ -115,6 +115,21 @@ class TestBoundsAndViews:
         assert sub.row(0).values == small_relation.row(3).values
         assert list(sub.site_ids) == [3, 1, 7]
 
+    def test_identity_take_shares_skyline_view(self, small_relation):
+        from repro.core import skyline_numpy
+
+        rel = small_relation
+        assert rel.skyline_rows() is None
+        sky = skyline_numpy(rel.normalized_values())
+        rel.store_skyline_rows(sky)
+        assert not sky.flags.writeable
+        n = rel.cardinality
+        assert rel.take(np.arange(n)).skyline_rows() is sky
+        assert rel.restrict((500.0, 500.0), 1.0e9).skyline_rows() is sky
+        # Any other row set is a different relation with its own skyline.
+        assert rel.take(np.arange(n - 1)).skyline_rows() is None
+        assert rel.take(np.arange(n)[::-1]).skyline_rows() is None
+
     def test_normalized_values_all_min_is_identity(self, small_relation):
         assert small_relation.normalized_values() is small_relation.values
 

@@ -185,6 +185,19 @@ class TestUpdateInjector:
             e.signature() + (True,) for e in schedule
         )
 
+    def test_update_drops_the_cached_skyline(self, dataset):
+        from repro.core import SkylineQuery, skyline_of_relation
+
+        sim, world, devices = build_world(dataset, self.POSITIONS)
+        dev = devices[1]
+        everything = SkylineQuery(origin=0, cnt=0, pos=(0.0, 0.0), d=1.0e9)
+        dev.compute_local(everything, None)
+        assert dev.relation.skyline_rows() is not None
+        dev.apply_update(perturb_relation(dev.relation, 0.5, seed=3))
+        assert dev.relation.skyline_rows() is None
+        res = dev.compute_local(everything, None)
+        assert res.skyline.rows() == skyline_of_relation(dev.relation).rows()
+
     def test_crashed_device_still_updated(self, dataset):
         # Data lives on storage, not volatile protocol state: fail-stop
         # crashes must not shield a device from data updates.
