@@ -8,9 +8,9 @@ its in-flight query state), recoveries call ``World.restore_node``
 push/pop a loss-rate override.
 
 Every *applied* transition is appended to :attr:`FaultInjector.applied`
-— the deterministic fault trace the acceptance tests compare bit for bit
-— and, when a :class:`~repro.net.trace.Tracer` is given, mirrored into
-the shared trace stream as ``fault-*`` application events.
+— the deterministic fault trace the acceptance tests compare bit for bit.
+The world itself reports every effective transition to its observer
+(``Observer.faults``).
 
 Cache coherence: each connectivity-affecting application (crash,
 recovery, blackout toggle) bumps ``World.connectivity_epoch``, which
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..net.trace import Tracer
 from ..net.world import World
 from .schedule import FaultEvent, FaultSchedule
 
@@ -36,15 +35,10 @@ class FaultInjector:
 
     Args:
         schedule: What to inject and when.
-        tracer: Optional tracer (already installed on the target world)
-            that receives ``fault-*`` events alongside the frame stream.
     """
 
-    def __init__(
-        self, schedule: FaultSchedule, tracer: Optional[Tracer] = None
-    ) -> None:
+    def __init__(self, schedule: FaultSchedule) -> None:
         self.schedule = schedule
-        self.tracer = tracer
         self.applied: List[Tuple] = []
         self._world: Optional[World] = None
         self._burst_stack: List[float] = []
@@ -116,17 +110,6 @@ class FaultInjector:
                 self._jitter_stack[-1] if self._jitter_stack else None
             )
         self.applied.append(event.signature() + (effective,))
-        if self.tracer is not None:
-            self.tracer.emit(
-                f"fault-{event.kind}",
-                node=event.node,
-                link=event.link,
-                loss_rate=event.loss_rate,
-                axis=event.axis,
-                coord=event.coord,
-                jitter=event.jitter,
-                effective=effective,
-            )
 
     # -- inspection ---------------------------------------------------------
 

@@ -19,7 +19,6 @@ from .mobility import (
 )
 from .node import Node
 from .spatial_index import NeighborIndex
-from .trace import TraceEvent, Tracer
 from .world import NetworkNode, RadioConfig, TrafficStats, World
 
 __all__ = [
@@ -44,8 +43,6 @@ __all__ = [
     "Route",
     "Simulator",
     "StaticPlacement",
-    "TraceEvent",
-    "Tracer",
     "TrafficStats",
     "World",
     "tuple_bytes",

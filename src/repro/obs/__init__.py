@@ -73,7 +73,6 @@ from .registry import (
     MetricsRegistry,
     NullRegistry,
 )
-from .ring import RING_ENV, parse_ring_capacity, resolve_ring_capacity
 from .stream import (
     HEALTH_SCHEMA,
     Anomaly,
@@ -105,7 +104,6 @@ __all__ = [
     "PHASE_SCHEMA",
     "PhaseProfiler",
     "QueryTrace",
-    "RING_ENV",
     "SpanNode",
     "SpanRecord",
     "StreamAnalyzer",
@@ -116,11 +114,9 @@ __all__ = [
     "export_chrome_trace",
     "export_jsonl",
     "load_blackbox",
-    "parse_ring_capacity",
     "query_key_of",
     "query_summary",
     "render_dump",
-    "resolve_ring_capacity",
     "telemetry_root",
     "trace_of",
     "validate_blackbox",

@@ -24,8 +24,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Deque, List, Optional, Tuple
 
-from .ring import resolve_ring_capacity
-
 __all__ = [
     "BLACKBOX_SCHEMA",
     "DEFAULT_FLIGHT_CAPACITY",
@@ -41,9 +39,8 @@ QueryKey = Tuple[int, int]
 
 BLACKBOX_SCHEMA = "obs_blackbox/v1"
 
-#: Ring depth per node when neither config nor ``REPRO_OBS_RING`` says
-#: otherwise — deep enough to cover a query lifetime at smoke scale,
-#: shallow enough to bound memory at 10k nodes.
+#: Default ring depth per node — deep enough to cover a query lifetime
+#: at smoke scale, shallow enough to bound memory at 10k nodes.
 DEFAULT_FLIGHT_CAPACITY = 256
 
 
@@ -124,13 +121,7 @@ class FlightDump:
 class FlightRecorder:
     """Bounded per-node rings plus the dumps triggered so far."""
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is None:
-            capacity = resolve_ring_capacity(default=DEFAULT_FLIGHT_CAPACITY)
-            if capacity is None:
-                # REPRO_OBS_RING=unbounded is a tracer setting; a flight
-                # recorder always needs a bound, so it keeps its default.
-                capacity = DEFAULT_FLIGHT_CAPACITY
+    def __init__(self, capacity: int = DEFAULT_FLIGHT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("flight recorder capacity must be >= 1")
         self.capacity = capacity

@@ -41,7 +41,6 @@ from ..net.engine import EventHandle
 from ..net.messages import Frame, FrameKind
 from ..net.node import Node
 from ..net.world import World
-from ..obs.ring import resolve_ring_capacity
 from ..resilience import (
     CompletionReport,
     ResiliencePolicy,
@@ -125,12 +124,6 @@ class ProtocolConfig:
             the SFS scan. Results, counters, and stats stay
             bit-identical (hits replay the ``AccessStats`` delta).
         local_cache_size: LRU entry bound for that cache.
-        obs_ring: Capacity of the per-node observability rings (the
-            net-layer Tracer's event ring and the flight recorder's
-            per-node rings). ``None`` (default) resolves via
-            :func:`~repro.obs.ring.resolve_ring_capacity`
-            (``REPRO_OBS_RING``, then each ring's own default).
-            Validated at construction: an explicit value must be >= 1.
     """
 
     use_filter: bool = True
@@ -152,7 +145,6 @@ class ProtocolConfig:
     backtrack_retry_delay: float = _BACKTRACK_RETRY_DELAY
     local_cache: bool = True
     local_cache_size: int = 64
-    obs_ring: Optional[int] = None
     resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
 
     def __post_init__(self) -> None:
@@ -160,8 +152,6 @@ class ProtocolConfig:
             raise ValueError(f"unknown processor {self.processor!r}")
         if self.local_cache_size < 1:
             raise ValueError("local_cache_size must be >= 1")
-        if self.obs_ring is not None and self.obs_ring < 1:
-            raise ValueError("obs_ring must be >= 1")
         if self.query_timeout <= 0:
             raise ValueError("query_timeout must be > 0")
         if not 0 < self.completion_quorum <= 1:
@@ -189,14 +179,6 @@ class ProtocolConfig:
         else ``query_timeout``."""
         deadline = self.resilience.deadline
         return self.query_timeout if deadline is None else deadline
-
-    @property
-    def effective_obs_ring(self) -> Optional[int]:
-        """The resolved observability ring capacity (explicit field →
-        ``REPRO_OBS_RING`` → None, i.e. each ring's own default)."""
-        if self.obs_ring is not None:
-            return self.obs_ring
-        return resolve_ring_capacity(default=None)
 
 
 @dataclass

@@ -22,6 +22,8 @@ from repro.resilience.invariants import (
     live_foreign_events,
 )
 
+from .staging import first_time, observe
+
 
 class TestChaosSweep:
     """Acceptance criterion: the invariant suite holds on >= 50
@@ -147,7 +149,6 @@ class TestRecoverMidQueryClassification:
 
     def build(self, dataset, config):
         from repro.net import AodvConfig, RadioConfig, StaticPlacement, World
-        from repro.net.trace import Tracer
         from repro.protocol import BFDevice
 
         sim = Simulator()
@@ -155,7 +156,7 @@ class TestRecoverMidQueryClassification:
             sim, StaticPlacement(self.POSITIONS),
             RadioConfig(radio_range=250.0),
         )
-        tracer = Tracer().install(world)
+        observer = observe(world)
         devices = [
             BFDevice(
                 world, i, dataset.local(i),
@@ -163,7 +164,7 @@ class TestRecoverMidQueryClassification:
             )
             for i in range(dataset.devices)
         ]
-        return sim, world, devices, tracer
+        return sim, world, devices, observer
 
     def test_recovered_device_stays_lost_to_fault(self):
         from repro.data import make_global_dataset
@@ -179,15 +180,11 @@ class TestRecoverMidQueryClassification:
         )
         # Stage on a clean run: when does device 3 hear the query, and
         # when does it send its result home?
-        sim, world, devices, tracer = self.build(dataset, config)
+        sim, world, devices, observer = self.build(dataset, config)
         devices[0].issue_query(d=1.0e6)
         sim.run(until=100.0)
-        t_in = tracer.filter(
-            kind="frame-delivered", node=3, frame_kind="query"
-        )[0].time
-        t_out = tracer.filter(
-            kind="frame-sent", node=3, frame_kind="data"
-        )[0].time
+        t_in = first_time(observer, 3, "rx.query")
+        t_out = first_time(observer, 3, "tx.data")
         assert t_in < t_out
 
         # Re-run with a crash in that window and a recovery well before

@@ -19,7 +19,7 @@ from repro.net import (
     StaticPlacement,
     World,
 )
-from repro.net.trace import Tracer
+from repro.obs import Observer
 
 from .oracles.world import UncachedWorld
 
@@ -284,8 +284,8 @@ class TestFaultInjector:
             .link_blackout(4.0, 0, 1, duration=1.0)
             .loss_burst(6.0, rate=0.7, duration=1.0)
         )
-        tracer = Tracer().install(world)
-        injector = FaultInjector(schedule, tracer=tracer).install(world)
+        observer = Observer().bind(world)
+        injector = FaultInjector(schedule).install(world)
         seen = []
         sim.schedule_at(1.5, lambda: seen.append(world.node_is_up(1)))
         sim.schedule_at(3.5, lambda: seen.append(world.node_is_up(1)))
@@ -297,8 +297,14 @@ class TestFaultInjector:
         assert seen == [False, True, True, False, 0.7, 0.0]
         assert len(injector.applied) == len(schedule)
         assert all(applied[-1] for applied in injector.applied)
-        fault_kinds = [e.kind for e in tracer.events if e.kind.startswith("fault-")]
-        assert len(fault_kinds) == len(schedule)
+        assert [(f.name, f.time) for f in observer.faults] == [
+            ("fault.node-crash", 1.0),
+            ("fault.node-recover", 3.0),
+            ("fault.link-down", 4.0),
+            ("fault.link-up", 5.0),
+            ("fault.loss-override", 6.0),
+            ("fault.loss-override", 7.0),
+        ]
 
     def test_redundant_transitions_marked_ineffective(self):
         sim, world, _ = make_world([(0, 0), (100, 0)])

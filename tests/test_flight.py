@@ -8,7 +8,14 @@ import pytest
 
 from repro.data import QueryRequest, make_global_dataset
 from repro.faults import FaultSchedule
-from repro.net import StaticPlacement
+from repro.net import (
+    Frame,
+    FrameKind,
+    RadioConfig,
+    Simulator,
+    StaticPlacement,
+    World,
+)
 from repro.obs import (
     BLACKBOX_SCHEMA,
     FlightRecorder,
@@ -18,7 +25,6 @@ from repro.obs import (
     validate_blackbox,
 )
 from repro.obs.flight import DEFAULT_FLIGHT_CAPACITY
-from repro.obs.ring import RING_ENV
 from repro.protocol import ProtocolConfig, SimulationConfig, run_manet_simulation
 
 
@@ -76,16 +82,87 @@ class TestRing:
     def test_default_capacity(self):
         assert FlightRecorder().capacity == DEFAULT_FLIGHT_CAPACITY
 
-    def test_env_capacity(self, monkeypatch):
-        monkeypatch.setenv(RING_ENV, "7")
-        assert FlightRecorder().capacity == 7
-        monkeypatch.setenv(RING_ENV, "unbounded")
-        # "unbounded" is a tracer setting; the flight recorder always
-        # needs a bound and keeps its default instead.
-        assert FlightRecorder().capacity == DEFAULT_FLIGHT_CAPACITY
-        monkeypatch.setenv(RING_ENV, "bogus")
-        with pytest.raises(ValueError):
-            FlightRecorder()
+
+
+# ---------------------------------------------------------------------------
+# Frame events: what the World reports onto the rings
+# ---------------------------------------------------------------------------
+
+
+class Sink:
+    def __init__(self, world, node_id):
+        self.node_id = node_id
+        world.attach(self)
+
+    def on_frame(self, frame, sender):
+        pass
+
+
+def line_world(observed):
+    """Line 0-1-2: adjacent pairs in range, 0 and 2 out of range."""
+    sim = Simulator()
+    world = World(sim, StaticPlacement([(0, 0), (200, 0), (400, 0)]),
+                  RadioConfig(radio_range=250.0))
+    for i in range(3):
+        Sink(world, i)
+    observer = None
+    if observed:
+        observer = Observer().attach_flight(FlightRecorder()).bind(world)
+    return sim, world, observer
+
+
+def frame_script(sim, world):
+    world.send(Frame(kind=FrameKind.RESULT, src=0, dst=1, size_bytes=42))
+    sim.run()
+    world.broadcast(Frame(kind=FrameKind.QUERY, src=1, dst=None))
+    sim.run()
+    world.set_link_blackout(0, 1, True)
+    world.send(Frame(kind=FrameKind.TOKEN, src=0, dst=1))
+    sim.run()
+
+
+class TestFrameEvents:
+    @pytest.fixture(scope="class")
+    def observed(self):
+        sim, world, observer = line_world(observed=True)
+        frame_script(sim, world)
+        return world, observer.flight
+
+    @staticmethod
+    def kinds(recorder, node, kind):
+        return [e for e in recorder.snapshot(node) if e.kind == kind]
+
+    def test_unicast_tx_on_sender_rx_on_receiver(self, observed):
+        _, recorder = observed
+        [tx] = self.kinds(recorder, 0, "tx.result")
+        [rx] = self.kinds(recorder, 1, "rx.result")
+        assert tx.info == {"dst": 1, "bytes": 42}
+        assert rx.info == {"src": 0}
+        assert rx.time > tx.time
+        assert not self.kinds(recorder, 2, "rx.result")
+
+    def test_broadcast_rx_on_exactly_the_in_range_receivers(self, observed):
+        _, recorder = observed
+        assert len(self.kinds(recorder, 1, "tx.query")) == 1
+        heard = [n for n in recorder.nodes()
+                 if self.kinds(recorder, n, "rx.query")]
+        assert heard == [0, 2]
+
+    def test_blacked_out_link_records_drop_with_reason(self, observed):
+        _, recorder = observed
+        assert len(self.kinds(recorder, 0, "tx.token")) == 1
+        [drop] = self.kinds(recorder, 0, "drop.token")
+        assert drop.info == {"reason": "no-link", "dst": 1}
+        assert not self.kinds(recorder, 1, "rx.token")
+        assert recorder.evicted == 0
+
+    def test_observed_stats_equal_unobserved(self, observed):
+        world, _ = observed
+        sim, plain, _ = line_world(observed=False)
+        frame_script(sim, plain)
+        assert world.stats == plain.stats
+        assert (world.stats.transmissions, world.stats.deliveries,
+                world.stats.drops) == (3, 3, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -216,8 +216,6 @@ class TestConfigValidation:
     def test_protocol_config_rejects_bad_values(self):
         with pytest.raises(ValueError):
             ProtocolConfig(local_cache_size=0)
-        with pytest.raises(ValueError):
-            ProtocolConfig(obs_ring=0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import repro
 
 #: The only environment variables the package reads. A new knob must
 #: earn its place here; a second code path behind a selector does not.
-ENV_KNOBS = {"REPRO_CACHE_DIR", "REPRO_OBS", "REPRO_OBS_RING", "REPRO_WORKERS"}
+ENV_KNOBS = {"REPRO_CACHE_DIR", "REPRO_OBS", "REPRO_WORKERS"}
 
 
 class TestTopLevelExports:
@@ -72,8 +72,8 @@ class TestPublicModuleDocstrings:
         "repro.storage.flat", "repro.storage.ring",
         "repro.storage.domain_store", "repro.net.engine",
         "repro.net.mobility", "repro.net.world", "repro.net.aodv",
-        "repro.net.trace", "repro.protocol.device",
-        "repro.protocol.static_grid", "repro.protocol.redistribution",
+        "repro.protocol.device", "repro.protocol.static_grid",
+        "repro.protocol.redistribution",
         "repro.devices.cost_model", "repro.devices.energy",
         "repro.metrics.drr", "repro.experiments.sensitivity",
     ])

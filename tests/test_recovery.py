@@ -1,10 +1,11 @@
 """Protocol-level recovery: BF result ACKs and the DF token watchdog.
 
 These tests stage deterministic mid-query crashes by first running the
-scenario cleanly under a tracer, reading off exactly when the frame of
-interest flies, and then re-running the identical simulation with a
-crash window placed around that moment. Simulations are deterministic
-given a seed, so the faulted run replays the clean prefix bit for bit.
+scenario cleanly under an observer, reading off exactly when the frame
+of interest flies on the flight ring (``tests/staging.py``), and then
+re-running the identical simulation with a crash window placed around
+that moment. Simulations are deterministic given a seed, so the faulted
+run replays the clean prefix bit for bit.
 """
 
 import pytest
@@ -21,10 +22,11 @@ from repro.net import (
     StaticPlacement,
     World,
 )
-from repro.net.trace import Tracer
 from repro.protocol import BFDevice, DFDevice, ProtocolConfig
 from repro.protocol.messages import QueryMessage
 from repro.storage import union_all
+
+from .staging import first_time, observe
 
 
 @pytest.fixture(scope="module")
@@ -38,18 +40,12 @@ def build(dataset, cls, positions, config, aodv=AodvConfig()):
     world = World(
         sim, StaticPlacement(positions), RadioConfig(radio_range=250.0)
     )
-    tracer = Tracer().install(world)
+    observer = observe(world)
     devices = [
         cls(world, i, dataset.local(i), config=config, aodv_config=aodv)
         for i in range(dataset.devices)
     ]
-    return sim, world, devices, tracer
-
-
-def first_time(tracer, kind, node, frame_kind):
-    events = tracer.filter(kind=kind, node=node, frame_kind=frame_kind)
-    assert events, f"no {kind} {frame_kind} events for node {node}"
-    return events[0].time
+    return sim, world, devices, observer
 
 
 def centralized(dataset, members, pos, d):
@@ -73,7 +69,7 @@ class TestBFResultAck:
         )
 
     def run(self, dataset, result_ack, crash_at=None):
-        sim, world, devices, tracer = build(
+        sim, world, devices, observer = build(
             dataset, BFDevice, self.POSITIONS,
             self.config(result_ack), aodv=self.AODV,
         )
@@ -84,7 +80,7 @@ class TestBFResultAck:
             sim.schedule_at(crash_at + 1.0, world.restore_node, 1)
         record = devices[0].issue_query(d=1.0e6)
         sim.run(until=120.0)
-        return record, world, devices, tracer
+        return record, world, devices, observer
 
     def test_ack_clears_pending_on_clean_run(self, dataset):
         record, world, devices, _ = self.run(dataset, result_ack=True)
@@ -94,9 +90,9 @@ class TestBFResultAck:
         assert world.stats.by_kind.get("ack", 0) == 0  # ACKs ride DATA frames
 
     def test_retransmission_recovers_result_lost_to_crash(self, dataset):
-        _, _, _, tracer = self.run(dataset, result_ack=True)
+        _, _, _, observer = self.run(dataset, result_ack=True)
         # when device 2 first transmits its (routed) result
-        t_result = first_time(tracer, "frame-sent", 2, "data")
+        t_result = first_time(observer, 2, "tx.data")
 
         record, _, devices, _ = self.run(
             dataset, result_ack=True, crash_at=t_result - 1e-4
@@ -109,8 +105,8 @@ class TestBFResultAck:
         assert devices[2]._pending_results == {}
 
     def test_without_ack_the_result_is_lost(self, dataset):
-        _, _, _, tracer = self.run(dataset, result_ack=True)
-        t_result = first_time(tracer, "frame-sent", 2, "data")
+        _, _, _, observer = self.run(dataset, result_ack=True)
+        t_result = first_time(observer, 2, "tx.data")
 
         record, _, _, _ = self.run(
             dataset, result_ack=False, crash_at=t_result - 1e-4
@@ -155,7 +151,7 @@ class TestDFTokenWatchdog:
         )
 
     def run(self, dataset, config, crash_at=None, downtime=None):
-        sim, world, devices, tracer = build(
+        sim, world, devices, observer = build(
             dataset, DFDevice, self.POSITIONS, config
         )
         if crash_at is not None:
@@ -164,14 +160,14 @@ class TestDFTokenWatchdog:
                 sim.schedule_at(crash_at + downtime, world.restore_node, 1)
         record = devices[0].issue_query(d=1.0e6)
         sim.run(until=500.0)
-        return record, world, devices, tracer
+        return record, world, devices, observer
 
     def measure(self, dataset):
         """Clean-run times: token leaves 0, arrives at 1, leaves 1."""
-        _, _, _, tracer = self.run(dataset, self.config(token_watchdog=60.0))
-        t_out = first_time(tracer, "frame-sent", 0, "token")
-        t_in = first_time(tracer, "frame-delivered", 1, "token")
-        t_back = first_time(tracer, "frame-sent", 1, "data")
+        _, _, _, observer = self.run(dataset, self.config(token_watchdog=60.0))
+        t_out = first_time(observer, 0, "tx.token")
+        t_in = first_time(observer, 1, "rx.token")
+        t_back = first_time(observer, 1, "tx.data")
         assert t_out <= t_in < t_back
         return t_out, t_in, t_back
 

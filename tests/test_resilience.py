@@ -2,8 +2,9 @@
 DF→BF failover, and orphan suppression.
 
 Fault staging follows ``test_recovery.py``: run the scenario cleanly
-under a tracer, read off when the frame of interest flies, then re-run
-the identical simulation with a crash placed around that moment.
+under an observer, read off when the frame of interest flies on the
+flight ring (``tests/staging.py``), then re-run the identical
+simulation with a crash placed around that moment.
 """
 
 import pytest
@@ -18,8 +19,6 @@ from repro.net import (
     StaticPlacement,
     World,
 )
-from repro.net.trace import Tracer
-from repro.obs.observer import Observer
 from repro.protocol import BFDevice, DFDevice, ProtocolConfig
 from repro.protocol.device import QueryRecord, _PendingResult
 from repro.protocol.messages import ResultMessage
@@ -30,6 +29,8 @@ from repro.resilience import (
 )
 from repro.storage import union_all
 
+from .staging import event_times, first_time, observe
+
 
 @pytest.fixture(scope="module")
 def dataset():
@@ -38,24 +39,17 @@ def dataset():
     )
 
 
-def build(dataset, cls, positions, config, aodv=AodvConfig(), observe=False):
+def build(dataset, cls, positions, config, aodv=AodvConfig()):
     sim = Simulator()
     world = World(
         sim, StaticPlacement(positions), RadioConfig(radio_range=250.0)
     )
-    tracer = Tracer().install(world)
-    observer = Observer().bind(world) if observe else None
+    observer = observe(world)
     devices = [
         cls(world, i, dataset.local(i), config=config, aodv_config=aodv)
         for i in range(dataset.devices)
     ]
-    return sim, world, devices, tracer, observer
-
-
-def first_time(tracer, kind, node, frame_kind):
-    events = tracer.filter(kind=kind, node=node, frame_kind=frame_kind)
-    assert events, f"no {kind} {frame_kind} events for node {node}"
-    return events[0].time
+    return sim, world, devices, observer
 
 
 def centralized(dataset, members, pos, d):
@@ -118,7 +112,7 @@ class TestPromotedConfigFields:
 
     def test_result_retry_backoff_actually_caps(self, dataset):
         config = ProtocolConfig(ack_timeout=2.0, ack_backoff_cap=7.0)
-        sim, world, devices, _, _ = build(
+        sim, world, devices, _ = build(
             dataset, BFDevice, [(0, 0), (200, 0), (9000, 0), (9300, 0)],
             config,
         )
@@ -213,7 +207,7 @@ class TestTimerHygiene:
             token_watchdog=60.0,
             resilience=ResiliencePolicy(deadline=300.0),
         )
-        sim, world, devices, _, _ = build(
+        sim, world, devices, _ = build(
             dataset, DFDevice,
             [(0, 0), (200, 0), (9000, 9000), (9200, 9000)], config,
         )
@@ -231,7 +225,7 @@ class TestTimerHygiene:
         config = ProtocolConfig(
             query_timeout=60.0, ack_timeout=2.0, result_retries=2,
         )
-        sim, world, devices, _, _ = build(
+        sim, world, devices, _ = build(
             dataset, BFDevice,
             [(0, 0), (200, 0), (400, 0), (9000, 9000)], config,
             aodv=AodvConfig(rreq_retries=0, rreq_timeout=0.4),
@@ -251,7 +245,7 @@ class TestTimerHygiene:
             query_timeout=400.0, ack_timeout=2.0, result_retries=2,
             resilience=ResiliencePolicy(deadline=30.0),
         )
-        sim, world, devices, _, _ = build(
+        sim, world, devices, _ = build(
             dataset, BFDevice,
             [(0, 0), (9000, 0), (9200, 0), (9400, 0)], config,
             aodv=AodvConfig(rreq_retries=0, rreq_timeout=0.4),
@@ -269,10 +263,9 @@ class TestDeadlineClose:
             query_timeout=600.0,
             resilience=ResiliencePolicy(deadline=25.0),
         )
-        sim, world, devices, _, observer = build(
+        sim, world, devices, observer = build(
             dataset, BFDevice,
             [(0, 0), (200, 0), (9000, 9000), (9200, 9000)], config,
-            observe=True,
         )
         record = devices[0].issue_query(d=1.0e6)
         sim.run(until=100.0)
@@ -310,8 +303,8 @@ class TestDFFailover:
         )
 
     def run(self, dataset, config, crash_at=None, downtime=None):
-        sim, world, devices, tracer, observer = build(
-            dataset, DFDevice, self.POSITIONS, config, observe=True,
+        sim, world, devices, observer = build(
+            dataset, DFDevice, self.POSITIONS, config,
         )
         if crash_at is not None:
             sim.schedule_at(crash_at, world.fail_node, 1)
@@ -319,14 +312,14 @@ class TestDFFailover:
                 sim.schedule_at(crash_at + downtime, world.restore_node, 1)
         record = devices[0].issue_query(d=1.0e6)
         sim.run(until=300.0)
-        return record, world, devices, tracer, observer
+        return record, world, devices, observer
 
     def measure(self, dataset):
         """Clean-run times: token leaves 0, arrives at 1, leaves 1."""
-        _, _, _, tracer, _ = self.run(dataset, self.config(failover=True))
-        t_out = first_time(tracer, "frame-sent", 0, "token")
-        t_in = first_time(tracer, "frame-delivered", 1, "token")
-        t_fwd = first_time(tracer, "frame-sent", 1, "token")
+        _, _, _, observer = self.run(dataset, self.config(failover=True))
+        t_out = first_time(observer, 0, "tx.token")
+        t_in = first_time(observer, 1, "rx.token")
+        t_fwd = first_time(observer, 1, "tx.token")
         assert t_out <= t_in < t_fwd
         return t_out, t_in, t_fwd
 
@@ -340,7 +333,7 @@ class TestDFFailover:
         )
 
     def test_failover_recovers_stranded_query(self, dataset):
-        record, _, _, _, observer = self.staged(dataset, failover=True)
+        record, _, _, observer = self.staged(dataset, failover=True)
         assert record.failovers == 1
         assert record.reissues == 0  # budget was zero: strategy changed
         assert record.completion_time is not None
@@ -354,7 +347,7 @@ class TestDFFailover:
         assert observer.metrics.counter("resilience.failovers").value == 1
 
     def test_without_failover_the_query_strands(self, dataset):
-        record, _, _, _, _ = self.staged(dataset, failover=False)
+        record, _, _, _ = self.staged(dataset, failover=False)
         assert record.failovers == 0
         assert record.completion_time is None
         assert record.closed
@@ -372,7 +365,7 @@ class TestDFFailover:
                 deadline=120.0, df_failover=True, max_failovers=0,
             ),
         )
-        record, _, _, _, _ = self.run(
+        record, _, _, _ = self.run(
             dataset, config, crash_at=crash_at,  # stays down
         )
         assert record.failovers == 0
@@ -386,16 +379,16 @@ class TestOrphanSuppression:
             query_timeout=60.0, ack_timeout=2.0, result_retries=3,
             resilience=ResiliencePolicy(orphan_suppression=True),
         )
-        sim, world, devices, tracer, _ = build(
+        sim, world, devices, observer = build(
             dataset, BFDevice, positions, config,
         )
         devices[0].issue_query(d=1.0e6)
         sim.run(until=120.0)
-        t_query = first_time(tracer, "frame-sent", 0, "query")
-        t_result = first_time(tracer, "frame-sent", 1, "data")
+        t_query = first_time(observer, 0, "tx.query")
+        t_result = first_time(observer, 1, "tx.data")
 
-        sim, world, devices, _, observer = build(
-            dataset, BFDevice, positions, config, observe=True,
+        sim, world, devices, observer = build(
+            dataset, BFDevice, positions, config,
         )
         crash_at = (t_query + t_result) / 2.0
         sim.schedule_at(crash_at, world.fail_node, 0)
@@ -417,23 +410,23 @@ class TestOrphanSuppression:
             token_watchdog=0.0, query_timeout=60.0,
             resilience=ResiliencePolicy(orphan_suppression=True),
         )
-        sim, world, devices, tracer, _ = build(
+        sim, world, devices, observer = build(
             dataset, DFDevice, positions, config,
         )
         devices[0].issue_query(d=1.0e6)
         sim.run(until=120.0)
-        t_fwd = first_time(tracer, "frame-sent", 1, "token")
-        t_in = first_time(tracer, "frame-delivered", 2, "token")
+        t_fwd = first_time(observer, 1, "tx.token")
+        t_in = first_time(observer, 2, "rx.token")
         assert t_fwd < t_in
 
-        sim, world, devices, tracer, observer = build(
-            dataset, DFDevice, positions, config, observe=True,
+        sim, world, devices, observer = build(
+            dataset, DFDevice, positions, config,
         )
         sim.schedule_at((t_fwd + t_in) / 2.0, world.fail_node, 0)
         devices[0].issue_query(d=1.0e6)
         sim.run(until=120.0)
         # the token died with its walk: device 2 never passed it on
-        assert not tracer.filter(kind="frame-sent", node=2, frame_kind="token")
+        assert not event_times(observer, 2, "tx.token")
         assert (
             observer.metrics.counter("resilience.orphans_reaped").value >= 1
         )
@@ -443,15 +436,15 @@ class TestOrphanSuppression:
         config = ProtocolConfig(
             query_timeout=60.0, ack_timeout=2.0, result_retries=2,
         )
-        sim, world, devices, tracer, _ = build(
+        sim, world, devices, observer = build(
             dataset, BFDevice, positions, config,
         )
         devices[0].issue_query(d=1.0e6)
         sim.run(until=120.0)
-        t_query = first_time(tracer, "frame-sent", 0, "query")
-        t_result = first_time(tracer, "frame-sent", 1, "data")
+        t_query = first_time(observer, 0, "tx.query")
+        t_result = first_time(observer, 1, "tx.data")
 
-        sim, world, devices, _, _ = build(
+        sim, world, devices, _ = build(
             dataset, BFDevice, positions, config,
         )
         sim.schedule_at((t_query + t_result) / 2.0, world.fail_node, 0)
@@ -520,7 +513,7 @@ class TestDeadlineTimerRearm:
             query_timeout=400.0, ack_timeout=2.0, result_retries=2,
             resilience=ResiliencePolicy(deadline=120.0),
         )
-        sim, world, devices, _, _ = build(
+        sim, world, devices, _ = build(
             dataset, BFDevice, self.POSITIONS, config,
         )
         record = devices[0].issue_query(d=1.0e6)
