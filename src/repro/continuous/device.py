@@ -385,6 +385,12 @@ class ContinuousDevice(BFDevice):
         self.router.learn_route(
             origin, sender, message.hops, message.flood.origin_seq
         )
+        # DELTAs and relayed DELTAs ride this route until the last
+        # epoch closes, so it must not time out between refresh ticks.
+        spec = message.spec
+        self.router.hold_route(
+            origin, spec.tick_time(message.epochs_total) + spec.epoch_budget
+        )
         if not self.query_log.check_and_record(message.flood):
             # Same flood via another path, or a fault-injected duplicate
             # delivery: either way it was fully handled the first time.
@@ -471,7 +477,10 @@ class ContinuousDevice(BFDevice):
         if reason is None:
             local = self.compute_local(spec.query, None)
             rows = relation_rows(local.skyline)
-            if state.region.unchanged(rows):
+            if state.region.last_report_rows is None:
+                state.region.note_report(self.data_epoch, rows)
+                self._ship_delta(spec, epoch, local.skyline, full=True)
+            elif state.region.unchanged(rows):
                 state.region.note_report(self.data_epoch, rows)
                 reason = "no-change"
             else:
@@ -598,6 +607,12 @@ class ContinuousDevice(BFDevice):
             return
         if pending.attempts >= self.config.result_retries:
             del self._pending_deltas[tag]
+            # The originator may hold a stale slice of ours, and an
+            # incremental DELTA against it would keep it stale: resync
+            # with a full report at the next tick.
+            state = self._subscriber.get(tag[0])
+            if state is not None:
+                state.region.forget()
             return
         pending.attempts += 1
         if self.world.obs.enabled:

@@ -71,12 +71,13 @@ class SafeRegion:
         last_data_epoch: Device ``data_epoch`` at the last report
             (clause 2 compares against the live counter).
         last_report_rows: Row identities of the last reported local
-            skyline (clause 3 compares a recomputation against it).
+            skyline (clause 3 compares a recomputation against it), or
+            None after :meth:`forget`.
     """
 
     spatially_exempt: bool
     last_data_epoch: int
-    last_report_rows: FrozenSet[Tuple]
+    last_report_rows: Optional[FrozenSet[Tuple]]
 
     @classmethod
     def establish(
@@ -103,8 +104,11 @@ class SafeRegion:
 
         Returns ``"spatial"`` or ``"epoch"`` when silence is already
         proven, else None — the caller must then recompute and may still
-        stay silent via :meth:`unchanged` (clause 3).
+        stay silent via :meth:`unchanged` (clause 3). After
+        :meth:`forget` nothing is proven.
         """
+        if self.last_report_rows is None:
+            return None
         if self.spatially_exempt:
             return "spatial"
         if data_epoch == self.last_data_epoch:
@@ -120,3 +124,9 @@ class SafeRegion:
         proved the recomputation redundant)."""
         self.last_data_epoch = data_epoch
         self.last_report_rows = rows
+
+    def forget(self) -> None:
+        """The last report was given up unacknowledged, so the
+        originator's copy of this slice is unknown: no clause holds, and
+        the next report must be a full one."""
+        self.last_report_rows = None

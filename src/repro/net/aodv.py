@@ -10,7 +10,11 @@ Implements the core of Ad hoc On-demand Distance Vector routing:
 * **Data forwarding** — hop-by-hop via the routing table; using a route
   refreshes its lifetime, and every hop learns the route back to the
   frame's source (RFC 3561 §6.2).
-* **Route maintenance** — a failed hop invalidates the route; the
+* **Route maintenance** — a route lives ``active_route_timeout``
+  seconds past its last use, or longer while an upper-layer session
+  holds it (:meth:`AodvRouter.hold_route`: a continuous subscription
+  holds every node's route to its originator until its last epoch
+  closes). A failed hop invalidates the route, held or not; the
   detecting node attempts a local repair (its own discovery for the
   destination) and, failing that, sends an RERR toward the source, which
   may retry end to end.
@@ -65,7 +69,8 @@ class AodvConfig:
     """AODV tunables.
 
     Attributes:
-        active_route_timeout: Route lifetime in seconds; refreshed on use.
+        active_route_timeout: Route lifetime in seconds; refreshed on
+            use, and never shorter than a hold (``hold_route``).
         rreq_retries: Discovery attempts before declaring a destination
             unreachable.
         rreq_timeout: Seconds to wait for an RREP per attempt.
@@ -123,9 +128,15 @@ class DataPacket:
 
 @dataclass
 class _Pending:
-    """Packets awaiting a route to one destination."""
+    """Packets awaiting a route to one destination.
+
+    ``cause`` and ``kind`` label the discovery for telemetry: why the
+    packet that started it found no valid route, and its kind.
+    """
 
     packets: List[Tuple[DataPacket, Optional[Callable[[DataPacket], None]]]]
+    cause: str
+    kind: str
     attempts: int = 0
     timer: Optional[EventHandle] = None
 
@@ -166,6 +177,8 @@ class AodvRouter:
         #: ``(origin, rreq_id)`` tuples.
         self._seen_rreq: Dict[int, bytearray] = {}
         self._pending: Dict[int, _Pending] = {}
+        #: Expiry floor per destination (:meth:`hold_route`).
+        self._holds: Dict[int, float] = {}
 
     @property
     def sim(self) -> Simulator:
@@ -217,12 +230,41 @@ class AodvRouter:
                 and current.valid_at(now)
             ):
                 if next_hop == current.next_hop:
-                    current.expires = now + self.config.active_route_timeout
+                    current.expires = self._lifetime(dest, now)
                 return
         self.routes[dest] = Route(
             next_hop=next_hop, hops=hops, dest_seq=seq,
-            expires=now + self.config.active_route_timeout,
+            expires=self._lifetime(dest, now),
         )
+
+    def hold_route(self, dest: int, until: float) -> None:
+        """Keep the route to ``dest`` valid until ``until``, for an
+        upper-layer session that still needs it.
+
+        The hold is a floor under the lifetime that :meth:`learn_route`
+        and forwarding give the route, so it never shortens one, and it
+        outlives route changes: a route learned later, at any sequence
+        number, gets it too. It never revives a broken route: a hop
+        failure or an RERR still invalidates the route, and only the
+        next route learned for ``dest`` is held again. Holds only grow
+        and :meth:`reset` drops them.
+        """
+        if dest == self.node_id:
+            return
+        if until > self._holds.get(dest, float("-inf")):
+            self._holds[dest] = until
+        route = self.routes.get(dest)
+        now = self.sim.now
+        if route is not None and route.valid_at(now) and route.expires < until:
+            route.expires = until
+
+    def _lifetime(self, dest: int, now: float) -> float:
+        """Expiry of a route to ``dest`` installed or used at ``now``."""
+        expires = now + self.config.active_route_timeout
+        floor = self._holds.get(dest)
+        if floor is not None and floor > expires:
+            return floor
+        return expires
 
     def learn_neighbor(self, neighbor: int) -> None:
         """Install the 1-hop route to a node just heard transmitting.
@@ -253,15 +295,16 @@ class AodvRouter:
         """Drop all volatile routing state (device crash semantics).
 
         Pending packets are lost, discovery timers cancelled, the
-        routing table and RREQ duplicate cache wiped. Sequence counters
-        survive — monotonic ids across a reboot keep stale RREQs from
-        masking fresh ones.
+        routing table, route holds and RREQ duplicate cache wiped.
+        Sequence counters survive — monotonic ids across a reboot keep
+        stale RREQs from masking fresh ones.
         """
         for pending in self._pending.values():
             if pending.timer is not None:
                 pending.timer.cancel()
         self._pending.clear()
         self.routes.clear()
+        self._holds.clear()
         self._seen_rreq.clear()
 
     def handle_frame(self, frame: Frame, sender: int) -> bool:
@@ -300,7 +343,7 @@ class AodvRouter:
         route: Route,
         on_undeliverable: Optional[Callable[[DataPacket], None]],
     ) -> None:
-        route.expires = self.sim.now + self.config.active_route_timeout
+        route.expires = self._lifetime(packet.dest, self.sim.now)
         frame = Frame(
             kind=FrameKind.DATA,
             src=self.node_id,
@@ -373,7 +416,13 @@ class AodvRouter:
     ) -> None:
         pending = self._pending.get(packet.dest)
         if pending is None:
-            pending = _Pending(packets=[])
+            if packet.repairs > 0:
+                cause = "repair"
+            elif packet.dest in self.routes:
+                cause = "expired"
+            else:
+                cause = "no-route"
+            pending = _Pending(packets=[], cause=cause, kind=packet.kind)
             self._pending[packet.dest] = pending
             self._start_discovery(packet.dest, pending)
         pending.packets.append((packet, on_undeliverable))
@@ -383,7 +432,8 @@ class AodvRouter:
         if self.world.obs.enabled:
             self.world.obs.event(
                 "aodv.discovery", node=self.node_id, dest=dest,
-                attempt=pending.attempts,
+                attempt=pending.attempts, cause=pending.cause,
+                kind=pending.kind,
             )
             self.world.obs.metrics.counter("aodv.discoveries").inc()
         self._rreq_id += 1

@@ -336,3 +336,150 @@ class TestPartition:
         assert nodes[3].delivered and nodes[3].delivered[0][0] == "right"
         assert all(p != "cross" for p, *_ in nodes[3].delivered)
         assert nodes[0].failed
+
+
+class TestRouteHolds:
+    """``hold_route``: a floor under a route's lifetime for as long as an
+    upper-layer session needs the route."""
+
+    def test_held_route_outlives_the_timeout(self):
+        aodv = AodvConfig(active_route_timeout=1.0)
+        sim, world, nodes = line_network(3, aodv=aodv)
+        r = nodes[0].router
+        r.learn_route(2, next_hop=1, hops=2, seq=1)
+        r.hold_route(2, until=50.0)
+        assert r.routes[2].expires == 50.0
+        sim.schedule(49.0, lambda: None)
+        sim.run()
+        assert r.has_route(2)
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        assert not r.has_route(2)
+
+    def test_hold_never_shortens_a_route(self):
+        sim, world, nodes = line_network(3)
+        r = nodes[0].router
+        r.learn_route(2, next_hop=1, hops=2, seq=1)
+        timeout = r.config.active_route_timeout
+        r.hold_route(2, until=5.0)
+        assert r.routes[2].expires == timeout
+        r.hold_route(2, until=90.0)
+        r.hold_route(2, until=70.0)  # a lower floor does not replace it
+        assert r.routes[2].expires == 90.0
+        # Re-learning or using the route keeps the higher of the two.
+        r.learn_route(2, next_hop=1, hops=2, seq=1)
+        assert r.routes[2].expires == 90.0
+        sim.schedule(80.0, lambda: None)
+        sim.run()
+        r.learn_route(2, next_hop=1, hops=2, seq=1)
+        assert r.routes[2].expires == 80.0 + timeout
+
+    def test_hold_applies_to_later_routes(self):
+        """The hold is per destination, not per entry: a route learned
+        later at a higher sequence number is held too."""
+        aodv = AodvConfig(active_route_timeout=1.0)
+        sim, world, nodes = line_network(3, aodv=aodv)
+        r = nodes[0].router
+        r.hold_route(2, until=40.0)
+        assert 2 not in r.routes
+        r.learn_route(2, next_hop=1, hops=2, seq=1)
+        assert r.routes[2].expires == 40.0
+        r.learn_route(2, next_hop=1, hops=2, seq=9)
+        assert (r.routes[2].dest_seq, r.routes[2].expires) == (9, 40.0)
+
+    def test_hold_does_not_revive_a_broken_route(self):
+        sim, world, nodes = line_network(3)
+        r = nodes[0].router
+        r.learn_route(2, next_hop=1, hops=2, seq=5)
+        r.hold_route(2, until=500.0)
+        r.handle_frame(
+            Frame(kind=FrameKind.RERR, src=1, dst=0,
+                  payload={"dest": 2, "source": 0}),
+            sender=1,
+        )
+        assert not r.has_route(2)
+        r.hold_route(2, until=600.0)
+        assert not r.has_route(2)
+        # The next route learned is held again.
+        r.learn_route(2, next_hop=1, hops=2, seq=6)
+        assert r.routes[2].expires == 600.0
+
+    def test_held_route_is_repaired_after_a_hop_failure(self):
+        """A detected hop failure still breaks a held route, and local
+        repair installs the way around it, held again."""
+        sim, world, nodes = TestFailurePaths().diamond()
+        nodes[0].router.send_data(3, FrameKind.RESULT, "one", 10)
+        sim.run(until=5.0)
+        for node in nodes[:3] + nodes[4:]:
+            node.router.hold_route(3, until=1000.0)
+        on_path = nodes[1].router.routes[3].next_hop
+        world.set_link_blackout(1, on_path, True)
+        nodes[0].router.send_data(3, FrameKind.RESULT, "two", 10)
+        sim.run(until=20.0)
+        assert [p for p, *_ in nodes[3].delivered] == ["one", "two"]
+        route = nodes[1].router.routes[3]
+        assert route.next_hop != on_path
+        assert route.expires == 1000.0
+
+    def test_reset_drops_the_holds(self):
+        aodv = AodvConfig(active_route_timeout=1.0)
+        sim, world, nodes = line_network(3, aodv=aodv)
+        r = nodes[0].router
+        r.hold_route(2, until=100.0)
+        r.reset()
+        assert r._holds == {}
+        r.learn_route(2, next_hop=1, hops=2, seq=1)
+        assert r.routes[2].expires == 1.0
+
+    def test_hold_to_self_ignored(self):
+        _, _, nodes = line_network(2)
+        nodes[0].router.hold_route(0, until=100.0)
+        assert nodes[0].router._holds == {}
+
+
+class TestDiscoveryCause:
+    """``aodv.discovery`` says why a packet found no valid route and
+    which packet kind started the discovery."""
+
+    def discoveries(self, observer):
+        return [
+            (e.node, e.attrs["dest"], e.attrs["cause"], e.attrs["kind"],
+             e.attrs["attempt"])
+            for e in observer.events if e.name == "aodv.discovery"
+        ]
+
+    def test_no_route(self):
+        sim, world, nodes = line_network(4)
+        observer = Observer().bind(world)
+        nodes[0].router.send_data(3, FrameKind.RESULT, "x", 10)
+        sim.run(until=5.0)
+        assert self.discoveries(observer) == [
+            (0, 3, "no-route", FrameKind.RESULT, 1)
+        ]
+
+    def test_expired(self):
+        aodv = AodvConfig(active_route_timeout=2.0)
+        sim, world, nodes = line_network(4, aodv=aodv)
+        observer = Observer().bind(world)
+        nodes[0].router.send_data(3, FrameKind.RESULT, "one", 10)
+        sim.run(until=5.0)
+        nodes[0].router.send_data(3, FrameKind.ACK, "two", 10)
+        sim.run(until=10.0)
+        assert [p for p, *_ in nodes[3].delivered] == ["one", "two"]
+        assert self.discoveries(observer)[1:] == [
+            (0, 3, "expired", FrameKind.ACK, 1)
+        ]
+
+    def test_repair_and_its_retries(self):
+        aodv = AodvConfig(rreq_retries=1)
+        sim, world, nodes = line_network(4, aodv=aodv)
+        observer = Observer().bind(world)
+        nodes[0].router.send_data(3, FrameKind.RESULT, "one", 10)
+        sim.run(until=5.0)
+        world.set_link_blackout(1, 2, True)
+        nodes[0].router.send_data(3, FrameKind.DELTA, "two", 10)
+        sim.run(until=20.0)
+        assert self.discoveries(observer)[1:] == [
+            (1, 3, "repair", FrameKind.DELTA, 1),
+            (1, 3, "repair", FrameKind.DELTA, 2),
+        ]

@@ -205,6 +205,18 @@ class TestSafeRegion:
         assert region.last_data_epoch == 4
         assert region.unchanged(fresh)
 
+    def test_forget_proves_nothing_until_the_next_report(self, dataset):
+        empty = dataset.local(0).take(np.empty(0, dtype=np.int64))
+        region = SafeRegion.establish(
+            relation=empty, pos=(0.0, 0.0), d=100.0, slack=0.0,
+            data_epoch=0, reported=empty,
+        )
+        region.forget()
+        assert region.silence_reason(data_epoch=0) is None
+        assert not region.unchanged(frozenset())
+        region.note_report(0, frozenset())
+        assert region.silence_reason(data_epoch=0) == "spatial"
+
 
 class TestSafeRegionSoundness:
     """Seeded randomized property: a device whose safe region proves
@@ -394,6 +406,132 @@ class TestRetriedDelta:
         assert epoch1.report.outcome == "completed"
         assert epoch1.divergence == 0.0
         assert result.network[0].live_pending == 0
+
+
+class TestLostDeltaResync:
+    """A DELTA given up after its retries leaves the originator's copy
+    of the sender's slice unknown: the sender's next tick ships a full
+    report instead of staying silent or diffing against the lost one."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        # Device 1's only links are to 0, 2, 3, 4 and 5. Its data changes
+        # before the epoch-1 tick (30 s), and it is cut off from 29.9 s
+        # until after the DELTA's last retry is given up (~40.5 s).
+        faults = FaultSchedule()
+        for neighbour in (0, 2, 3, 4, 5):
+            faults.link_blackout(29.9, 1, neighbour, duration=15.0)
+        observer = Observer()
+        result = run_continuous_simulation(
+            grid_config(
+                data_updates=0, faults=faults,
+                updates=DataUpdateSchedule().update(
+                    22.0, device=1, fraction=0.6
+                ),
+            ),
+            observer=observer,
+            keep_network=True,
+        )
+        return result, observer
+
+    def test_next_epoch_after_a_given_up_delta_is_exact(self, run):
+        result, observer = run
+        sent = [
+            (e.attrs["epoch"], e.attrs["leaves"])
+            for e in observer.events
+            if e.name == "delta.sent" and e.node == 1
+        ]
+        merged = [
+            e.attrs["epoch"] for e in observer.events
+            if e.name == "delta.merged" and e.attrs["sender"] == 1
+        ]
+        # Epoch 1's incremental DELTA (it has leaves) never lands and is
+        # given up after two retransmits. Device 1's data does not
+        # change again, yet the epoch-2 tick ships its whole slice.
+        assert sent[1][0] == 1 and sent[1][1] > 0
+        assert sent[2] == (2, 0)
+        assert merged == [0, 2]
+        assert observer.metrics.counter(
+            "continuous.deltas.retransmits"
+        ).value == 2
+        epochs = result.record.epochs
+        assert epochs[1].divergence > 0.0
+        for books in epochs[2:]:
+            assert books.result_rows == books.reference_rows
+        assert verify_continuous_run(result) == []
+
+    def test_silent_again_after_the_resync(self, run):
+        result, observer = run
+        epochs = [
+            e.attrs["epoch"] for e in observer.events
+            if e.name == "safe-region.silent" and e.node == 1
+        ]
+        assert epochs == [3]
+
+
+class TestRouteHold:
+    """Subscribers hold their route to the originator for the whole
+    subscription, so DELTAs never rediscover a timed-out route."""
+
+    def test_no_route_discovery_over_a_long_subscription(self):
+        config = ContinuousConfig(
+            devices=25, cardinality=2500, d=500.0, epochs=30,
+            data_updates=30, static_grid=True, seed=1,
+        )
+        aodv = AodvConfig()
+        assert config.last_close - config.install_time \
+            > 5 * aodv.active_route_timeout
+        result = run_continuous_simulation(config, keep_network=True)
+        assert verify_continuous_run(result) == []
+        assert result.max_divergence == 0.0
+        assert all(
+            books.report.outcome == "completed"
+            for books in result.record.epochs
+        )
+        by_kind = result.traffic.by_kind
+        assert by_kind.get("data", 0) > 0
+        assert all(by_kind.get(kind, 0) == 0 for kind in ("rreq", "rrep", "rerr"))
+        _, _, devices = result.network
+        hold = config.install_time + config.epochs * config.interval \
+            + config.epoch_budget
+        assert all(
+            device.router._holds == {config.originator: hold}
+            for device in devices if device.node_id != config.originator
+        )
+
+    def test_broken_held_route_is_repaired(self):
+        # On the 3x3 grid, device 1 is the originator's neighbour.
+        # Cutting that link for good breaks the held route at the
+        # epoch-1 DELTA; local repair goes around it, and every later
+        # epoch is exact.
+        observer = Observer()
+        result = run_continuous_simulation(
+            grid_config(
+                data_updates=0,
+                faults=FaultSchedule().link_blackout(29.0, 1, 0),
+                updates=DataUpdateSchedule().update(
+                    22.0, device=1, fraction=0.6
+                ),
+            ),
+            observer=observer,
+            keep_network=True,
+        )
+        events = [
+            (e.name, e.attrs.get("cause"))
+            for e in observer.events
+            if e.node == 1 and e.name.startswith("aodv.")
+        ]
+        assert events[:2] == [
+            ("aodv.route-break", None), ("aodv.discovery", "repair")
+        ]
+        router = result.network[2][1].router
+        assert router.routes[0].next_hop != 0
+        assert router.routes[0].expires >= result.config.last_close
+        assert router._holds == {0: result.config.last_close}
+        assert verify_continuous_run(result) == []
+        for books in result.record.epochs[1:]:
+            assert 1 in books.report.contributed
+            assert books.result_rows == books.reference_rows
 
 
 def build_grid(dataset, observe=False):
