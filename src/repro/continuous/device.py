@@ -6,25 +6,24 @@ subscription plane:
 * **Originator side** — install/renew/cancel floods, per-epoch books
   (:class:`~repro.continuous.subscription.SubscriptionRecord`), DELTA
   acknowledgement, refresh-epoch deadline timers that re-arm through
-  the cancel-before-schedule path (the timer-reuse bugfix this PR
-  pins).
+  the cancel-before-schedule path.
 * **Subscriber side** — enrollment with a full local in-range skyline
-  report, self-scheduled refresh ticks on the shared epoch clock
-  (``install_time + e * interval``; no per-epoch flood in delta mode),
-  safe-region silence, incremental DELTAs under ACK/retry recovery,
-  orphan reaping against a crashed originator at every tick (PR 6's
-  suppression contract).
+  report, then one wake timer on the shared epoch clock (``install_time
+  + e * interval``; no per-epoch flood in delta mode), armed for the
+  planned end and moved to the next epoch boundary by the only events
+  that can change the slice: a data update or a given-up DELTA. A wake
+  reaps the subscription if its originator crashed, else ships a full
+  report, an incremental DELTA under ACK/retry recovery, or nothing.
 
 Fail-stop crash semantics carry over: a crashed subscriber loses its
-subscription state (it stops ticking and never reports again until a
-renew or reflood flood re-enrolls it); a crashed originator's
-subscription aborts and its subscribers reap themselves at their next
-tick.
+subscription state (it never reports again until a renew or reflood
+flood re-enrolls it); a crashed originator's subscription aborts and
+its subscribers reap themselves at their next wake or at the planned
+end.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Optional, Tuple
 
@@ -56,7 +55,10 @@ class _SubscriberState:
     spec: SubscriptionSpec
     epochs_total: int
     region: SafeRegion
-    tick_timer: Optional[EventHandle] = None
+    #: Last epoch boundary processed (at enrollment, then each wake's).
+    woke_epoch: int
+    wake_epoch: int = 0
+    wake_timer: Optional[EventHandle] = None
 
 
 @dataclass
@@ -85,14 +87,22 @@ class ContinuousDevice(BFDevice):
 
     # -- fault hooks ---------------------------------------------------------
 
+    def apply_update(self, relation: Relation) -> None:
+        """Swap in new data and wake every subscription whose slice it
+        can change at the next epoch boundary."""
+        super().apply_update(relation)
+        for key, state in self._subscriber.items():
+            if state.region.note_update():
+                self._wake_early(key, state)
+
     def on_crash(self) -> None:
         for pending in self._pending_deltas.values():
             if pending.timer is not None:
                 pending.timer.cancel()
         self._pending_deltas.clear()
         for state in self._subscriber.values():
-            if state.tick_timer is not None:
-                state.tick_timer.cancel()
+            if state.wake_timer is not None:
+                state.wake_timer.cancel()
         self._subscriber.clear()
         for record in self.subscriptions.values():
             if not record.closed:
@@ -113,7 +123,6 @@ class ContinuousDevice(BFDevice):
         epochs: int,
         epoch_budget: float,
         mode: str = "delta",
-        slack: float = 0.0,
     ) -> SubscriptionRecord:
         """Register a continuous range-skyline subscription and flood
         its install message. Epoch 0 (the install epoch) closes after
@@ -136,15 +145,12 @@ class ContinuousDevice(BFDevice):
             epochs=epochs,
             epoch_budget=epoch_budget,
             mode=mode,
-            slack=slack,
         )
         record = SubscriptionRecord(
             spec=spec, originator=self.node_id, epochs_total=epochs,
         )
         self.subscriptions[query.key] = record
-        local = self.compute_local(query, None)
-        record.own_report = local.skyline
-        record.own_data_epoch = self.data_epoch
+        record.refresh_own_report(self.data_epoch, self.compute_local)
         record.reachable_at_tick = frozenset(
             self.world.reachable_from(self.node_id)
         )
@@ -256,10 +262,7 @@ class ContinuousDevice(BFDevice):
         record.reachable_at_tick = frozenset(
             self.world.reachable_from(self.node_id)
         )
-        if self.data_epoch != record.own_data_epoch:
-            local = self.compute_local(record.spec.query, None)
-            record.own_report = local.skyline
-            record.own_data_epoch = self.data_epoch
+        record.refresh_own_report(self.data_epoch, self.compute_local)
         if record.spec.mode == "reflood":
             flood = self._next_flood(record)
             self._broadcast_subscribe(
@@ -404,166 +407,153 @@ class ContinuousDevice(BFDevice):
             self._enroll(message)
             return
         if message.kind == "renew":
+            # A pending early wake stays where it is: the wake re-arms
+            # for the new end itself.
             state.epochs_total = message.epochs_total
-            self._schedule_subscriber_tick(message.sub_key, state)
+            if not state.region.needs_recompute:
+                self._arm_wake(message.sub_key, state, state.epochs_total)
             return
         if message.kind == "reflood":
             # Naive mode: every epoch flood solicits a full report.
             local = self.compute_local(message.spec.query, None)
-            state.region.note_report(
-                self.data_epoch, relation_rows(local.skyline)
-            )
-            self._ship_delta(
-                message.spec, message.epoch, local.skyline, full=True
-            )
+            state.region.note_report(relation_rows(local.skyline))
+            self._ship_delta(message.spec, message.epoch, local.skyline)
 
     def _enroll(self, message: SubscribeMessage) -> None:
         """First contact with this subscription: full report + safe
-        region + (delta mode) self-scheduled refresh ticks."""
+        region + (delta mode) a wake timer for the planned end."""
         spec = message.spec
         local = self.compute_local(spec.query, None)
         region = SafeRegion.establish(
             relation=self.relation,
             pos=spec.query.pos,
             d=spec.query.d,
-            slack=spec.slack,
-            data_epoch=self.data_epoch,
             reported=local.skyline,
         )
         state = _SubscriberState(
             spec=spec, epochs_total=message.epochs_total, region=region,
+            woke_epoch=int(
+                (self.sim.now - spec.install_time) // spec.interval
+            ),
         )
         self._subscriber[spec.key] = state
-        self._ship_delta(spec, message.epoch, local.skyline, full=True)
+        self._ship_delta(spec, message.epoch, local.skyline)
         if spec.mode == "delta":
-            self._schedule_subscriber_tick(spec.key, state)
+            self._arm_wake(spec.key, state, state.epochs_total)
 
-    def _schedule_subscriber_tick(
-        self, key: Tuple[int, int], state: _SubscriberState
+    def _arm_wake(
+        self, key: Tuple[int, int], state: _SubscriberState, epoch: int
     ) -> None:
-        if state.tick_timer is not None:
-            state.tick_timer.cancel()
-            state.tick_timer = None
-        spec = state.spec
-        elapsed = self.sim.now - spec.install_time
-        next_epoch = max(1, int(math.floor(elapsed / spec.interval)) + 1)
-        if next_epoch > state.epochs_total:
-            return
-        delay = spec.tick_time(next_epoch) - self.sim.now
-        state.tick_timer = self._schedule_guarded(
-            max(0.0, delay), self._subscriber_tick, key, next_epoch
+        """(Re-)arm the subscriber's one wake timer for ``epoch``'s
+        boundary (cancel-then-arm; a no-op when already armed there)."""
+        if state.wake_timer is not None:
+            if state.wake_epoch == epoch:
+                return
+            state.wake_timer.cancel()
+        state.wake_epoch = epoch
+        delay = state.spec.tick_time(epoch) - self.sim.now
+        state.wake_timer = self._schedule_guarded(
+            max(0.0, delay), self._wake, key
         )
 
-    def _subscriber_tick(self, key: Tuple[int, int], epoch: int) -> None:
-        state = self._subscriber.get(key)
-        if state is None:
+    def _wake_early(
+        self, key: Tuple[int, int], state: _SubscriberState
+    ) -> None:
+        """The slice may have changed: move the wake to the first epoch
+        boundary at or after now that this subscriber has not processed.
+        An update landing exactly on a boundary is reported at that
+        epoch (the update injector's events fire before wakes due at
+        the same instant)."""
+        if state.wake_timer is None:  # reflood mode: floods solicit reports
             return
-        state.tick_timer = None
+        epoch = state.woke_epoch + 1
+        while state.spec.tick_time(epoch) < self.sim.now:
+            epoch += 1
+        if epoch < state.wake_epoch:
+            self._arm_wake(key, state, epoch)
+
+    def _wake(self, key: Tuple[int, int]) -> None:
+        state = self._subscriber[key]
+        state.wake_timer = None
+        epoch = state.woke_epoch = state.wake_epoch
         spec = state.spec
-        if epoch > state.epochs_total:
-            del self._subscriber[key]
-            return
-        origin = spec.query.origin
         if (
             self.config.resilience.orphan_suppression
-            and not self.world.node_is_up(origin)
+            and not self.world.node_is_up(spec.query.origin)
         ):
-            # PR 6's suppression contract, extended: a dead originator
-            # orphans the whole subscription, not just one message.
+            # A dead originator orphans the whole subscription, not
+            # just one message.
             del self._subscriber[key]
             self._reap_orphan(key, "subscription")
             return
-        reason = state.region.silence_reason(self.data_epoch)
-        if reason is None:
-            local = self.compute_local(spec.query, None)
-            rows = relation_rows(local.skyline)
-            if state.region.last_report_rows is None:
-                state.region.note_report(self.data_epoch, rows)
-                self._ship_delta(spec, epoch, local.skyline, full=True)
+        if state.region.needs_recompute:
+            skyline = self.compute_local(spec.query, None).skyline
+            rows = relation_rows(skyline)
+            last = state.region.last_report_rows
+            if last is None:
+                self._ship_delta(spec, epoch, skyline)
             elif state.region.unchanged(rows):
-                state.region.note_report(self.data_epoch, rows)
-                reason = "no-change"
+                if self.world.obs.enabled:
+                    self.world.obs.event(
+                        "safe-region.silent", query=key, node=self.node_id,
+                        epoch=epoch, reason="no-change",
+                    )
+                    self.world.obs.metrics.counter(
+                        "continuous.silent.no-change"
+                    ).inc()
             else:
-                self._ship_incremental(state, epoch, local.skyline, rows)
-        if reason is not None and self.world.obs.enabled:
-            self.world.obs.event(
-                "safe-region.silent", query=key, node=self.node_id,
-                epoch=epoch, reason=reason,
-            )
-            self.world.obs.metrics.counter(
-                f"continuous.silent.{reason}"
-            ).inc()
+                self._ship_incremental(spec, epoch, skyline, rows, last)
+            state.region.note_report(rows)
         if epoch >= state.epochs_total:
             del self._subscriber[key]
         else:
-            delay = spec.tick_time(epoch + 1) - self.sim.now
-            state.tick_timer = self._schedule_guarded(
-                max(0.0, delay), self._subscriber_tick, key, epoch + 1
-            )
+            self._arm_wake(key, state, state.epochs_total)
 
     def _ship_incremental(
         self,
-        state: _SubscriberState,
+        spec: SubscriptionSpec,
         epoch: int,
         skyline: Relation,
         rows: FrozenSet[Tuple],
+        last: FrozenSet[Tuple],
     ) -> None:
         """Diff the fresh local skyline against the last report and ship
         only the membership changes."""
-        last = state.region.last_report_rows
         enter_rows = rows - last
-        current_sids = {int(s) for s in skyline.site_ids}
         leaves = tuple(sorted(
-            {int(row[0]) for row in last} - current_sids
+            {int(row[0]) for row in last} - {int(s) for s in skyline.site_ids}
         ))
-        if enter_rows:
-            mask = np.array(
-                [
-                    ((int(sid),) + tuple(float(v) for v in vals)) in enter_rows
-                    for sid, vals in zip(skyline.site_ids, skyline.values)
-                ],
-                dtype=bool,
-            )
-            enters = skyline.take(np.nonzero(mask)[0])
-        else:
-            enters = skyline.take(np.empty(0, dtype=np.int64))
-        state.region.note_report(self.data_epoch, rows)
-        delta = DeltaMessage(
-            sub_key=state.spec.key,
-            sender=self.node_id,
-            epoch=epoch,
-            enters=enters,
-            leaves=leaves,
-            full=False,
-            data_epoch=self.data_epoch,
-            trace=self._trace(state.spec.key),
+        mask = np.array(
+            [
+                ((int(sid),) + tuple(float(v) for v in vals)) in enter_rows
+                for sid, vals in zip(skyline.site_ids, skyline.values)
+            ],
+            dtype=bool,
         )
-        if self.world.obs.enabled:
-            self.world.obs.delta_sent(
-                state.spec.key, self.node_id, epoch,
-                enters=enters.cardinality, leaves=len(leaves),
-            )
-        self._dispatch_delta(delta, state.spec.query.origin)
+        self._ship_delta(
+            spec, epoch, skyline.take(np.nonzero(mask)[0]), leaves,
+            full=False,
+        )
 
     def _ship_delta(
-        self, spec: SubscriptionSpec, epoch: int, skyline: Relation,
-        full: bool,
+        self, spec: SubscriptionSpec, epoch: int, enters: Relation,
+        leaves: Tuple[int, ...] = (), full: bool = True,
     ) -> None:
-        """Ship a full-slice report (install / renew / reflood)."""
+        """Ship a report: the whole slice (install, renew, reflood,
+        resync) or an incremental diff."""
         delta = DeltaMessage(
             sub_key=spec.key,
             sender=self.node_id,
             epoch=epoch,
-            enters=skyline,
-            leaves=(),
+            enters=enters,
+            leaves=leaves,
             full=full,
-            data_epoch=self.data_epoch,
             trace=self._trace(spec.key),
         )
         if self.world.obs.enabled:
             self.world.obs.delta_sent(
                 spec.key, self.node_id, epoch,
-                enters=skyline.cardinality, leaves=0,
+                enters=enters.cardinality, leaves=len(leaves),
             )
         self._dispatch_delta(delta, spec.query.origin)
 
@@ -609,10 +599,11 @@ class ContinuousDevice(BFDevice):
             del self._pending_deltas[tag]
             # The originator may hold a stale slice of ours, and an
             # incremental DELTA against it would keep it stale: resync
-            # with a full report at the next tick.
+            # with a full report at the next epoch boundary.
             state = self._subscriber.get(tag[0])
             if state is not None:
                 state.region.forget()
+                self._wake_early(tag[0], state)
             return
         pending.attempts += 1
         if self.world.obs.enabled:
@@ -645,8 +636,8 @@ class ContinuousDevice(BFDevice):
         )
         state = self._subscriber.pop(message.sub_key, None)
         if state is not None:
-            if state.tick_timer is not None:
-                state.tick_timer.cancel()
+            if state.wake_timer is not None:
+                state.wake_timer.cancel()
             for tag in [
                 t for t in self._pending_deltas if t[0] == message.sub_key
             ]:

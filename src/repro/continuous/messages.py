@@ -62,8 +62,6 @@ class SubscriptionSpec:
             closes the epoch's books (must not exceed ``interval``).
         mode: ``delta`` (incremental maintenance, the tentpole) or
             ``reflood`` (naive: re-flood the query every epoch).
-        slack: Extra metres of spatial safe-region margin (conservatism
-            knob; tuple sites are static, so 0 is already sound).
     """
 
     query: SkylineQuery
@@ -72,7 +70,6 @@ class SubscriptionSpec:
     epochs: int
     epoch_budget: float
     mode: str = "delta"
-    slack: float = 0.0
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
@@ -83,8 +80,6 @@ class SubscriptionSpec:
             raise ValueError("epoch_budget must be in (0, interval]")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.slack < 0:
-            raise ValueError("slack must be >= 0")
 
     @property
     def key(self) -> Tuple[int, int]:
@@ -154,7 +149,6 @@ class DeltaMessage:
     enters: Relation
     leaves: Tuple[int, ...] = ()
     full: bool = False
-    data_epoch: int = 0
     trace: Optional[Any] = field(default=None, compare=False, repr=False)
 
     def size_bytes(self, dimensions: int) -> int:

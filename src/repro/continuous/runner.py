@@ -139,7 +139,7 @@ class ContinuousConfig:
             install-time position).
         originator: Device that installs the subscription.
         install_time: When the install flood goes out.
-        interval / epochs / epoch_budget / slack: The subscription
+        interval / epochs / epoch_budget: The subscription
             schedule (see :class:`~repro.continuous.messages.SubscriptionSpec`).
         data_updates: Events drawn into a seeded
             :class:`~repro.faults.DataUpdateSchedule` covering the
@@ -165,7 +165,6 @@ class ContinuousConfig:
     interval: float = 20.0
     epochs: int = 5
     epoch_budget: float = 8.0
-    slack: float = 0.0
     data_updates: int = 6
     update_fraction: float = 0.3
     updates: Optional[DataUpdateSchedule] = None
@@ -325,7 +324,6 @@ def run_continuous_simulation(
                 epochs=config.epochs,
                 epoch_budget=config.epoch_budget,
                 mode=config.mode,
-                slack=config.slack,
             )
         )
 

@@ -1,21 +1,25 @@
-"""Per-device safe regions: when silence is provably sound.
+"""Per-device safe regions: when a subscriber must wake.
 
-A subscriber may stay silent at a refresh epoch iff its silence cannot
-change the subscription answer. The answer is the skyline of the union
-of every device's *local in-range skyline* (self-reduced only — no
-cross-device filtering), so a device's report is a pure function of
-(its relation version, the query disk). That gives three sound silence
-clauses, checked cheapest-first:
+The subscription answer is the skyline of the union of every device's
+*local in-range skyline* (self-reduced only — no cross-device
+filtering), so a device's report is a pure function of (its relation
+version, the query disk). Tuple sites are static and updates are
+value-only, so a device's slice can change only through its own
+``apply_update`` (a new relation version), and the originator's copy of
+it can go wrong only through a given-up report
+(:meth:`SafeRegion.forget`). That gives three sound clauses:
 
 1. **Spatial clause** — the device's data MBR lies entirely outside the
-   query disk (plus ``slack`` metres of margin). Tuple sites are static
-   and updates are value-only, so this exemption, once established at
-   enrollment, holds forever: the device's in-range set is empty at
-   every epoch. (The ``slack`` knob buys the same permanence under a
-   future model where sites drift up to ``slack`` between epochs.)
-2. **Version clause** — the device's ``data_epoch`` is unchanged since
-   its last report. Same relation version + same disk ⇒ same local
-   skyline ⇒ the stored report at the originator is still exact.
+   query disk. Established at enrollment, it holds forever: the
+   device's in-range set is empty at every epoch, so no update ever
+   wakes it.
+2. **Version clause** — the wake trigger. While the device's data is
+   unchanged since its last report, the same relation version and the
+   same disk give the same local skyline, so the report stored at the
+   originator is still exact and the subscriber sleeps until the
+   subscription's planned end. :meth:`SafeRegion.note_update` breaks
+   the clause, and the subscriber wakes at the next epoch boundary to
+   recompute.
 3. **Value clause** — the data did change, but the recomputed local
    in-range skyline equals the last reported one row-for-row (the
    update moved tuples around inside their dominance cells without
@@ -68,16 +72,15 @@ class SafeRegion:
 
     Attributes:
         spatially_exempt: Clause 1 held at enrollment — permanent.
-        last_data_epoch: Device ``data_epoch`` at the last report
-            (clause 2 compares against the live counter).
         last_report_rows: Row identities of the last reported local
             skyline (clause 3 compares a recomputation against it), or
             None after :meth:`forget`.
+        stale: The data changed since the last report (clause 2 broke).
     """
 
     spatially_exempt: bool
-    last_data_epoch: int
     last_report_rows: Optional[FrozenSet[Tuple]]
+    stale: bool = False
 
     @classmethod
     def establish(
@@ -85,48 +88,44 @@ class SafeRegion:
         relation: Relation,
         pos: Tuple[float, float],
         d: float,
-        slack: float,
-        data_epoch: int,
         reported: Relation,
     ) -> "SafeRegion":
         """Build the region at enrollment time, after the full report."""
         exempt = relation.cardinality == 0 or (
-            min_distance_to_mbr(pos, relation.mbr()) > d + slack
+            min_distance_to_mbr(pos, relation.mbr()) > d
         )
         return cls(
             spatially_exempt=exempt,
-            last_data_epoch=data_epoch,
             last_report_rows=relation_rows(reported),
         )
 
-    def silence_reason(self, data_epoch: int) -> Optional[str]:
-        """Cheapest-first silence check *before* recomputation.
+    @property
+    def needs_recompute(self) -> bool:
+        """Whether the next wake must recompute the local skyline: the
+        data changed, or the originator's copy of the slice is unknown."""
+        return self.stale or self.last_report_rows is None
 
-        Returns ``"spatial"`` or ``"epoch"`` when silence is already
-        proven, else None — the caller must then recompute and may still
-        stay silent via :meth:`unchanged` (clause 3). After
-        :meth:`forget` nothing is proven.
-        """
-        if self.last_report_rows is None:
-            return None
+    def note_update(self) -> bool:
+        """The device's data changed. Returns whether the slice can have
+        changed (clause 2 broke), i.e. whether the subscriber must wake
+        at the next epoch boundary; a spatially exempt slice cannot."""
         if self.spatially_exempt:
-            return "spatial"
-        if data_epoch == self.last_data_epoch:
-            return "epoch"
-        return None
+            return False
+        self.stale = True
+        return True
 
     def unchanged(self, rows: FrozenSet[Tuple]) -> bool:
         """Clause 3: does a recomputed report equal the last one?"""
         return rows == self.last_report_rows
 
-    def note_report(self, data_epoch: int, rows: FrozenSet[Tuple]) -> None:
+    def note_report(self, rows: FrozenSet[Tuple]) -> None:
         """Update the certificate after reporting (or after clause 3
         proved the recomputation redundant)."""
-        self.last_data_epoch = data_epoch
         self.last_report_rows = rows
+        self.stale = False
 
     def forget(self) -> None:
         """The last report was given up unacknowledged, so the
-        originator's copy of this slice is unknown: no clause holds, and
-        the next report must be a full one."""
+        originator's copy of this slice is unknown: the subscriber must
+        wake at the next epoch boundary and ship a full report."""
         self.last_report_rows = None

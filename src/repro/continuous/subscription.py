@@ -127,6 +127,9 @@ class SubscriptionRecord:
     #: region — an unchanged epoch skips the recomputation at a tick).
     own_report: Optional[Relation] = None
     own_data_epoch: int = -1
+    #: Row identities of the maintained answer, kept until a slice
+    #: changes (None: recompute at the next close).
+    answer_rows: Optional[FrozenSet[Tuple]] = field(default=None, repr=False)
     epochs: List[RefreshEpoch] = field(default_factory=list)
     current_epoch: int = 0
     reachable_at_tick: FrozenSet[int] = frozenset()
@@ -142,22 +145,29 @@ class SubscriptionRecord:
     def closed(self) -> bool:
         return self.status != "active"
 
-    def result(self) -> Relation:
-        """The maintained global answer: skyline of the union of every
-        stored slice (slices are already self-reduced)."""
-        slices = []
-        if self.own_report is not None:
-            slices.append(self.own_report)
-        slices.extend(
-            self.device_reports[device]
-            for device in sorted(self.device_reports)
-        )
-        if not slices:  # pragma: no cover - install always sets own_report
-            raise RuntimeError("subscription record has no stored slices")
-        return skyline_of_relation(union_all(slices))
-
     def result_rows(self) -> FrozenSet[Tuple]:
-        return relation_rows(self.result())
+        """Row identities of the maintained global answer: the skyline
+        of the union of every stored slice (slices are already
+        self-reduced), recomputed only after a slice changed."""
+        if self.answer_rows is None:
+            slices = [self.own_report] + [
+                self.device_reports[device]
+                for device in sorted(self.device_reports)
+            ]
+            self.answer_rows = relation_rows(
+                skyline_of_relation(union_all(slices))
+            )
+        return self.answer_rows
+
+    def refresh_own_report(self, data_epoch: int, compute_local) -> None:
+        """Recompute the originator's own slice with the device's
+        ``compute_local`` unless its data is unchanged since the last
+        computation."""
+        if data_epoch == self.own_data_epoch:
+            return
+        self.own_report = compute_local(self.spec.query, None).skyline
+        self.own_data_epoch = data_epoch
+        self.answer_rows = None
 
     def close_epoch(
         self,
@@ -253,6 +263,7 @@ class SubscriptionRecord:
             self.device_reports[delta.sender] = apply_delta(stored, delta)
         self.report_crash_counts[delta.sender] = crash_count
         self.epoch_reporters.add(delta.sender)
+        self.answer_rows = None
         return True
 
     def cancel_timers(self) -> None:

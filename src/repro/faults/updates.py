@@ -13,10 +13,11 @@ Because :class:`~repro.storage.relation.Relation` is immutable, an
 update never mutates arrays in place: :func:`perturb_relation` builds a
 *new* relation (same sites and coordinates, a seeded subset of rows
 re-drawn within the schema's value bounds) and the injector swaps it
-into the device wholesale, bumping the device's ``data_epoch``. The
-epoch bump is what the continuous layer's safe-region logic keys on — a
-device whose epoch hasn't moved since its last report provably cannot
-change the subscription answer.
+into the device wholesale, bumping the device's ``data_epoch``. An
+update is the only thing that can change a subscriber's slice, so the
+continuous layer wakes a subscriber at the next epoch boundary after
+one and lets it sleep otherwise: a device with no update since its last
+report provably cannot change the subscription answer.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ def perturb_relation(
         fresh = lows + np.round((fresh - lows) / value_step) * value_step
         fresh = np.clip(fresh, lows, highs)
     values[rows] = fresh
-    return Relation(
-        schema, relation.xy.copy(), values, relation.site_ids.copy()
-    )
+    # The coordinate and id arrays are read-only, so the new version
+    # shares them.
+    return Relation(schema, relation.xy, values, relation.site_ids)
 
 
 class UpdateEvent:

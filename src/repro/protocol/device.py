@@ -307,8 +307,8 @@ class SkylineDevice(Node):
         #: from before the crash become no-ops (in-flight state is lost).
         self._epoch = 0
         #: Data-version counter: bumped by every ``apply_update``. The
-        #: continuous layer's safe regions key on it — an unchanged
-        #: epoch proves the device's data cannot have moved the answer.
+        #: local cache and a subscription originator's own slice key on
+        #: it — an unchanged epoch proves the data has not moved.
         self.data_epoch = 0
         #: Skyline-diagram-style memo of local evaluations (None when
         #: disabled). Keys embed ``data_epoch``; ``apply_update`` and

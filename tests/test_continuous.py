@@ -70,8 +70,6 @@ class TestMessages:
             sample_spec(epoch_budget=25.0)  # exceeds the interval
         with pytest.raises(ValueError):
             sample_spec(mode="eager")
-        with pytest.raises(ValueError):
-            sample_spec(slack=-1.0)
 
     def test_spec_key_and_clock(self):
         spec = sample_spec()
@@ -171,51 +169,56 @@ class TestSafeRegion:
     def test_empty_relation_is_exempt(self, dataset):
         empty = dataset.local(0).take(np.empty(0, dtype=np.int64))
         region = SafeRegion.establish(
-            relation=empty, pos=(0.0, 0.0), d=100.0, slack=0.0,
-            data_epoch=0, reported=empty,
+            relation=empty, pos=(0.0, 0.0), d=100.0, reported=empty,
         )
         assert region.spatially_exempt
-        assert region.silence_reason(data_epoch=5) == "spatial"
+        # No update can change an empty in-range set: none wakes it.
+        assert not region.note_update()
+        assert not region.needs_recompute
 
     def test_epoch_clause(self, dataset):
         relation = dataset.local(0)
         pos = tuple(map(float, relation.xy[0]))
         reported = local_skyline(relation, pos, 200.0)
         region = SafeRegion.establish(
-            relation=relation, pos=pos, d=200.0, slack=0.0,
-            data_epoch=2, reported=reported,
+            relation=relation, pos=pos, d=200.0, reported=reported,
         )
         assert not region.spatially_exempt
-        assert region.silence_reason(data_epoch=2) == "epoch"
-        assert region.silence_reason(data_epoch=3) is None
+        # Clause 2 holds until the data changes; an update breaks it
+        # and wakes the subscriber.
+        assert not region.needs_recompute
+        assert region.note_update()
+        assert region.needs_recompute
+        region.note_report(relation_rows(reported))
+        assert not region.needs_recompute
 
     def test_value_clause_and_note_report(self, dataset):
         relation = dataset.local(0)
         pos = tuple(map(float, relation.xy[0]))
         reported = local_skyline(relation, pos, 200.0)
         region = SafeRegion.establish(
-            relation=relation, pos=pos, d=200.0, slack=0.0,
-            data_epoch=0, reported=reported,
+            relation=relation, pos=pos, d=200.0, reported=reported,
         )
         rows = relation_rows(reported)
         assert region.unchanged(rows)
         fresh = frozenset(list(rows)[1:])
         assert not region.unchanged(fresh)
-        region.note_report(4, fresh)
-        assert region.last_data_epoch == 4
+        region.note_update()
+        region.note_report(fresh)
+        assert not region.stale
         assert region.unchanged(fresh)
 
     def test_forget_proves_nothing_until_the_next_report(self, dataset):
         empty = dataset.local(0).take(np.empty(0, dtype=np.int64))
         region = SafeRegion.establish(
-            relation=empty, pos=(0.0, 0.0), d=100.0, slack=0.0,
-            data_epoch=0, reported=empty,
+            relation=empty, pos=(0.0, 0.0), d=100.0, reported=empty,
         )
+        # Even a spatially exempt slice must be re-sent in full.
         region.forget()
-        assert region.silence_reason(data_epoch=0) is None
+        assert region.needs_recompute
         assert not region.unchanged(frozenset())
-        region.note_report(0, frozenset())
-        assert region.silence_reason(data_epoch=0) == "spatial"
+        region.note_report(frozenset())
+        assert not region.needs_recompute
 
 
 class TestSafeRegionSoundness:
@@ -242,8 +245,7 @@ class TestSafeRegionSoundness:
         d = float(rng.uniform(100.0, 900.0))
         reported = local_skyline(relation, pos, d)
         region = SafeRegion.establish(
-            relation=relation, pos=pos, d=d, slack=0.0,
-            data_epoch=0, reported=reported,
+            relation=relation, pos=pos, d=d, reported=reported,
         )
         # A data update lands on the device.
         updated = perturb_relation(
@@ -461,12 +463,14 @@ class TestLostDeltaResync:
         assert verify_continuous_run(result) == []
 
     def test_silent_again_after_the_resync(self, run):
+        # Nothing changes after the epoch-2 resync, so device 1 sleeps
+        # through epoch 3 and ships nothing more.
         result, observer = run
         epochs = [
             e.attrs["epoch"] for e in observer.events
-            if e.name == "safe-region.silent" and e.node == 1
+            if e.name == "delta.sent" and e.node == 1
         ]
-        assert epochs == [3]
+        assert epochs == [0, 1, 2]
 
 
 class TestRouteHold:
@@ -549,6 +553,90 @@ def build_grid(dataset, observe=False):
         for i in range(dataset.devices)
     ]
     return sim, world, devices, observer
+
+
+class TestWakeOnChange:
+    """A subscriber holds one wake timer, armed for the planned end and
+    moved to the next epoch boundary only when its slice can change."""
+
+    def install(self, sim, devices, epochs=3):
+        records = []
+        sim.schedule_at(10.0, lambda: records.append(
+            devices[0].install_subscription(
+                d=600.0, interval=20.0, epochs=epochs, epoch_budget=8.0,
+            )
+        ))
+        return records
+
+    def update(self, device, seed=5):
+        device.apply_update(perturb_relation(
+            device.relation, 0.6, seed=seed, value_step=1.0
+        ))
+
+    def test_update_on_a_tick_is_reported_at_that_epoch(self):
+        # The update lands exactly on the epoch-1 tick (30 s). The
+        # injector's event fires before the wake due at that instant,
+        # so the change belongs to epoch 1, not epoch 2.
+        observer = Observer()
+        result = run_continuous_simulation(
+            grid_config(
+                data_updates=0,
+                updates=DataUpdateSchedule().update(
+                    30.0, device=1, fraction=0.6
+                ),
+            ),
+            observer=observer,
+            keep_network=True,
+        )
+        sent = [
+            (e.time, e.attrs["epoch"]) for e in observer.events
+            if e.name == "delta.sent" and e.node == 1
+        ]
+        assert sent[1] == (30.0, 1)
+        assert result.record.epochs[1].divergence == 0.0
+        assert verify_continuous_run(result) == []
+
+    def test_renew_keeps_a_pending_early_wake(self, dataset):
+        sim, world, devices, observer = build_grid(dataset, observe=True)
+        records = self.install(sim, devices, epochs=2)
+        sim.schedule_at(22.0, self.update, devices[1])
+        sim.schedule_at(
+            25.0, lambda: devices[0].renew_subscription(records[0].key, 2)
+        )
+        sim.run(until=160.0)
+        sent = [
+            (e.time, e.attrs["epoch"]) for e in observer.events
+            if e.name == "delta.sent" and e.node == 1
+        ]
+        assert sent[1] == (30.0, 1)
+        assert 1 in records[0].epochs[1].reporters
+        assert records[0].status == "expired"
+        assert sim.live_pending == 0
+
+    def test_one_timer_per_subscriber(self, dataset):
+        sim, world, devices, _ = build_grid(dataset)
+        records = self.install(sim, devices)
+        sim.run(until=15.0)
+        spec = records[0].spec
+        states = {
+            device.node_id: device._subscriber[spec.key]
+            for device in devices[1:]
+        }
+        # The originator holds its epoch close and tick; each
+        # subscriber holds its wake for the planned end, nothing else.
+        assert sim.live_pending == 2 + len(states)
+        for state in states.values():
+            assert state.wake_timer.time == spec.tick_time(3)
+        exempt = [i for i, st in states.items() if st.region.spatially_exempt]
+        covering = [i for i, st in states.items() if i not in exempt]
+        assert exempt and covering
+        timer = states[exempt[0]].wake_timer
+        self.update(devices[exempt[0]])
+        assert states[exempt[0]].wake_timer is timer
+        assert not timer.cancelled
+        self.update(devices[covering[0]])
+        assert states[covering[0]].wake_timer.time == spec.tick_time(1)
+        assert sim.live_pending == 2 + len(states)
 
 
 class TestLifecycleEdges:
