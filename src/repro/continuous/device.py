@@ -11,9 +11,11 @@ subscription plane:
   report, then one wake timer on the shared epoch clock (``install_time
   + e * interval``; no per-epoch flood in delta mode), armed for the
   planned end and moved to the next epoch boundary by the only events
-  that can change the slice: a data update or a given-up DELTA. A wake
-  reaps the subscription if its originator crashed, else ships a full
-  report, an incremental DELTA under ACK/retry recovery, or nothing.
+  that can change the slice: a data update or a given-up DELTA (the
+  ``_reply_given_up`` hook). A wake reaps the subscription if its
+  originator crashed, else ships a full report, an incremental DELTA,
+  or nothing. DELTAs travel home on the ACK/retry path BF RESULTs use
+  (``SkylineDevice._send_acked``), in the same pending table.
 
 Fail-stop crash semantics carry over: a crashed subscriber loses its
 subscription state (it never reports again until a renew or reflood
@@ -61,16 +63,6 @@ class _SubscriberState:
     wake_timer: Optional[EventHandle] = None
 
 
-@dataclass
-class _PendingDelta:
-    """A DELTA awaiting its application-level ACK."""
-
-    delta: DeltaMessage
-    origin: int
-    attempts: int = 0
-    timer: Optional[EventHandle] = None
-
-
 class ContinuousDevice(BFDevice):
     """Flood-strategy device with continuous-subscription support."""
 
@@ -80,10 +72,6 @@ class ContinuousDevice(BFDevice):
         self.subscriptions: Dict[Tuple[int, int], SubscriptionRecord] = {}
         #: Contributor-side enrollment state, keyed by subscription key.
         self._subscriber: Dict[Tuple[int, int], _SubscriberState] = {}
-        #: Un-ACKed DELTAs, keyed by (subscription key, epoch).
-        self._pending_deltas: Dict[
-            Tuple[Tuple[int, int], int], _PendingDelta
-        ] = {}
 
     # -- fault hooks ---------------------------------------------------------
 
@@ -96,10 +84,6 @@ class ContinuousDevice(BFDevice):
                 self._wake_early(key, state)
 
     def on_crash(self) -> None:
-        for pending in self._pending_deltas.values():
-            if pending.timer is not None:
-                pending.timer.cancel()
-        self._pending_deltas.clear()
         for state in self._subscriber.values():
             if state.wake_timer is not None:
                 state.wake_timer.cancel()
@@ -128,16 +112,11 @@ class ContinuousDevice(BFDevice):
         its install message. Epoch 0 (the install epoch) closes after
         ``epoch_budget``; refresh epoch ``e`` ticks at ``install_time +
         e * interval``."""
-        query = SkylineQuery(
-            origin=self.node_id,
-            cnt=self.query_counter.next_value(),
-            pos=self.position,
-            d=d,
-            origin_seq=self.router.advance_seq(),
+        query = self._fresh_query(
+            SkylineQuery(origin=self.node_id, cnt=0, pos=self.position, d=d)
         )
         if query.key in self.subscriptions:  # pragma: no cover - cnt wraps
             raise RuntimeError(f"subscription key {query.key} already live")
-        self.query_log.record(query)
         spec = SubscriptionSpec(
             query=query,
             install_time=self.sim.now,
@@ -160,12 +139,10 @@ class ContinuousDevice(BFDevice):
                 query.key, self.node_id, d=d, interval=interval,
                 epochs=epochs, mode=mode,
             )
-        self._broadcast_subscribe(
-            SubscribeMessage(
-                spec=spec, flood=query, kind="install", epoch=0,
-                epochs_total=epochs, trace=self._trace(spec.key),
-            )
-        )
+        self._flood(FrameKind.SUBSCRIBE, SubscribeMessage(
+            spec=spec, flood=query, kind="install", epoch=0,
+            epochs_total=epochs, trace=self._trace(spec.key),
+        ))
         self._arm_epoch_close(record, 0, spec.install_time)
         self._schedule_epoch_tick(record)
         return record
@@ -182,20 +159,17 @@ class ContinuousDevice(BFDevice):
         if extra_epochs <= 0:
             raise ValueError("extra_epochs must be > 0")
         record.epochs_total += extra_epochs
-        flood = self._next_flood(record)
+        flood = self._fresh_query(record.spec.query)
         if self.world.obs.enabled:
             self.world.obs.event(
                 "subscription.renew", query=key, node=self.node_id,
                 epochs_total=record.epochs_total,
             )
-        self._broadcast_subscribe(
-            SubscribeMessage(
-                spec=record.spec, flood=flood, kind="renew",
-                epoch=record.current_epoch,
-                epochs_total=record.epochs_total,
-                trace=self._trace(record.key),
-            )
-        )
+        self._flood(FrameKind.SUBSCRIBE, SubscribeMessage(
+            spec=record.spec, flood=flood, kind="renew",
+            epoch=record.current_epoch, epochs_total=record.epochs_total,
+            trace=self._trace(record.key),
+        ))
         self._schedule_epoch_tick(record)
 
     def cancel_subscription(self, key: Tuple[int, int]) -> None:
@@ -210,18 +184,10 @@ class ContinuousDevice(BFDevice):
             self.world.obs.subscription_cancelled(
                 key, self.node_id, "cancelled"
             )
-        flood = self._next_flood(record)
-        message = UnsubscribeMessage(sub_key=key, flood=flood,
-                                     trace=self._trace(key))
-        self.world.broadcast(
-            Frame(
-                kind=FrameKind.UNSUBSCRIBE,
-                src=self.node_id,
-                dst=None,
-                payload=message,
-                size_bytes=message.size_bytes(self.relation.dimensions),
-            )
-        )
+        self._flood(FrameKind.UNSUBSCRIBE, UnsubscribeMessage(
+            sub_key=key, flood=self._fresh_query(record.spec.query),
+            trace=self._trace(key),
+        ))
 
     # -- originator epoch machinery ------------------------------------------
 
@@ -264,14 +230,12 @@ class ContinuousDevice(BFDevice):
         )
         record.refresh_own_report(self.data_epoch, self.compute_local)
         if record.spec.mode == "reflood":
-            flood = self._next_flood(record)
-            self._broadcast_subscribe(
-                SubscribeMessage(
-                    spec=record.spec, flood=flood, kind="reflood",
-                    epoch=epoch, epochs_total=record.epochs_total,
-                    trace=self._trace(record.key),
-                )
-            )
+            self._flood(FrameKind.SUBSCRIBE, SubscribeMessage(
+                spec=record.spec, flood=self._fresh_query(record.spec.query),
+                kind="reflood", epoch=epoch,
+                epochs_total=record.epochs_total,
+                trace=self._trace(record.key),
+            ))
         self._arm_epoch_close(record, epoch, record.spec.tick_time(epoch))
         self._schedule_epoch_tick(record)
 
@@ -325,7 +289,7 @@ class ContinuousDevice(BFDevice):
                 # enrolled devices dedup it in one hop via the query
                 # log, so the cost is one flood — and only on epochs
                 # with a coverage hole; reflood mode pays it always.
-                flood = self._next_flood(record)
+                flood = self._fresh_query(record.spec.query)
                 if self.world.obs.enabled:
                     self.world.obs.event(
                         "subscription.heal-flood", query=key,
@@ -335,13 +299,11 @@ class ContinuousDevice(BFDevice):
                     self.world.obs.metrics.counter(
                         "continuous.heal_floods"
                     ).inc()
-                self._broadcast_subscribe(
-                    SubscribeMessage(
-                        spec=record.spec, flood=flood, kind="renew",
-                        epoch=epoch, epochs_total=record.epochs_total,
-                        trace=self._trace(record.key),
-                    )
-                )
+                self._flood(FrameKind.SUBSCRIBE, SubscribeMessage(
+                    spec=record.spec, flood=flood, kind="renew",
+                    epoch=epoch, epochs_total=record.epochs_total,
+                    trace=self._trace(record.key),
+                ))
 
     # -- frame dispatch ------------------------------------------------------
 
@@ -367,7 +329,7 @@ class ContinuousDevice(BFDevice):
         if packet.kind == FrameKind.ACK and isinstance(
             packet.payload, DeltaAckMessage
         ):
-            self._on_delta_ack(packet.payload)
+            self._acked((packet.payload.sub_key, packet.payload.epoch))
             return
         super().on_data(packet)
 
@@ -398,7 +360,7 @@ class ContinuousDevice(BFDevice):
             # Same flood via another path, or a fault-injected duplicate
             # delivery: either way it was fully handled the first time.
             return
-        self._broadcast_subscribe(replace(
+        self._flood(FrameKind.SUBSCRIBE, replace(
             message, hops=message.hops + 1,
             trace=self._trace(message.sub_key),
         ))
@@ -555,67 +517,20 @@ class ContinuousDevice(BFDevice):
                 spec.key, self.node_id, epoch,
                 enters=enters.cardinality, leaves=len(leaves),
             )
-        self._dispatch_delta(delta, spec.query.origin)
-
-    def _dispatch_delta(self, delta: DeltaMessage, origin: int) -> None:
-        """Route a DELTA home under the BF ACK/retry machinery."""
-        self._send_delta_frame(delta, origin)
-        if self.config.result_ack and self.config.result_retries > 0:
-            pending = _PendingDelta(delta=delta, origin=origin)
-            self._pending_deltas[(delta.sub_key, delta.epoch)] = pending
-            self._arm_delta_retry((delta.sub_key, delta.epoch), pending)
-
-    def _send_delta_frame(self, delta: DeltaMessage, origin: int) -> None:
-        self.router.send_data(
-            dest=origin,
-            kind=FrameKind.DELTA,
-            payload=delta,
-            size_bytes=delta.size_bytes(self.relation.dimensions),
+        self._send_acked(
+            (spec.key, epoch), FrameKind.DELTA, delta, spec.query.origin
         )
 
-    def _arm_delta_retry(
-        self, tag: Tuple[Tuple[int, int], int], pending: _PendingDelta
-    ) -> None:
-        backoff = min(
-            self.config.ack_timeout * (2.0 ** pending.attempts),
-            self.config.ack_backoff_cap,
-        )
-        pending.timer = self._schedule_guarded(
-            backoff, self._retry_delta, tag
-        )
-
-    def _retry_delta(self, tag: Tuple[Tuple[int, int], int]) -> None:
-        pending = self._pending_deltas.get(tag)
-        if pending is None:
+    def _reply_given_up(self, kind: FrameKind, tag: Tuple) -> None:
+        if kind != FrameKind.DELTA:
             return
-        if (
-            self.config.resilience.orphan_suppression
-            and not self.world.node_is_up(pending.origin)
-        ):
-            del self._pending_deltas[tag]
-            self._reap_orphan(tag[0], "delta-retry")
-            return
-        if pending.attempts >= self.config.result_retries:
-            del self._pending_deltas[tag]
-            # The originator may hold a stale slice of ours, and an
-            # incremental DELTA against it would keep it stale: resync
-            # with a full report at the next epoch boundary.
-            state = self._subscriber.get(tag[0])
-            if state is not None:
-                state.region.forget()
-                self._wake_early(tag[0], state)
-            return
-        pending.attempts += 1
-        if self.world.obs.enabled:
-            self.world.obs.event(
-                "delta.retransmit", query=tag[0], node=self.node_id,
-                epoch=tag[1], attempt=pending.attempts,
-            )
-            self.world.obs.metrics.counter(
-                "continuous.deltas.retransmits"
-            ).inc()
-        self._send_delta_frame(pending.delta, pending.origin)
-        self._arm_delta_retry(tag, pending)
+        # The originator may hold a stale slice of ours, and an
+        # incremental DELTA against it would keep it stale: resync with
+        # a full report at the next epoch boundary.
+        state = self._subscriber.get(tag[0])
+        if state is not None:
+            state.region.forget()
+            self._wake_early(tag[0], state)
 
     def _handle_unsubscribe_flood(
         self, message: UnsubscribeMessage, sender: int
@@ -624,41 +539,28 @@ class ContinuousDevice(BFDevice):
             return
         if not self.query_log.check_and_record(message.flood):
             return
-        self.world.broadcast(
-            Frame(
-                kind=FrameKind.UNSUBSCRIBE,
-                src=self.node_id,
-                dst=None,
-                payload=replace(message, hops=message.hops + 1,
-                                trace=self._trace(message.sub_key)),
-                size_bytes=message.size_bytes(self.relation.dimensions),
-            )
-        )
+        self._flood(FrameKind.UNSUBSCRIBE, replace(
+            message, hops=message.hops + 1,
+            trace=self._trace(message.sub_key),
+        ))
         state = self._subscriber.pop(message.sub_key, None)
         if state is not None:
             if state.wake_timer is not None:
                 state.wake_timer.cancel()
-            for tag in [
-                t for t in self._pending_deltas if t[0] == message.sub_key
-            ]:
-                pending = self._pending_deltas.pop(tag)
-                if pending.timer is not None:
-                    pending.timer.cancel()
+            # A RESULT's tag is a flat ``(origin, cnt)``, so only this
+            # subscription's ``(sub_key, epoch)`` DELTA tags match.
+            for tag in [t for t in self._pending if t[0] == message.sub_key]:
+                self._acked(tag)
 
     # -- originator DELTA intake ---------------------------------------------
 
     def _accept_delta(self, delta: DeltaMessage) -> None:
         """ACK every copy (even duplicates — an unacknowledged sender
         keeps retransmitting), merge each ``(sender, epoch)`` once."""
-        if self.config.result_ack:
-            ack = DeltaAckMessage(sub_key=delta.sub_key, epoch=delta.epoch,
-                                  trace=self._trace(delta.sub_key))
-            self.router.send_data(
-                dest=delta.sender,
-                kind=FrameKind.ACK,
-                payload=ack,
-                size_bytes=ack.size_bytes(),
-            )
+        self._send_ack(delta.sender, DeltaAckMessage(
+            sub_key=delta.sub_key, epoch=delta.epoch,
+            trace=self._trace(delta.sub_key),
+        ))
         record = self.subscriptions.get(delta.sub_key)
         if record is None or record.closed:
             return
@@ -669,34 +571,3 @@ class ContinuousDevice(BFDevice):
             self.world.obs.delta_merged(
                 delta.sub_key, self.node_id, delta.sender, delta.epoch
             )
-
-    def _on_delta_ack(self, ack: DeltaAckMessage) -> None:
-        pending = self._pending_deltas.pop((ack.sub_key, ack.epoch), None)
-        if pending is None:
-            return
-        if pending.timer is not None:
-            pending.timer.cancel()
-
-    # -- shared --------------------------------------------------------------
-
-    def _next_flood(self, record: SubscriptionRecord) -> SkylineQuery:
-        """A fresh identity for one more flood of ``record``: a new
-        ``cnt`` for the duplicate log, and a new sequence number so the
-        reverse routes the flood installs supersede older ones."""
-        flood = replace(
-            record.spec.query, cnt=self.query_counter.next_value(),
-            origin_seq=self.router.advance_seq(),
-        )
-        self.query_log.record(flood)
-        return flood
-
-    def _broadcast_subscribe(self, message: SubscribeMessage) -> None:
-        self.world.broadcast(
-            Frame(
-                kind=FrameKind.SUBSCRIBE,
-                src=self.node_id,
-                dst=None,
-                payload=message,
-                size_bytes=message.size_bytes(self.relation.dimensions),
-            )
-        )

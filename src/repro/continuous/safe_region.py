@@ -6,8 +6,9 @@ filtering), so a device's report is a pure function of (its relation
 version, the query disk). Tuple sites are static and updates are
 value-only, so a device's slice can change only through its own
 ``apply_update`` (a new relation version), and the originator's copy of
-it can go wrong only through a given-up report
-(:meth:`SafeRegion.forget`). That gives three sound clauses:
+it can go wrong only through a given-up report (:meth:`SafeRegion.forget`,
+called from the device's ``_reply_given_up`` hook). That gives three
+sound clauses:
 
 1. **Spatial clause** — the device's data MBR lies entirely outside the
    query disk. Established at enrollment, it holds forever: the

@@ -441,7 +441,7 @@ class Observer:
     def orphan_reaped(self, query: QueryKey, node: int, what: str) -> None:
         """In-flight work for a crashed originator was suppressed
         (``what``: token / token-backtrack / flood-query / result /
-        result-retry)."""
+        result-retry / subscribe-flood / delta-retry / subscription)."""
         self.event("orphan.reaped", query=query, node=node, what=what)
         self.metrics.counter("resilience.orphans_reaped").inc()
         self.metrics.counter(f"resilience.orphans.{what}").inc()

@@ -15,6 +15,15 @@ two concrete subclasses implement the paper's forwarding strategies
   the filtering tuple, and the accumulated result walks the network;
   each device merges its reduced local skyline into the token and passes
   it to one unvisited neighbour, backtracking along the path when stuck.
+
+Every routed reply that waits for an application-level ACK — a BF
+RESULT, a DF→BF failover RESULT, and a subscription DELTA
+(:mod:`repro.continuous.device`) — takes one path in
+:class:`SkylineDevice`: ``_send_acked`` keeps it in one pending table,
+keyed by the tag its ACK names, and ``_retry`` retransmits it with
+capped exponential backoff until ``_acked`` retires it, its originator
+is found dead, or its retries run out (counted as given up, then handed
+to the ``_reply_given_up`` hook).
 """
 
 from __future__ import annotations
@@ -60,13 +69,24 @@ __all__ = [
     "DFDevice",
 ]
 
-#: Default delay before a backtracking token skips past a vanished
-#: parent — yields the event loop so long dead paths unwind turn by
-#: turn. Tunable per run via ``ProtocolConfig.backtrack_retry_delay``.
+#: Delay before a backtracking token skips past a vanished parent —
+#: yields the event loop so long dead paths unwind turn by turn.
 _BACKTRACK_RETRY_DELAY = 0.05
 
-#: Default ceiling for the result-retransmission backoff.
+#: Extra hops a DF backtrack chain may skip past vanished parents
+#: beyond the current path length.
+_BACKTRACK_SLACK = 4
+
+#: Ceiling in seconds for the reply-retransmission backoff — without it
+#: ``ack_timeout * 2**n`` grows unbounded.
 _ACK_BACKOFF_CAP = 60.0
+
+#: Telemetry names of the routed replies that wait for an ACK: the
+#: event and orphan-label stem, and the counter prefix.
+_REPLY_NAMES = {
+    FrameKind.RESULT: ("result", "protocol.results"),
+    FrameKind.DELTA: ("delta", "continuous.deltas"),
+}
 
 
 @dataclass(frozen=True)
@@ -98,10 +118,7 @@ class ProtocolConfig:
             replies with capped exponential backoff. A lost RESULT is
             no longer silently gone.
         ack_timeout: Initial retransmission backoff in seconds; doubles
-            per attempt up to ``ack_backoff_cap``.
-        ack_backoff_cap: Ceiling in seconds for the exponential
-            retransmission backoff — without it ``ack_timeout * 2**n``
-            grows unbounded.
+            per attempt up to a 60 s ceiling.
         result_retries: Retransmissions per result before giving up.
         token_watchdog: DF recovery — seconds of token silence at the
             originator before the query is re-issued with an incremented
@@ -109,11 +126,6 @@ class ProtocolConfig:
             disables the watchdog.
         token_reissues: Re-issues per query before the watchdog gives
             up and leaves closure to ``query_timeout``.
-        backtrack_slack: Extra hops a DF backtrack chain may skip past
-            vanished parents beyond the current path length.
-        backtrack_retry_delay: Seconds a backtracking token waits before
-            skipping past a vanished parent (yields the event loop so
-            long dead paths unwind turn by turn).
         resilience: The :class:`~repro.resilience.ResiliencePolicy` —
             deadline budgets, DF→BF failover, orphan suppression,
             completion reports. Defaults are inert: a default policy
@@ -137,12 +149,9 @@ class ProtocolConfig:
     completion_quorum: float = 0.8
     result_ack: bool = True
     ack_timeout: float = 3.0
-    ack_backoff_cap: float = _ACK_BACKOFF_CAP
     result_retries: int = 3
     token_watchdog: float = 60.0
     token_reissues: int = 2
-    backtrack_slack: int = 4
-    backtrack_retry_delay: float = _BACKTRACK_RETRY_DELAY
     local_cache: bool = True
     local_cache_size: int = 64
     resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
@@ -156,20 +165,14 @@ class ProtocolConfig:
             raise ValueError("query_timeout must be > 0")
         if not 0 < self.completion_quorum <= 1:
             raise ValueError("completion_quorum must be in (0, 1]")
-        if self.ack_timeout <= 0:
-            raise ValueError("ack_timeout must be > 0")
-        if self.ack_backoff_cap < self.ack_timeout:
-            raise ValueError("ack_backoff_cap must be >= ack_timeout")
+        if not 0 < self.ack_timeout <= _ACK_BACKOFF_CAP:
+            raise ValueError(f"ack_timeout must be in (0, {_ACK_BACKOFF_CAP}]")
         if self.result_retries < 0:
             raise ValueError("result_retries must be >= 0")
         if self.token_watchdog < 0:
             raise ValueError("token_watchdog must be >= 0")
         if self.token_reissues < 0:
             raise ValueError("token_reissues must be >= 0")
-        if self.backtrack_slack < 0:
-            raise ValueError("backtrack_slack must be >= 0")
-        if self.backtrack_retry_delay <= 0:
-            raise ValueError("backtrack_retry_delay must be > 0")
         if not isinstance(self.resilience, ResiliencePolicy):
             raise TypeError("resilience must be a ResiliencePolicy")
 
@@ -318,10 +321,11 @@ class SkylineDevice(Node):
             if config.local_cache
             else None
         )
-        #: Result replies not yet acknowledged by their originator,
-        #: keyed by query key (one reply per query per device). Shared
-        #: between the BF strategy and DF→BF failover floods.
-        self._pending_results: Dict[Tuple[int, int], _PendingResult] = {}
+        #: Routed replies not yet acknowledged by their originator,
+        #: keyed by the tag the ACK names: the query key for a RESULT
+        #: (BF and DF→BF failover floods), ``(sub_key, epoch)`` for a
+        #: subscription DELTA.
+        self._pending: Dict[Tuple, _PendingReply] = {}
 
     # -- observability ------------------------------------------------------
 
@@ -355,10 +359,8 @@ class SkylineDevice(Node):
         query is closed (its record survives for metrics, flagged
         ``aborted_by_crash``).
         """
-        for pending in self._pending_results.values():
-            if pending.timer is not None:
-                pending.timer.cancel()
-        self._pending_results.clear()
+        for tag in list(self._pending):
+            self._acked(tag)
         self._epoch += 1
         self.router.reset()
         self.query_log = QueryLog()
@@ -506,28 +508,11 @@ class SkylineDevice(Node):
             raise RuntimeError(
                 f"device {self.node_id} already has a query in progress"
             )
-        query = SkylineQuery(
-            origin=self.node_id,
-            cnt=self.query_counter.next_value(),
-            pos=self.position,
-            d=d,
-            origin_seq=self.router.advance_seq(),
+        query = self._fresh_query(
+            SkylineQuery(origin=self.node_id, cnt=0, pos=self.position, d=d)
         )
-        self.query_log.record(query)  # never reprocess our own query
         local = self.compute_local(query, None)
-        flt = None
-        if self.config.use_filter and local.skyline.cardinality:
-            local_highs = (
-                self.relation.normalized_worst()
-                if self.relation.cardinality
-                else None
-            )
-            flt = select_filter(
-                local.skyline,
-                self.config.estimation,
-                self.config.over_margin,
-                local_highs=local_highs,
-            )
+        flt = self._initial_filter(local.skyline)
         record = QueryRecord(
             query=query,
             issue_time=self.sim.now,
@@ -549,6 +534,36 @@ class SkylineDevice(Node):
             )
         self._arm_close_timer(record, self.config.effective_deadline)
         return record, local, flt
+
+    def _fresh_query(self, query: SkylineQuery) -> SkylineQuery:
+        """A fresh identity for one more flood or walk of ``query``: a
+        new ``cnt`` for the duplicate log, and a new sequence number so
+        the reverse routes it installs supersede older ones. Logged
+        here, so this device never processes its own query."""
+        fresh = replace(
+            query, cnt=self.query_counter.next_value(),
+            origin_seq=self.router.advance_seq(),
+        )
+        self.query_log.record(fresh)
+        return fresh
+
+    def _initial_filter(self, skyline: Relation) -> Optional[FilteringTuple]:
+        """The filtering tuple a query starts out with, picked from
+        ``skyline`` (Section 3.2); None when filtering is off or the
+        skyline is empty."""
+        if not (self.config.use_filter and skyline.cardinality):
+            return None
+        local_highs = (
+            self.relation.normalized_worst()
+            if self.relation.cardinality
+            else None
+        )
+        return select_filter(
+            skyline,
+            self.config.estimation,
+            self.config.over_margin,
+            local_highs=local_highs,
+        )
 
     def _arm_close_timer(self, record: QueryRecord, delay: float) -> None:
         """(Re-)arm ``record``'s deadline timer, cancelling any prior one.
@@ -635,10 +650,11 @@ class SkylineDevice(Node):
 
     # -- flood machinery (BF strategy + DF→BF failover) ----------------------
 
-    def _broadcast_query(self, message: QueryMessage) -> None:
+    def _flood(self, kind: FrameKind, message) -> None:
+        """Broadcast one flood frame (QUERY, SUBSCRIBE, UNSUBSCRIBE)."""
         self.world.broadcast(
             Frame(
-                kind=FrameKind.QUERY,
+                kind=kind,
                 src=self.node_id,
                 dst=None,
                 payload=message,
@@ -669,13 +685,10 @@ class SkylineDevice(Node):
         if self.node_id in message.exclude:
             # Failover residue flood and we already contributed via the
             # token walk: nothing to recompute, just keep the flood going.
-            self._broadcast_query(
-                QueryMessage(
-                    query=message.query, flt=message.flt,
-                    hops=message.hops + 1, exclude=message.exclude,
-                    trace=self._trace(message.query.key),
-                )
-            )
+            self._flood(FrameKind.QUERY, replace(
+                message, hops=message.hops + 1,
+                trace=self._trace(message.query.key),
+            ))
             return
         flt = message.flt if self.config.use_filter else None
         result = self.compute_local(message.query, flt)
@@ -703,11 +716,9 @@ class SkylineDevice(Node):
             processing_time=proc_time,
             trace=self._trace(message.query.key),
         )
-        self._send_result(reply, message.query.origin)
-        if self.config.result_ack and self.config.result_retries > 0:
-            pending = _PendingResult(reply=reply, origin=message.query.origin)
-            self._pending_results[message.query.key] = pending
-            self._arm_result_retry(message.query.key, pending)
+        self._send_acked(
+            message.query.key, FrameKind.RESULT, reply, message.query.origin
+        )
         out_flt = message.flt
         if self.config.use_filter and self.config.dynamic_filter:
             out_flt = result.updated_filter
@@ -719,84 +730,109 @@ class SkylineDevice(Node):
                 self.world.obs.filter_promoted(
                     message.query.key, self.node_id, out_flt.vdr
                 )
-        forwarded = QueryMessage(
-            query=message.query, flt=out_flt, hops=message.hops + 1,
-            exclude=message.exclude, trace=self._trace(message.query.key),
-        )
-        self._broadcast_query(forwarded)
+        self._flood(FrameKind.QUERY, replace(
+            message, flt=out_flt, hops=message.hops + 1,
+            trace=self._trace(message.query.key),
+        ))
 
-    # -- result ACK / retransmission ----------------------------------------
+    # -- routed replies under ACK / retransmission ---------------------------
 
-    def _send_result(self, reply: ResultMessage, origin: int) -> None:
+    def _send_acked(
+        self, tag: Tuple, kind: FrameKind, payload, origin: int
+    ) -> None:
+        """Route a RESULT or DELTA home and, with ACKs on, keep it
+        pending under ``tag`` until the originator's ACK names it."""
+        self._send_reply(kind, payload, origin)
+        if self.config.result_ack and self.config.result_retries > 0:
+            pending = _PendingReply(kind=kind, payload=payload, origin=origin)
+            self._pending[tag] = pending
+            self._arm_retry(tag, pending)
+
+    def _send_reply(self, kind: FrameKind, payload, origin: int) -> None:
         self.router.send_data(
             dest=origin,
-            kind=FrameKind.RESULT,
-            payload=reply,
-            size_bytes=reply.size_bytes(self.relation.dimensions),
+            kind=kind,
+            payload=payload,
+            size_bytes=payload.size_bytes(self.relation.dimensions),
         )
 
-    def _arm_result_retry(
-        self, key: Tuple[int, int], pending: "_PendingResult"
-    ) -> None:
+    def _arm_retry(self, tag: Tuple, pending: "_PendingReply") -> None:
         backoff = min(
             self.config.ack_timeout * (2.0 ** pending.attempts),
-            self.config.ack_backoff_cap,
+            _ACK_BACKOFF_CAP,
         )
-        pending.timer = self._schedule_guarded(
-            backoff, self._retry_result, key
-        )
+        pending.timer = self._schedule_guarded(backoff, self._retry, tag)
 
-    def _retry_result(self, key: Tuple[int, int]) -> None:
-        pending = self._pending_results.get(key)
+    def _retry(self, tag: Tuple) -> None:
+        pending = self._pending.get(tag)
         if pending is None:
             return
+        key = pending.payload.query_key
+        stem, counters = _REPLY_NAMES[pending.kind]
         if (
             self.config.resilience.orphan_suppression
             and not self.world.node_is_up(pending.origin)
         ):
             # Dead letter box: the originator crashed, so no ACK can
             # ever come — stop burning radio on retransmissions.
-            del self._pending_results[key]
-            self._reap_orphan(key, "result-retry")
+            del self._pending[tag]
+            self._reap_orphan(key, f"{stem}-retry")
             return
+        obs = self.world.obs
+        # A DELTA's telemetry names its epoch as well.
+        epoch = {"epoch": tag[1]} if pending.kind == FrameKind.DELTA else {}
         if pending.attempts >= self.config.result_retries:
-            del self._pending_results[key]
+            del self._pending[tag]
+            if obs.enabled:
+                obs.event(f"{stem}.given-up", query=key, node=self.node_id,
+                          **epoch, attempts=pending.attempts)
+                obs.metrics.counter(f"{counters}.given_up").inc()
+            self._reply_given_up(pending.kind, tag)
             return
         pending.attempts += 1
-        obs = self.world.obs
         if obs.enabled:
-            obs.event("result.retransmit", query=key, node=self.node_id,
-                      attempt=pending.attempts)
-            obs.metrics.counter("protocol.results.retransmits").inc()
-        self._send_result(pending.reply, pending.origin)
-        self._arm_result_retry(key, pending)
+            obs.event(f"{stem}.retransmit", query=key, node=self.node_id,
+                      **epoch, attempt=pending.attempts)
+            obs.metrics.counter(f"{counters}.retransmits").inc()
+        self._send_reply(pending.kind, pending.payload, pending.origin)
+        self._arm_retry(tag, pending)
+
+    def _reply_given_up(self, kind: FrameKind, tag: Tuple) -> None:
+        """Hook: the reply pending under ``tag`` ran out of retries."""
+
+    def _acked(self, tag: Tuple) -> bool:
+        """Retire the reply pending under ``tag``; False if none was."""
+        pending = self._pending.pop(tag, None)
+        if pending is None:
+            return False
+        pending.timer.cancel()
+        return True
 
     def _on_result_ack(self, ack: ResultAckMessage) -> None:
-        pending = self._pending_results.pop(ack.query_key, None)
-        if pending is None:
-            return
-        if pending.timer is not None:
-            pending.timer.cancel()
-        if self.world.obs.enabled:
+        if self._acked(ack.query_key) and self.world.obs.enabled:
             self.world.obs.event(
                 "result.acked", query=ack.query_key, node=self.node_id
+            )
+
+    def _send_ack(self, dest: int, ack) -> None:
+        """ACK one routed reply copy — every copy, even duplicates and
+        post-closure stragglers: an unacknowledged sender keeps
+        retransmitting."""
+        if self.config.result_ack:
+            self.router.send_data(
+                dest=dest,
+                kind=FrameKind.ACK,
+                payload=ack,
+                size_bytes=ack.size_bytes(),
             )
 
     def _accept_flood_result(self, reply: ResultMessage) -> Optional[QueryRecord]:
         """Originator side: ACK one routed RESULT copy and merge it into
         its (root) record. Returns the record when a fresh contribution
         was merged, else None."""
-        # ACK every copy, even duplicates and post-closure stragglers:
-        # an unacknowledged responder keeps retransmitting.
-        if self.config.result_ack:
-            ack = ResultAckMessage(query_key=reply.query_key,
-                                   trace=self._trace(reply.query_key))
-            self.router.send_data(
-                dest=reply.sender,
-                kind=FrameKind.ACK,
-                payload=ack,
-                size_bytes=ack.size_bytes(),
-            )
+        self._send_ack(reply.sender, ResultAckMessage(
+            query_key=reply.query_key, trace=self._trace(reply.query_key),
+        ))
         record = self.records.get(self._resolve_record_key(reply.query_key))
         if record is None or record.closed:
             return None
@@ -825,10 +861,11 @@ class SkylineDevice(Node):
 
 
 @dataclass
-class _PendingResult:
-    """A flood result reply awaiting its application-level ACK."""
+class _PendingReply:
+    """A routed RESULT or DELTA awaiting its application-level ACK."""
 
-    reply: ResultMessage
+    kind: FrameKind
+    payload: object
     origin: int
     attempts: int = 0
     timer: Optional[EventHandle] = None
@@ -842,7 +879,7 @@ class BFDevice(SkylineDevice):
         delay = self.processing_delay(local)
         message = QueryMessage(query=record.query, flt=flt, hops=1,
                                trace=self._trace(record.query.key))
-        self._schedule_guarded(delay, self._broadcast_query, message)
+        self._schedule_guarded(delay, self._flood, FrameKind.QUERY, message)
         return record
 
     def on_protocol_frame(self, frame: Frame, sender: int) -> None:
@@ -973,31 +1010,14 @@ class DFDevice(SkylineDevice):
     def _reissue(self, record: QueryRecord) -> None:
         """Send a fresh token for ``record`` under an incremented cnt,
         seeded with everything merged so far."""
-        query = replace(
-            record.query, cnt=self.query_counter.next_value(),
-            origin_seq=self.router.advance_seq(),
-        )
+        query = self._fresh_query(record.query)
         self._reissue_alias[query.key] = record.query.key
         if self.world.obs.enabled:
             self.world.obs.query_alias(query.key, record.query.key)
-        self.query_log.record(query)
         merged = record.assembler.result()
-        flt = None
-        if self.config.use_filter and merged.cardinality:
-            local_highs = (
-                self.relation.normalized_worst()
-                if self.relation.cardinality
-                else None
-            )
-            flt = select_filter(
-                merged,
-                self.config.estimation,
-                self.config.over_margin,
-                local_highs=local_highs,
-            )
         token = TokenMessage(
             query=query,
-            flt=flt,
+            flt=self._initial_filter(merged),
             result=merged,
             visited=frozenset({self.node_id}),
             path=(),
@@ -1022,36 +1042,19 @@ class DFDevice(SkylineDevice):
         (``resilience.failovers``, QUERY/RESULT/ACK frames in a DF run).
         """
         record.failovers += 1
-        query = replace(
-            record.query, cnt=self.query_counter.next_value(),
-            origin_seq=self.router.advance_seq(),
-        )
+        query = self._fresh_query(record.query)
         self._reissue_alias[query.key] = record.query.key
-        self.query_log.record(query)
-        merged = record.assembler.result()
-        flt = None
-        if self.config.use_filter and merged.cardinality:
-            local_highs = (
-                self.relation.normalized_worst()
-                if self.relation.cardinality
-                else None
-            )
-            flt = select_filter(
-                merged,
-                self.config.estimation,
-                self.config.over_margin,
-                local_highs=local_highs,
-            )
+        flt = self._initial_filter(record.assembler.result())
         exclude = frozenset(record.contributions) | {self.node_id}
         if self.world.obs.enabled:
             self.world.obs.failover(
                 query.key, record.query.key, self.node_id,
                 excluded=len(exclude),
             )
-        self._broadcast_query(
-            QueryMessage(query=query, flt=flt, hops=1, exclude=exclude,
-                         trace=self._trace(query.key))
-        )
+        self._flood(FrameKind.QUERY, QueryMessage(
+            query=query, flt=flt, hops=1, exclude=exclude,
+            trace=self._trace(query.key),
+        ))
 
     def _merge_failover_result(self, reply: ResultMessage) -> None:
         record = self._accept_flood_result(reply)
@@ -1149,12 +1152,11 @@ class DFDevice(SkylineDevice):
             out_flt = token.flt
             if self.config.use_filter and self.config.dynamic_filter:
                 out_flt = result.updated_filter
-            token = TokenMessage(
-                query=token.query,
+            token = replace(
+                token,
                 flt=out_flt,
                 result=merged,
                 visited=token.visited | {self.node_id},
-                path=token.path,
                 contributions=token.contributions
                 + ((self.node_id, result.unreduced_size, result.reduced_size),),
                 trace=self._trace(token.query.key),
@@ -1162,13 +1164,8 @@ class DFDevice(SkylineDevice):
             delay = self.processing_delay(result)
             self._schedule_guarded(delay, self._pass_token, token)
         else:
-            token = TokenMessage(
-                query=token.query,
-                flt=token.flt,
-                result=token.result,
-                visited=token.visited | {self.node_id},
-                path=token.path,
-                contributions=token.contributions,
+            token = replace(
+                token, visited=token.visited | {self.node_id},
                 trace=self._trace(token.query.key),
             )
             self._pass_token(token)
@@ -1188,13 +1185,8 @@ class DFDevice(SkylineDevice):
         ]
         if candidates:
             target = candidates[0]
-            outgoing = TokenMessage(
-                query=token.query,
-                flt=token.flt,
-                result=token.result,
-                visited=token.visited,
-                path=token.path + (self.node_id,),
-                contributions=token.contributions,
+            outgoing = replace(
+                token, path=token.path + (self.node_id,),
                 trace=self._trace(token.query.key),
             )
             frame = Frame(
@@ -1234,7 +1226,7 @@ class DFDevice(SkylineDevice):
             self._reap_orphan(token.query.key, "token-backtrack")
             return
         if budget is None:
-            budget = len(token.path) + self.config.backtrack_slack
+            budget = len(token.path) + _BACKTRACK_SLACK
         if not token.path:
             if token.query.origin == self.node_id:
                 # The originator ran out of reachable unvisited neighbours:
@@ -1250,14 +1242,8 @@ class DFDevice(SkylineDevice):
                 "token.backtrack", query=token.query.key, node=self.node_id,
                 to=parent, depth=len(token.path),
             )
-        returned = TokenMessage(
-            query=token.query,
-            flt=token.flt,
-            result=token.result,
-            visited=token.visited,
-            path=token.path[:-1],
-            contributions=token.contributions,
-            trace=self._trace(token.query.key),
+        returned = replace(
+            token, path=token.path[:-1], trace=self._trace(token.query.key),
         )
 
         def undeliverable(
@@ -1267,7 +1253,7 @@ class DFDevice(SkylineDevice):
             # hop budget allows.
             if _budget >= 0:
                 self._schedule_guarded(
-                    self.config.backtrack_retry_delay,
+                    _BACKTRACK_RETRY_DELAY,
                     self._backtrack, _token, _budget,
                 )
 
@@ -1307,13 +1293,11 @@ class DFDevice(SkylineDevice):
                         record.query.key, self.node_id, device, reduced
                     )
         record.assembler.add(token.result)
-        token = TokenMessage(
-            query=token.query,
-            flt=token.flt,
+        token = replace(
+            token,
             result=record.assembler.result(),
             visited=token.visited | {self.node_id},
             path=(),
-            contributions=token.contributions,
             trace=self._trace(token.query.key),
         )
         unvisited = [

@@ -120,14 +120,16 @@ class TokenMessage:
     contributions: Tuple[Tuple[int, int, int], ...] = ()
     """Per-device ``(device, unreduced, reduced)`` records for metrics."""
     serial: int = field(default_factory=lambda: next(_token_serials),
-                        compare=False)
+                        compare=False, init=False)
     """Wire-copy identity. Every *intentional* (re)send constructs a
-    fresh :class:`TokenMessage` and thus a fresh serial; a fault-injected
-    duplicate delivery re-delivers the same payload object with the same
-    serial, which is how receivers tell the two apart (a duplicated
-    token must not spawn a second walk). Not part of the modelled wire
-    size — it stands for the MAC-layer sequence number real radios
-    already carry."""
+    fresh :class:`TokenMessage` and thus a fresh serial — also through
+    :func:`dataclasses.replace`, which never copies an ``init=False``
+    field (a copied serial would make the receiver drop a backtracked
+    token as a duplicate). A fault-injected duplicate delivery
+    re-delivers the same payload object with the same serial, which is
+    how receivers tell the two apart (a duplicated token must not spawn
+    a second walk). Not part of the modelled wire size — it stands for
+    the MAC-layer sequence number real radios already carry."""
     trace: Optional[Any] = field(default=None, compare=False, repr=False)
 
     def size_bytes(self, dimensions: int) -> int:

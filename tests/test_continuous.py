@@ -658,7 +658,7 @@ class TestLifecycleEdges:
         assert sim.live_pending == 0
         for device in devices:
             assert device._subscriber == {}
-            assert device._pending_deltas == {}
+            assert device._pending == {}
 
     def test_install_then_immediate_cancel(self, dataset):
         sim, world, devices, _ = build_grid(dataset)

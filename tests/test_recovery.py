@@ -86,7 +86,7 @@ class TestBFResultAck:
         record, world, devices, _ = self.run(dataset, result_ack=True)
         assert set(record.contributions) == {1, 2}
         for device in devices:
-            assert device._pending_results == {}
+            assert device._pending == {}
         assert world.stats.by_kind.get("ack", 0) == 0  # ACKs ride DATA frames
 
     def test_retransmission_recovers_result_lost_to_crash(self, dataset):
@@ -102,7 +102,7 @@ class TestBFResultAck:
         # the copy that made it is the retransmission, after the relay
         # came back — not the original
         assert record.contributions[2].arrival_time > t_result + 1.0
-        assert devices[2]._pending_results == {}
+        assert devices[2]._pending == {}
 
     def test_without_ack_the_result_is_lost(self, dataset):
         _, _, _, observer = self.run(dataset, result_ack=True)
@@ -132,11 +132,11 @@ class TestBFResultAck:
         )
         devices[1].on_protocol_frame(frame, sender=0)
         while sim.step():  # run until the reply is armed for retry
-            if devices[1]._pending_results:
+            if devices[1]._pending:
                 break
-        assert devices[1]._pending_results
+        assert devices[1]._pending
         sim.run(until=200.0)
-        assert devices[1]._pending_results == {}
+        assert devices[1]._pending == {}
 
 
 class TestDFTokenWatchdog:

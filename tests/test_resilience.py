@@ -14,13 +14,14 @@ from repro.core.query import SkylineQuery
 from repro.data import make_global_dataset
 from repro.net import (
     AodvConfig,
+    FrameKind,
     RadioConfig,
     Simulator,
     StaticPlacement,
     World,
 )
 from repro.protocol import BFDevice, DFDevice, ProtocolConfig
-from repro.protocol.device import QueryRecord, _PendingResult
+from repro.protocol.device import QueryRecord, _PendingReply
 from repro.protocol.messages import ResultMessage
 from repro.resilience import (
     CompletionReport,
@@ -92,26 +93,11 @@ class TestResiliencePolicy:
 
 
 class TestPromotedConfigFields:
-    """Satellite: ack_backoff_cap and backtrack_retry_delay are now
-    validated ProtocolConfig fields."""
-
-    def test_backtrack_retry_delay_validated(self):
-        assert ProtocolConfig().backtrack_retry_delay > 0
-        assert ProtocolConfig(
-            backtrack_retry_delay=0.25
-        ).backtrack_retry_delay == 0.25
-        with pytest.raises(ValueError):
-            ProtocolConfig(backtrack_retry_delay=0.0)
-        with pytest.raises(ValueError):
-            ProtocolConfig(backtrack_retry_delay=-1.0)
-
-    def test_ack_backoff_cap_validated(self):
-        with pytest.raises(ValueError):
-            # a cap below the initial timeout could never apply
-            ProtocolConfig(ack_timeout=3.0, ack_backoff_cap=1.0)
+    """The retry backoff: ``ack_timeout`` doubles per attempt up to the
+    module's fixed cap, which also bounds ``ack_timeout`` itself."""
 
     def test_result_retry_backoff_actually_caps(self, dataset):
-        config = ProtocolConfig(ack_timeout=2.0, ack_backoff_cap=7.0)
+        config = ProtocolConfig(ack_timeout=2.0)
         sim, world, devices, _ = build(
             dataset, BFDevice, [(0, 0), (200, 0), (9000, 0), (9300, 0)],
             config,
@@ -123,12 +109,22 @@ class TestPromotedConfigFields:
         )
         delays = []
         for attempts in (0, 1, 2, 10):
-            pending = _PendingResult(reply=reply, origin=0, attempts=attempts)
-            devices[1]._arm_result_retry((0, 1), pending)
+            pending = _PendingReply(
+                kind=FrameKind.RESULT, payload=reply, origin=0,
+                attempts=attempts,
+            )
+            devices[1]._arm_retry((0, 1), pending)
             delays.append(pending.timer.time - sim.now)
             pending.timer.cancel()
-        # 2, 4, then clamped at the cap — never ack_timeout * 2**n
-        assert delays == [2.0, 4.0, 7.0, 7.0]
+        # 2, 4, 8, then clamped at the 60 s cap — never ack_timeout * 2**n
+        assert delays == [2.0, 4.0, 8.0, 60.0]
+
+    def test_ack_timeout_validated_against_the_cap(self):
+        with pytest.raises(ValueError):
+            ProtocolConfig(ack_timeout=0.0)
+        with pytest.raises(ValueError):
+            # an initial backoff above the cap could never apply
+            ProtocolConfig(ack_timeout=61.0)
 
 
 class TestCompletionReportUnit:
@@ -235,7 +231,7 @@ class TestTimerHygiene:
         assert record.closed
         assert sim.live_pending == 0
         for device in devices:
-            assert device._pending_results == {}
+            assert device._pending == {}
 
     def test_deadline_close_cancels_pending_retries(self, dataset):
         # Originator parked alone: responders' results never arrive and
@@ -394,7 +390,7 @@ class TestOrphanSuppression:
         sim.schedule_at(crash_at, world.fail_node, 0)
         devices[0].issue_query(d=1.0e6)
         sim.run(until=120.0)
-        assert devices[1]._pending_results == {}
+        assert devices[1]._pending == {}
         assert (
             observer.metrics.counter("resilience.orphans_reaped").value >= 1
         )
@@ -452,7 +448,7 @@ class TestOrphanSuppression:
         sim.run(until=120.0)
         # without the policy the responder burns its full retry budget
         # into the void, then gives up — the legacy behaviour
-        assert devices[1]._pending_results == {}
+        assert devices[1]._pending == {}
 
 
 class TestFaultFreeParity:
