@@ -68,7 +68,10 @@ def perturb_relation(
     values = relation.values.copy()
     lows = np.asarray(schema.lows, dtype=np.float64)
     highs = np.asarray(schema.highs, dtype=np.float64)
-    fresh = rng.uniform(lows, highs, size=(count, schema.dimensions))
+    # ``rng.uniform(lows, highs, size=...)`` evaluates exactly this
+    # expression on the same draws; spelled out, it skips uniform's
+    # per-call bound checks and broadcasting.
+    fresh = lows + (highs - lows) * rng.random((count, schema.dimensions))
     if value_step is not None and value_step > 0:
         fresh = lows + np.round((fresh - lows) / value_step) * value_step
         fresh = np.clip(fresh, lows, highs)

@@ -7,7 +7,9 @@ generator-based processes that ``yield`` delays.
 
 Determinism: events fire in ``(time, sequence)`` order, where the
 sequence number is assigned at scheduling time, so two runs with the same
-seed replay identically.
+seed replay identically. Heap entries are ``(time, seq, handle)`` tuples:
+the unique sequence number settles every tie, so ordering is a C-level
+tuple comparison that never reaches the handle.
 """
 
 from __future__ import annotations
@@ -48,9 +50,6 @@ class EventHandle:
         if self._sim is not None:
             self._sim._live -= 1
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class Simulator:
     """The event loop.
@@ -64,7 +63,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: List[EventHandle] = []
+        self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._events_fired = 0
         self._live = 0
@@ -92,10 +91,15 @@ class Simulator:
         schedule and decremented exactly once per fire or cancel."""
         return self._live
 
+    def queued(self) -> List[EventHandle]:
+        """Every queued handle, cancelled ones included, in no particular
+        order."""
+        return [entry[2] for entry in self._heap]
+
     def _live_pending_scan(self) -> int:
         """O(heap) reference count of live queued events — the ground
         truth the counter is unit-tested against."""
-        return sum(1 for h in self._heap if not h.cancelled)
+        return sum(1 for h in self.queued() if not h.cancelled)
 
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
@@ -103,8 +107,10 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        handle = EventHandle(self._now + delay, next(self._seq), callback, args, self)
-        heapq.heappush(self._heap, handle)
+        time = self._now + delay
+        seq = next(self._seq)
+        handle = EventHandle(time, seq, callback, args, self)
+        heapq.heappush(self._heap, (time, seq, handle))
         self._live += 1
         return handle
 
@@ -132,42 +138,43 @@ class Simulator:
         holds only cancelled debris; a cap that stops mid-simulation
         (live events still due) leaves ``now`` at the last fired event.
         """
+        heap = self._heap
         fired = 0
-        while self._heap:
-            head = self._heap[0]
+        while heap:
+            time, _, head = heap[0]
             if head.cancelled:
-                heapq.heappop(self._heap)
+                heapq.heappop(heap)
                 continue
             if max_events is not None and fired >= max_events:
                 break
-            if until is not None and head.time > until:
+            if until is not None and time > until:
                 break
-            heapq.heappop(self._heap)
+            heapq.heappop(heap)
             # Mark consumed before firing: a cancel() from inside the
             # callback (or any later one) is a no-op, and the live
             # counter is decremented exactly once per event.
             head.cancelled = True
             self._live -= 1
-            self._now = head.time
+            self._now = time
             head.callback(*head.args)
             self._events_fired += 1
             fired += 1
         if (
             until is not None
             and self._now < until
-            and (not self._heap or self._heap[0].time > until)
+            and (not heap or heap[0][0] > until)
         ):
             self._now = until
 
     def step(self) -> bool:
         """Execute exactly one event; return False if the queue is empty."""
         while self._heap:
-            head = heapq.heappop(self._heap)
+            time, _, head = heapq.heappop(self._heap)
             if head.cancelled:
                 continue
             head.cancelled = True
             self._live -= 1
-            self._now = head.time
+            self._now = time
             head.callback(*head.args)
             self._events_fired += 1
             return True

@@ -85,17 +85,14 @@ class StaticPlacement(MobilityModel):
         return self._array.copy()
 
 
-def _leg_at(
-    t0: float, t1: float, sx: float, sy: float, ex: float, ey: float, t: float
-) -> Position:
-    """Position at ``t`` on the leg from ``(sx, sy)`` at ``t0`` to
-    ``(ex, ey)`` at ``t1``, clamped to the leg; a zero-length leg (a
-    pause, or a degenerate trip) answers its end point."""
-    if t1 <= t0:
-        return (ex, ey)
-    frac = (t - t0) / (t1 - t0)
-    frac = min(max(frac, 0.0), 1.0)
-    return (sx + frac * (ex - sx), sy + frac * (ey - sy))
+#: Uniform draws fetched per refill of a node's draw block: three per
+#: trip (destination x, destination y, speed), so one block covers 16
+#: trips.
+_DRAW_BLOCK = 48
+
+#: A current-leg entry no query time falls inside (``prev_end < t``
+#: fails for every t), forcing the first lookup to locate.
+_NO_LEG = (math.inf, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class RandomWaypoint(MobilityModel):
@@ -137,7 +134,6 @@ class RandomWaypoint(MobilityModel):
             raise ValueError(f"degenerate extent {extent}")
         self._count = node_count
         self._extent = extent
-        self._speed_range = speed_range
         self._holding = holding_time
         seed_seq = np.random.SeedSequence(seed)
         self._rngs = [
@@ -148,14 +144,18 @@ class RandomWaypoint(MobilityModel):
         #: per node; one object per leg made this history the largest
         #: memory growth of a mobile simulation.
         self._legs = [array("d") for _ in range(node_count)]
-        #: Parallel array of leg end times per node (for bisection), and a
-        #: per-node cursor remembering the last covering leg: repeated
-        #: queries at the same (or a nearby) time hit the cursor and skip
-        #: the log-time search entirely. Connectivity sweeps ask for all
-        #: nodes at one time, then again at the same time — the cursor
-        #: makes those follow-up lookups O(1).
+        #: Parallel array of leg end times per node (for bisection).
         self._ends = [array("d") for _ in range(node_count)]
-        self._cursors: List[int] = [0] * node_count
+        #: Each node's last located leg as one tuple of Python floats:
+        #: (previous leg's end, start time, end time, start x/y, end x/y).
+        #: A scalar query inside it skips the locate; most unicast range
+        #: checks ask about a node whose leg has not changed since the
+        #: last one.
+        self._current: List[tuple] = [_NO_LEG] * node_count
+        #: Per-node blocks of standard uniform draws and the next unread
+        #: index into each; ``_extend`` scales them to its ranges.
+        self._draws: List[List[float]] = [[] for _ in range(node_count)]
+        self._drawn: List[int] = [0] * node_count
         #: Struct-of-arrays mirror of every node's *current* leg
         #: (`t_start`, `t_end`, start/end coordinates, and the previous
         #: leg's end time for the covering test). ``advance`` refreshes
@@ -184,6 +184,12 @@ class RandomWaypoint(MobilityModel):
                 for i in range(node_count)
             ]
         self._starts = starts
+        #: ``(lo, hi - lo)`` in float64 for destination x, destination y
+        #: and speed, as ``Generator.uniform`` converts its bounds.
+        self._ranges = tuple(
+            (float(lo), float(hi) - float(lo))
+            for lo, hi in ((x_min, x_max), (y_min, y_max), speed_range)
+        )
 
     @property
     def node_count(self) -> int:
@@ -195,33 +201,40 @@ class RandomWaypoint(MobilityModel):
         return self._extent
 
     def position(self, node: int, t: float) -> Position:
+        """Position of ``node`` at ``t``: clamped linear interpolation
+        along the covering leg; a zero-length leg (a pause, or a
+        degenerate trip) answers its end point."""
         if t < 0:
             raise ValueError("time must be >= 0")
-        cur = self._locate(node, t)
-        t0, sx, sy, ex, ey = self._legs[node][5 * cur : 5 * cur + 5]
-        return _leg_at(t0, self._ends[node][cur], sx, sy, ex, ey, t)
+        prev, t0, t1, sx, sy, ex, ey = self._current[node]
+        if not prev < t <= t1:
+            prev, t0, t1, sx, sy, ex, ey = self._locate(node, t)
+        if t1 <= t0:
+            return (ex, ey)
+        frac = (t - t0) / (t1 - t0)
+        frac = min(max(frac, 0.0), 1.0)
+        return (sx + frac * (ex - sx), sy + frac * (ey - sy))
 
-    def _locate(self, node: int, t: float) -> int:
-        """Index of the covering leg (first with end time >= ``t``),
-        extending the trajectory as needed and updating the cursor."""
+    def _locate(self, node: int, t: float) -> tuple:
+        """The covering leg (first with end time >= ``t``) as a current-leg
+        tuple, extending the trajectory as needed; it becomes the node's
+        current leg."""
         ends = self._ends[node]
         while not ends or ends[-1] < t:
             self._extend(node)
-        # Cursor fast path: re-querying the same leg skips the bisection.
-        cur = self._cursors[node]
-        if cur < len(ends) and ends[cur] >= t and (cur == 0 or ends[cur - 1] < t):
-            return cur
         cur = bisect_left(ends, t)
-        self._cursors[node] = cur
-        return cur
+        t0, sx, sy, ex, ey = self._legs[node][5 * cur : 5 * cur + 5]
+        prev = ends[cur - 1] if cur else -math.inf
+        leg = self._current[node] = (prev, t0, ends[cur], sx, sy, ex, ey)
+        return leg
 
     def advance(self, t: float) -> None:
         """Refresh the SoA current-leg arrays so every row covers ``t``.
 
         One vectorised staleness test over all nodes; only rows whose
-        cursor leg no longer covers ``t`` (typically the few nodes that
-        crossed a waypoint since the last sweep) pay the scalar
-        locate-and-copy fix-up.
+        leg no longer covers ``t`` (typically the few nodes that crossed
+        a waypoint since the last sweep) pay the scalar locate-and-copy
+        fix-up.
         """
         if t < 0:
             raise ValueError("time must be >= 0")
@@ -230,15 +243,11 @@ class RandomWaypoint(MobilityModel):
             return
         for node in np.nonzero(stale)[0]:
             node = int(node)
-            cur = self._locate(node, t)
-            t0, sx, sy, ex, ey = self._legs[node][5 * cur : 5 * cur + 5]
-            self._soa_t0[node] = t0
-            self._soa_t1[node] = self._ends[node][cur]
-            self._soa_sx[node], self._soa_sy[node] = sx, sy
-            self._soa_ex[node], self._soa_ey[node] = ex, ey
-            self._soa_prev[node] = (
-                self._ends[node][cur - 1] if cur else -np.inf
-            )
+            (
+                self._soa_prev[node], self._soa_t0[node], self._soa_t1[node],
+                self._soa_sx[node], self._soa_sy[node],
+                self._soa_ex[node], self._soa_ey[node],
+            ) = self._locate(node, t)
 
     def positions(self, t: float) -> np.ndarray:
         """All node positions at ``t`` in one vectorised interpolation.
@@ -262,7 +271,6 @@ class RandomWaypoint(MobilityModel):
 
     def _extend(self, node: int) -> None:
         """Append one (pause, travel) pair to the node's trajectory."""
-        rng = self._rngs[node]
         legs = self._legs[node]
         ends = self._ends[node]
         if ends:
@@ -277,9 +285,21 @@ class RandomWaypoint(MobilityModel):
             legs.extend((t0, pos[0], pos[1], pos[0], pos[1]))
             t0 += self._holding
             ends.append(t0)
-        x_min, y_min, x_max, y_max = self._extent
-        dest = (float(rng.uniform(x_min, x_max)), float(rng.uniform(y_min, y_max)))
-        speed = float(rng.uniform(*self._speed_range))
+        # ``lo + (hi - lo) * u`` over ``Generator.random`` draws is the
+        # exact float64 expression ``Generator.uniform(lo, hi)`` evaluates
+        # on the same stream, so drawing a block ahead yields the values
+        # the scalar calls would. Reading ahead is safe only because after
+        # construction ``_extend`` is the sole user of each node's private
+        # generator.
+        draws = self._draws[node]
+        i = self._drawn[node]
+        if i == len(draws):
+            draws = self._draws[node] = self._rngs[node].random(_DRAW_BLOCK).tolist()
+            i = 0
+        self._drawn[node] = i + 3
+        (x_min, x_span), (y_min, y_span), (v_min, v_span) = self._ranges
+        dest = (x_min + x_span * draws[i], y_min + y_span * draws[i + 1])
+        speed = v_min + v_span * draws[i + 2]
         distance = math.hypot(dest[0] - pos[0], dest[1] - pos[1])
         duration = distance / speed if speed > 0 else 0.0
         if duration <= 0:

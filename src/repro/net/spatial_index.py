@@ -169,20 +169,6 @@ class NeighborIndex:
             self._pos_time = t
         return self._pos
 
-    def position(self, node: int) -> Tuple[float, float]:
-        """Position of ``node`` at the current time.
-
-        Served from the position memo when it is already fresh;
-        otherwise a single scalar mobility lookup — a lone unicast range
-        check between adjacency builds must not pay for a full m-node
-        sweep. Scalar and vectorised lookups yield identical float64
-        values, so answers never depend on which path served them.
-        """
-        if self._pos_time == self._now() and self._pos is not None:
-            row = self._pos[node]
-            return (float(row[0]), float(row[1]))
-        return self._world.mobility.position(node, self._world.sim.now)
-
     # -- adjacency layer ----------------------------------------------------
 
     def _key(self) -> Tuple[float, int, float]:

@@ -203,8 +203,9 @@ class World:
         return self._index.epoch
 
     def position(self, node: int) -> tuple:
-        """Current position of ``node``."""
-        return self._index.position(node)
+        """Current position of ``node``: one scalar mobility lookup, which
+        equals the node's row of :meth:`positions` bit for bit."""
+        return self.mobility.position(node, self.sim.now)
 
     def positions(self) -> "np.ndarray":
         """``(node_count, 2)`` array of all positions right now (one
@@ -223,7 +224,9 @@ class World:
         """
         if a == b:
             return False
-        pa, pb = self.position(a), self.position(b)
+        position = self.mobility.position
+        now = self.sim.now
+        pa, pb = position(a, now), position(b, now)
         dx = pa[0] - pb[0]
         dy = pa[1] - pb[1]
         r = self.radio.radio_range
@@ -238,7 +241,7 @@ class World:
         if (
             a in self._down
             or b in self._down
-            or frozenset((a, b)) in self._blackouts
+            or (self._blackouts and frozenset((a, b)) in self._blackouts)
             or not self.in_range(a, b)
         ):
             return False
@@ -546,10 +549,11 @@ class World:
         crashes a later receiver in the same wave therefore suppresses
         that delivery.
         """
+        blackouts = self._blackouts
         for node in nodes:
             if (
                 node in self._down
-                or frozenset((frame.src, node)) in self._blackouts
+                or (blackouts and frozenset((frame.src, node)) in blackouts)
             ):
                 self.stats.drops += 1
                 if self.obs.enabled:

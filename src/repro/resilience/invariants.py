@@ -189,7 +189,7 @@ def live_foreign_events(sim) -> List:
     """Live (uncancelled) heap entries that are not fault-injector
     transitions — after a fully drained run these are leaked timers."""
     return [
-        h for h in sim._heap
+        h for h in sim.queued()
         if not h.cancelled and not _is_injector_event(h)
     ]
 

@@ -9,5 +9,6 @@ for bit:
 * :mod:`.world`: the uncached world, per-receiver broadcast delivery,
   and a world on the reference neighbor-index build;
 * :mod:`.spatial_index`: the Python-loop index build and loop BFS;
-* :mod:`.mobility`: the scalar position sweep.
+* :mod:`.mobility`: the scalar position sweep, and random waypoint
+  with scalar draws and a bisection per query.
 """

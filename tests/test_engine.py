@@ -217,6 +217,15 @@ class TestLivePendingCounter:
         assert sim.live_pending == 0
 
 
+    def test_queued_lists_cancelled_and_live_handles(self):
+        sim = Simulator()
+        handles = [sim.schedule(float(i), lambda: None) for i in (3, 1, 2)]
+        handles[0].cancel()
+        assert set(map(id, sim.queued())) == set(map(id, handles))
+        sim.run(until=1.0)
+        assert set(map(id, sim.queued())) == {id(handles[0]), id(handles[2])}
+
+
 class TestProcesses:
     def test_generator_process(self):
         sim = Simulator()

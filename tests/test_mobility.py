@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.net import RandomWaypoint, StaticPlacement
 
-from .oracles.mobility import positions_reference
+from .oracles.mobility import ReferenceWaypoint, positions_reference
 
 
 class TestStaticPlacement:
@@ -153,3 +153,101 @@ class TestVectorisedPositions:
     def test_advance_rejects_negative_time(self):
         with pytest.raises(ValueError):
             RandomWaypoint(2, seed=1).advance(-1.0)
+
+
+#: ``RandomWaypoint(4, seed=42).position(node, t)`` for nodes 0-3, as the
+#: scalar-draw model generated them. Any change to the order or form of
+#: the waypoint draws moves these.
+GOLDEN_SEED_42 = {
+    0.0: [(916.7441575549085, 910.9866676343232),
+          (467.4907799518424, 46.44889644868733),
+          (71.23920291270869, 710.1597228953526),
+          (763.9328676507446, 971.3361041904083)],
+    119.0: [(916.7441575549085, 910.9866676343232),
+            (467.4907799518424, 46.44889644868733),
+            (71.23920291270869, 710.1597228953526),
+            (763.9328676507446, 971.3361041904083)],
+    250.0: [(876.5925046098457, 309.31840961414457),
+            (595.5100095961371, 107.27525115747005),
+            (71.80046455623234, 319.32759405679633),
+            (738.590643853695, 489.81240102301854)],
+    777.7: [(175.4584087032055, 249.3631720443419),
+            (625.3843298227079, 177.9511934899033),
+            (289.68412405405684, 586.7890183676702),
+            (106.79458577346446, 236.38861392801547)],
+    3000.0: [(882.3637832432535, 620.9528243165034),
+             (740.8536944694732, 789.0564584275735),
+             (855.0193453534881, 308.85568556414313),
+             (659.6613124073085, 523.8414452622884)],
+    50000.0: [(688.9667808591807, 583.424080965244),
+              (687.9001365345302, 640.3183737635507),
+              (455.3964327204059, 902.1698747396485),
+              (589.240728154868, 128.11315038681624)],
+}
+
+#: A query time: a plain time, or ``(leg, ulps)`` meaning the end time
+#: of the queried node's ``leg``-th leg moved by ``ulps`` units in the
+#: last place.
+_QUERY = st.one_of(
+    st.floats(0.0, 5_000.0),
+    st.just(0.0),
+    st.tuples(st.integers(0, 60), st.integers(-1, 1)),
+)
+
+
+def _leg_end(ref: ReferenceWaypoint, node: int, leg: int, ulps: int) -> float:
+    while len(ref._ends[node]) <= leg:
+        ref._extend(node)
+    t = ref._ends[node][leg]
+    for _ in range(abs(ulps)):
+        t = math.nextafter(t, math.inf if ulps > 0 else 0.0)
+    return t
+
+
+class TestScalarPositions:
+    """Scalar `position` (current-leg cache, block-drawn waypoints) must
+    equal the scalar-draw, bisect-and-interpolate reference bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        # 1e-14 s pauses vanish once 1000 + 1e-14 == 1000: zero-length legs.
+        holding=st.sampled_from([0.0, 1e-14, 4.0, 120.0]),
+        queries=st.lists(st.tuples(st.integers(0, 2), _QUERY), max_size=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, seed, holding, queries):
+        model = RandomWaypoint(3, seed=seed, holding_time=holding)
+        ref = ReferenceWaypoint(3, seed=seed, holding_time=holding)
+        for node, query in queries:
+            t = _leg_end(ref, node, *query) if isinstance(query, tuple) else query
+            assert model.position(node, t) == ref.position(node, t), (node, t)
+
+    @pytest.mark.parametrize("holding", [0.0, 120.0])
+    def test_leg_ends_after_the_next_leg(self, holding):
+        """At a leg's exact end time the covering leg is that leg, not
+        the next one, even when the next one was the last answered."""
+        model = RandomWaypoint(3, seed=8, holding_time=holding)
+        ref = ReferenceWaypoint(3, seed=8, holding_time=holding)
+        for node in range(3):
+            for leg in range(40):
+                for ulps in (1, 0, -1):
+                    t = _leg_end(ref, node, leg, ulps)
+                    assert model.position(node, t) == ref.position(node, t), \
+                        (node, leg, ulps)
+
+    def test_golden_positions(self):
+        m = RandomWaypoint(4, seed=42)
+        for t, expected in GOLDEN_SEED_42.items():
+            assert [m.position(node, t) for node in range(4)] == expected, t
+
+    def test_far_query_spans_many_draw_blocks(self):
+        far = RandomWaypoint(3, seed=5)
+        stepped = RandomWaypoint(3, seed=5)
+        ahead = [far.position(node, 1e6) for node in range(3)]
+        # Each trip reads three draws from its node's block, so the
+        # answer at 1e6 s needs thousands of refills per node.
+        assert all(len(far._ends[node]) > 1000 for node in range(3))
+        for t in np.arange(0.0, 1e6 + 1.0, 1000.0):
+            for node in range(3):
+                assert stepped.position(node, float(t)) == far.position(node, float(t))
+        assert [stepped.position(node, 1e6) for node in range(3)] == ahead

@@ -74,6 +74,18 @@ class TestPerturbRelation:
         steps = (out.values - lows) / 1.0
         assert np.allclose(steps, np.round(steps))
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_fresh_values_are_seeded_uniform_draws(self, relation, seed):
+        """The rows and values ``Generator.choice`` then
+        ``Generator.uniform`` draw from the seed, bit for bit."""
+        out = perturb_relation(relation, 0.2, seed=seed)
+        rng = np.random.default_rng(seed)
+        count = int(np.ceil(0.2 * relation.cardinality))
+        rows = rng.choice(relation.cardinality, size=count, replace=False)
+        expected = rng.uniform(relation.schema.lows, relation.schema.highs,
+                               size=(count, relation.schema.dimensions))
+        assert np.array_equal(out.values[rows], expected)
+
     def test_source_relation_unchanged(self, relation):
         before = relation.values.copy()
         perturb_relation(relation, 1.0, seed=17)
