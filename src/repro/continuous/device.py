@@ -257,9 +257,9 @@ class ContinuousDevice(BFDevice):
             completion_report=self.config.resilience.completion_report,
         )
         if self.world.obs.enabled:
-            self.world.obs.subscription_refreshed(
-                key, self.node_id, epoch,
-                reporters=len(books.reporters),
+            self.world.obs.event(
+                "subscription.refresh", query=key, node=self.node_id,
+                epoch=epoch, reporters=len(books.reporters),
                 covered=(
                     len(books.report.contributed)
                     if books.report is not None else None
@@ -296,9 +296,6 @@ class ContinuousDevice(BFDevice):
                         node=self.node_id, epoch=epoch,
                         missing=len(missing),
                     )
-                    self.world.obs.metrics.counter(
-                        "continuous.heal_floods"
-                    ).inc()
                 self._flood(FrameKind.SUBSCRIBE, SubscribeMessage(
                     spec=record.spec, flood=flood, kind="renew",
                     epoch=epoch, epochs_total=record.epochs_total,
@@ -460,9 +457,6 @@ class ContinuousDevice(BFDevice):
                         "safe-region.silent", query=key, node=self.node_id,
                         epoch=epoch, reason="no-change",
                     )
-                    self.world.obs.metrics.counter(
-                        "continuous.silent.no-change"
-                    ).inc()
             else:
                 self._ship_incremental(spec, epoch, skyline, rows, last)
             state.region.note_report(rows)
@@ -513,9 +507,9 @@ class ContinuousDevice(BFDevice):
             trace=self._trace(spec.key),
         )
         if self.world.obs.enabled:
-            self.world.obs.delta_sent(
-                spec.key, self.node_id, epoch,
-                enters=enters.cardinality, leaves=len(leaves),
+            self.world.obs.event(
+                "delta.sent", query=spec.key, node=self.node_id,
+                epoch=epoch, enters=enters.cardinality, leaves=len(leaves),
             )
         self._send_acked(
             (spec.key, epoch), FrameKind.DELTA, delta, spec.query.origin
@@ -568,6 +562,7 @@ class ContinuousDevice(BFDevice):
             delta, self.world.crash_count(delta.sender)
         )
         if fresh and self.world.obs.enabled:
-            self.world.obs.delta_merged(
-                delta.sub_key, self.node_id, delta.sender, delta.epoch
+            self.world.obs.event(
+                "delta.merged", query=delta.sub_key, node=self.node_id,
+                sender=delta.sender, epoch=delta.epoch,
             )

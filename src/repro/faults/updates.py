@@ -269,8 +269,9 @@ class UpdateInjector:
                 )
             )
             if self._world.obs.enabled:
-                self._world.obs.data_updated(
-                    event.device, device.data_epoch, event.fraction
+                self._world.obs.event(
+                    "data.updated", node=event.device,
+                    epoch=device.data_epoch, fraction=event.fraction,
                 )
         self.applied.append(event.signature() + (effective,))
 

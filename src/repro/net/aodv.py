@@ -369,7 +369,6 @@ class AodvRouter:
                 "aodv.route-break", query=query_key_of(packet),
                 node=self.node_id, dest=packet.dest, repairs=packet.repairs,
             )
-            self.world.obs.metrics.counter("aodv.route_breaks").inc()
         self._invalidate(packet.dest, next_hop)
         if packet.repairs < self.config.repair_attempts:
             packet.repairs += 1
@@ -402,7 +401,6 @@ class AodvRouter:
                     node=self.node_id, source=packet.source,
                     dest=packet.dest, kind=packet.kind,
                 )
-                self.world.obs.metrics.counter("aodv.ttl_expired").inc()
             self._send_rerr(packet)
             return
         self._dispatch(packet, on_undeliverable=None)
@@ -435,7 +433,6 @@ class AodvRouter:
                 attempt=pending.attempts, cause=pending.cause,
                 kind=pending.kind,
             )
-            self.world.obs.metrics.counter("aodv.discoveries").inc()
         self._rreq_id += 1
         payload = {
             "rreq_id": self._rreq_id,
@@ -494,7 +491,6 @@ class AodvRouter:
                 "aodv.undeliverable", query=query_key_of(packet),
                 node=self.node_id, dest=packet.dest, kind=packet.kind,
             )
-            self.world.obs.metrics.counter("aodv.undeliverable").inc()
         if on_undeliverable is not None:
             on_undeliverable(packet)
         elif packet.source == self.node_id and self.on_undeliverable is not None:

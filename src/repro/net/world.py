@@ -167,9 +167,10 @@ class World:
         self._jitter: float = 0.0
         self._index = NeighborIndex(self)
         #: Observability sink (``repro.obs``). Defaults to the shared
-        #: no-op observer; every instrumentation site below guards on
-        #: ``self.obs.enabled``, so the off path is one attribute load
-        #: and a branch. Attach a live observer with ``Observer.bind``.
+        #: disabled observer, which has no hooks: every instrumentation
+        #: site guards on ``self.obs.enabled``, so the off path is one
+        #: attribute load and a branch. Attach a live observer with
+        #: ``Observer.bind``.
         self.obs = NULL_OBSERVER
         #: Optional per-node energy meters; when present, frame
         #: transmissions and receptions are charged to them
@@ -487,7 +488,7 @@ class World:
         if not self.can_communicate(frame.src, frame.dst) or self._lossy():
             self.stats.drops += 1
             if self.obs.enabled:
-                self.obs.frame_dropped(frame, "no-link")
+                self.obs.frame_dropped(frame, frame.dst, "no-link")
             if on_failure is not None:
                 self.sim.schedule(delay, on_failure, frame)
             return
@@ -527,7 +528,7 @@ class World:
             if self._lossy():
                 self.stats.drops += 1
                 if self.obs.enabled:
-                    self.obs.frame_dropped(frame, "loss")
+                    self.obs.frame_dropped(frame, other, "loss")
                 continue
             receivers.append(other)
             waves.setdefault(self._jittered(delay), []).append(other)
@@ -557,7 +558,7 @@ class World:
             ):
                 self.stats.drops += 1
                 if self.obs.enabled:
-                    self.obs.frame_dropped(frame, "fault")
+                    self.obs.frame_dropped(frame, node, "fault")
                 continue
             self._deliver_to(node, frame)
 
@@ -567,7 +568,7 @@ class World:
         if not self.can_communicate(frame.src, frame.dst):
             self.stats.drops += 1
             if self.obs.enabled:
-                self.obs.frame_dropped(frame, "moved")
+                self.obs.frame_dropped(frame, frame.dst, "moved")
             if on_failure is not None:
                 on_failure(frame)
             return

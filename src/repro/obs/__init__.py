@@ -7,10 +7,10 @@ through:
   through issue, per-hop forwarding, local-skyline evaluation, filter
   promotion, result merge / ACK / retransmission, and final delivery,
   with simulation *and* wall time plus fault annotations.
-* :class:`MetricsRegistry` — named counters / gauges / histograms with
-  a true no-op default (:data:`NULL_REGISTRY`), unifying the view over
-  the legacy ``TrafficStats`` / ``ComparisonCounter`` / ``AccessStats``
-  families.
+* :class:`MetricsRegistry` — named counters / gauges / histograms,
+  unifying the view over the legacy ``TrafficStats`` /
+  ``ComparisonCounter`` / ``AccessStats`` families. Counted milestones
+  bump theirs through :data:`EVENT_COUNTERS`.
 * Exporters — JSONL event dumps, Chrome trace-event / Perfetto JSON
   timelines, and per-query text summaries.
 * :class:`PhaseProfiler` — wall-time attribution across protocol
@@ -57,6 +57,7 @@ from .flight import (
     validate_blackbox,
 )
 from .observer import (
+    EVENT_COUNTERS,
     NULL_OBSERVER,
     EventRecord,
     NullObserver,
@@ -65,14 +66,7 @@ from .observer import (
     query_key_of,
 )
 from .profiler import PHASE_SCHEMA, PhaseProfiler
-from .registry import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-)
+from .registry import Counter, Gauge, Histogram, MetricsRegistry
 from .stream import (
     HEALTH_SCHEMA,
     Anomaly,
@@ -88,6 +82,7 @@ __all__ = [
     "CausalGraph",
     "Counter",
     "Detector",
+    "EVENT_COUNTERS",
     "EventRecord",
     "FlightDump",
     "FlightEntry",
@@ -97,9 +92,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_OBSERVER",
-    "NULL_REGISTRY",
     "NullObserver",
-    "NullRegistry",
     "Observer",
     "PHASE_SCHEMA",
     "PhaseProfiler",

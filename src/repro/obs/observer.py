@@ -1,10 +1,12 @@
 """Span-based query-lifecycle observer.
 
 One :class:`Observer` watches one simulation run. Protocol code reports
-milestones through domain-specific hooks (``query_issued``,
-``local_eval``, ``frame_sent`` ...); the observer turns them into a
-flat, append-only stream of :class:`SpanRecord` and :class:`EventRecord`
-entries carrying both simulation time and wall time. Span *trees* are a
+instant milestones through :meth:`Observer.event` — which also bumps the
+counters :data:`EVENT_COUNTERS` lists for the event's name — and
+stateful ones through a few hooks (``query_issued``, ``local_eval``,
+``frame_sent`` ...). The observer turns them into a flat, append-only
+stream of :class:`SpanRecord` and :class:`EventRecord` entries carrying
+both simulation time and wall time. Span *trees* are a
 read-side construct: every record carries its query key ``(origin,
 cnt)``, so per-query trees are assembled on demand (see
 :func:`~repro.obs.exporters.build_query_trees`).
@@ -17,9 +19,10 @@ protocol stack permanently:
   run is bit-identical to an unobserved one (results, counters,
   ``AccessStats``, fault traces — pinned by ``tests/test_obs.py``).
 * **Cheap when off** — the default world observer is
-  :data:`NULL_OBSERVER`, whose ``enabled`` is False; every
-  instrumentation site is guarded by that flag, so the off path costs
-  one attribute load and a branch.
+  :data:`NULL_OBSERVER`, whose ``enabled`` is False and which defines no
+  hooks. Every instrumentation site is guarded by that flag (pinned by
+  ``tests/test_obs_contract.py``), so the off path costs one attribute
+  load and a branch, and an unguarded call raises.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from .causal import CausalEvent, TraceContext, trace_of
-from .registry import MetricsRegistry, NULL_REGISTRY
+from .registry import MetricsRegistry
 
 if TYPE_CHECKING:  # import kept type-only: net.world imports this module
     from ..net.messages import Frame
@@ -37,6 +40,7 @@ if TYPE_CHECKING:  # import kept type-only: net.world imports this module
     from .stream import StreamAnalyzer
 
 __all__ = [
+    "EVENT_COUNTERS",
     "SpanRecord",
     "EventRecord",
     "Observer",
@@ -46,6 +50,40 @@ __all__ = [
 ]
 
 QueryKey = Tuple[int, int]
+
+#: The counted milestones: event name -> the counters
+#: :meth:`Observer.event` bumps when it records one. ``{attr}`` fields
+#: are filled from the event's attrs.
+EVENT_COUNTERS: Dict[str, Tuple[str, ...]] = {
+    "query.completed": ("protocol.queries.completed",),
+    "query.aborted-by-crash": ("protocol.queries.aborted_by_crash",),
+    "filter.promoted": ("protocol.filter.promotions",),
+    "result.merged": ("protocol.results.merged",),
+    "result.retransmit": ("protocol.results.retransmits",),
+    "result.given-up": ("protocol.results.given_up",),
+    "token.reissue": ("protocol.token.reissues",),
+    "token.duplicate-dropped": ("protocol.token.duplicates_dropped",),
+    "query.failover": ("resilience.failovers",),
+    "query.deadline-close": ("resilience.deadline_closes",),
+    "orphan.reaped": (
+        "resilience.orphans_reaped", "resilience.orphans.{what}",
+    ),
+    "subscription.refresh": ("continuous.epochs.closed",),
+    "subscription.end": (
+        "continuous.subscriptions.ended", "continuous.end.{reason}",
+    ),
+    "subscription.heal-flood": ("continuous.heal_floods",),
+    "safe-region.silent": ("continuous.silent.{reason}",),
+    "delta.sent": ("continuous.deltas.sent",),
+    "delta.merged": ("continuous.deltas.merged",),
+    "delta.retransmit": ("continuous.deltas.retransmits",),
+    "delta.given-up": ("continuous.deltas.given_up",),
+    "data.updated": ("continuous.data_updates",),
+    "aodv.discovery": ("aodv.discoveries",),
+    "aodv.route-break": ("aodv.route_breaks",),
+    "aodv.ttl-expired": ("aodv.ttl_expired",),
+    "aodv.undeliverable": ("aodv.undeliverable",),
+}
 
 
 @dataclass
@@ -291,7 +329,12 @@ class Observer:
         node: Optional[int] = None,
         **attrs: Any,
     ) -> None:
-        """Record an instantaneous milestone at the current sim time."""
+        """Record an instantaneous milestone at the current sim time and
+        bump the counters :data:`EVENT_COUNTERS` lists for ``name``.
+
+        The counters move after the stream analyzer has rolled its
+        windows up to now, so they land in the window that holds the
+        event."""
         self.events.append(
             EventRecord(name=name, time=self.now, query=query, node=node,
                         attrs=attrs)
@@ -300,6 +343,8 @@ class Observer:
             self.stream.advance(self.now)
         if self.flight is not None and node is not None:
             self.flight.note(node, name, self.now, query, **attrs)
+        for counter in EVENT_COUNTERS.get(name, ()):
+            self.metrics.counter(counter.format_map(attrs)).inc()
 
     # -- query lifecycle hooks ------------------------------------------------
 
@@ -319,14 +364,12 @@ class Observer:
             self.flight.note(node, "query.issued", self.now, query)
         return sid
 
-    def query_alias(self, new_key: QueryKey, root_key: QueryKey) -> None:
-        """Map a re-issued DF query key onto its root query's span tree."""
+    def alias(self, new_key: QueryKey, root_key: QueryKey) -> None:
+        """Map a fresh key of a running query (a DF re-issue or failover
+        flood) onto its root query's span tree."""
         sid = self._query_roots.get(root_key)
         if sid is not None:
             self._query_roots[new_key] = sid
-        self.event("token.reissue", query=root_key,
-                   new_cnt=new_key[1])
-        self.metrics.counter("protocol.token.reissues").inc()
 
     def query_completed(self, query: QueryKey, node: int, **attrs: Any) -> None:
         """Mark the strategy's completion condition on the root span."""
@@ -340,7 +383,6 @@ class Observer:
             # event that fired completion: the critical path's endpoint.
             self._completion_cause[sid] = self._cursor.get((node, sid))
         self.event("query.completed", query=query, node=node, **attrs)
-        self.metrics.counter("protocol.queries.completed").inc()
 
     def query_closed(self, query: QueryKey, **attrs: Any) -> None:
         """Close the root span (timeout or strategy closure)."""
@@ -409,48 +451,12 @@ class Observer:
                              scanned=result.scanned,
                              reduced=result.reduced_size)
 
-    def filter_promoted(
-        self, query: Optional[QueryKey], node: int, vdr: float
-    ) -> None:
-        """A device replaced the in-flight filtering tuple with its own."""
-        self.event("filter.promoted", query=query, node=node, vdr=vdr)
-        self.metrics.counter("protocol.filter.promotions").inc()
-
-    def result_merged(
-        self, query: QueryKey, node: int, sender: int, tuples: int
-    ) -> None:
-        """The originator merged one device's contribution."""
-        self.event("result.merged", query=query, node=node, sender=sender,
-                   tuples=tuples)
-        self.metrics.counter("protocol.results.merged").inc()
-
     # -- resilience hooks ------------------------------------------------------
-
-    def failover(
-        self, new_key: QueryKey, root_key: QueryKey, node: int, **attrs: Any
-    ) -> None:
-        """A DF originator abandoned the token walk and re-flooded the
-        query breadth-first; ``new_key`` aliases onto the root span."""
-        sid = self._query_roots.get(root_key)
-        if sid is not None:
-            self._query_roots[new_key] = sid
-        self.event("query.failover", query=root_key, node=node,
-                   new_cnt=new_key[1], **attrs)
-        self.metrics.counter("resilience.failovers").inc()
-
-    def orphan_reaped(self, query: QueryKey, node: int, what: str) -> None:
-        """In-flight work for a crashed originator was suppressed
-        (``what``: token / token-backtrack / flood-query / result /
-        result-retry / subscribe-flood / delta-retry / subscription)."""
-        self.event("orphan.reaped", query=query, node=node, what=what)
-        self.metrics.counter("resilience.orphans_reaped").inc()
-        self.metrics.counter(f"resilience.orphans.{what}").inc()
 
     def deadline_close(self, query: QueryKey, node: int) -> None:
         """A record closed on its deadline budget without ever reaching
         its strategy's completion condition."""
         self.event("query.deadline-close", query=query, node=node)
-        self.metrics.counter("resilience.deadline_closes").inc()
         if self.flight is not None:
             root = self._query_roots.get(query)
             cause = (
@@ -477,14 +483,6 @@ class Observer:
         self.metrics.counter("continuous.subscriptions.installed").inc()
         return sid
 
-    def subscription_refreshed(
-        self, sub_key: QueryKey, node: int, epoch: int, **attrs: Any
-    ) -> None:
-        """The originator closed one refresh epoch."""
-        self.event("subscription.refresh", query=sub_key, node=node,
-                   epoch=epoch, **attrs)
-        self.metrics.counter("continuous.epochs.closed").inc()
-
     def subscription_cancelled(
         self, sub_key: QueryKey, node: int, reason: str
     ) -> None:
@@ -492,34 +490,9 @@ class Observer:
         originator-crash); closes the root span."""
         self.event("subscription.end", query=sub_key, node=node,
                    reason=reason)
-        self.metrics.counter("continuous.subscriptions.ended").inc()
-        self.metrics.counter(f"continuous.end.{reason}").inc()
         sid = self._query_roots.get(sub_key)
         if sid is not None:
             self.end(sid, reason=reason)
-
-    def delta_sent(
-        self, sub_key: QueryKey, node: int, epoch: int,
-        enters: int, leaves: int,
-    ) -> None:
-        """A contributor shipped an incremental DELTA toward home."""
-        self.event("delta.sent", query=sub_key, node=node, epoch=epoch,
-                   enters=enters, leaves=leaves)
-        self.metrics.counter("continuous.deltas.sent").inc()
-
-    def delta_merged(
-        self, sub_key: QueryKey, node: int, sender: int, epoch: int
-    ) -> None:
-        """The originator merged one device's DELTA for ``epoch``."""
-        self.event("delta.merged", query=sub_key, node=node, sender=sender,
-                   epoch=epoch)
-        self.metrics.counter("continuous.deltas.merged").inc()
-
-    def data_updated(self, node: int, epoch: int, fraction: float) -> None:
-        """A data update swapped ``node``'s relation version."""
-        self.event("data.updated", node=node, epoch=epoch,
-                   fraction=fraction)
-        self.metrics.counter("continuous.data_updates").inc()
 
     # -- frame-level hooks (called by World) ----------------------------------
 
@@ -608,24 +581,26 @@ class Observer:
         self.event("frame.duplicated", query=query_key_of(frame.payload),
                    node=frame.src, frame=frame.kind, frame_id=frame.frame_id)
 
-    def frame_dropped(self, frame: Frame, reason: str) -> None:
-        """A frame was lost (``reason``: no-link / loss / moved / fault)."""
+    def frame_dropped(self, frame: Frame, node: int, reason: str) -> None:
+        """``frame`` was lost on its way to ``node`` — ``frame.dst`` for
+        a unicast, one neighbour for a broadcast (``reason``: no-link /
+        loss / moved / fault)."""
         self.metrics.counter("net.drops").inc()
         self.metrics.counter(f"net.drops.{reason}").inc()
         trace = frame.trace
         if trace is not None:
-            self._causal_add("drop", trace.parent, trace.root, frame.dst,
+            self._causal_add("drop", trace.parent, trace.root, node,
                              frame=frame, note=reason)
         if self.flight is not None:
             self.flight.note(frame.src, f"drop.{frame.kind}", self.now,
                              query_key_of(frame.payload), reason=reason,
-                             dst=frame.dst)
+                             dst=node)
         sid = self._hop_spans.pop(frame.frame_id, None)
         if sid is not None:
             self.end(sid, outcome="dropped", reason=reason)
         else:
             self.event("frame.dropped", query=query_key_of(frame.payload),
-                       node=frame.dst, frame=frame.kind,
+                       node=node, frame=frame.kind,
                        frame_id=frame.frame_id, reason=reason)
 
     # -- fault hooks -----------------------------------------------------------
@@ -671,7 +646,6 @@ class Observer:
             if span is not None:
                 span.attrs["aborted_by_crash"] = True
         self.event("query.aborted-by-crash", query=query, node=node)
-        self.metrics.counter("protocol.queries.aborted_by_crash").inc()
 
     # -- finalization ----------------------------------------------------------
 
@@ -718,18 +692,6 @@ class Observer:
                 seen.append(span.query)
         return seen
 
-    def spans_for(self, query: QueryKey) -> List[SpanRecord]:
-        """Every span belonging to ``query`` (root included), in open order."""
-        root_sid = self._query_roots.get(query)
-        return [
-            s for s in self.spans
-            if s.query == query or (root_sid is not None and s.sid == root_sid)
-        ]
-
-    def events_for(self, query: QueryKey) -> List[EventRecord]:
-        """Every instant event belonging to ``query``, in record order."""
-        return [e for e in self.events if e.query == query]
-
     def faults_during(self, t0: float, t1: float) -> List[EventRecord]:
         """Fault transitions applied inside ``[t0, t1]``."""
         return [f for f in self.faults if t0 <= f.time <= t1]
@@ -739,116 +701,15 @@ class Observer:
 
 
 class NullObserver:
-    """The default observer: absorbs every hook at near-zero cost.
+    """The default observer: records nothing and defines no hooks.
 
-    Every instrumentation site guards on :attr:`enabled`, so in the
-    common case none of these methods is even called; they exist so
-    unguarded calls (cold paths, tests) stay safe.
+    Every instrumentation site guards on :attr:`enabled`, so none of
+    them calls into it; an unguarded call raises ``AttributeError``
+    instead of being silently absorbed.
     """
 
     enabled = False
-    metrics = NULL_REGISTRY
-    spans: List[SpanRecord] = []
-    events: List[EventRecord] = []
-    faults: List[EventRecord] = []
-    causal: List["CausalEvent"] = []
-    flight = None
-    stream = None
-
-    def bind(self, world) -> "NullObserver":
-        world.obs = self
-        return self
-
-    def attach_flight(self, recorder) -> "NullObserver":
-        return self
-
-    def attach_stream(self, analyzer) -> "NullObserver":
-        return self
-
-    def trace_context(self, *args, **kwargs) -> None:
-        return None
-
-    def begin(self, *args, **kwargs) -> int:
-        return -1
-
-    def end(self, *args, **kwargs) -> None:
-        pass
-
-    def event(self, *args, **kwargs) -> None:
-        pass
-
-    def query_issued(self, *args, **kwargs) -> int:
-        return -1
-
-    def query_alias(self, *args, **kwargs) -> None:
-        pass
-
-    def query_completed(self, *args, **kwargs) -> None:
-        pass
-
-    def query_closed(self, *args, **kwargs) -> None:
-        pass
-
-    def local_eval(self, *args, **kwargs) -> None:
-        pass
-
-    def filter_promoted(self, *args, **kwargs) -> None:
-        pass
-
-    def result_merged(self, *args, **kwargs) -> None:
-        pass
-
-    def failover(self, *args, **kwargs) -> None:
-        pass
-
-    def orphan_reaped(self, *args, **kwargs) -> None:
-        pass
-
-    def deadline_close(self, *args, **kwargs) -> None:
-        pass
-
-    def subscription_installed(self, *args, **kwargs) -> int:
-        return -1
-
-    def subscription_refreshed(self, *args, **kwargs) -> None:
-        pass
-
-    def subscription_cancelled(self, *args, **kwargs) -> None:
-        pass
-
-    def delta_sent(self, *args, **kwargs) -> None:
-        pass
-
-    def delta_merged(self, *args, **kwargs) -> None:
-        pass
-
-    def data_updated(self, *args, **kwargs) -> None:
-        pass
-
-    def frame_duplicated(self, *args, **kwargs) -> None:
-        pass
-
-    def frame_sent(self, *args, **kwargs) -> None:
-        pass
-
-    def frame_delivered(self, *args, **kwargs) -> None:
-        pass
-
-    def frame_dropped(self, *args, **kwargs) -> None:
-        pass
-
-    def fault(self, *args, **kwargs) -> None:
-        pass
-
-    def query_aborted_by_crash(self, *args, **kwargs) -> None:
-        pass
-
-    def finalize(self, result=None) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
 
 
-#: Process-wide shared no-op observer — the default ``World.obs``.
+#: Process-wide shared disabled observer — the default ``World.obs``.
 NULL_OBSERVER = NullObserver()

@@ -8,9 +8,9 @@ layer's :class:`~repro.storage.base.AccessStats`. Each is load-bearing
 missing is a single *named* view of everything a run counted. The
 registry provides that: counters, gauges, and histograms addressed by
 dotted instrument names (``net.tx.frames``, ``core.local.scanned``,
-``protocol.result.retransmits``, ...), with a true no-op default so
-code paths instrumented against :data:`NULL_REGISTRY` cost one
-attribute load and a branch when observability is off.
+``protocol.results.retransmits``, ...). A registry exists only while
+a run is observed: instrumentation sites reach it through an observer
+and guard on ``obs.enabled`` first, so there is no no-op registry.
 
 Instrument naming convention (see ``docs/observability.md``):
 
@@ -30,8 +30,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
 ]
 
 
@@ -117,8 +115,6 @@ class MetricsRegistry:
     is a programming error and raises.
     """
 
-    enabled = True
-
     def __init__(self) -> None:
         self._instruments: Dict[str, object] = {}
 
@@ -181,66 +177,3 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._instruments)
-
-
-class _NullInstrument:
-    """Absorbs every instrument call; shared by all names."""
-
-    __slots__ = ()
-    name = "<null>"
-    value = 0
-    count = 0
-    total = 0.0
-    min = None
-    max = None
-    mean = None
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def snapshot(self):
-        return None
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry:
-    """The off switch: every lookup returns one shared no-op instrument.
-
-    ``enabled`` is False so call sites can skip even the lookup:
-    ``if obs.enabled: obs.metrics.counter(...).inc()``.
-    """
-
-    enabled = False
-
-    def counter(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def snapshot(self) -> Dict[str, object]:
-        return {}
-
-    def counter_values(self) -> Dict[str, int]:
-        return {}
-
-    def render(self) -> str:
-        return ""
-
-    def __len__(self) -> int:
-        return 0
-
-
-#: Process-wide shared no-op registry.
-NULL_REGISTRY = NullRegistry()

@@ -81,11 +81,11 @@ _BACKTRACK_SLACK = 4
 #: ``ack_timeout * 2**n`` grows unbounded.
 _ACK_BACKOFF_CAP = 60.0
 
-#: Telemetry names of the routed replies that wait for an ACK: the
-#: event and orphan-label stem, and the counter prefix.
+#: Telemetry stem of the routed replies that wait for an ACK, shared by
+#: their events and orphan labels.
 _REPLY_NAMES = {
-    FrameKind.RESULT: ("result", "protocol.results"),
-    FrameKind.DELTA: ("delta", "continuous.deltas"),
+    FrameKind.RESULT: "result",
+    FrameKind.DELTA: "delta",
 }
 
 
@@ -103,10 +103,10 @@ class ProtocolConfig:
         over_margin: Margin for over-estimation.
         processor: ``vectorized`` (fast, for simulations), ``hybrid`` or
             ``flat`` (faithful per-tuple paths with operation counts).
-        cost_model: Converts local work into simulated processing time.
-        model_processing_delay: If True, local processing delays message
-            sends by the modelled device time (the paper adds estimated
-            local costs to communication delays, Section 5.2.3).
+        cost_model: Converts local work into simulated processing time,
+            which delays the device's message sends (the paper adds
+            estimated local costs to communication delays, Section
+            5.2.3).
         query_timeout: Seconds after which an originator closes a query
             regardless of missing results.
         completion_quorum: For BF, the fraction of the other ``m - 1``
@@ -144,7 +144,6 @@ class ProtocolConfig:
     over_margin: float = 0.2
     processor: str = "vectorized"
     cost_model: DeviceCostModel = PDA_2006
-    model_processing_delay: bool = True
     query_timeout: float = 600.0
     completion_quorum: float = 0.8
     result_ack: bool = True
@@ -468,9 +467,7 @@ class SkylineDevice(Node):
         return result
 
     def processing_delay(self, result: LocalSkylineResult) -> float:
-        """Simulated device time the run took (0 if not modelled)."""
-        if not self.config.model_processing_delay:
-            return 0.0
+        """Simulated device time the run took."""
         return self.config.cost_model.time_for_result(
             result, dims=self.relation.dimensions,
             hybrid=self.config.processor != "flat",
@@ -727,8 +724,9 @@ class SkylineDevice(Node):
                 and out_flt is not message.flt
                 and self.world.obs.enabled
             ):
-                self.world.obs.filter_promoted(
-                    message.query.key, self.node_id, out_flt.vdr
+                self.world.obs.event(
+                    "filter.promoted", query=message.query.key,
+                    node=self.node_id, vdr=out_flt.vdr,
                 )
         self._flood(FrameKind.QUERY, replace(
             message, flt=out_flt, hops=message.hops + 1,
@@ -768,7 +766,7 @@ class SkylineDevice(Node):
         if pending is None:
             return
         key = pending.payload.query_key
-        stem, counters = _REPLY_NAMES[pending.kind]
+        stem = _REPLY_NAMES[pending.kind]
         if (
             self.config.resilience.orphan_suppression
             and not self.world.node_is_up(pending.origin)
@@ -786,14 +784,12 @@ class SkylineDevice(Node):
             if obs.enabled:
                 obs.event(f"{stem}.given-up", query=key, node=self.node_id,
                           **epoch, attempts=pending.attempts)
-                obs.metrics.counter(f"{counters}.given_up").inc()
             self._reply_given_up(pending.kind, tag)
             return
         pending.attempts += 1
         if obs.enabled:
             obs.event(f"{stem}.retransmit", query=key, node=self.node_id,
                       **epoch, attempt=pending.attempts)
-            obs.metrics.counter(f"{counters}.retransmits").inc()
         self._send_reply(pending.kind, pending.payload, pending.origin)
         self._arm_retry(tag, pending)
 
@@ -848,16 +844,20 @@ class SkylineDevice(Node):
         )
         record.assembler.add(reply.skyline)
         if self.world.obs.enabled:
-            self.world.obs.result_merged(
-                record.query.key, self.node_id, reply.sender,
-                reply.skyline.cardinality,
+            self.world.obs.event(
+                "result.merged", query=record.query.key, node=self.node_id,
+                sender=reply.sender, tuples=reply.skyline.cardinality,
             )
         return record
 
     def _reap_orphan(self, key: Tuple[int, int], what: str) -> None:
-        """Record the suppression of in-flight work for a dead originator."""
+        """Record the suppression of in-flight work for a dead originator
+        (``what``: token / token-backtrack / flood-query / result /
+        result-retry / subscribe-flood / delta-retry / subscription)."""
         if self.world.obs.enabled:
-            self.world.obs.orphan_reaped(key, self.node_id, what)
+            self.world.obs.event(
+                "orphan.reaped", query=key, node=self.node_id, what=what,
+            )
 
 
 @dataclass
@@ -1012,8 +1012,11 @@ class DFDevice(SkylineDevice):
         seeded with everything merged so far."""
         query = self._fresh_query(record.query)
         self._reissue_alias[query.key] = record.query.key
-        if self.world.obs.enabled:
-            self.world.obs.query_alias(query.key, record.query.key)
+        obs = self.world.obs
+        if obs.enabled:
+            obs.alias(query.key, record.query.key)
+            obs.event("token.reissue", query=record.query.key,
+                      new_cnt=query.key[1])
         merged = record.assembler.result()
         token = TokenMessage(
             query=query,
@@ -1046,10 +1049,12 @@ class DFDevice(SkylineDevice):
         self._reissue_alias[query.key] = record.query.key
         flt = self._initial_filter(record.assembler.result())
         exclude = frozenset(record.contributions) | {self.node_id}
-        if self.world.obs.enabled:
-            self.world.obs.failover(
-                query.key, record.query.key, self.node_id,
-                excluded=len(exclude),
+        obs = self.world.obs
+        if obs.enabled:
+            obs.alias(query.key, record.query.key)
+            obs.event(
+                "query.failover", query=record.query.key, node=self.node_id,
+                new_cnt=query.key[1], excluded=len(exclude),
             )
         self._flood(FrameKind.QUERY, QueryMessage(
             query=query, flt=flt, hops=1, exclude=exclude,
@@ -1122,9 +1127,6 @@ class DFDevice(SkylineDevice):
                     "token.duplicate-dropped", query=token.query.key,
                     node=self.node_id, sender=sender,
                 )
-                self.world.obs.metrics.counter(
-                    "protocol.token.duplicates_dropped"
-                ).inc()
             return
         self._seen_token_serials.add(token.serial)
         if (
@@ -1289,8 +1291,9 @@ class DFDevice(SkylineDevice):
                     arrival_time=self.sim.now,
                 )
                 if obs.enabled:
-                    obs.result_merged(
-                        record.query.key, self.node_id, device, reduced
+                    obs.event(
+                        "result.merged", query=record.query.key,
+                        node=self.node_id, sender=device, tuples=reduced,
                     )
         record.assembler.add(token.result)
         token = replace(

@@ -126,7 +126,7 @@ class PerReceiverWorld(World):
             if self._lossy():
                 self.stats.drops += 1
                 if self.obs.enabled:
-                    self.obs.frame_dropped(frame, "loss")
+                    self.obs.frame_dropped(frame, other, "loss")
                 continue
             receivers.append(other)
             self.sim.schedule(
@@ -151,7 +151,7 @@ class PerReceiverWorld(World):
         ):
             self.stats.drops += 1
             if self.obs.enabled:
-                self.obs.frame_dropped(frame, "fault")
+                self.obs.frame_dropped(frame, node, "fault")
             return
         self._deliver_to(node, frame)
 

@@ -24,7 +24,6 @@ from repro.net import (
 )
 from repro.obs import (
     NULL_OBSERVER,
-    NULL_REGISTRY,
     MetricsRegistry,
     Observer,
     PHASE_SCHEMA,
@@ -142,14 +141,6 @@ class TestRegistry:
         with pytest.raises(TypeError):
             reg.gauge("x")
 
-    def test_null_registry_absorbs_everything(self):
-        NULL_REGISTRY.counter("a").inc(10)
-        NULL_REGISTRY.gauge("b").set(1.0)
-        NULL_REGISTRY.histogram("c").observe(2.0)
-        assert not NULL_REGISTRY.enabled
-        assert len(NULL_REGISTRY) == 0
-        assert NULL_REGISTRY.snapshot() == {}
-
     def test_render_lists_instruments(self):
         reg = MetricsRegistry()
         reg.counter("protocol.queries.issued").inc(3)
@@ -159,6 +150,47 @@ class TestRegistry:
 # ---------------------------------------------------------------------------
 # Observer mechanics
 # ---------------------------------------------------------------------------
+
+
+class _Listener:
+    def __init__(self, world, node_id):
+        self.node_id = node_id
+        world.attach(self)
+
+    def on_frame(self, frame, sender):
+        pass
+
+
+def broadcast_from_middle(before=None, after=None):
+    """Node 1 of a three-node line broadcasts one observed QUERY frame;
+    ``before`` / ``after`` act on the world around the send."""
+    sim = Simulator()
+    world = World(
+        sim, StaticPlacement([(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)]),
+        RadioConfig(radio_range=150.0), seed=5,
+    )
+    for node in range(3):
+        _Listener(world, node)
+    obs = Observer().bind(world)
+    query = SkylineQuery(origin=1, cnt=0, pos=(100.0, 0.0), d=10.0)
+    obs.query_issued(query.key, node=1)
+    if before is not None:
+        before(world)
+    world.broadcast(Frame(
+        kind=FrameKind.QUERY, src=1, dst=None,
+        payload=QueryMessage(query=query, flt=None, hops=1), size_bytes=32,
+    ))
+    if after is not None:
+        after(world)
+    sim.run()
+    return obs
+
+
+def broadcast_drops(obs):
+    """Receivers named by ``frame.dropped`` events and by causal drops."""
+    events = sorted(e.node for e in obs.events if e.name == "frame.dropped")
+    causal = sorted(e.node for e in obs.causal if e.kind == "drop")
+    return events, causal
 
 
 class TestObserver:
@@ -195,7 +227,7 @@ class TestObserver:
         frame = Frame(kind=FrameKind.TOKEN, src=0, dst=1, payload=None,
                       size_bytes=64)
         obs.frame_sent(frame)
-        obs.frame_dropped(frame, "moved")
+        obs.frame_dropped(frame, 1, "moved")
         span = obs.spans[-1]
         assert span.attrs["outcome"] == "dropped"
         assert span.attrs["reason"] == "moved"
@@ -210,10 +242,25 @@ class TestObserver:
         assert obs.spans == []
         assert obs.events[-1].name == "frame.broadcast"
 
+    def test_broadcast_loss_drops_name_each_receiver(self):
+        obs = broadcast_from_middle(
+            before=lambda world: world.set_loss_override(1.0)
+        )
+        assert broadcast_drops(obs) == ([0, 2], [0, 2])
+
+    def test_broadcast_blackout_drop_names_the_cut_receiver(self):
+        # The link goes dark while the frame is in flight, so the wave
+        # re-check drops the copy bound for node 2.
+        obs = broadcast_from_middle(
+            after=lambda world: world.set_link_blackout(1, 2, True)
+        )
+        assert broadcast_drops(obs) == ([2], [2])
+
     def test_query_alias_routes_to_root(self):
         obs = Observer()
         obs.query_issued((3, 0), node=3)
-        obs.query_alias((3, 1), (3, 0))
+        obs.alias((3, 1), (3, 0))
+        obs.event("token.reissue", query=(3, 0), new_cnt=1)
         sid = obs.begin("hop", cat="net", query=(3, 1), node=3)
         obs.end(sid)
         obs.event("token.received", query=(3, 1), node=5)
@@ -233,9 +280,8 @@ class TestObserver:
 
     def test_null_observer_is_shared_and_disabled(self):
         assert not NULL_OBSERVER.enabled
-        assert NULL_OBSERVER.begin("x") == -1
-        NULL_OBSERVER.event("y")
-        assert len(NULL_OBSERVER) == 0
+        with pytest.raises(AttributeError):
+            NULL_OBSERVER.event("y")
 
     def test_query_key_of(self):
         query = SkylineQuery(origin=2, cnt=5, pos=(0.0, 0.0), d=10.0)

@@ -85,8 +85,7 @@ class TestDFBehaviour:
     def test_serial_processing_one_token(self, dataset):
         """At most one device processes at any time: the completion time
         is at least the sum of all processing delays."""
-        config = ProtocolConfig(model_processing_delay=True)
-        sim, world, devices = build_df(dataset, config=config)
+        sim, world, devices = build_df(dataset)
         record = devices[4].issue_query(d=450.0)
         sim.run(until=700.0)
         assert record.completion_time is not None
