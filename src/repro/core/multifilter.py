@@ -26,7 +26,7 @@ import numpy as np
 
 from ..data.spatial import rect_overlaps_circle
 from ..storage.relation import Relation
-from .dominance import dominance_mask
+from .dominance import dominance_mask, dominates_values
 from .filtering import (
     Estimation,
     FilteringTuple,
@@ -36,7 +36,7 @@ from .filtering import (
     vdr,
 )
 from .query import SkylineQuery
-from .skyline import skyline_rows_within
+from .skyline import skyline_rows_in_disk
 
 __all__ = ["MultiFilterResult", "local_skyline_multifilter", "prune_with_filters"]
 
@@ -103,52 +103,42 @@ def local_skyline_multifilter(
         The reduced local skyline plus the promoted outgoing filter set.
     """
     schema = relation.schema
-    empty = Relation.empty(schema)
     filters = tuple(filters)
     if k is None:
         k = max(len(filters), 1)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if relation.cardinality == 0:
-        return MultiFilterResult(skyline=empty, unreduced_size=0,
-                                 skipped="mbr", updated_filters=filters)
-    if not rect_overlaps_circle(relation.mbr(), query.pos, query.d):
-        return MultiFilterResult(skyline=empty, unreduced_size=0,
-                                 skipped="mbr", updated_filters=filters)
+    if relation.cardinality == 0 or not rect_overlaps_circle(
+        relation.mbr(), query.pos, query.d
+    ):
+        return MultiFilterResult(skyline=Relation.empty(schema),
+                                 unreduced_size=0, skipped="mbr",
+                                 updated_filters=filters)
 
-    norm = relation.normalized_values()
-    lows = norm.min(axis=0)
-    local_worst = tuple(float(h) for h in norm.max(axis=0))
-    skipped_dominated = False
-    for flt in filters:
-        f = np.asarray(normalize_values(flt.values, schema), dtype=np.float64)
-        if (f <= lows).all() and (f < lows).any():
-            skipped_dominated = True
-            break
+    lows = relation.normalized_best()
+    skipped_dominated = any(
+        dominates_values(normalize_values(flt.values, schema), lows)
+        for flt in filters
+    )
 
-    in_mask = relation.within(query.pos, query.d)
-    in_range = int(np.count_nonzero(in_mask))
-    if in_range == 0:
+    rows, in_range = skyline_rows_in_disk(relation, query.pos, query.d)
+    unreduced = rows.shape[0]
+    if in_range == 0 or skipped_dominated:
         return MultiFilterResult(
-            skyline=empty, unreduced_size=0, updated_filters=filters,
-            scanned=relation.cardinality, in_range=0,
-        )
-    sky = relation.take(skyline_rows_within(relation, in_mask))
-    unreduced = sky.cardinality
-    if skipped_dominated:
-        return MultiFilterResult(
-            skyline=empty, unreduced_size=unreduced, skipped="dominated",
+            skyline=Relation.empty(schema), unreduced_size=unreduced,
+            skipped="dominated" if in_range and skipped_dominated else None,
             updated_filters=filters,
             scanned=relation.cardinality, in_range=in_range,
         )
-
-    reduced = prune_with_filters(sky, filters)
+    reduced = prune_with_filters(relation.take(rows), filters)
 
     # Promotion: re-pick the best k-set from the union of the incoming
     # filters' sites and the surviving local skyline, under this
     # device's own bounds — the natural set-generalization of the
     # paper's "keep whichever tuple has the larger VDR".
-    local_highs = local_worst if estimation is Estimation.UNDER else None
+    local_highs = (
+        relation.normalized_worst() if estimation is Estimation.UNDER else None
+    )
     bounds = estimation_bounds(
         schema, estimation, local_highs=local_highs, over_margin=over_margin
     )

@@ -17,8 +17,9 @@ These are the building blocks and baselines of the paper:
 All functions take values **in minimization space** (smaller is better on
 every axis) and return sorted row indices of the skyline members. Use
 :func:`skyline_of_relation` for direction-aware operation on a
-:class:`~repro.storage.relation.Relation`, and
-:func:`skyline_rows_within` for the skyline of the rows a range selects.
+:class:`~repro.storage.relation.Relation`,
+:func:`skyline_rows_within` for the skyline of the rows a range selects,
+and :func:`skyline_rows_in_disk` for the rows within a query disk.
 
 Duplicate value vectors: every algorithm here keeps *all* copies of a
 skyline-value vector (no copy dominates another, per the strict dominance
@@ -28,10 +29,11 @@ handled by :mod:`repro.core.assembly` on the query originator.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..data.spatial import rect_within_circle
 from ..storage.relation import Relation
 from .dominance import ComparisonCounter, dominated_mask
 
@@ -42,6 +44,7 @@ __all__ = [
     "skyline_divide_conquer",
     "skyline_numpy",
     "skyline_rows_within",
+    "skyline_rows_in_disk",
     "skyline_of_relation",
     "sfs_sort_order",
 ]
@@ -227,6 +230,9 @@ def skyline_numpy(values: np.ndarray, block: int = 256) -> np.ndarray:
        tested against the confirmed skyline, then against itself, with
        :func:`~repro.core.dominance.dominated_mask`.
 
+    When at most ``block`` rows survive step 1, steps 2 and 3 collapse
+    to one ``dominated_mask`` of the survivors against themselves.
+
     Every intermediate is bounded by ``block²`` booleans or by O(n·d):
     there is no all-pairs matrix. Output matches the other algorithms
     exactly.
@@ -237,10 +243,21 @@ def skyline_numpy(values: np.ndarray, block: int = 256) -> np.ndarray:
         raise ValueError("block must be >= 1")
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    pivot = int(np.argmin(values.sum(axis=1)))
+    # Row sums one column at a time: ``values.sum(axis=1)`` reduces
+    # each short row on its own and is an order of magnitude slower.
+    # Any row is a safe pivot, so the order of the additions is free.
+    sums = values[:, 0].copy()
+    for j in range(1, values.shape[1]):
+        sums += values[:, j]
+    pivot = int(sums.argmin())
     cand = np.flatnonzero(~dominated_mask(values[pivot : pivot + 1], values, block))
-    cand = cand[sfs_sort_order(values[cand])]
-    scan = values[cand]
+    if cand.shape[0] <= block:
+        # One tile holds every survivor: resolve them against each
+        # other directly, in index order, without the sort.
+        sub = values.take(cand, axis=0)
+        return cand[~dominated_mask(sub, sub, block)]
+    cand = cand[sfs_sort_order(values.take(cand, axis=0))]
+    scan = values.take(cand, axis=0)
     # Confirmed skyline rows, in scan order, filled up to ``kept``.
     sky = np.empty_like(scan)
     keep = np.zeros(cand.shape[0], dtype=bool)
@@ -266,29 +283,66 @@ _ALGORITHMS = {
 }
 
 
-def skyline_rows_within(relation: Relation, mask: np.ndarray) -> np.ndarray:
-    """Sorted row indices of the skyline of the rows ``mask`` selects,
-    in minimization space.
+def skyline_rows_within(
+    relation: Relation, mask: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Sorted row indices of the skyline of the rows ``mask`` selects
+    (every row when ``mask`` is None), in minimization space.
 
-    If the mask selects every row of the relation's skyline ``S``, the
-    answer is ``S`` itself: an unselected row cannot join it, and a
-    selected row outside ``S`` is dominated by some row of ``S`` (every
-    dominance chain ends in ``S``), which is selected too. So once ``S``
-    is known (:meth:`Relation.skyline_rows`) such a mask is answered by
-    lookup, the skyline-diagram idea (arXiv:1812.01663) with one cell
-    per relation: every query range that contains ``S``. ``S`` is
-    stored only by a call whose mask selects every row, because that
-    call's kernel run computes it anyway; it is never computed just to
-    be stored.
+    The relation's own skyline ``S`` (:meth:`Relation.skyline_rows`)
+    answers or shrinks the question, the skyline-diagram idea
+    (arXiv:1812.01663) with one cell per relation:
+
+    * every row selected: the answer is ``S``. ``S`` is stored only by
+      such a call, whose kernel run computes it anyway; it is never
+      computed just to be stored.
+    * every row of ``S`` selected: the answer is ``S`` too. An
+      unselected row cannot join it, and a selected row outside ``S``
+      is dominated by some row of ``S`` (every dominance chain ends in
+      ``S``), which is selected too.
+    * part of ``S`` selected: selected rows that a selected row of
+      ``S`` dominates are dropped before the kernel runs. Each has a
+      selected dominator that stays, so the skyline is unchanged.
     """
+    values = relation.normalized_values()
     sky = relation.skyline_rows()
-    if sky is not None and mask[sky].all():
+    if mask is None:
+        if sky is None:
+            sky = skyline_numpy(values)
+            relation.store_skyline_rows(sky)
+        return sky
+    sky_in = None if sky is None else sky[mask[sky]]
+    if sky_in is not None and sky_in.shape[0] == sky.shape[0]:
         return sky
     idx = np.flatnonzero(mask)
-    rows = idx[skyline_numpy(relation.normalized_values()[idx])]
+    if sky_in is not None and sky_in.shape[0]:
+        # ``take`` gathers rows an order of magnitude faster than fancy
+        # indexing does.
+        by = values.take(sky_in, axis=0)
+        idx = idx[~dominated_mask(by, values.take(idx, axis=0))]
+    rows = idx[skyline_numpy(values.take(idx, axis=0))]
     if idx.shape[0] == relation.cardinality:
         relation.store_skyline_rows(rows)
     return rows
+
+
+def skyline_rows_in_disk(
+    relation: Relation, pos: Tuple[float, float], d: float
+) -> Tuple[np.ndarray, int]:
+    """``(rows, in_range)``: :func:`skyline_rows_within` of the rows
+    within distance ``d`` of ``pos``, and how many rows that is.
+
+    A disk that contains the relation's MBR
+    (:func:`~repro.data.spatial.rect_within_circle`) holds every row,
+    so no per-row range mask is built.
+    """
+    if relation.cardinality and rect_within_circle(relation.mbr(), pos, d):
+        return skyline_rows_within(relation), relation.cardinality
+    mask = relation.within(pos, d)
+    in_range = int(np.count_nonzero(mask))
+    if in_range == 0:
+        return np.empty(0, dtype=np.int64), 0
+    return skyline_rows_within(relation, mask), in_range
 
 
 def skyline_of_relation(

@@ -18,6 +18,7 @@ __all__ = [
     "mindist_point_rect",
     "point_in_rect",
     "rect_overlaps_circle",
+    "rect_within_circle",
 ]
 
 
@@ -117,3 +118,24 @@ def rect_overlaps_circle(
     dx = max(x_min - x, 0.0, x - x_max)
     dy = max(y_min - y, 0.0, y - y_max)
     return dx * dx + dy * dy <= radius * radius
+
+
+def rect_within_circle(
+    rect: Tuple[float, float, float, float],
+    center: Tuple[float, float],
+    radius: float,
+) -> bool:
+    """True iff the disk of ``radius`` around ``center`` contains
+    ``rect`` — the dual of :func:`rect_overlaps_circle`, with the
+    rectangle's farthest corner in place of its nearest point.
+
+    It uses the arithmetic of the per-row range test too, so a pass
+    means every row inside the rectangle passes ``dx*dx + dy*dy <=
+    d*d``: rounding is monotone and ``fl(-z) == -fl(z)``, so no row's
+    rounded offset exceeds the corner's in either axis.
+    """
+    x, y = center
+    x_min, y_min, x_max, y_max = rect
+    fx = max(x - x_min, x_max - x)
+    fy = max(y - y_min, y_max - y)
+    return fx * fx + fy * fy <= radius * radius

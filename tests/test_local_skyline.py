@@ -14,6 +14,7 @@ from repro.core import (
     select_filter,
     skyline_of_relation,
 )
+from repro.core.dominance import dominated_mask
 from repro.storage import (
     DomainStorage,
     FlatStorage,
@@ -251,6 +252,50 @@ class TestCachedSkylineView:
         res = local_skyline_vectorized(rel, partial)
         assert kernel_calls == [4, 1]
         assert res.skyline.rows() == [rel.row(0)]
+
+    @pytest.fixture
+    def within_calls(self, monkeypatch):
+        """Number of ``Relation.within`` range masks built during a test."""
+        calls = []
+        within = Relation.within
+
+        def counting(rel, pos, d):
+            calls.append(d)
+            return within(rel, pos, d)
+
+        monkeypatch.setattr(Relation, "within", counting)
+        return calls
+
+    def test_covering_disk_builds_no_range_mask(
+        self, kernel_calls, within_calls
+    ):
+        rel = random_relation(seed=5)
+        first = local_skyline_vectorized(rel, WIDE)
+        again = local_skyline_vectorized(rel, WIDE)
+        assert within_calls == [] and kernel_calls == [rel.cardinality]
+        assert first.in_range == again.in_range == rel.cardinality
+        assert self.fields(again) == self.fields(first)
+        assert first.skyline.rows() == skyline_of_relation(rel, "bnl").rows()
+
+    def test_cut_runs_kernel_on_rows_s_leaves(self, kernel_calls, within_calls):
+        rel = random_relation(n=400, seed=8)
+        local_skyline_vectorized(rel, WIDE)
+        sky = rel.skyline_rows()
+        # A disk around one skyline row that misses some of the others.
+        x, y = rel.xy[sky[0]]
+        cut = SkylineQuery(origin=0, cnt=0, pos=(float(x), float(y)), d=350.0)
+        mask = rel.within(cut.pos, cut.d)
+        within_calls.clear()
+        assert 0 < mask[sky].sum() < sky.shape[0]
+        res = local_skyline_vectorized(rel, cut)
+        assert len(within_calls) == 1
+        values = rel.normalized_values()
+        dominated = dominated_mask(values[sky[mask[sky]]], values)
+        left = int((mask & ~dominated).sum())
+        assert kernel_calls == [rel.cardinality, left]
+        assert left < res.in_range == int(mask.sum())
+        expected = skyline_of_relation(rel.restrict(cut.pos, cut.d), "bnl")
+        assert res.skyline.rows() == expected.rows()
 
     def test_partial_range_stores_no_view(self, kernel_calls):
         rel = random_relation(seed=21)

@@ -25,7 +25,9 @@ from repro.core import (
     skyline_of_relation,
 )
 from repro.core.multifilter import prune_with_filters
+from repro.core.skyline import skyline_rows_within
 from repro.data import QueryRequest, make_global_dataset
+from repro.data.spatial import rect_within_circle
 from repro.net.aodv import AodvRouter
 from repro.obs import Observer
 from repro.protocol import SimulationConfig, run_manet_simulation
@@ -232,6 +234,102 @@ class TestCachedSkylineView:
         assert rel.skyline_rows().tolist() == skyline_bnl(
             rel.normalized_values()).tolist()
         assert rel.within((50.0, 50.0), 71.0)[rel.skyline_rows()].all()
+
+
+class TestCellCover:
+    """A disk that passes the cover test holds every row of the
+    relation under the per-row range test, to the last ulp."""
+
+    @staticmethod
+    def assert_exact(rel, pos, d):
+        covered = rect_within_circle(rel.mbr(), pos, d)
+        inside = rel.within(pos, d)
+        if covered:
+            assert inside.all()
+        # With a row on every MBR corner the farthest corner is a row,
+        # so the test is exact both ways.
+        assert covered == inside.all()
+
+    @staticmethod
+    def corner_relation(xy):
+        x_min, y_min = xy.min(axis=0)
+        x_max, y_max = xy.max(axis=0)
+        corners = [[x_min, y_min], [x_min, y_max], [x_max, y_min],
+                   [x_max, y_max]]
+        xy = np.vstack([xy, corners])
+        return Relation(uniform_schema(1), xy, np.zeros((xy.shape[0], 1)))
+
+    @given(
+        st.integers(1, 30),
+        st.integers(0, 10**6),
+        st.tuples(st.floats(-500, 1500), st.floats(-500, 1500)),
+        st.floats(0.0, 2000.0),
+    )
+    @settings(deadline=None)
+    def test_cover_implies_every_row_in_range(self, rows, seed, pos, d):
+        rng = np.random.default_rng(seed)
+        rel = self.corner_relation(rng.uniform(0, 1000, size=(rows, 2)))
+        self.assert_exact(rel, pos, d)
+        # The radius that puts the farthest corner on the circle, and
+        # one ulp either side of it.
+        x_min, y_min, x_max, y_max = rel.mbr()
+        fx = max(pos[0] - x_min, x_max - pos[0])
+        fy = max(pos[1] - y_min, y_max - pos[1])
+        edge = float(np.sqrt(fx * fx + fy * fy))
+        for r in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)):
+            self.assert_exact(rel, pos, float(r))
+
+    def test_corner_exactly_on_the_circle(self):
+        # 3-4-5: the far corner (3, 4) lies exactly on the circle of
+        # radius 5 around the origin.
+        rel = self.corner_relation(np.array([[0.0, 0.0], [3.0, 4.0]]))
+        assert rect_within_circle(rel.mbr(), (0.0, 0.0), 5.0)
+        self.assert_exact(rel, (0.0, 0.0), 5.0)
+        inside = float(np.nextafter(5.0, 0.0))
+        assert not rect_within_circle(rel.mbr(), (0.0, 0.0), inside)
+        self.assert_exact(rel, (0.0, 0.0), inside)
+        self.assert_exact(rel, (0.0, 0.0), float(np.nextafter(5.0, np.inf)))
+
+
+class TestSkylineFirstElimination:
+    """``skyline_rows_within`` is the BNL skyline of the masked rows,
+    whether or not the relation's skyline ``S`` is stored and however
+    much of ``S`` the mask holds."""
+
+    @given(
+        st.integers(1, 200),
+        st.integers(1, 3),
+        st.sampled_from(["independent", "correlated", "anticorrelated"]),
+        st.integers(0, 10**6),
+        st.sampled_from(["all", "some", "none"]),
+        st.floats(0.0, 1.0),
+    )
+    @settings(deadline=None)
+    def test_equals_bnl_of_masked_rows(
+        self, rows, dims, dist, seed, share, density
+    ):
+        # value_step=1 over a 0..4 domain: many equal value vectors.
+        rel = make_global_dataset(
+            rows, dims, 1, dist, schema=uniform_schema(dims, high=4.0),
+            seed=seed, value_step=1.0,
+        ).local(0)
+        values = rel.normalized_values()
+        sky = skyline_bnl(values)
+        rng = np.random.default_rng(seed)
+        mask = rng.random(rel.cardinality) < density
+        if share == "all":
+            mask[sky] = True
+        elif share == "none":
+            mask[sky] = False
+        else:
+            mask[sky] = rng.random(sky.shape[0]) < 0.5
+        idx = np.flatnonzero(mask)
+        expected = idx[skyline_bnl(values[idx])].tolist()
+        assert skyline_rows_within(rel, mask).tolist() == expected
+        assert rel.skyline_rows() is None or mask.all()
+        assert skyline_rows_within(rel).tolist() == sky.tolist()
+        assert rel.skyline_rows().tolist() == sky.tolist()
+        assert skyline_rows_within(rel, mask).tolist() == expected
 
 
 # -- merge algebra -----------------------------------------------------------
