@@ -108,26 +108,20 @@ def dominated_mask(
     # or a handful of rows against a big running skyline) then runs in
     # one numpy pass instead of many tiny tiles.
     cols = max(block, area // n_by)
-    # Attribute-major views: ``by_t[a]`` holds attribute ``a`` of the
-    # ``by`` rows as an (R, 1) column.
-    by_t = by.T[:, :, None]
     for j in range(0, n_targets, cols):
-        # Attribute-major copy of the tile: each comparison below then
-        # streams one contiguous row instead of a strided column.
-        tgt = np.ascontiguousarray(targets[j : j + cols].T)
-        rows = max(block, area // tgt.shape[1])
+        tgt = targets[j : j + cols]
+        rows = max(block, area // tgt.shape[0])
         for i in range(0, n_by, rows):
-            blk = by_t[:, i : i + rows]
+            blk = by[i : i + rows]
             # Attribute-at-a-time 2-D comparisons: the equivalent
             # (R, T, d) broadcast forces numpy onto a strided inner
             # loop that is an order of magnitude slower here.
-            no_worse = blk[0] <= tgt[0]
-            better = blk[0] < tgt[0]
+            no_worse = blk[:, 0:1] <= tgt[:, 0]
+            better = blk[:, 0:1] < tgt[:, 0]
             for a in range(1, dims):
-                no_worse &= blk[a] <= tgt[a]
-                better |= blk[a] < tgt[a]
-            no_worse &= better
-            out[j : j + cols] |= np.logical_or.reduce(no_worse, axis=0)
+                no_worse &= blk[:, a : a + 1] <= tgt[:, a]
+                better |= blk[:, a : a + 1] < tgt[:, a]
+            out[j : j + cols] |= (no_worse & better).any(axis=0)
     return out
 
 
