@@ -254,16 +254,12 @@ class ContinuousDevice(BFDevice):
             down_now=frozenset(self.world.down_nodes),
             crash_counts=self.world.crash_counts(),
             messages_now=self.world.stats.protocol_messages(),
-            completion_report=self.config.resilience.completion_report,
         )
         if self.world.obs.enabled:
             self.world.obs.event(
                 "subscription.refresh", query=key, node=self.node_id,
                 epoch=epoch, reporters=len(books.reporters),
-                covered=(
-                    len(books.report.contributed)
-                    if books.report is not None else None
-                ),
+                covered=len(books.report.contributed),
                 messages=books.messages,
             )
         if epoch >= record.epochs_total:
@@ -275,10 +271,7 @@ class ContinuousDevice(BFDevice):
                 )
             return
         if record.spec.mode == "delta":
-            covered = (
-                set(books.report.contributed)
-                if books.report is not None else set(books.reporters)
-            )
+            covered = set(books.report.contributed)
             missing = (
                 set(self.world.node_ids) - {self.node_id} - covered
             )

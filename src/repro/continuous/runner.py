@@ -69,6 +69,9 @@ _CAPTURE_EPS = 1e-3
 #: exactness gate only applies to fault-free runs of the default draw.
 _UPDATE_GUARD = 0.15
 
+#: Mean changed-row fraction of one drawn update.
+_UPDATE_FRACTION = 0.3
+
 
 def grid_placement(devices: int, spacing: float = 150.0) -> StaticPlacement:
     """A static square-ish grid with every neighbour inside the default
@@ -102,7 +105,7 @@ def _guarded_updates(config: "ContinuousConfig") -> DataUpdateSchedule:
             rng.uniform(_UPDATE_GUARD, 1.0 - _UPDATE_GUARD)
         ) * config.interval
         fraction = min(1.0, max(1e-3, float(
-            rng.exponential(config.update_fraction)
+            rng.exponential(_UPDATE_FRACTION)
         )))
         update_seed = int(rng.integers(0, 2**31 - 1))
         schedule.update(
@@ -144,7 +147,6 @@ class ContinuousConfig:
         data_updates: Events drawn into a seeded
             :class:`~repro.faults.DataUpdateSchedule` covering the
             subscription's lifetime (ignored when ``updates`` is given).
-        update_fraction: Mean changed-row fraction per drawn update.
         updates: Explicit update schedule override.
         faults: Optional fault schedule (crashes, blackouts, ...).
         loss_rate: Radio loss rate (keep 0 for exactness gates).
@@ -166,7 +168,6 @@ class ContinuousConfig:
     epochs: int = 5
     epoch_budget: float = 8.0
     data_updates: int = 6
-    update_fraction: float = 0.3
     updates: Optional[DataUpdateSchedule] = None
     faults: Optional[FaultSchedule] = None
     loss_rate: float = 0.0
@@ -190,6 +191,10 @@ class ContinuousConfig:
             raise ValueError("originator must be a valid device id")
         if self.install_time < 0:
             raise ValueError("install_time must be >= 0")
+        if self.data_updates < 0:
+            raise ValueError("data_updates must be >= 0")
+        if self.drain_time < 0:
+            raise ValueError("drain_time must be >= 0")
 
     @property
     def last_close(self) -> float:
@@ -249,13 +254,7 @@ class ContinuousResult:
         """
         if self.network is None:
             return None
-        devices = self.network[2]
-        caches = [
-            d.local_cache for d in devices
-            if getattr(d, "local_cache", None) is not None
-        ]
-        if not caches:
-            return None
+        caches = [d.local_cache for d in self.network[2]]
         hits = sum(c.hits for c in caches)
         misses = sum(c.misses for c in caches)
         return {
@@ -418,7 +417,7 @@ def verify_continuous_run(result: ContinuousResult) -> List[str]:
                 f"epoch {books.epoch} closed {lag:.3f}s after its tick "
                 f"(budget {config.epoch_budget})"
             )
-        if books.report is not None and not books.report.is_exact_partition(
+        if not books.report.is_exact_partition(
             frozenset(range(config.devices))
         ):
             violations.append(
@@ -430,16 +429,13 @@ def verify_continuous_run(result: ContinuousResult) -> List[str]:
     )
     if fault_free:
         for books in record.epochs:
-            complete = (
-                books.report is not None
-                and books.report.outcome == "completed"
-            )
+            complete = books.report.outcome == "completed"
             if config.static_grid and not complete:
                 # On a fully connected static topology nothing can
                 # legitimately go missing.
                 violations.append(
                     f"epoch {books.epoch} outcome "
-                    f"{books.report.outcome if books.report else None!r} "
+                    f"{books.report.outcome!r} "
                     f"on a fault-free connected run"
                 )
             if books.divergence is None:

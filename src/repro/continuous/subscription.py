@@ -71,7 +71,7 @@ class RefreshEpoch:
     closed_at: float
     result_rows: FrozenSet[Tuple]
     reporters: FrozenSet[int]
-    report: Optional[CompletionReport]
+    report: CompletionReport
     messages: int
     reference_rows: Optional[FrozenSet[Tuple]] = None
 
@@ -178,7 +178,6 @@ class SubscriptionRecord:
         down_now: FrozenSet[int],
         crash_counts: Dict[int, int],
         messages_now: int,
-        completion_report: bool = True,
     ) -> RefreshEpoch:
         """Build one epoch's books: result snapshot, graded report.
 
@@ -216,15 +215,13 @@ class SubscriptionRecord:
             complete=covered >= (population - {self.originator}),
             closed_at=closed_at,
         )
-        report = None
-        if completion_report:
-            report = build_completion_report(
-                shim,
-                population=population,
-                down_now=down_now,
-                closed_at=closed_at,
-                crashed_during=frozenset(crashed_during),
-            )
+        report = build_completion_report(
+            shim,
+            population=population,
+            down_now=down_now,
+            closed_at=closed_at,
+            crashed_during=frozenset(crashed_during),
+        )
         books = RefreshEpoch(
             epoch=epoch,
             tick_time=tick_time,

@@ -27,9 +27,11 @@ for the unsorted value layouts). They produce the skyline, the
 ``AccessStats`` totals that a row-at-a-time walk of the pseudocode
 would, with the counts computed analytically instead of per
 comparison. The row-at-a-time walk lives in the test suite as the
-differential oracle. A separate vectorised variant over raw relations
-(:func:`local_skyline_vectorized`) serves mixed-preference schemas and
-the large simulation experiments.
+differential oracle. These paths serve the device-only Figure 5
+(:mod:`repro.experiments.local_processing`); every simulated device
+runs the vectorised variant over its raw relation
+(:func:`local_skyline_vectorized`), which also serves mixed-preference
+schemas.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..data.spatial import rect_overlaps_circle
-from ..storage.base import AccessStats, StorageModel
+from ..storage.base import StorageModel
 from ..storage.flat import FlatStorage
 from ..storage.hybrid import HybridStorage
 from ..storage.relation import Relation
@@ -84,13 +86,12 @@ class LocalResultCache:
     workload repeats a signature (``paper_bf`` one-shot queries and
     ``continuous_updates`` delta subscriptions both get no hits).
 
-    Bit-identity contract: a hit returns the *same*
-    :class:`LocalSkylineResult` the miss produced (relations and
-    counters are never mutated downstream) and replays the
-    ``AccessStats`` delta the original evaluation charged to the storage
-    model, so physical-read accounting is indistinguishable from a
-    re-run. Invalidation is by construction — the ``data_epoch`` in the
-    key changes whenever ``apply_update`` swaps the relation — plus an
+    Every simulated device keeps one (64 entries, LRU). Bit-identity
+    contract: a hit returns the *same* :class:`LocalSkylineResult` the
+    miss produced (relations and counters are never mutated
+    downstream), so a hit is indistinguishable from a re-run.
+    Invalidation is by construction — the ``data_epoch`` in the key
+    changes whenever ``apply_update`` swaps the relation — plus an
     explicit :meth:`invalidate` flush on update/crash so stale epochs
     don't occupy LRU slots.
     """
@@ -120,10 +121,8 @@ class LocalResultCache:
         )
         return (data_epoch, query.pos, query.d, flt_key)
 
-    def get(
-        self, key: Tuple
-    ) -> Optional[Tuple["LocalSkylineResult", Optional[AccessStats]]]:
-        """The memoized ``(result, stats delta)`` for ``key``, or None."""
+    def get(self, key: Tuple) -> Optional["LocalSkylineResult"]:
+        """The memoized result for ``key``, or None."""
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -132,14 +131,9 @@ class LocalResultCache:
         self.hits += 1
         return entry
 
-    def put(
-        self,
-        key: Tuple,
-        result: "LocalSkylineResult",
-        stats_delta: Optional[AccessStats],
-    ) -> None:
+    def put(self, key: Tuple, result: "LocalSkylineResult") -> None:
         """Memoize one evaluation, evicting the least recently used."""
-        self._entries[key] = (result, stats_delta)
+        self._entries[key] = result
         self._entries.move_to_end(key)
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
@@ -703,8 +697,8 @@ def local_skyline_vectorized(
     """Numpy implementation of the Figure 4 pipeline over a raw relation.
 
     Produces the same ``SK'_i``, ``|SK_i|`` and promoted filter as the
-    faithful paths, but in vectorised form; the simulation experiments
-    use it so MANET-scale runs stay tractable. Operation counters are not
+    faithful paths, but in vectorised form; every simulated device uses
+    it so MANET-scale runs stay tractable. Operation counters are not
     populated — the device cost model estimates them analytically.
 
     Its work follows the answer rather than the relation: a disk that

@@ -63,18 +63,16 @@ class DeviceCostModel:
             + indirections * self.indirection
         )
 
-    def time_for_result(
-        self, result: LocalSkylineResult, dims: int, hybrid: bool = True
-    ) -> float:
+    def time_for_result(self, result: LocalSkylineResult, dims: int) -> float:
         """Seconds for a local skyline run, from its result record.
 
         Uses the exact counters when present (faithful paths fill them
-        in); otherwise falls back to the analytic estimate, which is the
-        path the vectorised simulation processor takes. Skipped runs are
-        charged only their short-circuit cost (Figure 4's point): an MBR
-        rejection is one rectangle test, a filter domination is an O(n)
-        bound comparison — regardless of any metric-only skyline sizes
-        the result may carry.
+        in); otherwise falls back to the analytic estimate, priced as the
+        hybrid layout's ID comparisons: the path every simulated device
+        takes. Skipped runs are charged only their short-circuit cost
+        (Figure 4's point): an MBR rejection is one rectangle test, a
+        filter domination is an O(n) bound comparison — regardless of
+        any metric-only skyline sizes the result may carry.
         """
         if result.skipped == "mbr":
             return self.distance_check
@@ -85,11 +83,10 @@ class DeviceCostModel:
         est = estimate_comparisons(
             result.in_range, result.unreduced_size, dims
         )
-        per_compare = self.id_compare if hybrid else self.value_compare
         return (
             result.scanned * self.tuple_fetch
             + result.scanned * self.distance_check
-            + est * per_compare * dims
+            + est * self.id_compare * dims
         )
 
 

@@ -212,7 +212,7 @@ def run_continuous_point(
     record = result.record
     complete = sum(
         1 for e in record.epochs
-        if e.report is not None and e.report.outcome == "completed"
+        if e.report.outcome == "completed"
     )
     return ContinuousPoint(
         seed=seed,

@@ -85,6 +85,18 @@ class AodvConfig:
     ttl: int = 32
     repair_attempts: int = 1
 
+    def __post_init__(self) -> None:
+        if self.active_route_timeout <= 0:
+            raise ValueError("active_route_timeout must be > 0")
+        if self.rreq_retries < 0:
+            raise ValueError("rreq_retries must be >= 0")
+        if self.rreq_timeout <= 0:
+            raise ValueError("rreq_timeout must be > 0")
+        if self.ttl < 1:
+            raise ValueError("ttl must be >= 1")
+        if self.repair_attempts < 0:
+            raise ValueError("repair_attempts must be >= 0")
+
 
 @dataclass
 class Route:

@@ -16,8 +16,8 @@ protocol stack permanently:
 
 * **Passive** — the observer never schedules simulation events, never
   consumes randomness, and never mutates protocol state, so an observed
-  run is bit-identical to an unobserved one (results, counters,
-  ``AccessStats``, fault traces — pinned by ``tests/test_obs.py``).
+  run is bit-identical to an unobserved one (results, counters, fault
+  traces — pinned by ``tests/test_obs.py``).
 * **Cheap when off** — the default world observer is
   :data:`NULL_OBSERVER`, whose ``enabled`` is False and which defines no
   hooks. Every instrumentation site is guarded by that flag (pinned by

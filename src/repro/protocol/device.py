@@ -38,10 +38,8 @@ from ..core.filtering import Estimation, FilteringTuple, select_filter
 from ..core.local import (
     LocalResultCache,
     LocalSkylineResult,
-    local_skyline,
     local_skyline_vectorized,
 )
-from ..storage.base import AccessStats
 from ..core.query import QueryCounter, QueryLog, SkylineQuery
 from ..devices.cost_model import PDA_2006, DeviceCostModel
 from ..devices.energy import EnergyMeter
@@ -55,8 +53,6 @@ from ..resilience import (
     ResiliencePolicy,
     build_completion_report,
 )
-from ..storage.flat import FlatStorage
-from ..storage.hybrid import HybridStorage
 from ..storage.relation import Relation
 from .messages import QueryMessage, ResultAckMessage, ResultMessage, TokenMessage
 
@@ -101,8 +97,6 @@ class ProtocolConfig:
         estimation: Dominating-region bounding mode (the simulation uses
             under-estimation, Section 5.2.2-II).
         over_margin: Margin for over-estimation.
-        processor: ``vectorized`` (fast, for simulations), ``hybrid`` or
-            ``flat`` (faithful per-tuple paths with operation counts).
         cost_model: Converts local work into simulated processing time,
             which delays the device's message sends (the paper adds
             estimated local costs to communication delays, Section
@@ -113,13 +107,11 @@ class ProtocolConfig:
             devices whose results mark the query complete — the paper's
             80% rule (Section 5.2.3). Results arriving afterwards are
             still merged until the timeout closes the record.
-        result_ack: BF recovery — the originator acknowledges every
-            result reply, and responders retransmit unacknowledged
-            replies with capped exponential backoff. A lost RESULT is
-            no longer silently gone.
-        ack_timeout: Initial retransmission backoff in seconds; doubles
-            per attempt up to a 60 s ceiling.
-        result_retries: Retransmissions per result before giving up.
+        ack_timeout: Initial backoff in seconds before an unacknowledged
+            RESULT or DELTA is retransmitted; doubles per attempt up to
+            a 60 s ceiling.
+        result_retries: Retransmissions per reply before giving up (0
+            sends each reply once).
         token_watchdog: DF recovery — seconds of token silence at the
             originator before the query is re-issued with an incremented
             ``cnt`` (the ``(id, cnt)`` log makes re-issue safe). 0
@@ -127,39 +119,25 @@ class ProtocolConfig:
         token_reissues: Re-issues per query before the watchdog gives
             up and leaves closure to ``query_timeout``.
         resilience: The :class:`~repro.resilience.ResiliencePolicy` —
-            deadline budgets, DF→BF failover, orphan suppression,
-            completion reports. Defaults are inert: a default policy
-            reproduces the pre-resilience protocol bit for bit.
-        local_cache: Memoize local skyline evaluations per device, keyed
-            on ``(data_epoch, query signature)`` and invalidated by
-            data updates — repeated and continuous-refresh queries skip
-            the SFS scan. Results, counters, and stats stay
-            bit-identical (hits replay the ``AccessStats`` delta).
-        local_cache_size: LRU entry bound for that cache.
+            deadline budgets, DF→BF failover, orphan suppression.
+            Defaults are inert: a default policy reproduces the
+            pre-resilience protocol bit for bit.
     """
 
     use_filter: bool = True
     dynamic_filter: bool = True
     estimation: Estimation = Estimation.UNDER
     over_margin: float = 0.2
-    processor: str = "vectorized"
     cost_model: DeviceCostModel = PDA_2006
     query_timeout: float = 600.0
     completion_quorum: float = 0.8
-    result_ack: bool = True
     ack_timeout: float = 3.0
     result_retries: int = 3
     token_watchdog: float = 60.0
     token_reissues: int = 2
-    local_cache: bool = True
-    local_cache_size: int = 64
     resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
 
     def __post_init__(self) -> None:
-        if self.processor not in ("vectorized", "hybrid", "flat"):
-            raise ValueError(f"unknown processor {self.processor!r}")
-        if self.local_cache_size < 1:
-            raise ValueError("local_cache_size must be >= 1")
         if self.query_timeout <= 0:
             raise ValueError("query_timeout must be > 0")
         if not 0 < self.completion_quorum <= 1:
@@ -296,11 +274,6 @@ class SkylineDevice(Node):
         self.query_log = QueryLog()
         self.records: Dict[Tuple[int, int], QueryRecord] = {}
         self._active_key: Optional[Tuple[int, int]] = None
-        self._storage = None
-        if config.processor == "hybrid":
-            self._storage = HybridStorage(relation)
-        elif config.processor == "flat":
-            self._storage = FlatStorage(relation)
         #: Energy meter; registered with the world so radio traffic is
         #: charged automatically, and charged CPU time by compute paths.
         self.meter = EnergyMeter()
@@ -312,14 +285,10 @@ class SkylineDevice(Node):
         #: local cache and a subscription originator's own slice key on
         #: it — an unchanged epoch proves the data has not moved.
         self.data_epoch = 0
-        #: Skyline-diagram-style memo of local evaluations (None when
-        #: disabled). Keys embed ``data_epoch``; ``apply_update`` and
-        #: crashes flush it explicitly.
-        self.local_cache: Optional[LocalResultCache] = (
-            LocalResultCache(config.local_cache_size)
-            if config.local_cache
-            else None
-        )
+        #: Skyline-diagram-style memo of local evaluations. Keys embed
+        #: ``data_epoch``; ``apply_update`` and crashes flush it
+        #: explicitly.
+        self.local_cache = LocalResultCache()
         #: Routed replies not yet acknowledged by their originator,
         #: keyed by the tag the ACK names: the query key for a RESULT
         #: (BF and DF→BF failover floods), ``(sub_key, epoch)`` for a
@@ -363,8 +332,7 @@ class SkylineDevice(Node):
         self._epoch += 1
         self.router.reset()
         self.query_log = QueryLog()
-        if self.local_cache is not None:
-            self.local_cache.invalidate()
+        self.local_cache.invalidate()
         if self._active_key is not None:
             record = self.records.get(self._active_key)
             if record is not None:
@@ -378,19 +346,14 @@ class SkylineDevice(Node):
     def apply_update(self, relation: Relation) -> None:
         """Swap in a new version of the local relation (data update).
 
-        Relations are immutable, so an update replaces the whole object,
-        rebuilds the processor storage, and bumps ``data_epoch``.
-        Updates land on storage, not volatile protocol state, so they
-        apply to crashed devices too and survive recovery.
+        Relations are immutable, so an update replaces the whole object
+        and bumps ``data_epoch``. Updates land on storage, not volatile
+        protocol state, so they apply to crashed devices too and survive
+        recovery.
         """
         self.relation = relation
-        if self.config.processor == "hybrid":
-            self._storage = HybridStorage(relation)
-        elif self.config.processor == "flat":
-            self._storage = FlatStorage(relation)
         self.data_epoch += 1
-        if self.local_cache is not None:
-            self.local_cache.invalidate()
+        self.local_cache.invalidate()
 
     def on_recover(self) -> None:
         """World hook: the device rebooted and rejoined clean.
@@ -406,57 +369,25 @@ class SkylineDevice(Node):
     def compute_local(
         self, query: SkylineQuery, flt: Optional[FilteringTuple]
     ) -> LocalSkylineResult:
-        """Run the Figure 4 local skyline with this device's processor.
+        """Run the Figure 4 local skyline over this device's relation
+        with the vectorised kernel; the cost model prices its analytic
+        operation estimate as device time (Section 5.2.3).
 
-        When the local cache is enabled, a repeated ``(data_epoch,
-        query, filter)`` signature returns the memoized result without
-        re-scanning: the stored ``AccessStats`` delta is replayed into
-        the storage model and the (deterministic) processing delay is
-        re-charged, so every downstream observable matches a re-run bit
-        for bit.
+        A repeated ``(data_epoch, query, filter)`` signature returns the
+        memoized result and re-charges the same deterministic delay, so
+        every downstream observable matches a re-run bit for bit.
         """
         obs = self.world.obs
         wall0 = time.perf_counter() if obs.enabled else 0.0
-        cache = self.local_cache
-        key = None
-        if cache is not None:
-            key = LocalResultCache.signature(self.data_epoch, query, flt)
-            hit = cache.get(key)
-            if hit is not None:
-                result, stats_delta = hit
-                if self._storage is not None and stats_delta is not None:
-                    self._storage.stats.merge(stats_delta)
-                delay = self.processing_delay(result)
-                self.meter.on_compute(delay)
-                if obs.enabled:
-                    obs.local_eval(
-                        query.key, self.node_id, result, delay,
-                        time.perf_counter() - wall0,
-                    )
-                return result
-        if self._storage is not None:
-            stats = self._storage.stats
-            before = (stats.value_reads, stats.id_reads, stats.indirections)
-            result = local_skyline(
-                self._storage, query, flt,
-                estimation=self.config.estimation,
-                over_margin=self.config.over_margin,
-            )
-            stats_delta: Optional[AccessStats] = None
-            if cache is not None:
-                stats_delta = AccessStats()
-                stats_delta.value_reads = stats.value_reads - before[0]
-                stats_delta.id_reads = stats.id_reads - before[1]
-                stats_delta.indirections = stats.indirections - before[2]
-        else:
+        key = LocalResultCache.signature(self.data_epoch, query, flt)
+        result = self.local_cache.get(key)
+        if result is None:
             result = local_skyline_vectorized(
                 self.relation, query, flt,
                 estimation=self.config.estimation,
                 over_margin=self.config.over_margin,
             )
-            stats_delta = None
-        if cache is not None:
-            cache.put(key, result, stats_delta)
+            self.local_cache.put(key, result)
         delay = self.processing_delay(result)
         self.meter.on_compute(delay)
         if obs.enabled:
@@ -469,8 +400,7 @@ class SkylineDevice(Node):
     def processing_delay(self, result: LocalSkylineResult) -> float:
         """Simulated device time the run took."""
         return self.config.cost_model.time_for_result(
-            result, dims=self.relation.dimensions,
-            hybrid=self.config.processor != "flat",
+            result, dims=self.relation.dimensions
         )
 
     # -- query lifecycle ------------------------------------------------------
@@ -600,18 +530,17 @@ class SkylineDevice(Node):
                 obs.query_closed(key)
             if record.completion_time is None and not record.aborted_by_crash:
                 obs.deadline_close(key, self.node_id)
-        if self.config.resilience.completion_report:
-            snapshot = record.crash_counts_at_issue
-            record.report = build_completion_report(
-                record,
-                population=frozenset(self.world.node_ids),
-                down_now=frozenset(self.world.down_nodes),
-                closed_at=self.sim.now,
-                crashed_during=frozenset(
-                    n for n in self.world.node_ids
-                    if self.world.crash_count(n) > snapshot.get(n, 0)
-                ),
-            )
+        snapshot = record.crash_counts_at_issue
+        record.report = build_completion_report(
+            record,
+            population=frozenset(self.world.node_ids),
+            down_now=frozenset(self.world.down_nodes),
+            closed_at=self.sim.now,
+            crashed_during=frozenset(
+                n for n in self.world.node_ids
+                if self.world.crash_count(n) > snapshot.get(n, 0)
+            ),
+        )
         if self._active_key == key:
             self._active_key = None
 
@@ -738,10 +667,11 @@ class SkylineDevice(Node):
     def _send_acked(
         self, tag: Tuple, kind: FrameKind, payload, origin: int
     ) -> None:
-        """Route a RESULT or DELTA home and, with ACKs on, keep it
-        pending under ``tag`` until the originator's ACK names it."""
+        """Route a RESULT or DELTA home and, when retries are allowed,
+        keep it pending under ``tag`` until the originator's ACK names
+        it."""
         self._send_reply(kind, payload, origin)
-        if self.config.result_ack and self.config.result_retries > 0:
+        if self.config.result_retries > 0:
             pending = _PendingReply(kind=kind, payload=payload, origin=origin)
             self._pending[tag] = pending
             self._arm_retry(tag, pending)
@@ -804,7 +734,7 @@ class SkylineDevice(Node):
         pending.timer.cancel()
         return True
 
-    def _on_result_ack(self, ack: ResultAckMessage) -> None:
+    def _retire_result(self, ack: ResultAckMessage) -> None:
         if self._acked(ack.query_key) and self.world.obs.enabled:
             self.world.obs.event(
                 "result.acked", query=ack.query_key, node=self.node_id
@@ -814,13 +744,12 @@ class SkylineDevice(Node):
         """ACK one routed reply copy — every copy, even duplicates and
         post-closure stragglers: an unacknowledged sender keeps
         retransmitting."""
-        if self.config.result_ack:
-            self.router.send_data(
-                dest=dest,
-                kind=FrameKind.ACK,
-                payload=ack,
-                size_bytes=ack.size_bytes(),
-            )
+        self.router.send_data(
+            dest=dest,
+            kind=FrameKind.ACK,
+            payload=ack,
+            size_bytes=ack.size_bytes(),
+        )
 
     def _accept_flood_result(self, reply: ResultMessage) -> Optional[QueryRecord]:
         """Originator side: ACK one routed RESULT copy and merge it into
@@ -895,7 +824,7 @@ class BFDevice(SkylineDevice):
         if packet.kind == FrameKind.ACK and isinstance(
             packet.payload, ResultAckMessage
         ):
-            self._on_result_ack(packet.payload)
+            self._retire_result(packet.payload)
             return
         if packet.kind != FrameKind.RESULT or not isinstance(
             packet.payload, ResultMessage
@@ -994,12 +923,12 @@ class DFDevice(SkylineDevice):
             self._arm_watchdog(root_key, remaining)
             return
         if record.reissues >= self.config.token_reissues:
-            policy = self.config.resilience
-            if policy.df_failover and record.failovers < policy.max_failovers:
+            if self.config.resilience.df_failover:
                 # Token recovery is spent: change strategy instead of
                 # giving up. The watchdog retires either way — failover
                 # replies route straight home under their own ACK
-                # recovery, so token silence is no longer a signal.
+                # recovery, so token silence is no longer a signal —
+                # which makes this the query's only failover.
                 self._failover(record)
             # Without failover: leave closure to the deadline budget.
             return
@@ -1102,7 +1031,7 @@ class DFDevice(SkylineDevice):
         if packet.kind == FrameKind.ACK and isinstance(
             packet.payload, ResultAckMessage
         ):
-            self._on_result_ack(packet.payload)
+            self._retire_result(packet.payload)
             return
         if packet.kind == FrameKind.RESULT and isinstance(
             packet.payload, ResultMessage

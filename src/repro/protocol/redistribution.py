@@ -219,10 +219,7 @@ class RedistributionProcess:
                             )
                         )
             for device, new in enumerate(new_relations):
-                self.devices[device].relation = new
-                # invalidate any faithful storage built over the old data
-                if self.devices[device]._storage is not None:
-                    storage_cls = type(self.devices[device]._storage)
-                    self.devices[device]._storage = storage_cls(new)
+                # a data update: bumps data_epoch, flushes the local cache
+                self.devices[device].apply_update(new)
         self.stats.merge_round(moved, bytes_moved)
         self.world.sim.schedule(self.period, self._round)

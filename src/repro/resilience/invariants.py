@@ -29,6 +29,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from ..core import skyline_of_relation
 from ..faults.injector import FaultInjector
 from ..storage import union_all
+from .policy import MAX_FAILOVERS
 
 __all__ = [
     "check_closed_by_deadline",
@@ -158,10 +159,10 @@ def check_retransmission_bounds(records, config, observer=None) -> List[str]:
                 f"{record.key}: {record.reissues} token re-issues exceed "
                 f"budget {config.token_reissues}"
             )
-        if record.failovers > config.resilience.max_failovers:
+        if record.failovers > MAX_FAILOVERS:
             out.append(
                 f"{record.key}: {record.failovers} failovers exceed budget "
-                f"{config.resilience.max_failovers}"
+                f"{MAX_FAILOVERS}"
             )
     if observer is not None and getattr(observer, "enabled", False):
         attempts: Dict[Tuple, int] = {}

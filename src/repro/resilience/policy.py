@@ -12,7 +12,7 @@ allowed to degrade under faults:
   ``token_reissues`` budget, the originator abandons the token walk and
   re-floods the query breadth-first to the *unvisited residue* (devices
   that already contributed are excluded from recomputation), charged as
-  its own accounting mode.
+  its own accounting mode, at most once per query.
 * **Orphan suppression** — in-flight tokens, result retransmissions and
   flood responses addressed to a crashed originator are dropped and
   their timers cancelled instead of burning radio on a dead letter box.
@@ -27,7 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["ResiliencePolicy"]
+__all__ = ["MAX_FAILOVERS", "ResiliencePolicy"]
+
+#: Failover floods per query (the flood has its own ACK/retransmit
+#: recovery, so one is enough).
+MAX_FAILOVERS = 1
 
 
 @dataclass(frozen=True)
@@ -42,24 +46,15 @@ class ResiliencePolicy:
         df_failover: Allow a DF originator whose token watchdog ran out
             of re-issues to fall back to a breadth-first flood over the
             unvisited residue.
-        max_failovers: Failover floods per query (the flood itself has
-            its own ACK/retransmit recovery, so one is usually enough).
         orphan_suppression: Drop in-flight work addressed to a crashed
             originator (tokens, result retries, flood responses) and
             cancel the timers that would have driven it.
-        completion_report: Attach a
-            :class:`~repro.resilience.report.CompletionReport` to every
-            closed :class:`~repro.protocol.device.QueryRecord`.
     """
 
     deadline: Optional[float] = None
     df_failover: bool = False
-    max_failovers: int = 1
     orphan_suppression: bool = False
-    completion_report: bool = True
 
     def __post_init__(self) -> None:
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be > 0 (or None)")
-        if self.max_failovers < 0:
-            raise ValueError("max_failovers must be >= 0")

@@ -4,7 +4,8 @@ Each oracle is the straightforward version of one concern, kept only so
 the differential tests can require the production code to match it bit
 for bit:
 
-* :mod:`.local`: the row-at-a-time Figure 4 pipeline per storage model;
+* :mod:`.local`: the row-at-a-time Figure 4 pipeline per storage model,
+  and devices whose local result cache always misses;
 * :mod:`.assembly`: the legacy fold-of-merges result assembler;
 * :mod:`.world`: the uncached world, per-receiver broadcast delivery,
   and a world on the reference neighbor-index build;

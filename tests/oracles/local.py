@@ -30,7 +30,7 @@ from repro.storage.base import StorageModel
 from repro.storage.flat import FlatStorage
 from repro.storage.hybrid import HybridStorage
 
-__all__ = ["local_skyline_reference", "install_reference_local"]
+__all__ = ["local_skyline_reference", "install_uncached_local"]
 
 
 def local_skyline_reference(
@@ -244,6 +244,9 @@ def _dom(a, b) -> bool:
     return no_worse and better
 
 
-def install_reference_local(monkeypatch) -> None:
-    """Make every storage-backed device evaluate with the reference."""
-    monkeypatch.setattr("repro.protocol.device.local_skyline", local_skyline_reference)
+def install_uncached_local(monkeypatch) -> None:
+    """Make every device's local result cache miss, so each evaluation
+    runs the kernel again: the reference a cached run must match."""
+    monkeypatch.setattr(
+        "repro.core.local.LocalResultCache.get", lambda self, key: None
+    )

@@ -1,6 +1,7 @@
 """Edge-case tests for AODV internals: sequence numbers, RERR paths,
 route replacement rules, and discovery corner cases."""
 
+import pytest
 
 from repro.net import (
     AodvConfig,
@@ -198,3 +199,19 @@ class TestDataPacketDefaults:
         nodes[0].router.send_data(1, FrameKind.RESULT, "x", 10)
         sim.run(until=2.0)
         assert sent and sent[0].hops_left == 5
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("ttl", 0),
+        ("ttl", -4),
+        ("active_route_timeout", 0.0),
+        ("active_route_timeout", -5.0),
+        ("rreq_timeout", 0.0),
+        ("rreq_timeout", -1.0),
+        ("rreq_retries", -2),
+        ("repair_attempts", -1),
+    ])
+    def test_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AodvConfig(**{field: value})

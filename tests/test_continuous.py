@@ -287,6 +287,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ContinuousConfig(install_time=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("data_updates", -3),
+        ("drain_time", -5.0),
+    ])
+    def test_negative_counts_and_times(self, field, value):
+        """A negative update count would run with no updates and a
+        negative drain would drop the last epoch's books."""
+        with pytest.raises(ValueError, match=field):
+            ContinuousConfig(**{field: value})
+
     def test_horizon(self):
         config = ContinuousConfig(
             install_time=10.0, interval=20.0, epochs=3,

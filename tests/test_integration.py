@@ -10,11 +10,7 @@ import pytest
 from repro.core import skyline_of_relation
 from repro.data import QueryRequest, make_global_dataset
 from repro.net import RadioConfig, StaticPlacement
-from repro.protocol import (
-    ProtocolConfig,
-    SimulationConfig,
-    run_manet_simulation,
-)
+from repro.protocol import SimulationConfig, run_manet_simulation
 from repro.storage import union_all
 
 
@@ -56,16 +52,14 @@ class TestBfDfEquivalence:
         assert results["bf"] == sorted(map(tuple, central.values.tolist()))
 
 
-class TestProcessorEquivalence:
-    @pytest.mark.parametrize("processor", ["vectorized", "hybrid", "flat"])
-    def test_protocol_result_independent_of_processor(self, dataset, processor):
-        """The device may process with any storage path; the distributed
-        answer must not change."""
+class TestBfMatchesCentralized:
+    def test_corner_query_matches_centralized(self, dataset):
+        """A BF query from a corner device returns the centralized
+        skyline of its disk."""
         wl = [QueryRequest(device=0, time=1.0, distance=600.0)]
         config = SimulationConfig(
             strategy="bf", sim_time=400.0, seed=6,
             radio=RadioConfig(radio_range=360.0),
-            protocol=ProtocolConfig(processor=processor),
         )
         out = run_manet_simulation(
             dataset, wl, config, mobility=grid_static(dataset)

@@ -17,12 +17,7 @@ import pytest
 from repro.core.filtering import Estimation, FilteringTuple
 from repro.core.local import local_skyline
 from repro.core.query import SkylineQuery
-from repro.data import make_global_dataset
-from repro.data.workload import generate_workload
 from repro.experiments.local_processing import device_dataset
-from repro.metrics.collector import collect_metrics
-from repro.protocol.coordinator import SimulationConfig, run_manet_simulation
-from repro.protocol.device import ProtocolConfig
 from repro.storage import (
     DomainStorage,
     FlatStorage,
@@ -30,7 +25,7 @@ from repro.storage import (
     RingStorage,
 )
 
-from .oracles.local import install_reference_local, local_skyline_reference
+from .oracles.local import local_skyline_reference
 
 ALL_STORAGES = [FlatStorage, HybridStorage, DomainStorage, RingStorage]
 
@@ -114,61 +109,3 @@ class TestKernelParity:
         rel = device_dataset(40, 2, "independent", seed=2)
         far = SkylineQuery(origin=0, cnt=0, pos=(-9e6, -9e6), d=1.0)
         _assert_paths_agree(rel, far)
-
-
-# ---------------------------------------------------------------------------
-# Full simulations: the kernels must be invisible end to end
-# ---------------------------------------------------------------------------
-
-
-def _simulate(strategy, processor):
-    dataset = make_global_dataset(
-        1500, 2, 9, "anticorrelated", seed=201, value_step=1.0
-    )
-    workload = generate_workload(
-        devices=9,
-        sim_time=300.0,
-        distance=350.0,
-        queries_per_device=(1, 2),
-        seed=202,
-    )
-    config = SimulationConfig(
-        strategy=strategy,
-        sim_time=300.0,
-        protocol=ProtocolConfig(
-            use_filter=True,
-            dynamic_filter=True,
-            processor=processor,
-        ),
-        seed=203,
-    )
-    return run_manet_simulation(dataset, workload, config)
-
-
-@pytest.mark.parametrize("strategy", ["bf", "df"])
-@pytest.mark.parametrize("processor", ["hybrid", "flat"])
-def test_simulation_path_parity(strategy, processor, monkeypatch):
-    """A full MANET run is bit-identical with the reference local path
-    installed: every QueryRecord field, every result table, the
-    aggregated metrics."""
-    fast = _simulate(strategy, processor)
-    with monkeypatch.context() as patch:
-        install_reference_local(patch)
-        ref = _simulate(strategy, processor)
-
-    assert fast.issued == ref.issued
-    assert fast.suppressed == ref.suppressed
-    assert fast.events == ref.events
-    assert fast.energy_joules == ref.energy_joules
-    assert len(fast.records) == len(ref.records)
-    for rf, rs in zip(fast.records, ref.records):
-        assert rf.key == rs.key
-        assert rf.completion_time == rs.completion_time
-        assert rf.closed == rs.closed
-        assert set(rf.contributions) == set(rs.contributions)
-        assert rf.local_unreduced == rs.local_unreduced
-        assert rf.local_reduced == rs.local_reduced
-        assert np.array_equal(rf.result.xy, rs.result.xy)
-        assert np.array_equal(rf.result.values, rs.result.values)
-        assert np.array_equal(rf.result.site_ids, rs.result.site_ids)
-    assert collect_metrics(fast, strategy) == collect_metrics(ref, strategy)

@@ -215,7 +215,7 @@ class TestDuplicateMaskEdges:
 class TestConfigValidation:
     def test_protocol_config_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            ProtocolConfig(local_cache_size=0)
+            ProtocolConfig(query_timeout=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +232,15 @@ class TestLocalResultCache:
         cache = LocalResultCache(4)
         key = self._key()
         assert cache.get(key) is None
-        cache.put(key, "result", "delta")
-        assert cache.get(key) == ("result", "delta")
+        result = object()
+        cache.put(key, result)
+        assert cache.get(key) is result
         assert cache.hits == 1 and cache.misses == 1
         assert cache.hit_rate == 0.5
 
     def test_signature_distinguishes_epoch_and_scope(self):
         cache = LocalResultCache(4)
-        cache.put(self._key(epoch=0), "r", None)
+        cache.put(self._key(epoch=0), "r")
         assert cache.get(self._key(epoch=1)) is None
         assert cache.get(self._key(d=300.0)) is None
         # The key deliberately ignores the query identity: a different
@@ -249,10 +250,10 @@ class TestLocalResultCache:
     def test_lru_eviction_order(self):
         cache = LocalResultCache(2)
         a, b, c = self._key(d=100.0), self._key(d=200.0), self._key(d=300.0)
-        cache.put(a, "a", None)
-        cache.put(b, "b", None)
+        cache.put(a, "a")
+        cache.put(b, "b")
         cache.get(a)  # refresh a: b becomes least recent
-        cache.put(c, "c", None)
+        cache.put(c, "c")
         assert len(cache) == 2
         assert cache.get(b) is None
         assert cache.get(a) is not None
@@ -260,7 +261,7 @@ class TestLocalResultCache:
 
     def test_invalidate_clears_and_counts(self):
         cache = LocalResultCache(4)
-        cache.put(self._key(), "r", None)
+        cache.put(self._key(), "r")
         cache.invalidate()
         assert len(cache) == 0
         assert cache.invalidations == 1

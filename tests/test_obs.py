@@ -14,7 +14,6 @@ from repro.data import QueryRequest, make_global_dataset
 from repro.experiments.config import ExperimentScale
 from repro.faults import FaultSchedule
 from repro.net import (
-    AodvConfig,
     Frame,
     FrameKind,
     RadioConfig,
@@ -381,36 +380,6 @@ class TestPassivity:
         traced = run_sim(dataset, strategy, mobility=None,
                          observer=Observer())
         assert run_signature(traced) == run_signature(baseline)
-
-    def test_access_stats_identical(self, dataset):
-        """The faithful storage path's AccessStats must not shift under
-        observation."""
-
-        def run(observer):
-            sim = Simulator()
-            world = World(
-                sim, StaticPlacement(GRID_POSITIONS),
-                RadioConfig(radio_range=250.0),
-            )
-            if observer is not None:
-                observer.bind(world)
-            config = ProtocolConfig(processor="flat")
-            devices = [
-                BFDevice(world, i, dataset.local(i), config=config,
-                         aodv_config=AodvConfig())
-                for i in range(dataset.devices)
-            ]
-            devices[0].issue_query(d=2000.0)
-            sim.run(until=60.0)
-            return [
-                (d._storage.stats.value_reads, d._storage.stats.id_reads,
-                 d._storage.stats.indirections)
-                for d in devices
-            ]
-
-        stats = run(None)
-        assert any(v > 0 for triple in stats for v in triple)
-        assert run(Observer()) == stats
 
 
 # ---------------------------------------------------------------------------

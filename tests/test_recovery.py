@@ -60,18 +60,17 @@ class TestBFResultAck:
     POSITIONS = [(0.0, 0.0), (200.0, 0.0), (400.0, 0.0), (9000.0, 9000.0)]
     AODV = AodvConfig(rreq_retries=0, rreq_timeout=0.4)
 
-    def config(self, result_ack):
+    def config(self, result_retries):
         return ProtocolConfig(
-            result_ack=result_ack,
             ack_timeout=2.0,
-            result_retries=3,
+            result_retries=result_retries,
             query_timeout=60.0,
         )
 
-    def run(self, dataset, result_ack, crash_at=None):
+    def run(self, dataset, result_retries=3, crash_at=None):
         sim, world, devices, observer = build(
             dataset, BFDevice, self.POSITIONS,
-            self.config(result_ack), aodv=self.AODV,
+            self.config(result_retries), aodv=self.AODV,
         )
         if crash_at is not None:
             # relay 1 is down while AODV repair runs dry, back up well
@@ -83,20 +82,18 @@ class TestBFResultAck:
         return record, world, devices, observer
 
     def test_ack_clears_pending_on_clean_run(self, dataset):
-        record, world, devices, _ = self.run(dataset, result_ack=True)
+        record, world, devices, _ = self.run(dataset)
         assert set(record.contributions) == {1, 2}
         for device in devices:
             assert device._pending == {}
         assert world.stats.by_kind.get("ack", 0) == 0  # ACKs ride DATA frames
 
     def test_retransmission_recovers_result_lost_to_crash(self, dataset):
-        _, _, _, observer = self.run(dataset, result_ack=True)
+        _, _, _, observer = self.run(dataset)
         # when device 2 first transmits its (routed) result
         t_result = first_time(observer, 2, "tx.data")
 
-        record, _, devices, _ = self.run(
-            dataset, result_ack=True, crash_at=t_result - 1e-4
-        )
+        record, _, devices, _ = self.run(dataset, crash_at=t_result - 1e-4)
         assert set(record.contributions) == {1, 2}
         assert record.coverage() == pytest.approx(1.0)
         # the copy that made it is the retransmission, after the relay
@@ -105,11 +102,12 @@ class TestBFResultAck:
         assert devices[2]._pending == {}
 
     def test_without_ack_the_result_is_lost(self, dataset):
-        _, _, _, observer = self.run(dataset, result_ack=True)
+        """With no retransmissions a RESULT lost to a crash is gone."""
+        _, _, _, observer = self.run(dataset)
         t_result = first_time(observer, 2, "tx.data")
 
         record, _, _, _ = self.run(
-            dataset, result_ack=False, crash_at=t_result - 1e-4
+            dataset, result_retries=0, crash_at=t_result - 1e-4
         )
         assert set(record.contributions) == {1}
         assert record.coverage() == pytest.approx(0.5)
@@ -119,8 +117,7 @@ class TestBFResultAck:
         result_retries attempts instead of retransmitting forever."""
         positions = [(9000.0, 0.0), (0.0, 0.0), (18000.0, 0.0), (27000.0, 0.0)]
         config = ProtocolConfig(
-            result_ack=True, ack_timeout=0.5, result_retries=2,
-            query_timeout=300.0,
+            ack_timeout=0.5, result_retries=2, query_timeout=300.0,
         )
         sim, world, devices, _ = build(
             dataset, BFDevice, positions, config, aodv=self.AODV

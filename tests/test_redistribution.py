@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import skyline_of_relation
 from repro.data import make_global_dataset
-from repro.net import RandomWaypoint
+from repro.core.query import SkylineQuery
+from repro.net import RadioConfig, RandomWaypoint, StaticPlacement
 from repro.protocol import SimulationConfig
 from repro.protocol.coordinator import build_network
 from repro.protocol.redistribution import (
@@ -118,6 +119,28 @@ class TestInSimulation:
             want = sorted(map(tuple, skyline_of_relation(
                 dataset.global_relation).values.tolist()))
             assert got == want
+
+    def test_moved_data_is_not_served_from_the_local_cache(self, dataset):
+        """A device whose relation changed hands must answer from its
+        new data, not from a result it cached before the round."""
+        positions = [dataset.grid.cell_center(8 - i) for i in range(9)]
+        sim, world, devices = build_network(
+            dataset,
+            SimulationConfig(strategy="bf", sim_time=2000.0, seed=31,
+                             radio=RadioConfig(radio_range=1.0e5)),
+            mobility=StaticPlacement(positions),
+        )
+        query = SkylineQuery(origin=4, cnt=0, pos=(0.0, 0.0), d=1.0e6)
+        for device in devices:
+            device.compute_local(query, None)
+        proc = RedistributionProcess(world, devices, period=10.0,
+                                     improvement=1.0)
+        sim.run(until=15.0)
+        assert proc.stats.tuples_moved > 0
+        for device in devices:
+            got = device.compute_local(query, None).skyline
+            want = skyline_of_relation(device.relation)
+            assert sorted(got.site_ids.tolist()) == sorted(want.site_ids.tolist())
 
     def test_stats_and_traffic_accounting(self, dataset):
         sim, world, devices = build_network(

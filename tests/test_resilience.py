@@ -28,6 +28,8 @@ from repro.resilience import (
     ResiliencePolicy,
     build_completion_report,
 )
+from repro.resilience.invariants import check_retransmission_bounds
+from repro.resilience.policy import MAX_FAILOVERS
 from repro.storage import union_all
 
 from .staging import event_times, first_time, observe
@@ -69,15 +71,12 @@ class TestResiliencePolicy:
         assert policy.deadline is None
         assert not policy.df_failover
         assert not policy.orphan_suppression
-        assert policy.completion_report
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ResiliencePolicy(deadline=0.0)
         with pytest.raises(ValueError):
             ResiliencePolicy(deadline=-5.0)
-        with pytest.raises(ValueError):
-            ResiliencePolicy(max_failovers=-1)
 
     def test_effective_deadline(self):
         config = ProtocolConfig(query_timeout=600.0)
@@ -352,20 +351,20 @@ class TestDFFailover:
         assert record.report.coverage() == pytest.approx(0.0)
 
     def test_failover_budget_respected(self, dataset):
+        """A failover flood that cannot complete is not repeated: a
+        query fails over at most once."""
         t_out, t_in, t_fwd = self.measure(dataset)
         crash_at = (t_in + t_fwd) / 2.0
         watchdog = crash_at + 3.0 - t_out
-        config = ProtocolConfig(
-            token_watchdog=watchdog, token_reissues=0, query_timeout=400.0,
-            resilience=ResiliencePolicy(
-                deadline=120.0, df_failover=True, max_failovers=0,
-            ),
-        )
+        config = self.config(failover=True, watchdog=watchdog)
         record, _, _, _ = self.run(
             dataset, config, crash_at=crash_at,  # stays down
         )
-        assert record.failovers == 0
+        assert record.failovers == MAX_FAILOVERS == 1
+        assert record.completion_time is None
         assert record.closed
+        assert record.closed_at == pytest.approx(record.issue_time + 120.0)
+        assert check_retransmission_bounds([record], config) == []
 
 
 class TestOrphanSuppression:

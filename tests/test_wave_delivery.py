@@ -308,18 +308,10 @@ class TestFullRunDifferential:
     def test_simulation_identical_across_delivery_modes(
         self, dataset, workload, strategy, fault_family, monkeypatch
     ):
-        from repro.protocol.device import ProtocolConfig
-
         faults = (_base_faults() if fault_family == "base"
                   else _extended_faults())
-        # The base family runs on real storage so AccessStats parity is
-        # exercised too; the extended family keeps the default
-        # vectorized processor.
-        protocol = (ProtocolConfig(processor="hybrid")
-                    if fault_family == "base" else ProtocolConfig())
         base = SimulationConfig(
             strategy=strategy, sim_time=200.0, seed=99, faults=faults,
-            protocol=protocol,
         )
         outs = {}
         for mode, world_cls in WORLDS.items():
@@ -329,15 +321,6 @@ class TestFullRunDifferential:
                     dataset, workload, base, keep_network=True
                 )
         assert_results_bit_identical(outs["wave"], outs["per_receiver"])
-        for da, db in zip(outs["wave"].network[2],
-                          outs["per_receiver"].network[2]):
-            if da._storage is not None:
-                assert (da._storage.stats.value_reads,
-                        da._storage.stats.id_reads,
-                        da._storage.stats.indirections) == \
-                       (db._storage.stats.value_reads,
-                        db._storage.stats.id_reads,
-                        db._storage.stats.indirections)
         for result in outs.values():
             # The run stops on the time bound, so timers may still be
             # pending — but the O(1) counter must agree with a scan.
