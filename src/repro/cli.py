@@ -211,13 +211,9 @@ def _run_trace(args, scale) -> int:
     spanless = []
     for strategy in strategies:
         start = time.time()
-        observer, profiler, _metrics = trace_point(
-            strategy, scale, directory=directory
-        )
+        observer, _metrics = trace_point(strategy, scale, directory=directory)
         print(f"=== {strategy} (scale={scale.name}) ===")
         print(query_summary(observer))
-        print()
-        print(profiler.render())
         print(f"  [{time.time() - start:.1f}s]")
         print()
         if not observer.spans:

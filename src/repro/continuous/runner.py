@@ -27,17 +27,15 @@ from ..faults import (
     FaultSchedule,
     UpdateInjector,
 )
-from ..net.aodv import AodvConfig
-from ..net.engine import Simulator
 from ..net.mobility import (
     DEFAULT_HOLDING_TIME,
     DEFAULT_SPEED_RANGE,
     MobilityModel,
-    RandomWaypoint,
     StaticPlacement,
 )
-from ..net.world import RadioConfig, TrafficStats, World
+from ..net.world import RadioConfig, TrafficStats
 from ..obs.observer import Observer
+from ..protocol.coordinator import SimulationConfig, build_network
 from ..protocol.device import ProtocolConfig
 from ..resilience import ResiliencePolicy
 from ..resilience.invariants import check_no_live_timers
@@ -276,28 +274,18 @@ def run_continuous_simulation(
         config.cardinality, config.dimensions, config.devices,
         config.distribution, seed=config.seed, value_step=1.0,
     )
-    sim = Simulator()
     if mobility is None and config.static_grid:
         mobility = grid_placement(config.devices)
-    if mobility is None:
-        mobility = RandomWaypoint(
-            node_count=config.devices,
-            extent=dataset.schema.spatial_extent,
-            speed_range=config.speed_range,
-            holding_time=config.holding_time,
-            seed=config.seed,
-        )
-    world = World(
-        sim, mobility, RadioConfig(loss_rate=config.loss_rate),
+    network = SimulationConfig(
+        radio=RadioConfig(loss_rate=config.loss_rate),
+        protocol=config.protocol,
+        speed_range=config.speed_range,
+        holding_time=config.holding_time,
         seed=config.seed,
     )
-    devices = [
-        ContinuousDevice(
-            world, i, dataset.local(i),
-            config=config.protocol, aodv_config=AodvConfig(),
-        )
-        for i in range(config.devices)
-    ]
+    sim, world, devices = build_network(
+        dataset, network, mobility, device_cls=ContinuousDevice
+    )
     if observer is not None:
         observer.bind(world)
     fault_injector: Optional[FaultInjector] = None

@@ -707,14 +707,13 @@ def local_skyline_vectorized(
     the in-range rows the cached skyline does not eliminate
     (:func:`~repro.core.skyline.skyline_rows_in_disk`).
     """
-    counter = ComparisonCounter()
     schema = relation.schema
     if relation.cardinality == 0 or not rect_overlaps_circle(
         relation.mbr(), query.pos, query.d
     ):
         return LocalSkylineResult(
             skyline=Relation.empty(schema), unreduced_size=0, skipped="mbr",
-            updated_filter=flt, comparisons=counter,
+            updated_filter=flt,
         )
 
     # All dominance work happens in minimization space so MAX attributes
@@ -738,7 +737,7 @@ def local_skyline_vectorized(
         return LocalSkylineResult(
             skyline=Relation.empty(schema), unreduced_size=unreduced,
             skipped="dominated" if in_range and skipped_dominated else None,
-            updated_filter=flt, comparisons=counter,
+            updated_filter=flt,
             scanned=relation.cardinality, in_range=in_range,
         )
 
@@ -771,7 +770,6 @@ def local_skyline_vectorized(
         skyline=relation.take(rows),
         unreduced_size=unreduced,
         updated_filter=updated,
-        comparisons=counter,
         scanned=relation.cardinality,
         in_range=in_range,
     )

@@ -64,22 +64,21 @@ class DeviceCostModel:
         )
 
     def time_for_result(self, result: LocalSkylineResult, dims: int) -> float:
-        """Seconds for a local skyline run, from its result record.
+        """Seconds for a simulated device's local skyline run, from its
+        result record.
 
-        Uses the exact counters when present (faithful paths fill them
-        in); otherwise falls back to the analytic estimate, priced as the
-        hybrid layout's ID comparisons: the path every simulated device
-        takes. Skipped runs are charged only their short-circuit cost
-        (Figure 4's point): an MBR rejection is one rectangle test, a
-        filter domination is an O(n) bound comparison — regardless of
-        any metric-only skyline sizes the result may carry.
+        The vectorised path every simulated device runs fills in no
+        operation counters, so the work is the analytic estimate, priced
+        as the hybrid layout's ID comparisons (Section 5.2.3). Skipped
+        runs are charged only their short-circuit cost (Figure 4's
+        point): an MBR rejection is one rectangle test, a filter
+        domination is an O(n) bound comparison — regardless of any
+        metric-only skyline sizes the result may carry.
         """
         if result.skipped == "mbr":
             return self.distance_check
         if result.skipped == "dominated":
             return self.distance_check + dims * self.value_compare
-        if result.comparisons.total > 0:
-            return self.time_for_counter(result.comparisons, scanned=result.scanned)
         est = estimate_comparisons(
             result.in_range, result.unreduced_size, dims
         )

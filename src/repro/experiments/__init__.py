@@ -15,7 +15,6 @@ from .continuous_sweep import (
     run_continuous_point,
 )
 from .executor import RunCache, configure, resolve_workers, run_points
-from .fault_sweep import fault_churn_sweep, fault_loss_sweep, run_fault_point
 from .local_processing import figure_5a, figure_5b, measure_local_time
 from .manet_common import ManetPoint, clear_run_cache, run_manet_point
 from .manet_drr import (
@@ -39,7 +38,13 @@ from .response_time import (
 from .plotting import ascii_plot
 from .report import markdown_report, markdown_table
 from .runner import FigureResult, Series, render_table
-from .sensitivity import cpu_sweep, radio_range_sweep, speed_sweep
+from .sensitivity import (
+    cpu_sweep,
+    fault_churn_sweep,
+    fault_loss_sweep,
+    radio_range_sweep,
+    speed_sweep,
+)
 from .static_drr import (
     figure_6a,
     figure_6b,
@@ -102,7 +107,6 @@ __all__ = [
     "radio_range_sweep",
     "render_table",
     "resolve_workers",
-    "run_fault_point",
     "run_chaos_point",
     "run_continuous_point",
     "run_manet_point",

@@ -45,10 +45,6 @@ class ExperimentScale:
     sim_time: float
     queries_per_device: Tuple[int, int]
     query_distances: Tuple[float, ...] = (100.0, 250.0, 500.0)
-    attribute_low: float = 0.0
-    attribute_high: float = 1000.0
-    value_step: float = 1.0
-    repeats: int = 1
     seed: int = 20060403  # ICDE 2006
 
 

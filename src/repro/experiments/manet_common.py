@@ -10,9 +10,12 @@ scale, and the executor's code-schema version — so re-running a figure
 suite across invocations skips every already-computed point.
 
 Simulation settings follow Table 7 (random waypoint at 2-10 m/s, 120 s
-holding time, AODV); the paper's under-estimated, dynamically updated
-filtering tuple is used throughout ("we use only under-estimation ...
-and dynamically update them between mobile devices", Section 5.2.2-II).
+holding time, a 250 m radio, AODV) and the PDA cost model of Section
+5.2.3; the paper's under-estimated, dynamically updated filtering tuple
+is used throughout ("we use only under-estimation ... and dynamically
+update them between mobile devices", Section 5.2.2-II). The sensitivity
+and fault sweeps move one of those settings at a time through the
+point's own fields, so every sweep point shares this driver.
 """
 
 from __future__ import annotations
@@ -23,13 +26,18 @@ from typing import Dict, Tuple
 from ..core.filtering import Estimation
 from ..data.partition import make_global_dataset
 from ..data.workload import generate_workload
+from ..devices.cost_model import PDA_2006, calibrate
+from ..faults import FaultSchedule
 from ..metrics.collector import RunMetrics, collect_metrics
+from ..net.mobility import DEFAULT_SPEED_RANGE
+from ..net.world import RadioConfig
 from ..obs import Observer, telemetry_root
 from ..protocol.coordinator import SimulationConfig, run_manet_simulation
 from ..protocol.device import ProtocolConfig
 from .config import DEFAULT, ExperimentScale
 
 __all__ = [
+    "MEAN_DOWNTIME",
     "ManetPoint",
     "compute_manet_point",
     "run_manet_point",
@@ -38,9 +46,29 @@ __all__ = [
 ]
 
 
+#: Mean exponential downtime, in seconds, of a device that crashes in
+#: a churn point.
+MEAN_DOWNTIME = 120.0
+
+
 @dataclass(frozen=True)
 class ManetPoint:
-    """Identity of one simulation run in the sweep grids."""
+    """Identity of one simulation run in the sweep grids.
+
+    The last five fields are the settings the sensitivity and fault
+    sweeps move; their defaults are the paper's setup, which every
+    figure point runs.
+
+    Attributes:
+        radio_range: Unit-disk radio range in metres.
+        speed_range: Random-waypoint speed band in m/s.
+        slowdown: CPU slowdown of the device cost model against the
+            paper's PDA (:func:`~repro.devices.cost_model.calibrate`).
+        loss_rate: Independent per-frame loss probability.
+        crash_fraction: Fraction of devices that crash once each and
+            rejoin after an exponential downtime (mean
+            :data:`MEAN_DOWNTIME`).
+    """
 
     strategy: str
     distance: float
@@ -50,6 +78,11 @@ class ManetPoint:
     distribution: str
     scale_name: str
     seed: int
+    radio_range: float = 250.0
+    speed_range: Tuple[float, float] = DEFAULT_SPEED_RANGE
+    slowdown: float = 1.0
+    loss_rate: float = 0.0
+    crash_fraction: float = 0.0
 
 
 #: In-process read-through layer above the persistent disk cache.
@@ -74,7 +107,9 @@ def compute_manet_point(
 
     This is the pure compute path: deterministic in ``(point, scale)``.
     Pool workers call it directly; everything else should go through
-    :func:`run_manet_point`.
+    :func:`run_manet_point`. Seeds: the dataset is drawn at
+    ``point.seed``, the workload at ``+1``, mobility and loss at ``+2``
+    and the fault schedule (when ``crash_fraction > 0``) at ``+3``.
 
     When ``observer`` is given (or telemetry is enabled process-wide via
     ``REPRO_OBS`` / ``repro --obs``), the run is traced; with a
@@ -95,7 +130,7 @@ def compute_manet_point(
         point.devices,
         point.distribution,
         seed=point.seed,
-        value_step=scale.value_step,
+        value_step=1.0,
     )
     workload = generate_workload(
         devices=point.devices,
@@ -104,15 +139,30 @@ def compute_manet_point(
         queries_per_device=scale.queries_per_device,
         seed=point.seed + 1,
     )
+    faults = None
+    if point.crash_fraction > 0:
+        faults = FaultSchedule.generate(
+            node_count=point.devices,
+            sim_time=scale.sim_time,
+            seed=point.seed + 3,
+            crash_fraction=point.crash_fraction,
+            mean_downtime=MEAN_DOWNTIME,
+        )
     config = SimulationConfig(
         strategy=point.strategy,
         sim_time=scale.sim_time,
+        radio=RadioConfig(
+            radio_range=point.radio_range, loss_rate=point.loss_rate
+        ),
         protocol=ProtocolConfig(
             use_filter=True,
             dynamic_filter=True,
             estimation=Estimation.UNDER,
+            cost_model=calibrate(PDA_2006, slowdown=point.slowdown),
         ),
+        speed_range=point.speed_range,
         seed=point.seed + 2,
+        faults=faults,
     )
     result = run_manet_simulation(dataset, workload, config, observer=observer)
     metrics = collect_metrics(result, point.strategy)

@@ -30,19 +30,20 @@ def manet_panel(
     Args:
         panel: ``a`` / ``b`` / ``c`` sweep.
         distribution: ``independent`` or ``anticorrelated``.
-        metric: ``drr`` (Figures 8/9), ``response`` (Figures 10/11), or
-            ``messages`` (Figure 12's per-query protocol count).
+        metric: ``drr`` (Figures 8/9) or ``response`` (Figures 10/11).
         scale: Parameter grids.
     """
-    if metric not in ("drr", "response", "messages"):
+    if metric not in ("drr", "response"):
         raise ValueError(f"unknown metric {metric!r}")
+    if distribution not in ("independent", "anticorrelated"):
+        raise ValueError(f"unknown distribution {distribution!r}")
     x_label, x_values, points = sweep_points(panel, distribution, scale)
     fig = {
         ("drr", "independent"): "8",
         ("drr", "anticorrelated"): "9",
         ("response", "independent"): "10",
         ("response", "anticorrelated"): "11",
-    }.get((metric, distribution), "12")
+    }[metric, distribution]
     result = FigureResult(
         figure=f"Figure {fig}({panel})",
         title=f"MANET {metric} on {distribution} data vs. {x_label}",
@@ -75,12 +76,9 @@ def manet_panel(
             values: List[Optional[float]] = []
             for i in range(len(points)):
                 metrics = metrics_by_point[grid[strategy, distance, i]]
-                if metric == "drr":
-                    values.append(metrics.drr)
-                elif metric == "response":
-                    values.append(metrics.response_time)
-                else:
-                    values.append(metrics.messages.protocol_per_query)
+                values.append(
+                    metrics.drr if metric == "drr" else metrics.response_time
+                )
             result.add_series(f"{strategy.upper()}-{int(distance)}", values)
     return result
 

@@ -100,24 +100,14 @@ def static_panel(
         x_values=x_values,
         notes=f"scale={scale.name}; every device originates once",
     )
-    columns: Dict[str, List[Optional[float]]] = {name: [] for name, _, _ in _SERIES}
-    for i, (cardinality, dims, devices) in enumerate(points):
-        # Average over `scale.repeats` independently seeded datasets;
-        # the paper likewise averages many queries per plotted point.
-        accumulated: Dict[str, List[float]] = {name: [] for name, _, _ in _SERIES}
-        for repeat in range(max(scale.repeats, 1)):
-            series = static_drr_series(
-                cardinality, dims, devices, distribution,
-                seed=scale.seed + i + 7919 * repeat,
-            )
-            for name, value in series.items():
-                if value is not None:
-                    accumulated[name].append(value)
-        for name in columns:
-            values = accumulated[name]
-            columns[name].append(sum(values) / len(values) if values else None)
+    rows = [
+        static_drr_series(
+            cardinality, dims, devices, distribution, seed=scale.seed + i
+        )
+        for i, (cardinality, dims, devices) in enumerate(points)
+    ]
     for name, _, _ in _SERIES:
-        result.add_series(name, columns[name])
+        result.add_series(name, [row[name] for row in rows])
     return result
 
 

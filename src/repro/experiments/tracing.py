@@ -4,12 +4,12 @@ sweep telemetry.
 Two entry points:
 
 * :func:`trace_point` — run one MANET point with an
-  :class:`~repro.obs.observer.Observer` bound, profile the run's
-  phases, and (optionally) dump the full telemetry bundle to a
-  directory. Backs the ``repro trace`` CLI command.
+  :class:`~repro.obs.observer.Observer` bound and (optionally) dump the
+  full telemetry bundle to a directory. Backs the ``repro trace`` CLI
+  command.
 * :func:`dump_run_telemetry` — write one run's telemetry bundle
-  (``spans.jsonl``, ``trace.json``, ``metrics.json``, ``summary.txt``,
-  ``phases.json``). The experiment executor calls this from
+  (``spans.jsonl``, ``trace.json``, ``metrics.json``, ``summary.txt``).
+  The experiment executor calls this from
   :func:`~repro.experiments.manet_common.compute_manet_point` whenever
   ``REPRO_OBS`` / ``--obs`` points at a directory, so sweeps emit
   per-run telemetry next to their cached results.
@@ -20,36 +20,50 @@ to the untraced run (pinned by ``tests/test_obs.py``).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Optional, Tuple
 
 from ..metrics.collector import RunMetrics
-from ..obs import (
-    Observer,
-    PhaseProfiler,
-    export_jsonl,
-    query_summary,
-    write_chrome_trace,
-)
+from ..obs import Observer, export_jsonl, query_summary, write_chrome_trace
 from .config import DEFAULT, ExperimentScale
 
 __all__ = ["trace_point", "dump_run_telemetry", "point_slug"]
 
 
+#: Slug tags of the sweep settings, appended only when a point moves
+#: one off its default, so figure points keep their short slug.
+_SWEEP_TAGS = (
+    ("radio_range", "r"),
+    ("speed_range", "v"),
+    ("slowdown", "cpu"),
+    ("loss_rate", "loss"),
+    ("crash_fraction", "crash"),
+)
+
+
 def point_slug(point) -> str:
     """Filesystem-safe identity of one sweep point."""
-    return (
+    slug = (
         f"{point.strategy}_d{int(point.distance)}_c{point.cardinality}"
         f"_n{point.dimensions}_m{point.devices}_{point.distribution}"
         f"_s{point.seed}"
     )
+    defaults = {f.name: f.default for f in dataclasses.fields(point)}
+    for name, tag in _SWEEP_TAGS:
+        value = getattr(point, name)
+        if value != defaults[name]:
+            if isinstance(value, tuple):
+                slug += f"_{tag}" + "-".join(f"{v:g}" for v in value)
+            else:
+                slug += f"_{tag}{value:g}"
+    return slug
 
 
 def dump_run_telemetry(
     observer: Observer,
     directory: Path,
-    profiler: Optional[PhaseProfiler] = None,
     metrics: Optional[RunMetrics] = None,
 ) -> Path:
     """Write one run's telemetry bundle into ``directory``.
@@ -57,9 +71,8 @@ def dump_run_telemetry(
     Files: ``spans.jsonl`` (archival span/event dump), ``trace.json``
     (Chrome trace-event / Perfetto), ``metrics.json`` (registry
     snapshot plus, when given, the run's aggregated metrics),
-    ``summary.txt`` (per-query table), ``phases.json`` (phase
-    profile in the BENCH gate shape, when a profiler is given),
-    ``health.json`` (streaming health report, when the observer has a
+    ``summary.txt`` (per-query table), ``health.json`` (streaming
+    health report, when the observer has a
     :class:`~repro.obs.stream.StreamAnalyzer` attached), and
     ``blackbox.json`` (flight-recorder rings and dumps, when a
     :class:`~repro.obs.flight.FlightRecorder` is attached).
@@ -86,11 +99,6 @@ def dump_run_telemetry(
         handle.write("\n")
     with open(directory / "summary.txt", "w") as handle:
         handle.write(query_summary(observer) + "\n")
-    if profiler is not None:
-        with open(directory / "phases.json", "w") as handle:
-            json.dump(profiler.to_bench_json(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
     stream = getattr(observer, "stream", None)
     if stream is not None:
         with open(directory / "health.json", "w") as handle:
@@ -108,7 +116,7 @@ def trace_point(
     scale: ExperimentScale = DEFAULT,
     directory: Optional[Path] = None,
     distance: Optional[float] = None,
-) -> Tuple[Observer, PhaseProfiler, RunMetrics]:
+) -> Tuple[Observer, RunMetrics]:
     """Run one observed MANET point and return its full telemetry.
 
     The point mirrors the figure-8 fixed configuration at ``scale``
@@ -131,16 +139,11 @@ def trace_point(
         seed=scale.seed,
     )
     observer = Observer()
-    profiler = PhaseProfiler()
-    with profiler.phase("run.simulate"):
-        metrics = compute_manet_point(point, scale, observer=observer)
-    with profiler.phase("run.export"):
-        profiler.add_spans(observer)
-        if directory is not None:
-            dump_run_telemetry(
-                observer,
-                Path(directory) / scale.name / point_slug(point),
-                profiler=profiler,
-                metrics=metrics,
-            )
-    return observer, profiler, metrics
+    metrics = compute_manet_point(point, scale, observer=observer)
+    if directory is not None:
+        dump_run_telemetry(
+            observer,
+            Path(directory) / scale.name / point_slug(point),
+            metrics=metrics,
+        )
+    return observer, metrics

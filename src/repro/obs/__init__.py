@@ -1,4 +1,4 @@
-"""Observability layer: query-lifecycle tracing, metrics, profiling.
+"""Observability layer: query-lifecycle tracing, metrics, telemetry export.
 
 ``repro.obs`` is the substrate every perf/robustness change reports
 through:
@@ -13,8 +13,8 @@ through:
   bump theirs through :data:`EVENT_COUNTERS`.
 * Exporters — JSONL event dumps, Chrome trace-event / Perfetto JSON
   timelines, and per-query text summaries.
-* :class:`PhaseProfiler` — wall-time attribution across protocol
-  phases, in the ``BENCH_*.json`` gate shape.
+* :class:`StreamAnalyzer` and :class:`FlightRecorder` — streaming
+  health detectors and per-node post-mortem rings.
 
 Enable per run by passing an observer to
 :func:`~repro.protocol.coordinator.run_manet_simulation`, per process
@@ -65,7 +65,6 @@ from .observer import (
     SpanRecord,
     query_key_of,
 )
-from .profiler import PHASE_SCHEMA, PhaseProfiler
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
 from .stream import (
     HEALTH_SCHEMA,
@@ -94,8 +93,6 @@ __all__ = [
     "NULL_OBSERVER",
     "NullObserver",
     "Observer",
-    "PHASE_SCHEMA",
-    "PhaseProfiler",
     "QueryTrace",
     "SpanNode",
     "SpanRecord",

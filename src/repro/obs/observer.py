@@ -94,8 +94,8 @@ class SpanRecord:
         sid: Span id, unique within one observer.
         parent: Enclosing span's sid (None for roots).
         name: Phase name (``query``, ``local-eval``, ``hop`` ...).
-        cat: Coarse category used by the phase profiler (``protocol``,
-            ``net``, ``core`` ...).
+        cat: Coarse category, the Chrome trace's ``cat`` field
+            (``protocol``, ``net``, ``core`` ...).
         query: ``(origin, cnt)`` key, or None for non-query spans.
         node: Device the span executed on, or None.
         t0: Simulation time the span opened.
@@ -431,7 +431,6 @@ class Observer:
                 "unreduced": result.unreduced_size,
                 "reduced": result.reduced_size,
                 "skipped": result.skipped,
-                "comparisons": result.comparisons.as_tuple(),
             },
         )
         self.spans.append(span)

@@ -8,7 +8,7 @@ workload through it, enforcing the paper's one-query-in-progress rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Type
 
 from ..data.partition import GlobalDataset
 from ..data.workload import QueryRequest
@@ -118,8 +118,14 @@ def build_network(
     dataset: GlobalDataset,
     config: SimulationConfig,
     mobility: Optional[MobilityModel] = None,
+    device_cls: Optional[Type[SkylineDevice]] = None,
 ) -> Tuple[Simulator, World, List[SkylineDevice]]:
-    """Construct the simulator, world, and one device per partition."""
+    """Construct the simulator, world, and one device per partition.
+
+    ``device_cls`` defaults to the class of ``config.strategy``
+    (:class:`BFDevice` or :class:`DFDevice`); continuous runs pass
+    :class:`~repro.continuous.device.ContinuousDevice`.
+    """
     sim = Simulator()
     if mobility is None:
         mobility = RandomWaypoint(
@@ -135,7 +141,8 @@ def build_network(
             f"has {dataset.devices} partitions"
         )
     world = World(sim, mobility, config.radio, seed=config.seed)
-    device_cls = BFDevice if config.strategy == "bf" else DFDevice
+    if device_cls is None:
+        device_cls = BFDevice if config.strategy == "bf" else DFDevice
     devices: List[SkylineDevice] = [
         device_cls(
             world, i, dataset.local(i),

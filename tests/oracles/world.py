@@ -36,9 +36,6 @@ __all__ = [
     "install_world",
 ]
 
-#: Modules that construct the world of a whole run by name.
-_WORLD_BUILDERS = ("repro.protocol.coordinator", "repro.continuous.runner")
-
 
 def uncached_position(world, node: int) -> tuple:
     return world.mobility.position(node, world.sim.now)
@@ -165,6 +162,7 @@ class ReferenceIndexWorld(World):
 
 
 def install_world(monkeypatch, world_cls: type) -> None:
-    """Make every whole-run builder construct ``world_cls``."""
-    for module in _WORLD_BUILDERS:
-        monkeypatch.setattr(f"{module}.World", world_cls)
+    """Make every whole-run builder construct ``world_cls``: one-shot
+    and continuous runs both build their network with
+    :func:`~repro.protocol.coordinator.build_network`."""
+    monkeypatch.setattr("repro.protocol.coordinator.World", world_cls)

@@ -13,13 +13,12 @@ from repro.devices import (
 from repro.storage import Relation, uniform_schema
 
 
-def result_with(counter=None, skipped=None, scanned=0, in_range=0, unreduced=0):
+def result_with(skipped=None, scanned=0, in_range=0, unreduced=0):
     schema = uniform_schema(2)
     return LocalSkylineResult(
         skyline=Relation.empty(schema),
         unreduced_size=unreduced,
         skipped=skipped,
-        comparisons=counter or ComparisonCounter(),
         scanned=scanned,
         in_range=in_range,
     )
@@ -59,13 +58,6 @@ class TestCostModel:
         # and far cheaper than a real scan of 500 in-range tuples
         scan = result_with(scanned=10_000, in_range=10_000, unreduced=500)
         assert t5 < PDA_2006.time_for_result(scan, dims=5)
-
-    def test_exact_counters_preferred(self):
-        c = ComparisonCounter()
-        c.count_id(1000)
-        res = result_with(counter=c, scanned=100)
-        expected = PDA_2006.time_for_counter(c, scanned=100)
-        assert PDA_2006.time_for_result(res, dims=2) == expected
 
     def test_estimate_fallback_scales_with_work(self):
         small = result_with(scanned=1000, in_range=1000, unreduced=5)

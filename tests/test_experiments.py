@@ -130,3 +130,7 @@ class TestManet:
     def test_metric_validation(self):
         with pytest.raises(ValueError, match="unknown metric"):
             manet_panel("a", "independent", "latency", SMOKE)
+
+    def test_distribution_validation(self):
+        with pytest.raises(ValueError, match="unknown distribution"):
+            manet_panel("a", "correlated", "drr", SMOKE)

@@ -1,4 +1,4 @@
-"""Observability layer: registry, observer, exporters, profiler, and
+"""Observability layer: registry, observer, exporters, and
 the passivity contract (traced runs are bit-identical to untraced).
 """
 
@@ -25,8 +25,6 @@ from repro.obs import (
     NULL_OBSERVER,
     MetricsRegistry,
     Observer,
-    PHASE_SCHEMA,
-    PhaseProfiler,
     build_query_trees,
     configure_telemetry,
     export_chrome_trace,
@@ -291,43 +289,6 @@ class TestObserver:
         )
         assert query_key_of(reply) == (2, 5)
         assert query_key_of({"rreq_id": 1}) is None
-
-
-# ---------------------------------------------------------------------------
-# Phase profiler
-# ---------------------------------------------------------------------------
-
-
-class TestProfiler:
-    def test_nested_phases_are_exclusive(self):
-        prof = PhaseProfiler()
-        with prof.phase("outer"):
-            with prof.phase("inner"):
-                pass
-        report = prof.report()
-        assert set(report) == {"outer", "inner"}
-        total = prof.total_wall_s
-        assert total == pytest.approx(
-            report["outer"]["wall_s"] + report["inner"]["wall_s"]
-        )
-
-    def test_add_spans_keys_by_category(self):
-        obs = Observer()
-        sid = obs.begin("local-eval", cat="core")
-        obs.end(sid)
-        prof = PhaseProfiler()
-        prof.add_spans(obs)
-        assert "core.local-eval" in prof.report()
-
-    def test_bench_json_shape(self):
-        prof = PhaseProfiler()
-        with prof.phase("run"):
-            pass
-        doc = prof.to_bench_json(smoke=True)
-        assert doc["schema"] == PHASE_SCHEMA
-        assert doc["smoke"] is True
-        assert "run" in doc["phases"]
-        assert "(no phases recorded)" not in prof.render()
 
 
 # ---------------------------------------------------------------------------
@@ -668,23 +629,18 @@ class TestIntegration:
     def test_trace_point_writes_bundle(self, tmp_path):
         from repro.experiments.tracing import trace_point
 
-        observer, profiler, metrics = trace_point(
-            "df", TINY, directory=tmp_path
-        )
+        observer, metrics = trace_point("df", TINY, directory=tmp_path)
         assert observer.query_keys()
-        assert profiler.total_wall_s > 0
         bundles = [p for p in tmp_path.glob("tiny/*") if p.is_dir()]
         assert len(bundles) == 1
         files = {p.name for p in bundles[0].iterdir()}
         assert files == {"spans.jsonl", "trace.json", "metrics.json",
-                         "summary.txt", "phases.json"}
+                         "summary.txt"}
         doc = json.loads((bundles[0] / "trace.json").read_text())
         assert validate_chrome_trace(doc) == []
         run_doc = json.loads((bundles[0] / "metrics.json").read_text())
         assert run_doc["run"]["strategy"] == "df"
         assert run_doc["run"]["issued"] == metrics.issued
-        phases = json.loads((bundles[0] / "phases.json").read_text())
-        assert phases["schema"] == PHASE_SCHEMA
 
     def test_compute_point_emits_telemetry_when_configured(
         self, tmp_path, monkeypatch
@@ -727,9 +683,7 @@ class TestIntegration:
 
         monkeypatch.setattr(
             tracing, "trace_point",
-            lambda strategy, scale, directory=None: (
-                Observer(), PhaseProfiler(), None
-            ),
+            lambda strategy, scale, directory=None: (Observer(), None),
         )
         args = cli.build_parser().parse_args(
             ["trace", "--scale", "smoke", "--obs", "off", "--strategy", "bf"]

@@ -1,15 +1,12 @@
 """Tests for ASCII plotting, markdown reports, and calibration helpers."""
 
-import dataclasses
-
 import pytest
 
 from repro.core import ComparisonCounter
 from repro.devices import PDA_2006, calibrate, calibrate_from_wall_time
-from repro.experiments import SMOKE, FigureResult
+from repro.experiments import FigureResult
 from repro.experiments.plotting import ascii_plot
 from repro.experiments.report import markdown_report, markdown_table
-from repro.experiments.static_drr import static_panel
 
 
 @pytest.fixture
@@ -93,19 +90,3 @@ class TestCalibration:
             calibrate_from_wall_time(0.0, ComparisonCounter())
         with pytest.raises(ValueError):
             calibrate_from_wall_time(1.0, ComparisonCounter())
-
-
-class TestRepeats:
-    def test_static_panel_averages_repeats(self):
-        scale = dataclasses.replace(
-            SMOKE,
-            repeats=3,
-            static_cardinalities=(5_000,),
-            static_devices=9,
-        )
-        fig = static_panel("a", "independent", scale)
-        single = dataclasses.replace(scale, repeats=1)
-        fig_single = static_panel("a", "independent", single)
-        # both defined; averaging changes (or at least could change) values
-        assert fig.get("DF-EXT")[0] is not None
-        assert fig_single.get("DF-EXT")[0] is not None

@@ -1,13 +1,15 @@
-"""Tests for the sensitivity-analysis sweeps (smoke scale)."""
+"""Tests for the sensitivity and fault sweeps (smoke scale)."""
 
 import pytest
 
-from repro.experiments import SMOKE
+from repro.experiments import SMOKE, ManetPoint, clear_run_cache
 from repro.experiments.sensitivity import (
     cpu_sweep,
+    fault_loss_sweep,
     radio_range_sweep,
     speed_sweep,
 )
+from repro.experiments.tracing import point_slug
 
 
 class TestSweeps:
@@ -46,3 +48,59 @@ class TestSweeps:
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
             radio_range_sweep(ranges=(250.0,), scale=SMOKE, metric="qps")
+
+
+class TestFaultSweeps:
+    def test_loss_degrades_coverage_and_bf_outlasts_df(self):
+        """Lossless runs see the whole answer; coverage never rises with
+        the loss rate; BF's direct replies outlast DF's single token."""
+        fig = fault_loss_sweep(
+            loss_rates=(0.0, 0.1, 0.3, 0.5), scale=SMOKE, metric="coverage"
+        )
+        for name in ("BF", "DF"):
+            coverage = fig.get(name)
+            assert coverage[0] == 1.0
+            assert all(a >= b for a, b in zip(coverage, coverage[1:]))
+        assert fig.get("BF")[-1] > fig.get("DF")[-1]
+
+    def test_second_metric_reuses_the_runs(self, monkeypatch):
+        """A response sweep after a coverage sweep over the same grid is
+        pure cache lookups: one simulation per point."""
+        from repro.experiments import configure, manet_common
+
+        clear_run_cache()
+        configure(workers=1)
+        computed = []
+        real = manet_common.compute_manet_point
+
+        def counting(point, scale, observer=None):
+            computed.append(point)
+            return real(point, scale, observer)
+
+        monkeypatch.setattr(manet_common, "compute_manet_point", counting)
+        rates = (0.0, 0.3)
+        fault_loss_sweep(loss_rates=rates, scale=SMOKE, metric="coverage")
+        fault_loss_sweep(loss_rates=rates, scale=SMOKE, metric="response")
+        assert len(computed) == 2 * len(rates)
+        assert len(set(computed)) == len(computed)
+
+
+class TestPointSlug:
+    def test_figure_point_slug_is_unchanged(self):
+        point = ManetPoint(
+            strategy="bf", distance=250.0, cardinality=20_000,
+            dimensions=2, devices=25, distribution="independent",
+            scale_name="smoke", seed=7,
+        )
+        assert point_slug(point) == "bf_d250_c20000_n2_m25_independent_s7"
+
+    def test_sweep_settings_tag_the_slug(self):
+        point = ManetPoint(
+            strategy="df", distance=250.0, cardinality=20_000,
+            dimensions=2, devices=25, distribution="independent",
+            scale_name="smoke", seed=7, speed_range=(6.0, 30.0),
+            loss_rate=0.3,
+        )
+        assert point_slug(point) == (
+            "df_d250_c20000_n2_m25_independent_s7_v6-30_loss0.3"
+        )
