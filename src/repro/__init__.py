@@ -40,19 +40,14 @@ from .core import (
     QueryLog,
     SkylineAssembler,
     SkylineQuery,
-    dominates,
     dominates_values,
     local_skyline,
     local_skyline_vectorized,
     merge_skylines,
     select_filter,
     select_filter_set,
-    skyline_bnl,
-    skyline_bruteforce,
-    skyline_divide_conquer,
     skyline_numpy,
     skyline_of_relation,
-    skyline_sfs,
     vdr,
 )
 from .data import (
@@ -152,7 +147,6 @@ __all__ = [
     "collect_metrics",
     "data_reduction_rate",
     "df_response_time",
-    "dominates",
     "dominates_values",
     "generate_workload",
     "local_skyline",
@@ -165,12 +159,8 @@ __all__ = [
     "run_static_query",
     "select_filter",
     "select_filter_set",
-    "skyline_bnl",
-    "skyline_bruteforce",
-    "skyline_divide_conquer",
     "skyline_numpy",
     "skyline_of_relation",
-    "skyline_sfs",
     "uniform_schema",
     "union_all",
     "vdr",

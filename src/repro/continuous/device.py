@@ -331,10 +331,7 @@ class ContinuousDevice(BFDevice):
         origin = message.spec.query.origin
         if origin == self.node_id:
             return
-        if (
-            self.config.resilience.orphan_suppression
-            and not self.world.node_is_up(origin)
-        ):
+        if self._orphaned(origin):
             self._reap_orphan(message.sub_key, "subscribe-flood")
             return
         self.router.learn_route(
@@ -429,10 +426,7 @@ class ContinuousDevice(BFDevice):
         state.wake_timer = None
         epoch = state.woke_epoch = state.wake_epoch
         spec = state.spec
-        if (
-            self.config.resilience.orphan_suppression
-            and not self.world.node_is_up(spec.query.origin)
-        ):
+        if self._orphaned(spec.query.origin):
             # A dead originator orphans the whole subscription, not
             # just one message.
             del self._subscriber[key]

@@ -12,16 +12,12 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..storage.schema import Preference, SiteTuple
+from ..storage.schema import Preference
 
 __all__ = [
-    "dominates",
     "dominates_values",
-    "dominates_or_equal",
     "dominated_mask",
     "dominance_mask",
-    "any_dominator",
-    "incomparable",
 ]
 
 
@@ -48,36 +44,6 @@ def dominates_values(
     )
     better_somewhere = any(p.better(x, y) for p, x, y in zip(preferences, a, b))
     return no_worse_everywhere and better_somewhere
-
-
-def dominates(
-    a: SiteTuple,
-    b: SiteTuple,
-    preferences: Optional[Sequence[Preference]] = None,
-) -> bool:
-    """Return True iff site ``a`` dominates site ``b`` on non-spatial values.
-
-    Location plays no role in dominance — within the query region the
-    paper treats all sites as spatially equivalent (Section 2).
-    """
-    return dominates_values(a.values, b.values, preferences)
-
-
-def dominates_or_equal(
-    a: Sequence[float],
-    b: Sequence[float],
-    preferences: Optional[Sequence[Preference]] = None,
-) -> bool:
-    """True iff ``a`` dominates ``b`` or the two vectors are equal.
-
-    This is the elimination test used when duplicates should also be
-    swallowed (e.g. by a filtering tuple that equals a local tuple).
-    """
-    if len(a) != len(b):
-        raise ValueError(f"arity mismatch: {len(a)} vs {len(b)}")
-    if preferences is None:
-        return all(x <= y for x, y in zip(a, b))
-    return all(p.better_or_equal(x, y) for p, x, y in zip(preferences, a, b))
 
 
 def dominated_mask(
@@ -138,29 +104,6 @@ def dominance_mask(point: np.ndarray, block: np.ndarray) -> np.ndarray:
             f"shape mismatch: point {point.shape} vs block {block.shape}"
         )
     return dominated_mask(point[None, :], block)
-
-
-def any_dominator(point: np.ndarray, block: np.ndarray) -> bool:
-    """Vectorised: does any row of ``block`` dominate ``point``?
-
-    Both arguments must be in minimization space.
-    """
-    point = np.asarray(point, dtype=np.float64)
-    block = np.asarray(block, dtype=np.float64)
-    return bool(dominated_mask(block, point[None, :])[0])
-
-
-def incomparable(
-    a: Sequence[float],
-    b: Sequence[float],
-    preferences: Optional[Sequence[Preference]] = None,
-) -> bool:
-    """True iff neither vector dominates the other and they differ."""
-    return (
-        tuple(a) != tuple(b)
-        and not dominates_values(a, b, preferences)
-        and not dominates_values(b, a, preferences)
-    )
 
 
 class ComparisonCounter:

@@ -11,8 +11,6 @@ from .generators import (
 )
 from .partition import GlobalDataset, GridPartition, make_global_dataset
 from .spatial import (
-    mindist_point_rect,
-    point_in_rect,
     rect_overlaps_circle,
     uniform_positions,
 )
@@ -29,8 +27,6 @@ __all__ = [
     "generate_workload",
     "independent",
     "make_global_dataset",
-    "mindist_point_rect",
-    "point_in_rect",
     "quantize",
     "rect_overlaps_circle",
     "scale_to_domain",

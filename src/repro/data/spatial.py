@@ -8,15 +8,12 @@ generator enforces this.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "uniform_positions",
-    "mindist_point_rect",
-    "point_in_rect",
     "rect_overlaps_circle",
     "rect_within_circle",
 ]
@@ -70,31 +67,6 @@ def uniform_positions(
     return pts
 
 
-def mindist_point_rect(
-    pos: Tuple[float, float], rect: Tuple[float, float, float, float]
-) -> float:
-    """Minimum Euclidean distance from ``pos`` to rectangle ``rect``.
-
-    This is the ``mindist(pos_org, MBR_i)`` test in the local skyline
-    algorithm (Figure 4): a device whose data MBR is farther than ``d``
-    from the query position can skip processing entirely.
-    """
-    x, y = pos
-    x_min, y_min, x_max, y_max = rect
-    dx = max(x_min - x, 0.0, x - x_max)
-    dy = max(y_min - y, 0.0, y - y_max)
-    return math.hypot(dx, dy)
-
-
-def point_in_rect(
-    pos: Tuple[float, float], rect: Tuple[float, float, float, float]
-) -> bool:
-    """True iff ``pos`` lies inside (or on the border of) ``rect``."""
-    x, y = pos
-    x_min, y_min, x_max, y_max = rect
-    return x_min <= x <= x_max and y_min <= y <= y_max
-
-
 def rect_overlaps_circle(
     rect: Tuple[float, float, float, float],
     center: Tuple[float, float],
@@ -106,7 +78,7 @@ def rect_overlaps_circle(
 
     It compares squared distances with the arithmetic of the per-row
     range test (``dx*dx + dy*dy <= d*d``, as in ``Relation.within``)
-    rather than ``mindist_point_rect(...) <= radius``: ``math.hypot``
+    rather than ``math.hypot(dx, dy) <= radius``: ``math.hypot``
     can round one ulp away from that test, so the skip could reject a
     rectangle holding a row the range test keeps. With the same
     arithmetic, every row inside the rectangle is at least as far in

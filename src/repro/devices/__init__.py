@@ -4,7 +4,6 @@ from .cost_model import (
     PDA_2006,
     DeviceCostModel,
     calibrate,
-    calibrate_from_wall_time,
     estimate_comparisons,
 )
 from .energy import EnergyMeter, EnergyModel
@@ -15,6 +14,5 @@ __all__ = [
     "EnergyMeter",
     "EnergyModel",
     "calibrate",
-    "calibrate_from_wall_time",
     "estimate_comparisons",
 ]

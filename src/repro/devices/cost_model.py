@@ -127,29 +127,3 @@ def calibrate(
         tuple_fetch=reference.tuple_fetch * slowdown,
         indirection=reference.indirection * slowdown,
     )
-
-
-def calibrate_from_wall_time(
-    measured_seconds: float,
-    counter: ComparisonCounter,
-    scanned: int = 0,
-    indirections: int = 0,
-    reference: DeviceCostModel = PDA_2006,
-) -> DeviceCostModel:
-    """Fit a cost model so the reference operation mix matches a measured
-    wall time.
-
-    Runs the relative per-operation ratios of ``reference`` through the
-    observed operation counts, then rescales everything so the model
-    reproduces ``measured_seconds`` exactly for that run. This is how a
-    user targets their *own* hardware: run one local skyline with the
-    faithful path, time it, and calibrate.
-    """
-    if measured_seconds <= 0:
-        raise ValueError("measured_seconds must be > 0")
-    predicted = reference.time_for_counter(
-        counter, scanned=scanned, indirections=indirections
-    )
-    if predicted <= 0:
-        raise ValueError("operation counts are empty; nothing to fit")
-    return calibrate(reference, slowdown=measured_seconds / predicted)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from ..core.filtering import Estimation
 from ..data.partition import make_global_dataset
 from ..data.workload import generate_workload
 from ..devices.cost_model import PDA_2006, calibrate
@@ -111,18 +110,20 @@ def compute_manet_point(
     ``point.seed``, the workload at ``+1``, mobility and loss at ``+2``
     and the fault schedule (when ``crash_fraction > 0``) at ``+3``.
 
-    When ``observer`` is given (or telemetry is enabled process-wide via
-    ``REPRO_OBS`` / ``repro --obs``), the run is traced; with a
-    telemetry directory configured, the run's telemetry bundle is
-    written under ``<dir>/<scale>/<point-slug>/``. Tracing is passive —
-    the returned metrics are bit-identical either way.
+    When ``observer`` is given, the run is traced into it and the
+    caller owns its telemetry (:func:`~repro.experiments.tracing.trace_point`
+    writes the bundle). Otherwise, when telemetry is enabled
+    process-wide via ``REPRO_OBS`` / ``repro --obs``, the run traces
+    itself and writes its bundle under ``<dir>/<scale>/<point-slug>/``.
+    Tracing is passive — the returned metrics are bit-identical either
+    way.
     """
     if point.scale_name != scale.name:
         raise ValueError(
             f"point was built for scale {point.scale_name!r}, got {scale.name!r}"
         )
-    obs_dir = telemetry_root()
-    if observer is None and obs_dir is not None:
+    obs_dir = telemetry_root() if observer is None else None
+    if obs_dir is not None:
         observer = Observer()
     dataset = make_global_dataset(
         point.cardinality,
@@ -157,7 +158,6 @@ def compute_manet_point(
         protocol=ProtocolConfig(
             use_filter=True,
             dynamic_filter=True,
-            estimation=Estimation.UNDER,
             cost_model=calibrate(PDA_2006, slowdown=point.slowdown),
         ),
         speed_range=point.speed_range,
@@ -166,7 +166,7 @@ def compute_manet_point(
     )
     result = run_manet_simulation(dataset, workload, config, observer=observer)
     metrics = collect_metrics(result, point.strategy)
-    if observer is not None and obs_dir is not None:
+    if obs_dir is not None:
         from .tracing import dump_run_telemetry, point_slug
 
         dump_run_telemetry(

@@ -1,7 +1,7 @@
 """Metrics: DRR (Formula 1), response time, messages, result coverage."""
 
 from .collector import RunMetrics, collect_metrics
-from .coverage import coverage_histogram, mean_coverage, query_coverage
+from .coverage import mean_coverage, query_coverage
 from .drr import data_reduction_rate, drr_of_pairs
 from .messages import MessageCounts, messages_per_query
 from .response import bf_response_time, df_response_time, mean_response_time
@@ -11,7 +11,6 @@ __all__ = [
     "RunMetrics",
     "bf_response_time",
     "collect_metrics",
-    "coverage_histogram",
     "data_reduction_rate",
     "df_response_time",
     "drr_of_pairs",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-__all__ = ["query_coverage", "mean_coverage", "coverage_histogram"]
+__all__ = ["query_coverage", "mean_coverage"]
 
 
 def query_coverage(record) -> Optional[float]:
@@ -45,24 +45,3 @@ def mean_coverage(records: Sequence) -> Optional[float]:
     if not values:
         return None
     return sum(values) / len(values)
-
-
-def coverage_histogram(
-    records: Sequence, bins: int = 10
-) -> List[int]:
-    """Counts of query coverages per uniform bin over [0, 1].
-
-    The last bin is closed (coverage 1.0 lands in it), matching
-    ``numpy.histogram`` conventions; records without a snapshot are
-    skipped.
-    """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    counts = [0] * bins
-    for record in records:
-        value = query_coverage(record)
-        if value is None:
-            continue
-        index = min(int(value * bins), bins - 1)
-        counts[index] += 1
-    return counts

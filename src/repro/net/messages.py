@@ -105,8 +105,3 @@ class Frame:
     def __post_init__(self) -> None:
         if self.size_bytes < 0:
             raise ValueError("size_bytes must be >= 0")
-
-    @property
-    def is_broadcast(self) -> bool:
-        """True for local one-hop broadcasts."""
-        return self.dst is None

@@ -118,11 +118,6 @@ class SpanRecord:
     attrs: Dict[str, Any] = field(default_factory=dict)
 
     @property
-    def sim_duration(self) -> Optional[float]:
-        """Simulated seconds the span covered (None while open)."""
-        return None if self.t1 is None else self.t1 - self.t0
-
-    @property
     def wall_duration(self) -> Optional[float]:
         """Wall-clock seconds spent inside the span (None while open)."""
         return None if self.wall1 is None else self.wall1 - self.wall0

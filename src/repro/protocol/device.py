@@ -65,6 +65,11 @@ __all__ = [
     "DFDevice",
 ]
 
+#: Dominating-region bounding mode of every device: the paper's
+#: simulation uses under-estimation (Section 5.2.2-II). The OVE/EXT/UNE
+#: comparison runs on the static grid (``run_static_grid(estimation=)``).
+_ESTIMATION = Estimation.UNDER
+
 #: Delay before a backtracking token skips past a vanished parent —
 #: yields the event loop so long dead paths unwind turn by turn.
 _BACKTRACK_RETRY_DELAY = 0.05
@@ -94,9 +99,6 @@ class ProtocolConfig:
             False gives the straightforward strategy of Section 3.1.
         dynamic_filter: Promote the filter at intermediate devices
             (Section 3.4); False keeps the originator's single filter.
-        estimation: Dominating-region bounding mode (the simulation uses
-            under-estimation, Section 5.2.2-II).
-        over_margin: Margin for over-estimation.
         cost_model: Converts local work into simulated processing time,
             which delays the device's message sends (the paper adds
             estimated local costs to communication delays, Section
@@ -126,8 +128,6 @@ class ProtocolConfig:
 
     use_filter: bool = True
     dynamic_filter: bool = True
-    estimation: Estimation = Estimation.UNDER
-    over_margin: float = 0.2
     cost_model: DeviceCostModel = PDA_2006
     query_timeout: float = 600.0
     completion_quorum: float = 0.8
@@ -383,9 +383,7 @@ class SkylineDevice(Node):
         result = self.local_cache.get(key)
         if result is None:
             result = local_skyline_vectorized(
-                self.relation, query, flt,
-                estimation=self.config.estimation,
-                over_margin=self.config.over_margin,
+                self.relation, query, flt, estimation=_ESTIMATION
             )
             self.local_cache.put(key, result)
         delay = self.processing_delay(result)
@@ -485,12 +483,7 @@ class SkylineDevice(Node):
             if self.relation.cardinality
             else None
         )
-        return select_filter(
-            skyline,
-            self.config.estimation,
-            self.config.over_margin,
-            local_highs=local_highs,
-        )
+        return select_filter(skyline, _ESTIMATION, local_highs=local_highs)
 
     def _arm_close_timer(self, record: QueryRecord, delay: float) -> None:
         """(Re-)arm ``record``'s deadline timer, cancelling any prior one.
@@ -595,10 +588,7 @@ class SkylineDevice(Node):
             # Our own flood echoing back (possible after a crash wiped
             # the duplicate log): never answer ourselves.
             return
-        if (
-            self.config.resilience.orphan_suppression
-            and not self.world.node_is_up(message.query.origin)
-        ):
+        if self._orphaned(message.query.origin):
             self._reap_orphan(message.query.key, "flood-query")
             return
         # The flood doubles as an AODV reverse-route advertisement.
@@ -626,10 +616,7 @@ class SkylineDevice(Node):
     def _respond_and_forward(
         self, message: QueryMessage, result: LocalSkylineResult, proc_time: float
     ) -> None:
-        if (
-            self.config.resilience.orphan_suppression
-            and not self.world.node_is_up(message.query.origin)
-        ):
+        if self._orphaned(message.query.origin):
             # The originator died while we were computing.
             self._reap_orphan(message.query.key, "result")
             return
@@ -697,10 +684,7 @@ class SkylineDevice(Node):
             return
         key = pending.payload.query_key
         stem = _REPLY_NAMES[pending.kind]
-        if (
-            self.config.resilience.orphan_suppression
-            and not self.world.node_is_up(pending.origin)
-        ):
+        if self._orphaned(pending.origin):
             # Dead letter box: the originator crashed, so no ACK can
             # ever come — stop burning radio on retransmissions.
             del self._pending[tag]
@@ -778,6 +762,14 @@ class SkylineDevice(Node):
                 sender=reply.sender, tuples=reply.skyline.cardinality,
             )
         return record
+
+    def _orphaned(self, origin: int) -> bool:
+        """Whether orphan suppression is on and ``origin`` is down: no
+        work done for a dead originator can reach it."""
+        return (
+            self.config.resilience.orphan_suppression
+            and not self.world.node_is_up(origin)
+        )
 
     def _reap_orphan(self, key: Tuple[int, int], what: str) -> None:
         """Record the suppression of in-flight work for a dead originator
@@ -1059,9 +1051,8 @@ class DFDevice(SkylineDevice):
             return
         self._seen_token_serials.add(token.serial)
         if (
-            self.config.resilience.orphan_suppression
-            and token.query.origin != self.node_id
-            and not self.world.node_is_up(token.query.origin)
+            token.query.origin != self.node_id
+            and self._orphaned(token.query.origin)
         ):
             # The walk's originator is dead: the token is an orphan —
             # drop it here instead of walking it to a crashed home.
@@ -1149,9 +1140,8 @@ class DFDevice(SkylineDevice):
         unbounded re-backtracking.
         """
         if (
-            self.config.resilience.orphan_suppression
-            and token.query.origin != self.node_id
-            and not self.world.node_is_up(token.query.origin)
+            token.query.origin != self.node_id
+            and self._orphaned(token.query.origin)
         ):
             # Unwinding toward a crashed originator is pure waste.
             self._reap_orphan(token.query.key, "token-backtrack")

@@ -79,7 +79,7 @@ class StaticGridCache:
         self.local_highs: List[Optional[Tuple[float, ...]]] = []
         for i in range(dataset.devices):
             rel = dataset.local(i)
-            self.skylines.append(skyline_of_relation(rel, "numpy"))
+            self.skylines.append(skyline_of_relation(rel))
             self.local_highs.append(
                 rel.normalized_worst() if rel.cardinality else None
             )

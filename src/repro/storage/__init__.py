@@ -11,7 +11,6 @@ from .schema import (
     Preference,
     RelationSchema,
     SiteTuple,
-    make_tuples,
     uniform_schema,
 )
 
@@ -28,7 +27,6 @@ __all__ = [
     "SiteTuple",
     "StorageModel",
     "id_bytes_for",
-    "make_tuples",
     "uniform_schema",
     "union_all",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 
 class Preference(enum.Enum):
@@ -194,25 +194,3 @@ class SiteTuple:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def make_tuples(
-    rows: Iterable[Sequence[float]], schema: RelationSchema
-) -> Tuple[SiteTuple, ...]:
-    """Convert raw ``(x, y, p_1, .., p_n)`` rows into :class:`SiteTuple` s."""
-    out = []
-    for i, row in enumerate(rows):
-        if len(row) != 2 + schema.dimensions:
-            raise ValueError(
-                f"row {i}: expected {2 + schema.dimensions} fields "
-                f"(x, y, {schema.dimensions} attributes), got {len(row)}"
-            )
-        out.append(
-            SiteTuple(
-                x=float(row[0]),
-                y=float(row[1]),
-                values=tuple(float(v) for v in row[2:]),
-                site_id=i,
-            )
-        )
-    return tuple(out)

@@ -5,16 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import (
-    ComparisonCounter,
-    any_dominator,
-    dominance_mask,
-    dominates_or_equal,
-    dominates_values,
-    incomparable,
-)
-from repro.core.dominance import dominates
-from repro.storage import Preference, SiteTuple
+from repro.core import ComparisonCounter, dominance_mask, dominates_values
+from repro.storage import Preference
 
 vectors = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
@@ -73,26 +65,6 @@ class TestDominatesValues:
             assert dominates_values(a, c)
 
 
-class TestDominatesOrEqual:
-    def test_equal_counts(self):
-        assert dominates_or_equal((1, 2), (1, 2))
-
-    def test_strict(self):
-        assert dominates_or_equal((1, 1), (1, 2))
-        assert not dominates_or_equal((1, 3), (1, 2))
-
-    def test_with_preferences(self):
-        prefs = (Preference.MAX,)
-        assert dominates_or_equal((5,), (3,), prefs)
-
-
-class TestSiteDominance:
-    def test_uses_values_not_location(self):
-        a = SiteTuple(x=999, y=999, values=(1.0, 1.0))
-        b = SiteTuple(x=0, y=0, values=(2.0, 2.0))
-        assert dominates(a, b)
-
-
 class TestVectorised:
     def test_dominance_mask(self):
         point = np.array([1.0, 1.0])
@@ -104,24 +76,11 @@ class TestVectorised:
         with pytest.raises(ValueError, match="shape"):
             dominance_mask(np.zeros(3), np.zeros((4, 2)))
 
-    def test_any_dominator(self):
-        point = np.array([2.0, 2.0])
-        assert any_dominator(point, np.array([[1.0, 1.0]]))
-        assert not any_dominator(point, np.array([[3.0, 1.0]]))
-        assert not any_dominator(point, np.empty((0, 2)))
-
     @given(pair_of_vectors)
     def test_mask_matches_scalar(self, pair):
         a, b = pair
         mask = dominance_mask(np.array(a), np.array([b]))
         assert bool(mask[0]) == dominates_values(a, b)
-
-
-class TestIncomparable:
-    def test_incomparable(self):
-        assert incomparable((1, 3), (2, 2))
-        assert not incomparable((1, 1), (2, 2))
-        assert not incomparable((1, 2), (1, 2))
 
 
 class TestComparisonCounter:

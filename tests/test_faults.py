@@ -10,7 +10,7 @@ issue-time-reachable fleet.
 import pytest
 
 from repro.faults import FaultEvent, FaultInjector, FaultSchedule
-from repro.metrics import coverage_histogram, mean_coverage, query_coverage
+from repro.metrics import mean_coverage, query_coverage
 from repro.net import (
     Frame,
     FrameKind,
@@ -616,13 +616,3 @@ class TestCoverageMetrics:
         assert mean_coverage(records) == pytest.approx(0.75)
         assert mean_coverage([]) is None
         assert mean_coverage([_StubRecord(None)]) is None
-
-    def test_coverage_histogram(self):
-        records = [_StubRecord(v) for v in (0.0, 0.05, 0.55, 1.0, None)]
-        counts = coverage_histogram(records, bins=10)
-        assert counts[0] == 2
-        assert counts[5] == 1
-        assert counts[9] == 1  # 1.0 lands in the closed last bin
-        assert sum(counts) == 4
-        with pytest.raises(ValueError):
-            coverage_histogram(records, bins=0)

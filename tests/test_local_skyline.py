@@ -25,6 +25,8 @@ from repro.storage import (
     uniform_schema,
 )
 
+from .oracles.skyline import bnl_of_relation
+
 QUERY = SkylineQuery(origin=0, cnt=0, pos=(500.0, 500.0), d=300.0)
 WIDE = SkylineQuery(origin=0, cnt=0, pos=(500.0, 500.0), d=1.0e9)
 
@@ -275,7 +277,7 @@ class TestCachedSkylineView:
         assert within_calls == [] and kernel_calls == [rel.cardinality]
         assert first.in_range == again.in_range == rel.cardinality
         assert self.fields(again) == self.fields(first)
-        assert first.skyline.rows() == skyline_of_relation(rel, "bnl").rows()
+        assert first.skyline.rows() == bnl_of_relation(rel).rows()
 
     def test_cut_runs_kernel_on_rows_s_leaves(self, kernel_calls, within_calls):
         rel = random_relation(n=400, seed=8)
@@ -294,7 +296,7 @@ class TestCachedSkylineView:
         left = int((mask & ~dominated).sum())
         assert kernel_calls == [rel.cardinality, left]
         assert left < res.in_range == int(mask.sum())
-        expected = skyline_of_relation(rel.restrict(cut.pos, cut.d), "bnl")
+        expected = bnl_of_relation(rel.restrict(cut.pos, cut.d))
         assert res.skyline.rows() == expected.rows()
 
     def test_partial_range_stores_no_view(self, kernel_calls):

@@ -664,6 +664,32 @@ class TestIntegration:
         untraced = compute_manet_point(point, TINY)
         assert traced == untraced  # telemetry changed no metric
 
+    def test_trace_command_writes_each_bundle_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``repro trace --obs DIR`` writes one bundle per strategy: the
+        traced point's caller owns its observer, so
+        ``compute_manet_point`` does not write the same path first."""
+        import repro.cli as cli
+        import repro.experiments.tracing as tracing
+        import repro.obs as obs_pkg
+
+        writes = []
+        dump = tracing.dump_run_telemetry
+
+        def counting_dump(observer, directory, metrics=None):
+            writes.append(directory)
+            return dump(observer, directory, metrics=metrics)
+
+        monkeypatch.setattr(tracing, "dump_run_telemetry", counting_dump)
+        monkeypatch.setattr(obs_pkg, "_telemetry_override", None)
+        monkeypatch.setenv("REPRO_OBS", str(tmp_path))
+        args = cli.build_parser().parse_args(["trace", "--scale", "smoke"])
+        assert cli._run_trace(args, TINY) == 0
+        assert [d.parent.name for d in writes] == ["tiny", "tiny"]
+        assert [d.name[:3] for d in writes] == ["bf_", "df_"]
+        assert len(list(tmp_path.glob("tiny/*/trace.json"))) == 2
+
     def test_cli_accepts_trace_command(self):
         from repro.cli import build_parser
 

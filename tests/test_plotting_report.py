@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core import ComparisonCounter
-from repro.devices import PDA_2006, calibrate, calibrate_from_wall_time
+from repro.devices import PDA_2006, calibrate
 from repro.experiments import FigureResult
 from repro.experiments.plotting import ascii_plot
 from repro.experiments.report import markdown_report, markdown_table
@@ -78,15 +77,3 @@ class TestCalibration:
     def test_calibrate_invalid(self):
         with pytest.raises(ValueError):
             calibrate(slowdown=0.0)
-
-    def test_calibrate_from_wall_time_exact_fit(self):
-        counter = ComparisonCounter()
-        counter.count_value(1_000_000)
-        model = calibrate_from_wall_time(3.0, counter, scanned=500_000)
-        assert model.time_for_counter(counter, scanned=500_000) == pytest.approx(3.0)
-
-    def test_calibrate_from_wall_time_validation(self):
-        with pytest.raises(ValueError):
-            calibrate_from_wall_time(0.0, ComparisonCounter())
-        with pytest.raises(ValueError):
-            calibrate_from_wall_time(1.0, ComparisonCounter())

@@ -21,10 +21,8 @@ from repro.core import (
     local_skyline_vectorized,
     merge_skylines,
     select_filter,
-    skyline_bnl,
     skyline_of_relation,
 )
-from repro.core.multifilter import prune_with_filters
 from repro.core.skyline import skyline_rows_within
 from repro.data import QueryRequest, make_global_dataset
 from repro.data.spatial import rect_within_circle
@@ -39,6 +37,13 @@ from repro.storage import (
     Relation,
     RelationSchema,
     uniform_schema,
+)
+
+from .oracles.skyline import (
+    bnl_of_relation,
+    prune_with_filters,
+    skyline_bnl,
+    skyline_bruteforce,
 )
 
 # -- strategies -------------------------------------------------------------
@@ -78,8 +83,6 @@ class TestHybridStorageLaws:
         computing it on raw values — the core Section 4.2 claim."""
         rel = build_relation(*args)
         hs = HybridStorage(rel)
-        from repro.core import skyline_bruteforce
-
         by_value = skyline_bruteforce(hs.values_matrix())
         by_id = skyline_bruteforce(hs.ids.astype(float))
         assert np.array_equal(by_value, by_id)
@@ -216,7 +219,7 @@ class TestCachedSkylineView:
                    FilteringTuple(site=replace(flt_row, x=-1.0, y=-1.0), vdr=0.0)]
         for pos, d in queries:
             query = SkylineQuery(origin=0, cnt=0, pos=pos, d=d)
-            expected = skyline_of_relation(rel.restrict(pos, d), "bnl")
+            expected = bnl_of_relation(rel.restrict(pos, d))
             for flt in filters:
                 res = local_skyline_vectorized(rel, query, flt)
                 fresh_rel = Relation(rel.schema, rel.xy.copy(),

@@ -50,7 +50,8 @@ class TestSubpackageSurfaces:
     @pytest.mark.parametrize("module_name", [
         "repro.core", "repro.storage", "repro.data", "repro.net",
         "repro.protocol", "repro.devices", "repro.metrics",
-        "repro.experiments",
+        "repro.experiments", "repro.obs", "repro.continuous",
+        "repro.faults", "repro.resilience",
     ])
     def test_subpackage_all_resolves(self, module_name):
         import importlib
@@ -68,7 +69,7 @@ class TestPublicModuleDocstrings:
     @pytest.mark.parametrize("module_name", [
         "repro", "repro.core.skyline", "repro.core.filtering",
         "repro.core.local", "repro.core.assembly", "repro.core.query",
-        "repro.core.multifilter", "repro.storage.hybrid",
+        "repro.storage.hybrid",
         "repro.storage.flat", "repro.storage.ring",
         "repro.storage.domain_store", "repro.net.engine",
         "repro.net.mobility", "repro.net.world", "repro.net.aodv",

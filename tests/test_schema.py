@@ -8,7 +8,6 @@ from repro.storage import (
     Preference,
     RelationSchema,
     SiteTuple,
-    make_tuples,
     uniform_schema,
 )
 
@@ -131,18 +130,3 @@ class TestSiteTuple:
         a = SiteTuple(x=1.0, y=2.0, values=(3.0,), site_id=1)
         b = SiteTuple(x=1.0, y=2.0, values=(3.0,), site_id=2)
         assert a == b
-
-
-class TestMakeTuples:
-    def test_roundtrip(self):
-        schema = uniform_schema(2)
-        tuples = make_tuples([(1, 2, 30, 40), (5, 6, 70, 80)], schema)
-        assert len(tuples) == 2
-        assert tuples[0].x == 1.0
-        assert tuples[0].values == (30.0, 40.0)
-        assert tuples[1].site_id == 1
-
-    def test_wrong_arity_rejected(self):
-        schema = uniform_schema(2)
-        with pytest.raises(ValueError, match="row 0"):
-            make_tuples([(1, 2, 3)], schema)

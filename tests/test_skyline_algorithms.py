@@ -1,7 +1,8 @@
-"""Oracle and property tests for the centralized skyline algorithms.
+"""Oracle and property tests for the centralized skyline kernel.
 
-Every algorithm must agree exactly with the quadratic brute-force oracle
-on arbitrary inputs — including duplicates and degenerate shapes.
+The kernel, and the BNL oracle the other suites compare against, must
+agree exactly with the quadratic brute-force oracle on arbitrary inputs
+— including duplicates and degenerate shapes.
 """
 
 import numpy as np
@@ -10,25 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import (
-    ComparisonCounter,
-    skyline_bnl,
-    skyline_bruteforce,
-    skyline_divide_conquer,
-    skyline_numpy,
-    skyline_of_relation,
-    skyline_sfs,
-)
+from repro.core import skyline_numpy, skyline_of_relation
 from repro.core.skyline import sfs_sort_order
 from repro.data import generate
 from repro.storage import Relation
 
 from .conftest import relation_from_values
+from .oracles.skyline import skyline_bnl, skyline_bruteforce
 
 ALGORITHMS = {
     "bnl": skyline_bnl,
-    "sfs": skyline_sfs,
-    "dc": skyline_divide_conquer,
     "numpy": skyline_numpy,
 }
 
@@ -138,28 +130,10 @@ class TestSfsOrder:
             assert not (no_worse & better).any()
 
 
-class TestCounters:
-    def test_bnl_counts_comparisons(self):
-        rng = np.random.default_rng(0)
-        values = rng.random((100, 2))
-        counter = ComparisonCounter()
-        skyline_bnl(values, counter=counter)
-        assert counter.value_comparisons > 0
-
-    def test_sfs_counts_fewer_than_bnl_window_work(self):
-        """SFS's confirmed-only window should not do more comparisons."""
-        rng = np.random.default_rng(1)
-        values = rng.random((500, 2))
-        c_bnl, c_sfs = ComparisonCounter(), ComparisonCounter()
-        skyline_bnl(values, counter=c_bnl)
-        skyline_sfs(values, counter=c_sfs)
-        assert c_sfs.value_comparisons <= c_bnl.value_comparisons
-
-
 class TestRelationLevel:
     def test_skyline_of_relation(self):
         rel = relation_from_values([[1, 3], [2, 2], [3, 1], [3, 3]])
-        sky = skyline_of_relation(rel, "bnl")
+        sky = skyline_of_relation(rel)
         assert sky.cardinality == 3
 
     def test_skyline_of_relation_honours_preferences(self):
@@ -174,14 +148,10 @@ class TestRelationLevel:
         rel = Relation.from_rows(
             schema, [(0, 0, 100, 9), (1, 1, 100, 5), (2, 2, 50, 3)]
         )
-        sky = skyline_of_relation(rel, "numpy")
+        sky = skyline_of_relation(rel)
         # (100,5) is dominated by (100,9): same price, lower rating;
         # (100,9) and (50,3) trade off price against rating.
         assert sky.cardinality == 2
-
-    def test_unknown_algorithm(self, small_relation):
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            skyline_of_relation(small_relation, "quantum")
 
     def test_empty_relation(self, schema2):
         rel = Relation.empty(schema2)
@@ -198,11 +168,6 @@ class TestRelationLevel:
         # The copy's arrays are independent of the source's.
         assert sky.values is not rel.values
         assert sky.xy is not rel.xy
-
-    @pytest.mark.parametrize("algorithm", ["bruteforce", "bnl", "sfs", "dc", "numpy"])
-    def test_all_algorithms_dispatchable(self, small_relation, algorithm):
-        sky = skyline_of_relation(small_relation, algorithm)
-        assert 0 < sky.cardinality <= small_relation.cardinality
 
 
 class TestNumpyBlockSizes:

@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import skyline_bruteforce, skyline_numpy, skyline_of_relation
+from repro.core import skyline_numpy, skyline_of_relation
 from repro.data import generate
 from repro.storage import AttributeSpec, Preference, Relation, RelationSchema
+
+from .oracles.skyline import skyline_bruteforce
 
 BLOCKS = st.sampled_from([1, 7, 256])
 
@@ -106,8 +108,8 @@ class TestMatchesOracle:
             values,
             np.arange(n, dtype=np.int64),
         )
-        fast = skyline_of_relation(rel, "numpy")
-        oracle = skyline_of_relation(rel, "bruteforce")
+        fast = skyline_of_relation(rel)
+        oracle = rel.take(skyline_bruteforce(rel.normalized_values()))
         assert fast.site_ids.tolist() == oracle.site_ids.tolist()
 
 

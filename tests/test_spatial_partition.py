@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.continuous.safe_region import min_distance_to_mbr
 from repro.data import (
     GridPartition,
     QueryRequest,
     generate_workload,
     make_global_dataset,
-    mindist_point_rect,
-    point_in_rect,
     rect_overlaps_circle,
     single_query_workload,
     uniform_positions,
@@ -22,16 +21,16 @@ from repro.data import (
 
 class TestMindist:
     def test_inside_is_zero(self):
-        assert mindist_point_rect((5, 5), (0, 0, 10, 10)) == 0.0
+        assert min_distance_to_mbr((5, 5), (0, 0, 10, 10)) == 0.0
 
     def test_on_border_is_zero(self):
-        assert mindist_point_rect((0, 5), (0, 0, 10, 10)) == 0.0
+        assert min_distance_to_mbr((0, 5), (0, 0, 10, 10)) == 0.0
 
     def test_left_of_rect(self):
-        assert mindist_point_rect((-3, 5), (0, 0, 10, 10)) == 3.0
+        assert min_distance_to_mbr((-3, 5), (0, 0, 10, 10)) == 3.0
 
     def test_corner_diagonal(self):
-        assert mindist_point_rect((-3, -4), (0, 0, 10, 10)) == pytest.approx(5.0)
+        assert min_distance_to_mbr((-3, -4), (0, 0, 10, 10)) == pytest.approx(5.0)
 
     @given(
         st.floats(-100, 100), st.floats(-100, 100),
@@ -43,17 +42,13 @@ class TestMindist:
         self, px, py, x0, y0, w, h
     ):
         rect = (x0, y0, x0 + w, y0 + h)
-        d = mindist_point_rect((px, py), rect)
+        d = min_distance_to_mbr((px, py), rect)
         # distance to rect centre must be >= mindist
         cx, cy = (rect[0] + rect[2]) / 2, (rect[1] + rect[3]) / 2
         assert math.hypot(px - cx, py - cy) >= d - 1e-9
 
 
 class TestRectHelpers:
-    def test_point_in_rect(self):
-        assert point_in_rect((1, 1), (0, 0, 2, 2))
-        assert not point_in_rect((3, 1), (0, 0, 2, 2))
-
     def test_rect_overlaps_circle(self):
         assert rect_overlaps_circle((0, 0, 10, 10), (15, 5), 5.0)
         assert not rect_overlaps_circle((0, 0, 10, 10), (20, 5), 5.0)
@@ -62,7 +57,7 @@ class TestRectHelpers:
         # math.hypot gives 523.0910992060844 here; the squared test keeps it.
         x, y, d = 33.67397851244425, 522.0060931059838, 523.0910992060843
         assert x * x + y * y <= d * d
-        assert mindist_point_rect((0.0, 0.0), (x, y, x, y)) > d
+        assert min_distance_to_mbr((0.0, 0.0), (x, y, x, y)) > d
         assert rect_overlaps_circle((x, y, x, y), (0.0, 0.0), d)
 
 
@@ -151,9 +146,9 @@ class TestGlobalDataset:
     def test_tuples_live_in_their_cell(self, small_dataset):
         grid = small_dataset.grid
         for cell, rel in enumerate(small_dataset.locals):
-            rect = grid.cell_rect(cell)
-            for i in range(rel.cardinality):
-                assert point_in_rect((rel.xy[i, 0], rel.xy[i, 1]), rect)
+            x_min, y_min, x_max, y_max = grid.cell_rect(cell)
+            assert ((x_min <= rel.xy[:, 0]) & (rel.xy[:, 0] <= x_max)).all()
+            assert ((y_min <= rel.xy[:, 1]) & (rel.xy[:, 1] <= y_max)).all()
 
     def test_devices_must_be_square(self):
         with pytest.raises(ValueError, match="perfect square"):
