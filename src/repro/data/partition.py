@@ -198,8 +198,10 @@ def make_global_dataset(
 
     grid = GridPartition(k=k, extent=schema.spatial_extent)
     cell_of = grid.assign(xy)
-    # A stable sort by cell keeps each cell's row indices ascending.
-    order = np.argsort(cell_of, kind="stable")
+    # A stable sort by cell keeps each cell's row indices ascending;
+    # numpy sorts a 16-bit key by radix.
+    key = cell_of.astype(np.int16) if grid.cells < 2**15 else cell_of
+    order = np.argsort(key, kind="stable")
     bounds = np.cumsum(np.bincount(cell_of, minlength=grid.cells))[:-1]
     per_cell = np.split(order, bounds)
 

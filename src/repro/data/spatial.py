@@ -23,16 +23,14 @@ def uniform_positions(
     n: int,
     extent: Tuple[float, float, float, float],
     rng: Optional[np.random.Generator] = None,
-    ensure_distinct: bool = True,
 ) -> np.ndarray:
-    """``(n, 2)`` uniform random positions within ``extent``.
+    """``(n, 2)`` uniform random positions within ``extent``, pairwise
+    distinct: colliding positions are re-drawn.
 
     Args:
         n: Number of positions.
         extent: ``(x_min, y_min, x_max, y_max)``.
         rng: Numpy generator (defaults to a fresh one).
-        ensure_distinct: Re-draw colliding positions so every site has a
-            unique location.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -46,8 +44,13 @@ def uniform_positions(
             rng.uniform(y_min, y_max, size=n),
         ]
     )
-    if ensure_distinct and n > 1:
+    if n > 1:
         for _ in range(32):
+            # Pairwise distinct x values mean pairwise distinct sites, so
+            # one sort of x settles a round; the lexsort runs only on ties.
+            x = np.sort(pts[:, 0])
+            if not (x[1:] == x[:-1]).any():
+                break
             # Flag every row of a group of equal positions except the
             # lowest index: a stable sort keeps each group in index order.
             order = np.lexsort((pts[:, 1], pts[:, 0]))

@@ -53,6 +53,7 @@ route discovery replays identically for identical topologies.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -157,7 +158,8 @@ class AodvRouter:
     """Per-node AODV instance.
 
     Args:
-        world: The wireless world.
+        world: The wireless world, held through a weak proxy: the world
+            owns the node that owns this router.
         node_id: This node's identifier.
         config: Protocol tunables.
         on_data: Callback ``(packet: DataPacket) -> None`` invoked when a
@@ -174,7 +176,9 @@ class AodvRouter:
         on_data: Optional[Callable[[DataPacket], None]] = None,
         on_undeliverable: Optional[Callable[[DataPacket], None]] = None,
     ) -> None:
-        self.world = world
+        self.world = weakref.proxy(world)
+        #: The event engine, held directly (it is on every hop's path).
+        self.sim: Simulator = world.sim
         self.node_id = node_id
         self.config = config
         self.on_data = on_data
@@ -191,11 +195,6 @@ class AodvRouter:
         self._pending: Dict[int, _Pending] = {}
         #: Expiry floor per destination (:meth:`hold_route`).
         self._holds: Dict[int, float] = {}
-
-    @property
-    def sim(self) -> Simulator:
-        """The underlying event engine."""
-        return self.world.sim
 
     # -- public API ---------------------------------------------------------
 

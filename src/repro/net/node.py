@@ -7,6 +7,7 @@ routed end-to-end payloads.
 
 from __future__ import annotations
 
+import weakref
 
 from .aodv import AodvConfig, AodvRouter, DataPacket
 from .engine import Simulator
@@ -19,30 +20,37 @@ __all__ = ["Node"]
 class Node:
     """A node with an AODV routing layer.
 
+    The world owns its nodes and a node owns its router; the references
+    back up are weak, so a network nobody holds is freed by refcounting.
+    ``world`` is a weak proxy (using the node after its world is gone
+    raises ``ReferenceError``), and the router reaches its node's
+    :meth:`on_data` and :meth:`on_undeliverable` through one.
+
     Args:
         world: The wireless world (the node attaches itself).
         node_id: Identifier matching a mobility slot.
         aodv_config: Routing tunables.
+
+    Attributes:
+        sim: The event engine, held directly: it holds no node once its
+            queue is empty.
     """
 
     def __init__(
         self, world: World, node_id: int, aodv_config: AodvConfig = AodvConfig()
     ) -> None:
-        self.world = world
+        self.world = weakref.proxy(world)
+        self.sim: Simulator = world.sim
         self.node_id = node_id
+        node = weakref.proxy(self)
         self.router = AodvRouter(
             world,
             node_id,
             config=aodv_config,
-            on_data=self.on_data,
-            on_undeliverable=self.on_undeliverable,
+            on_data=lambda packet: node.on_data(packet),
+            on_undeliverable=lambda packet: node.on_undeliverable(packet),
         )
         world.attach(self)
-
-    @property
-    def sim(self) -> Simulator:
-        """The event engine."""
-        return self.world.sim
 
     @property
     def position(self) -> tuple:

@@ -46,6 +46,7 @@ build answers exactly as per-pair scalar tests would.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -95,11 +96,12 @@ class NeighborIndex:
     that state (or the attached-node set) changes.
 
     Args:
-        world: The owning world.
+        world: The owning world, held through a weak proxy.
     """
 
     def __init__(self, world: "World") -> None:
-        self._world = world
+        self._world = weakref.proxy(world)
+        self._sim = world.sim
         self._static = world.mobility.static
         self._epoch = 0
         self._rebuilds = 0
@@ -154,7 +156,7 @@ class NeighborIndex:
     def _now(self) -> float:
         """The time component of every cache key: the simulation time,
         or a constant for a static mobility model."""
-        return 0.0 if self._static else self._world.sim.now
+        return 0.0 if self._static else self._sim.now
 
     def positions(self) -> np.ndarray:
         """All node positions at the current simulation time.
@@ -165,7 +167,7 @@ class NeighborIndex:
         """
         t = self._now()
         if self._pos_time != t or self._pos is None:
-            self._pos = self._world.mobility.positions(self._world.sim.now)
+            self._pos = self._world.mobility.positions(self._sim.now)
             self._pos_time = t
         return self._pos
 

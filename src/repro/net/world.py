@@ -128,6 +128,10 @@ class World:
     position sweep per simulation time, spatial-hash adjacency, epoch
     invalidation on fault transitions).
 
+    The world owns its attached nodes and its index; both refer back
+    to it through weak proxies, so a dropped network is freed by
+    refcounting (see :class:`~repro.net.node.Node`).
+
     Args:
         sim: The event engine.
         mobility: Position oracle for all nodes.

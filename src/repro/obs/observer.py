@@ -171,7 +171,7 @@ class Observer:
         self._open: Dict[int, SpanRecord] = {}
         self._query_roots: Dict[QueryKey, int] = {}
         self._hop_spans: Dict[int, int] = {}  # frame_id -> sid
-        self._world = None
+        self._sim = None
         self.faults: List[EventRecord] = []
         #: Flat causal stream (see ``repro.obs.causal``): one record per
         #: issue / send / deliver / drop / dup, linked by parent cid.
@@ -188,16 +188,18 @@ class Observer:
     # -- wiring --------------------------------------------------------------
 
     def bind(self, world) -> "Observer":
-        """Attach to ``world``: future records read its clock, and the
-        world's instrumentation sites start reporting here."""
-        self._world = world
+        """Attach to ``world``: future records read its engine's clock,
+        and the world's instrumentation sites start reporting here. The
+        observer keeps the engine, not the world, so ``world.obs``
+        closes no reference cycle."""
+        self._sim = world.sim
         world.obs = self
         return self
 
     @property
     def now(self) -> float:
         """Current simulation time (0.0 before binding)."""
-        return self._world.sim.now if self._world is not None else 0.0
+        return self._sim.now if self._sim is not None else 0.0
 
     def attach_flight(self, recorder: "FlightRecorder") -> "Observer":
         """Mirror protocol/net/fault hooks into ``recorder``'s per-node

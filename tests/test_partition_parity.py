@@ -2,10 +2,11 @@
 it replaced.
 
 ``make_global_dataset`` sorts rows into grid cells with a stable sort
-and a split, and ``uniform_positions`` finds colliding positions with a
-stable ``lexsort``. Both must give exactly what the per-row loop and the
-``np.unique``-based collision test gave: same random draws, same rows,
-same order, in every field.
+on a narrow integer key and a split. ``uniform_positions`` sorts the x
+column each redraw round, and only when two x values tie does it find
+the colliding positions with a stable ``lexsort``. Both must give
+exactly what the per-row loop and the ``np.unique``-based collision
+test gave: same random draws, same rows, same order, in every field.
 """
 
 import math
@@ -112,7 +113,8 @@ def test_make_global_dataset_matches_per_row_loop(
 class CollidingRng:
     """A generator whose first ``coarse`` ``uniform`` draws are rounded to
     three values, so early rounds collide and get redrawn. An odd count
-    leaves one round with equal x but distinct y."""
+    leaves one round with equal x but distinct y, which only the
+    ``lexsort`` fallback can clear."""
 
     def __init__(self, seed, coarse):
         self._rng = np.random.default_rng(seed)
@@ -126,7 +128,7 @@ class CollidingRng:
         return out
 
 
-@pytest.mark.parametrize("n", [2, 9, 50, 400])
+@pytest.mark.parametrize("n", [2, 9, 50, 400, 25_000])
 @pytest.mark.parametrize("coarse", [1, 2, 3, 4, 8])
 def test_uniform_positions_redraws_match_unique_reference(n, coarse):
     extent = (0.0, 0.0, 10.0, 10.0)
