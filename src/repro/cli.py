@@ -17,6 +17,7 @@ import time
 from typing import Callable, Dict, List
 
 from . import experiments as ex
+from .experiments.chaos_sweep import SMOKE_SEEDS
 
 __all__ = ["main"]
 
@@ -148,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "for the 'chaos' and 'continuous' commands: run only the 5 "
             "pinned smoke seeds (the CI tier) instead of --seeds "
-            "randomized ones"
+            "randomized ones, then the fixed-seed loss curve ('chaos') "
+            "or, with --grid, maintenance curve ('continuous')"
         ),
     )
     parser.add_argument(
@@ -304,54 +306,34 @@ def _run_blackbox(args) -> int:
     return 0
 
 
-def _run_chaos(args) -> int:
-    """The ``chaos`` command: seeded fault harness + invariant suite."""
-    from .experiments.chaos_sweep import SMOKE_SEEDS, chaos_suite
-
+def _run_harness(args, smoke_seeds, suite, curve=None) -> int:
+    """The ``chaos`` and ``continuous`` commands: ``suite`` over the
+    seeds, then at the smoke tier the fixed-seed ``curve``, if any. A
+    violation or a failed curve check exits 1."""
     if args.smoke:
-        seeds = list(SMOKE_SEEDS)
-    else:
-        if args.seeds < 1:
-            print("error: --seeds must be >= 1", file=sys.stderr)
-            return 2
-        seeds = list(range(args.seed_base, args.seed_base + args.seeds))
-    strategies = ("bf", "df") if args.strategy == "both" else (args.strategy,)
-    start = time.time()
-    report = chaos_suite(seeds, strategies=strategies, progress=20)
-    print(report.render())
-    print(f"  [{time.time() - start:.1f}s]")
-    if not report.ok:
-        print()
-        print("invariant violations:", file=sys.stderr)
-        for violation in report.violations:
-            print(f"  {violation}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_continuous(args) -> int:
-    """The ``continuous`` command: delta vs. re-flood subscription sweep."""
-    from .experiments.continuous_sweep import (
-        CONTINUOUS_SMOKE_SEEDS,
-        continuous_suite,
-    )
-
-    if args.smoke:
-        seeds = list(CONTINUOUS_SMOKE_SEEDS)
+        seeds = list(smoke_seeds)
     else:
         if args.seeds < 1:
             print("error: --seeds must be >= 1", file=sys.stderr)
             return 2
         seeds = list(range(args.seed_base, args.seed_base + args.seeds))
     start = time.time()
-    report = continuous_suite(seeds, static_grid=args.grid, progress=5)
+    report = suite(seeds)
     print(report.render())
     print(f"  [{time.time() - start:.1f}s]")
-    if not report.ok:
+    failures = report.violations
+    if args.smoke and curve is not None:
+        start = time.time()
+        figure, curve_failures = curve()
         print()
-        print("continuous violations:", file=sys.stderr)
-        for violation in report.violations:
-            print(f"  {violation}", file=sys.stderr)
+        print(figure.render())
+        print(f"  [{time.time() - start:.1f}s]")
+        failures += curve_failures
+    if failures:
+        print()
+        print(f"{args.figure} violations:", file=sys.stderr)
+        for failure in failures:
+            print(f"  {failure}", file=sys.stderr)
         return 1
     return 0
 
@@ -370,9 +352,20 @@ def main(argv=None) -> int:
     if args.figure == "blackbox":
         return _run_blackbox(args)
     if args.figure == "chaos":
-        return _run_chaos(args)
+        strategies = (
+            ("bf", "df") if args.strategy == "both" else (args.strategy,)
+        )
+        return _run_harness(
+            args, SMOKE_SEEDS,
+            lambda seeds: ex.chaos_suite(seeds, strategies, progress=20),
+            ex.loss_curve,
+        )
     if args.figure == "continuous":
-        return _run_continuous(args)
+        return _run_harness(
+            args, ex.CONTINUOUS_SMOKE_SEEDS,
+            lambda seeds: ex.continuous_suite(seeds, args.grid, progress=5),
+            ex.maintenance_curve if args.grid else None,
+        )
     scale = ex.get_scale(args.scale)
     if args.figure == "trace":
         return _run_trace(args, scale)

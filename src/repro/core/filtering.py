@@ -32,6 +32,7 @@ from ..storage.relation import Relation
 from ..storage.schema import Preference, RelationSchema, SiteTuple
 
 __all__ = [
+    "OVER_MARGIN",
     "Estimation",
     "FilteringTuple",
     "vdr",
@@ -43,6 +44,12 @@ __all__ = [
     "select_filter_set",
     "union_dominating_volume",
 ]
+
+
+#: OVER pads each exact bound by this share of the attribute's domain
+#: width — "a pre-specified value larger than the global domain upper
+#: bound" (Section 3.3).
+OVER_MARGIN = 0.2
 
 
 class Estimation(enum.Enum):
@@ -92,7 +99,6 @@ def estimation_bounds(
     schema: RelationSchema,
     estimation: Estimation,
     local_highs: Optional[Sequence[float]] = None,
-    over_margin: float = 0.2,
 ) -> Tuple[float, ...]:
     """Per-attribute VDR bounds, **in minimization space**.
 
@@ -107,9 +113,6 @@ def estimation_bounds(
             minimization space (``Relation.normalized_worst()``; equal to
             the local maxima ``h_k`` for all-MIN schemas). Required for
             UNDER.
-        over_margin: OVER pads the exact bound by ``over_margin`` of the
-            domain width — "a pre-specified value larger than the global
-            domain upper bound".
 
     Returns:
         One bound per attribute, minimization space.
@@ -120,11 +123,9 @@ def estimation_bounds(
             for a in schema.attributes
         )
     if estimation is Estimation.OVER:
-        if over_margin <= 0:
-            raise ValueError("over_margin must be > 0 for over-estimation")
         exact = estimation_bounds(schema, Estimation.EXACT)
         return tuple(
-            b + over_margin * a.width for b, a in zip(exact, schema.attributes)
+            b + OVER_MARGIN * a.width for b, a in zip(exact, schema.attributes)
         )
     if estimation is Estimation.UNDER:
         if local_highs is None:
@@ -167,7 +168,6 @@ def vdr_matrix(values: np.ndarray, bounds: Sequence[float]) -> np.ndarray:
 def select_filter(
     skyline: Relation,
     estimation: Estimation = Estimation.EXACT,
-    over_margin: float = 0.2,
     local_highs: Optional[Sequence[float]] = None,
 ) -> Optional[FilteringTuple]:
     """Pick the max-VDR tuple from a local skyline (Section 3.2).
@@ -185,9 +185,7 @@ def select_filter(
         local_highs = skyline.normalized_worst()
     if estimation is not Estimation.UNDER:
         local_highs = None
-    bounds = estimation_bounds(
-        skyline.schema, estimation, local_highs=local_highs, over_margin=over_margin
-    )
+    bounds = estimation_bounds(skyline.schema, estimation, local_highs=local_highs)
     scores = vdr_matrix(skyline.normalized_values(), bounds)
     best = int(np.argmax(scores))
     return FilteringTuple(site=skyline.row(best), vdr=float(scores[best]))
@@ -245,7 +243,6 @@ def select_filter_set(
     skyline: Relation,
     k: int,
     estimation: Estimation = Estimation.EXACT,
-    over_margin: float = 0.2,
     local_highs: Optional[Sequence[float]] = None,
 ) -> List[FilteringTuple]:
     """Greedy max-coverage choice of ``k`` filtering tuples (Section 7).
@@ -264,9 +261,7 @@ def select_filter_set(
         local_highs = skyline.normalized_worst()
     if estimation is not Estimation.UNDER:
         local_highs = None
-    bounds = estimation_bounds(
-        skyline.schema, estimation, local_highs=local_highs, over_margin=over_margin
-    )
+    bounds = estimation_bounds(skyline.schema, estimation, local_highs=local_highs)
     values = skyline.normalized_values()
     chosen: List[int] = []
     chosen_values: List[Tuple[float, ...]] = []

@@ -194,7 +194,6 @@ def local_skyline(
     query: SkylineQuery,
     flt: Optional[FilteringTuple] = None,
     estimation: Estimation = Estimation.UNDER,
-    over_margin: float = 0.2,
     block: int = DEFAULT_BLOCK,
 ) -> LocalSkylineResult:
     """Run the Figure 4 algorithm against any storage model.
@@ -217,17 +216,13 @@ def local_skyline(
             "use local_skyline_vectorized for mixed-preference schemas"
         )
     if isinstance(storage, HybridStorage):
-        return _local_skyline_hybrid(
-            storage, query, flt, estimation, over_margin, block
-        )
+        return _local_skyline_hybrid(storage, query, flt, estimation, block)
     if isinstance(storage, FlatStorage):
         return _local_skyline_values(
             storage, storage.values_matrix(), query, flt, estimation,
-            over_margin, count_value_reads=True, block=block,
+            count_value_reads=True, block=block,
         )
-    return _local_skyline_generic(
-        storage, query, flt, estimation, over_margin, block
-    )
+    return _local_skyline_generic(storage, query, flt, estimation, block)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +492,6 @@ def _local_skyline_hybrid(
     query: SkylineQuery,
     flt: Optional[FilteringTuple],
     estimation: Estimation,
-    over_margin: float,
     block: int,
 ) -> LocalSkylineResult:
     counter = ComparisonCounter()
@@ -532,9 +526,7 @@ def _local_skyline_hybrid(
         survivors = window
 
     reduced = _rows_to_relation(storage, survivors)
-    updated = _promote_filter(
-        reduced, flt, estimation, over_margin, storage, counter
-    )
+    updated = _promote_filter(reduced, flt, estimation, storage, counter)
     return LocalSkylineResult(
         skyline=reduced,
         unreduced_size=unreduced,
@@ -591,7 +583,6 @@ def _local_skyline_values(
     query: SkylineQuery,
     flt: Optional[FilteringTuple],
     estimation: Estimation,
-    over_margin: float,
     count_value_reads: bool,
     block: int,
 ) -> LocalSkylineResult:
@@ -624,9 +615,7 @@ def _local_skyline_values(
         survivors = window
 
     reduced = _rows_to_relation(storage, survivors)
-    updated = _promote_filter(
-        reduced, flt, estimation, over_margin, storage, counter
-    )
+    updated = _promote_filter(reduced, flt, estimation, storage, counter)
     return LocalSkylineResult(
         skyline=reduced,
         unreduced_size=unreduced,
@@ -642,7 +631,6 @@ def _local_skyline_generic(
     query: SkylineQuery,
     flt: Optional[FilteringTuple],
     estimation: Estimation,
-    over_margin: float,
     block: int,
 ) -> LocalSkylineResult:
     """Pointer layouts: one bulk read with analytic access charges
@@ -650,7 +638,7 @@ def _local_skyline_generic(
     ``get_value`` loop, then the tiled BNL."""
     values = storage.read_all_values()
     return _local_skyline_values(
-        storage, values, query, flt, estimation, over_margin,
+        storage, values, query, flt, estimation,
         count_value_reads=False, block=block,
     )
 
@@ -664,7 +652,6 @@ def _promote_filter(
     reduced: Relation,
     flt: Optional[FilteringTuple],
     estimation: Estimation,
-    over_margin: float,
     storage: StorageModel,
     counter: ComparisonCounter,
 ) -> Optional[FilteringTuple]:
@@ -675,9 +662,7 @@ def _promote_filter(
     local_highs = (
         storage.local_bounds()[1] if estimation is Estimation.UNDER else None
     )
-    bounds = estimation_bounds(
-        storage.schema, estimation, local_highs=local_highs, over_margin=over_margin
-    )
+    bounds = estimation_bounds(storage.schema, estimation, local_highs=local_highs)
     counter.count_value(reduced.cardinality)
     return promote_filter(reduced, flt, bounds)
 
@@ -692,7 +677,6 @@ def local_skyline_vectorized(
     query: SkylineQuery,
     flt: Optional[FilteringTuple] = None,
     estimation: Estimation = Estimation.UNDER,
-    over_margin: float = 0.2,
 ) -> LocalSkylineResult:
     """Numpy implementation of the Figure 4 pipeline over a raw relation.
 
@@ -756,7 +740,6 @@ def local_skyline_vectorized(
                 relation.normalized_worst()
                 if estimation is Estimation.UNDER else None
             ),
-            over_margin=over_margin,
         )
         scores = vdr_matrix(norm.take(rows, axis=0), bounds)
         best = int(scores.argmax())

@@ -4,6 +4,7 @@ from .chaos_sweep import (
     ChaosPoint,
     ChaosReport,
     chaos_suite,
+    loss_curve,
     run_chaos_point,
 )
 from .config import DEFAULT, PAPER, SMOKE, ExperimentScale, get_scale
@@ -12,6 +13,7 @@ from .continuous_sweep import (
     ContinuousPoint,
     ContinuousReport,
     continuous_suite,
+    maintenance_curve,
     run_continuous_point,
 )
 from .executor import RunCache, configure, resolve_workers, run_points
@@ -100,6 +102,8 @@ __all__ = [
     "figure_11c",
     "figure_12",
     "get_scale",
+    "loss_curve",
+    "maintenance_curve",
     "manet_panel",
     "markdown_report",
     "markdown_table",

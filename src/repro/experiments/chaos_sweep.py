@@ -16,6 +16,12 @@ MANET simulation through it, and assert every invariant in
 seeds, the acceptance run with 50+. Every run is reproducible from its
 seed alone: rerun ``run_chaos_point(seed, strategy)`` to replay a
 failure bit for bit.
+
+``loss_curve`` is the graded half: coverage against independent frame
+loss, with no fault schedule, for BF, DF and DF with DF→BF failover.
+``repro chaos --smoke`` prints it after the suite and fails unless
+failover recovers strictly more than plain DF at the highest loss
+(:func:`check_loss_curve`).
 """
 
 from __future__ import annotations
@@ -32,12 +38,15 @@ from ..protocol.coordinator import SimulationConfig, run_manet_simulation
 from ..protocol.device import ProtocolConfig
 from ..resilience import ResiliencePolicy
 from ..resilience.invariants import verify_run
+from .runner import FigureResult
 
 __all__ = [
     "ChaosPoint",
     "ChaosReport",
     "chaos_protocol_config",
     "chaos_suite",
+    "check_loss_curve",
+    "loss_curve",
     "run_chaos_point",
 ]
 
@@ -50,6 +59,22 @@ SMOKE_SEEDS: Tuple[int, ...] = (11, 23, 37, 58, 71)
 #: that the drain window after the last workload entry covers every
 #: outstanding deadline, long enough for a failover flood to land.
 CHAOS_DEADLINE = 60.0
+
+#: The scenario every chaos run shares: 9 devices holding 900 tuples,
+#: queries issued over 150 s.
+CHAOS_DEVICES = 9
+CHAOS_CARDINALITY = 900
+CHAOS_SIM_TIME = 150.0
+
+#: The loss curve's grid: frame-loss rates, the seeds averaged at each
+#: rate, and its series as (name, strategy, failover).
+LOSS_RATES: Tuple[float, ...] = (0.0, 0.15, 0.3, 0.45)
+LOSS_SEEDS: Tuple[int, ...] = (301, 302, 303)
+LOSS_SERIES: Tuple[Tuple[str, str, bool], ...] = (
+    ("BF", "bf", False),
+    ("DF", "df", False),
+    ("DF+failover", "df", True),
+)
 
 
 def chaos_protocol_config(failover: bool = True) -> ProtocolConfig:
@@ -166,9 +191,7 @@ def run_chaos_point(
     seed: int,
     strategy: str,
     failover: bool = True,
-    devices: int = 9,
-    cardinality: int = 900,
-    sim_time: float = 150.0,
+    loss_rate: float = 0.05,
     observer: Optional[Observer] = None,
     include_faults: bool = True,
 ) -> ChaosPoint:
@@ -179,6 +202,7 @@ def run_chaos_point(
     identically from its seed alone.
 
     Args:
+        loss_rate: Independent per-frame loss probability of the radio.
         observer: Optional pre-built observer (e.g. with a flight
             recorder / stream analyzer attached); a plain one is made
             when omitted.
@@ -188,20 +212,23 @@ def run_chaos_point(
             mobility, and loss process).
     """
     dataset = make_global_dataset(
-        cardinality, 2, devices, "independent", seed=seed, value_step=1.0,
+        CHAOS_CARDINALITY, 2, CHAOS_DEVICES, "independent", seed=seed,
+        value_step=1.0,
     )
     workload = generate_workload(
-        devices, sim_time, 250.0, queries_per_device=(1, 2), seed=seed + 1,
+        CHAOS_DEVICES, CHAOS_SIM_TIME, 250.0, queries_per_device=(1, 2),
+        seed=seed + 1,
     )
     x_min, y_min, x_max, y_max = dataset.schema.spatial_extent
     faults = _chaos_faults(
-        seed + 2, devices, sim_time, extent=(x_max - x_min, y_max - y_min)
+        seed + 2, CHAOS_DEVICES, CHAOS_SIM_TIME,
+        extent=(x_max - x_min, y_max - y_min),
     ) if include_faults else None
     protocol = chaos_protocol_config(failover)
     config = SimulationConfig(
         strategy=strategy,
-        sim_time=sim_time,
-        radio=RadioConfig(loss_rate=0.05),
+        sim_time=CHAOS_SIM_TIME,
+        radio=RadioConfig(loss_rate=loss_rate),
         protocol=protocol,
         seed=seed + 3,
         # Drain far enough past the last possible issue that every
@@ -243,16 +270,14 @@ def run_chaos_point(
 def chaos_suite(
     seeds: Sequence[int],
     strategies: Sequence[str] = ("bf", "df"),
-    failover: bool = True,
     progress: Optional[int] = None,
 ) -> ChaosReport:
-    """Run the invariant suite over many seeds and strategies.
+    """Run the invariant suite over many seeds and strategies, with
+    DF→BF failover on.
 
     Args:
         seeds: Chaos seeds; each is run once per strategy.
         strategies: Which protocol strategies to exercise.
-        failover: Enable DF→BF failover in the resilience policy
-            (ignored by BF, which has no token to lose).
         progress: If given, print one status line every ``progress``
             completed runs.
 
@@ -265,9 +290,82 @@ def chaos_suite(
     for seed in seeds:
         for strategy in strategies:
             report.points.append(
-                run_chaos_point(seed, strategy, failover)
+                run_chaos_point(seed, strategy)
             )
             done += 1
             if progress and done % progress == 0:
                 print(f"  chaos {done}/{total} runs...", flush=True)
     return report
+
+
+def loss_curve() -> Tuple[FigureResult, List[str]]:
+    """Coverage against frame loss for BF, DF and DF+failover.
+
+    Each point is the mean coverage of :data:`LOSS_SEEDS` fault-free
+    chaos runs (no fault schedule) at one loss rate; the ``failovers``
+    series counts DF+failover's failovers over those seeds. Returns the
+    figure and every failure: a point that breaks an invariant, then
+    whatever :func:`check_loss_curve` finds.
+    """
+    figure = FigureResult(
+        figure="Chaos: loss rate",
+        title="coverage vs. frame loss rate, no fault schedule",
+        x_label="loss rate",
+        x_values=list(LOSS_RATES),
+        notes=(
+            f"mean over seeds {LOSS_SEEDS[0]}-{LOSS_SEEDS[-1]}; failovers "
+            "= DF+failover total"
+        ),
+    )
+    failures: List[str] = []
+    failovers: List[int] = []
+    for name, strategy, failover in LOSS_SERIES:
+        coverage = []
+        for rate in LOSS_RATES:
+            points = [
+                run_chaos_point(seed, strategy, failover, loss_rate=rate,
+                                include_faults=False)
+                for seed in LOSS_SEEDS
+            ]
+            coverage.append(sum(p.coverage for p in points) / len(points))
+            if failover:
+                failovers.append(sum(p.failovers for p in points))
+            failures.extend(
+                f"[seed={p.seed} {name} loss={rate}] {v}"
+                for p in points for v in p.violations
+            )
+        figure.add_series(name, coverage)
+    figure.add_series("failovers", failovers)
+    return figure, failures + check_loss_curve(figure)
+
+
+def check_loss_curve(figure: FigureResult) -> List[str]:
+    """The loss curve's headline checks; an empty list passes.
+
+    Every series covers fully without loss; DF+failover is never below
+    DF, strictly above it at the highest loss, and fails over at least
+    once there.
+    """
+    failures = []
+    for name, _strategy, _failover in LOSS_SERIES:
+        coverage = figure.get(name)[0]
+        if coverage < 1.0 - 1e-9:
+            failures.append(
+                f"{name}: coverage {coverage:.3f} without loss, not 1.0"
+            )
+    df, df_failover = figure.get("DF"), figure.get("DF+failover")
+    for rate, plain, recovered in zip(figure.x_values, df, df_failover):
+        if rate > 0 and recovered < plain - 1e-9:
+            failures.append(
+                f"DF+failover coverage {recovered:.3f} below DF "
+                f"{plain:.3f} at loss {rate}"
+            )
+    worst = figure.x_values[-1]
+    if not df_failover[-1] > df[-1]:
+        failures.append(
+            f"DF+failover coverage {df_failover[-1]:.3f} not above DF "
+            f"{df[-1]:.3f} at loss {worst}"
+        )
+    if figure.get("failovers")[-1] < 1:
+        failures.append(f"DF+failover never failed over at loss {worst}")
+    return failures

@@ -4,19 +4,23 @@ For each seed the suite runs the *same* subscription scenario (same
 dataset, mobility, data-update schedule) once per maintenance mode and
 compares what each mode paid per refresh epoch and how stale its
 answer was. Delta maintenance must strictly dominate the naive
-re-flood-every-tick baseline on messages per refresh — that dominance
-is the benchmark gate ``benchmarks/bench_continuous.py`` commits to
-``BENCH_continuous.json``.
+re-flood-every-tick baseline on messages per refresh.
 
-A ``faulty=True`` point additionally drives a seeded multi-family fault
-schedule (crashes, blackouts, loss bursts, duplication, jitter) through
-the run and still asserts the full continuous invariant suite — the
-per-epoch sibling of the one-shot chaos harness.
+Each seed also runs one faulted delta point, which drives a seeded
+multi-family fault schedule (crashes, blackouts, loss bursts,
+duplication, jitter) through the run and still asserts the full
+continuous invariant suite — the per-epoch sibling of the one-shot
+chaos harness.
+
+``maintenance_curve`` measures that dominance against update intensity
+on the static grid, where every epoch must be exact and complete.
+``repro continuous --smoke --grid`` prints it after the suite and fails
+unless delta is strictly cheaper than re-flood at every intensity
+(:func:`check_maintenance_curve`).
 """
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -26,18 +30,35 @@ from ..continuous import (
     verify_continuous_run,
 )
 from ..faults import FaultSchedule
+from .runner import FigureResult
 
 __all__ = [
     "CONTINUOUS_SMOKE_SEEDS",
     "ContinuousPoint",
     "ContinuousReport",
+    "check_maintenance_curve",
     "continuous_point_config",
     "continuous_suite",
+    "maintenance_curve",
     "run_continuous_point",
 ]
 
 #: Pinned seeds for the CI smoke tier (``repro continuous --smoke``).
 CONTINUOUS_SMOKE_SEEDS: Tuple[int, ...] = (3, 17, 29, 41, 53)
+
+#: The scenario every sweep point shares: 9 devices holding 450 tuples.
+CONTINUOUS_DEVICES = 9
+CONTINUOUS_CARDINALITY = 450
+
+#: The maintenance modes each seed compares.
+MODES: Tuple[str, ...] = ("delta", "reflood")
+
+#: The maintenance curve's grid: data updates per subscription lifetime
+#: (re-flood pays the same whatever the count), the seeds averaged at
+#: each count, and the epochs each subscription runs.
+UPDATE_COUNTS: Tuple[int, ...] = (0, 4, 8, 16)
+UPDATE_SEEDS: Tuple[int, ...] = (401, 402, 403)
+UPDATE_EPOCHS = 5
 
 
 def _continuous_faults(seed: int, devices: int, horizon: float,
@@ -82,7 +103,6 @@ class ContinuousPoint:
     enrolled: int
     messages_per_refresh: float
     max_divergence: Optional[float]
-    wall_seconds: float
 
     @property
     def ok(self) -> bool:
@@ -167,27 +187,27 @@ def continuous_point_config(
     seed: int,
     mode: str,
     faulty: bool = False,
-    devices: int = 9,
-    cardinality: int = 450,
     epochs: int = 4,
     static_grid: bool = False,
+    data_updates: Optional[int] = None,
 ) -> ContinuousConfig:
     """The subscription scenario of one sweep point, fully derived from
-    its seed."""
+    its seed. ``data_updates`` defaults to two per epoch."""
     base = ContinuousConfig(
         mode=mode,
-        devices=devices,
-        cardinality=cardinality,
+        devices=CONTINUOUS_DEVICES,
+        cardinality=CONTINUOUS_CARDINALITY,
         epochs=epochs,
         d=600.0,
         seed=seed,
-        data_updates=2 * epochs,
+        data_updates=2 * epochs if data_updates is None else data_updates,
         static_grid=static_grid,
         loss_rate=0.05 if faulty else 0.0,
     )
     if faulty:
         faults = _continuous_faults(
-            seed + 11, devices, base.horizon, extent=(1000.0, 1000.0)
+            seed + 11, CONTINUOUS_DEVICES, base.horizon,
+            extent=(1000.0, 1000.0),
         )
         base = replace(base, faults=faults)
     return base
@@ -197,16 +217,14 @@ def run_continuous_point(
     seed: int,
     mode: str,
     faulty: bool = False,
-    devices: int = 9,
-    cardinality: int = 450,
     epochs: int = 4,
     static_grid: bool = False,
+    data_updates: Optional[int] = None,
 ) -> ContinuousPoint:
     """Run one sweep point and check it against the invariant suite."""
     base = continuous_point_config(
-        seed, mode, faulty, devices, cardinality, epochs, static_grid,
+        seed, mode, faulty, epochs, static_grid, data_updates,
     )
-    start = _time.time()
     result = run_continuous_simulation(base, keep_network=True)
     violations = verify_continuous_run(result)
     record = result.record
@@ -225,43 +243,86 @@ def run_continuous_point(
         enrolled=len(record.device_reports),
         messages_per_refresh=result.messages_per_refresh,
         max_divergence=result.max_divergence,
-        wall_seconds=_time.time() - start,
     )
 
 
 def continuous_suite(
     seeds: Sequence[int],
-    modes: Sequence[str] = ("delta", "reflood"),
-    faulty: bool = True,
     static_grid: bool = False,
     progress: Optional[int] = None,
 ) -> ContinuousReport:
     """Run the delta-vs-reflood comparison over many seeds.
 
     Each seed produces one fault-free point per mode (the dominance
-    comparison) and, when ``faulty``, one faulted delta point driven
-    through the invariant suite.
+    comparison) and one faulted delta point driven through the
+    invariant suite.
     """
     report = ContinuousReport()
-    done = 0
-    total = len(seeds) * (len(modes) + (1 if faulty else 0))
+    runs = [(mode, False) for mode in MODES] + [("delta", True)]
+    total = len(seeds) * len(runs)
     for seed in seeds:
-        for mode in modes:
+        for mode, faulty in runs:
             report.points.append(
                 run_continuous_point(
-                    seed, mode, faulty=False, static_grid=static_grid,
+                    seed, mode, faulty=faulty, static_grid=static_grid,
                 )
             )
-            done += 1
-            if progress and done % progress == 0:
-                print(f"  continuous {done}/{total} runs...", flush=True)
-        if faulty:
-            report.points.append(
-                run_continuous_point(
-                    seed, "delta", faulty=True, static_grid=static_grid,
-                )
-            )
-            done += 1
+            done = len(report.points)
             if progress and done % progress == 0:
                 print(f"  continuous {done}/{total} runs...", flush=True)
     return report
+
+
+def maintenance_curve() -> Tuple[FigureResult, List[str]]:
+    """Messages per refresh against data updates, delta vs. re-flood.
+
+    Each point is the mean of :data:`UPDATE_SEEDS` fault-free runs on
+    the static grid. Returns the figure and every failure: a point that
+    breaks an invariant (which on this setting includes any inexact or
+    incomplete epoch), then whatever :func:`check_maintenance_curve`
+    finds.
+    """
+    figure = FigureResult(
+        figure="Continuous: data updates",
+        title="messages per refresh vs. data updates, static grid",
+        x_label="data updates",
+        x_values=list(UPDATE_COUNTS),
+        notes=(
+            f"mean over seeds {UPDATE_SEEDS[0]}-{UPDATE_SEEDS[-1]}, "
+            f"{UPDATE_EPOCHS} epochs"
+        ),
+    )
+    failures: List[str] = []
+    for mode in MODES:
+        messages = []
+        for updates in UPDATE_COUNTS:
+            points = [
+                run_continuous_point(
+                    seed, mode, epochs=UPDATE_EPOCHS, static_grid=True,
+                    data_updates=updates,
+                )
+                for seed in UPDATE_SEEDS
+            ]
+            messages.append(
+                sum(p.messages_per_refresh for p in points) / len(points)
+            )
+            failures.extend(
+                f"[seed={p.seed} {mode} updates={updates}] {v}"
+                for p in points for v in p.violations
+            )
+        figure.add_series(mode, messages)
+    return figure, failures + check_maintenance_curve(figure)
+
+
+def check_maintenance_curve(figure: FigureResult) -> List[str]:
+    """The maintenance curve's headline check; an empty list passes:
+    delta sends strictly fewer messages per refresh than re-flood at
+    every update count."""
+    return [
+        f"delta ({delta:.4g} msg/refresh) does not beat reflood "
+        f"({reflood:.4g}) at {updates} data updates"
+        for updates, delta, reflood in zip(
+            figure.x_values, figure.get("delta"), figure.get("reflood")
+        )
+        if not delta < reflood
+    ]

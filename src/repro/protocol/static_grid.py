@@ -103,7 +103,6 @@ class StaticGridCache:
         reduced: Relation,
         flt: Optional[FilteringTuple],
         estimation: Estimation,
-        over_margin: float,
     ) -> Optional[FilteringTuple]:
         """Section 3.4's dynamic filter promotion under ``device``'s view."""
         if reduced.cardinality == 0:
@@ -112,8 +111,7 @@ class StaticGridCache:
             self.local_highs[device] if estimation is Estimation.UNDER else None
         )
         bounds = estimation_bounds(
-            self.dataset.schema, estimation,
-            local_highs=local_highs, over_margin=over_margin,
+            self.dataset.schema, estimation, local_highs=local_highs,
         )
         scores = vdr_matrix(reduced.normalized_values(), bounds)
         best = int(np.argmax(scores))
@@ -129,7 +127,6 @@ def run_static_query(
     originator: int,
     dynamic_filter: bool = True,
     estimation: Estimation = Estimation.EXACT,
-    over_margin: float = 0.2,
     use_filter: bool = True,
     cache: Optional[StaticGridCache] = None,
     assemble: bool = True,
@@ -142,7 +139,6 @@ def run_static_query(
         dynamic_filter: Promote the filter along the forwarding tree
             (the DF series of Figures 6/7); False is the SF series.
         estimation: OVE / EXT / UNE dominating-region mode.
-        over_margin: Margin for OVE.
         use_filter: False gives the straightforward strategy (no filter
             travels; nothing is pruned).
         cache: Precomputed per-device skylines; pass one when running
@@ -178,7 +174,7 @@ def run_static_query(
             org_rel.normalized_worst() if org_rel.cardinality else None
         )
         origin_filter = select_filter(
-            org_skyline, estimation, over_margin, local_highs=local_highs
+            org_skyline, estimation, local_highs=local_highs
         )
 
     asm = (
@@ -203,9 +199,7 @@ def run_static_query(
             if cache is not None:
                 reduced, unreduced = cache.pruned(neighbor, used_flt)
                 out_flt = (
-                    cache.promote(
-                        neighbor, reduced, flt, estimation, over_margin
-                    )
+                    cache.promote(neighbor, reduced, flt, estimation)
                     if (use_filter and dynamic_filter)
                     else flt
                 )
@@ -214,7 +208,7 @@ def run_static_query(
             else:
                 res = local_skyline_vectorized(
                     dataset.local(neighbor), query, used_flt,
-                    estimation=estimation, over_margin=over_margin,
+                    estimation=estimation,
                 )
                 unreduced = res.unreduced_size
                 reduced_size = res.reduced_size
@@ -255,7 +249,6 @@ def run_static_grid(
     dataset: GlobalDataset,
     dynamic_filter: bool = True,
     estimation: Estimation = Estimation.EXACT,
-    over_margin: float = 0.2,
     use_filter: bool = True,
     originators: Optional[List[int]] = None,
     cache: Optional[StaticGridCache] = None,
@@ -276,7 +269,6 @@ def run_static_grid(
             dataset, org,
             dynamic_filter=dynamic_filter,
             estimation=estimation,
-            over_margin=over_margin,
             use_filter=use_filter,
             cache=cache,
             assemble=assemble,

@@ -38,19 +38,18 @@ def local_skyline_reference(
     query: SkylineQuery,
     flt: Optional[FilteringTuple] = None,
     estimation: Estimation = Estimation.UNDER,
-    over_margin: float = 0.2,
 ) -> LocalSkylineResult:
     """The reference twin of :func:`repro.core.local.local_skyline`."""
     if not storage.schema.all_min:
         raise ValueError("the reference paths assume minimized attributes")
     if isinstance(storage, HybridStorage):
-        return _local_skyline_hybrid(storage, query, flt, estimation, over_margin)
+        return _local_skyline_hybrid(storage, query, flt, estimation)
     if isinstance(storage, FlatStorage):
         return _local_skyline_values(
-            storage, storage.values_matrix(), query, flt, estimation, over_margin,
+            storage, storage.values_matrix(), query, flt, estimation,
             count_value_reads=True, rows=storage.values_matrix().tolist(),
         )
-    return _local_skyline_generic(storage, query, flt, estimation, over_margin)
+    return _local_skyline_generic(storage, query, flt, estimation)
 
 
 def _local_skyline_hybrid(
@@ -58,7 +57,6 @@ def _local_skyline_hybrid(
     query: SkylineQuery,
     flt: Optional[FilteringTuple],
     estimation: Estimation,
-    over_margin: float,
 ) -> LocalSkylineResult:
     counter = ComparisonCounter()
     skip, thr_ge, thr_gt = _hybrid_prologue(storage, query, flt, counter)
@@ -120,9 +118,7 @@ def _local_skyline_hybrid(
         survivors = window
 
     reduced = _rows_to_relation(storage, survivors)
-    updated = _promote_filter(
-        reduced, flt, estimation, over_margin, storage, counter
-    )
+    updated = _promote_filter(reduced, flt, estimation, storage, counter)
     return LocalSkylineResult(
         skyline=reduced,
         unreduced_size=unreduced,
@@ -139,7 +135,6 @@ def _local_skyline_values(
     query: SkylineQuery,
     flt: Optional[FilteringTuple],
     estimation: Estimation,
-    over_margin: float,
     count_value_reads: bool,
     rows: Optional[List[List[float]]] = None,
 ) -> LocalSkylineResult:
@@ -199,9 +194,7 @@ def _local_skyline_values(
         survivors = window
 
     reduced = _rows_to_relation(storage, survivors)
-    updated = _promote_filter(
-        reduced, flt, estimation, over_margin, storage, counter
-    )
+    updated = _promote_filter(reduced, flt, estimation, storage, counter)
     return LocalSkylineResult(
         skyline=reduced,
         unreduced_size=unreduced,
@@ -217,7 +210,6 @@ def _local_skyline_generic(
     query: SkylineQuery,
     flt: Optional[FilteringTuple],
     estimation: Estimation,
-    over_margin: float,
 ) -> LocalSkylineResult:
     """BNL through ``get_value`` so pointer layouts pay their real
     per-read indirection costs (recorded in ``storage.stats``)."""
@@ -227,8 +219,7 @@ def _local_skyline_generic(
         for attr in range(dims):
             values[row, attr] = storage.get_value(row, attr)
     return _local_skyline_values(
-        storage, values, query, flt, estimation, over_margin,
-        count_value_reads=False,
+        storage, values, query, flt, estimation, count_value_reads=False,
     )
 
 

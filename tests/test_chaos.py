@@ -7,13 +7,15 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cli import main
 from repro.experiments.chaos_sweep import (
     SMOKE_SEEDS,
-    ChaosReport,
     chaos_suite,
+    loss_curve,
     run_chaos_point,
 )
 from repro.net import Simulator
+from repro.protocol import DFDevice
 from repro.resilience import CompletionReport
 from repro.resilience.invariants import (
     check_closed_by_deadline,
@@ -76,6 +78,38 @@ class TestSmokeSeeds:
         a = run_chaos_point(SMOKE_SEEDS[0], "df")
         b = run_chaos_point(SMOKE_SEEDS[0], "df")
         assert a == b
+        a = run_chaos_point(SMOKE_SEEDS[0], "df", loss_rate=0.3)
+        b = run_chaos_point(SMOKE_SEEDS[0], "df", loss_rate=0.3)
+        assert a == b
+
+
+def noop_failover(monkeypatch):
+    """The mutant the loss curve must catch: a watchdog that gives the
+    token up but never re-floods."""
+    monkeypatch.setattr(DFDevice, "_failover", lambda self, record: None)
+
+
+class TestLossCurve:
+    """Coverage against frame loss (``repro chaos --smoke`` prints it):
+    failover must recover what plain DF loses."""
+
+    def test_headline_checks_pass(self):
+        figure, failures = loss_curve()
+        assert failures == []
+        assert figure.get("failovers")[-1] >= 1
+        assert figure.get("DF+failover")[-1] > figure.get("DF")[-1]
+
+    def test_noop_failover_is_caught(self, monkeypatch):
+        noop_failover(monkeypatch)
+        figure, failures = loss_curve()
+        assert figure.get("failovers") == [0, 0, 0, 0]
+        assert any("not above DF" in f for f in failures), failures
+        assert any("never failed over" in f for f in failures), failures
+
+    def test_cli_exits_nonzero_under_the_mutant(self, monkeypatch, capsys):
+        noop_failover(monkeypatch)
+        assert main(["chaos", "--smoke"]) == 1
+        assert "never failed over" in capsys.readouterr().err
 
 
 class TestInvariantCheckersDetectViolations:

@@ -783,6 +783,37 @@ class TestLifecycleEdges:
         self.assert_all_quiet(sim, devices)
 
 
+class TestMaintenanceCurve:
+    """Messages per refresh against update intensity on the static grid
+    (``repro continuous --smoke --grid`` prints it)."""
+
+    def test_headline_checks_pass(self):
+        from repro.experiments import maintenance_curve
+
+        figure, failures = maintenance_curve()
+        assert failures == []
+        assert figure.x_values == [0, 4, 8, 16]
+        assert figure.get("delta") == [
+            0.0, 0.26666666666666666, 0.5333333333333333, 1.0666666666666667,
+        ]
+        assert figure.get("reflood") == [35.0] * 4
+
+    def test_check_flags_delta_not_beating_reflood(self):
+        from repro.experiments import FigureResult
+        from repro.experiments.continuous_sweep import check_maintenance_curve
+
+        figure = FigureResult(
+            figure="f", title="t", x_label="data updates",
+            x_values=[0, 4, 8],
+        )
+        figure.add_series("delta", [0.0, 35.0, 36.0])
+        figure.add_series("reflood", [35.0, 35.0, 35.0])
+        failures = check_maintenance_curve(figure)
+        assert len(failures) == 2
+        assert "at 4 data updates" in failures[0]
+        assert "at 8 data updates" in failures[1]
+
+
 class TestMobileSuite:
     """The sweep harness holds its invariants on mobile topologies too
     (partitions allowed, exactness gated only on covered epochs)."""

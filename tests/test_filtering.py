@@ -57,7 +57,7 @@ class TestEstimationBounds:
 
     def test_over_exceeds_exact(self):
         schema = uniform_schema(2, high=1000.0)
-        over = estimation_bounds(schema, Estimation.OVER, over_margin=0.2)
+        over = estimation_bounds(schema, Estimation.OVER)
         assert all(o > 1000.0 for o in over)
 
     def test_under_uses_local_highs(self):
@@ -74,11 +74,6 @@ class TestEstimationBounds:
         schema = uniform_schema(2)
         with pytest.raises(ValueError):
             estimation_bounds(schema, Estimation.UNDER, local_highs=(1.0,))
-
-    def test_over_invalid_margin(self):
-        schema = uniform_schema(2)
-        with pytest.raises(ValueError):
-            estimation_bounds(schema, Estimation.OVER, over_margin=0.0)
 
 
 class TestSelectFilter:
