@@ -67,7 +67,6 @@ from .metrics import (
     messages_per_query,
 )
 from .net import (
-    AodvConfig,
     AodvRouter,
     RadioConfig,
     RandomWaypoint,
@@ -103,7 +102,6 @@ from .storage import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "AodvConfig",
     "AodvRouter",
     "AttributeSpec",
     "BFDevice",

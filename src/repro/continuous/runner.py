@@ -27,12 +27,7 @@ from ..faults import (
     FaultSchedule,
     UpdateInjector,
 )
-from ..net.mobility import (
-    DEFAULT_HOLDING_TIME,
-    DEFAULT_SPEED_RANGE,
-    MobilityModel,
-    StaticPlacement,
-)
+from ..net.mobility import MobilityModel, StaticPlacement
 from ..net.world import RadioConfig, TrafficStats
 from ..obs.observer import Observer
 from ..protocol.coordinator import SimulationConfig, build_network
@@ -69,6 +64,17 @@ _UPDATE_GUARD = 0.15
 
 #: Mean changed-row fraction of one drawn update.
 _UPDATE_FRACTION = 0.3
+
+#: Dataset shape of every run: two attributes, independent values.
+DIMENSIONS = 2
+DISTRIBUTION = "independent"
+#: When the install flood goes out, in simulated seconds.
+INSTALL_TIME = 10.0
+#: Seconds after each tick before the originator closes the epoch
+#: (see :class:`~repro.continuous.messages.SubscriptionSpec`).
+EPOCH_BUDGET = 8.0
+#: Extra simulated seconds after the last epoch close.
+DRAIN_TIME = 30.0
 
 
 def grid_placement(devices: int, spacing: float = 150.0) -> StaticPlacement:
@@ -107,7 +113,7 @@ def _guarded_updates(config: "ContinuousConfig") -> DataUpdateSchedule:
         )))
         update_seed = int(rng.integers(0, 2**31 - 1))
         schedule.update(
-            config.install_time + slot * config.interval + offset,
+            INSTALL_TIME + slot * config.interval + offset,
             device, fraction, update_seed,
         )
     return schedule
@@ -131,17 +137,25 @@ def continuous_protocol_config() -> ProtocolConfig:
 class ContinuousConfig:
     """One continuous-subscription experiment, fully seeded.
 
+    The dataset has :data:`DIMENSIONS` attributes drawn from
+    :data:`DISTRIBUTION`; the subscription installs at
+    :data:`INSTALL_TIME`, each epoch closes :data:`EPOCH_BUDGET` after
+    its tick and the run drains :data:`DRAIN_TIME` past the last close.
+    Devices move by random waypoint at the paper's speeds and pause
+    unless ``static_grid`` is set or ``run_continuous_simulation`` gets
+    another ``mobility``.
+
     Attributes:
         mode: ``delta`` (incremental maintenance) or ``reflood``
             (naive per-epoch re-flood) — the benchmark's comparison axis.
-        devices / cardinality / dimensions / distribution: Dataset shape
-            (one partition per device, sites static).
+        devices / cardinality: Dataset shape (one partition per device,
+            sites static).
         d: Subscription disk radius (metres from the originator's
             install-time position).
         originator: Device that installs the subscription.
-        install_time: When the install flood goes out.
-        interval / epochs / epoch_budget: The subscription
-            schedule (see :class:`~repro.continuous.messages.SubscriptionSpec`).
+        interval / epochs: The subscription schedule (see
+            :class:`~repro.continuous.messages.SubscriptionSpec`);
+            ``interval`` must be at least :data:`EPOCH_BUDGET`.
         data_updates: Events drawn into a seeded
             :class:`~repro.faults.DataUpdateSchedule` covering the
             subscription's lifetime (ignored when ``updates`` is given).
@@ -149,7 +163,6 @@ class ContinuousConfig:
         faults: Optional fault schedule (crashes, blackouts, ...).
         loss_rate: Radio loss rate (keep 0 for exactness gates).
         seed: Master seed: dataset, mobility, loss, update draws.
-        drain_time: Extra simulated seconds after the last epoch close.
         capture_reference: Snapshot the centralized answer after every
             epoch close (costs nothing on the wire; pure bookkeeping).
     """
@@ -157,20 +170,15 @@ class ContinuousConfig:
     mode: str = "delta"
     devices: int = 9
     cardinality: int = 900
-    dimensions: int = 2
-    distribution: str = "independent"
     d: float = 250.0
     originator: int = 0
-    install_time: float = 10.0
     interval: float = 20.0
     epochs: int = 5
-    epoch_budget: float = 8.0
     data_updates: int = 6
     updates: Optional[DataUpdateSchedule] = None
     faults: Optional[FaultSchedule] = None
     loss_rate: float = 0.0
     seed: int = 7
-    drain_time: float = 30.0
     capture_reference: bool = True
     #: Place devices on a static connected grid instead of random
     #: waypoint — the setup for exactness gates, where every device is
@@ -179,32 +187,30 @@ class ContinuousConfig:
     protocol: ProtocolConfig = field(
         default_factory=continuous_protocol_config
     )
-    speed_range: Tuple[float, float] = DEFAULT_SPEED_RANGE
-    holding_time: float = DEFAULT_HOLDING_TIME
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if not 0 <= self.originator < self.devices:
             raise ValueError("originator must be a valid device id")
-        if self.install_time < 0:
-            raise ValueError("install_time must be >= 0")
+        if self.interval < EPOCH_BUDGET:
+            raise ValueError(
+                f"interval must be >= the epoch budget ({EPOCH_BUDGET} s)"
+            )
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
         if self.data_updates < 0:
             raise ValueError("data_updates must be >= 0")
-        if self.drain_time < 0:
-            raise ValueError("drain_time must be >= 0")
 
     @property
     def last_close(self) -> float:
         """Simulated time of the final epoch's close."""
-        last_tick = self.install_time + self.epochs * self.interval
-        return (last_tick if self.epochs else self.install_time) \
-            + self.epoch_budget
+        return INSTALL_TIME + self.epochs * self.interval + EPOCH_BUDGET
 
     @property
     def horizon(self) -> float:
         """Total simulated duration including drain."""
-        return self.last_close + self.drain_time
+        return self.last_close + DRAIN_TIME
 
 
 @dataclass
@@ -271,16 +277,14 @@ def run_continuous_simulation(
 ) -> ContinuousResult:
     """Run one continuous-subscription experiment end to end."""
     dataset = make_global_dataset(
-        config.cardinality, config.dimensions, config.devices,
-        config.distribution, seed=config.seed, value_step=1.0,
+        config.cardinality, DIMENSIONS, config.devices, DISTRIBUTION,
+        seed=config.seed, value_step=1.0,
     )
     if mobility is None and config.static_grid:
         mobility = grid_placement(config.devices)
     network = SimulationConfig(
         radio=RadioConfig(loss_rate=config.loss_rate),
         protocol=config.protocol,
-        speed_range=config.speed_range,
-        holding_time=config.holding_time,
         seed=config.seed,
     )
     sim, world, devices = build_network(
@@ -309,12 +313,12 @@ def run_continuous_simulation(
                 d=config.d,
                 interval=config.interval,
                 epochs=config.epochs,
-                epoch_budget=config.epoch_budget,
+                epoch_budget=EPOCH_BUDGET,
                 mode=config.mode,
             )
         )
 
-    sim.schedule_at(config.install_time, install)
+    sim.schedule_at(INSTALL_TIME, install)
 
     references: dict = {}
 
@@ -337,7 +341,7 @@ def run_continuous_simulation(
 
     if config.capture_reference:
         for epoch in range(config.epochs + 1):
-            tick_at = config.install_time + epoch * config.interval
+            tick_at = INSTALL_TIME + epoch * config.interval
             sim.schedule_at(tick_at + _CAPTURE_EPS, capture, epoch)
 
     sim.run(until=config.horizon)
@@ -400,10 +404,10 @@ def verify_continuous_run(result: ContinuousResult) -> List[str]:
             violations.append(f"epoch {books.epoch} closed twice")
         seen.add(books.epoch)
         lag = books.closed_at - books.tick_time
-        if lag > config.epoch_budget + 1e-9:
+        if lag > EPOCH_BUDGET + 1e-9:
             violations.append(
                 f"epoch {books.epoch} closed {lag:.3f}s after its tick "
-                f"(budget {config.epoch_budget})"
+                f"(budget {EPOCH_BUDGET})"
             )
         if not books.report.is_exact_partition(
             frozenset(range(config.devices))

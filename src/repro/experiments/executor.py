@@ -20,7 +20,8 @@ invocations:
 Configuration:
 
 * ``REPRO_WORKERS`` — default worker count (falls back to the CPU
-  count; ``1`` forces serial).
+  count; ``1`` forces serial; anything but a positive integer raises
+  ``ValueError``).
 * ``REPRO_CACHE_DIR`` — run-cache directory (default ``.repro_cache``
   in the working directory; ``off`` / ``none`` / ``0`` / empty disables
   disk persistence entirely).
@@ -103,9 +104,14 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     env = os.environ.get(_WORKERS_ENV)
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
-            pass
+            workers = 0
+        if workers < 1:
+            raise ValueError(
+                f"{_WORKERS_ENV}={env!r} is not a positive integer"
+            )
+        return workers
     return os.cpu_count() or 1
 
 

@@ -1,6 +1,6 @@
 """MANET substrate: event engine, mobility, radio world, AODV routing."""
 
-from .aodv import AodvConfig, AodvRouter, DataPacket, Route
+from .aodv import AodvRouter, DataPacket, Route
 from .engine import EventHandle, Process, Simulator
 from .messages import (
     CONTROL_BYTES,
@@ -22,7 +22,6 @@ from .spatial_index import NeighborIndex
 from .world import NetworkNode, RadioConfig, TrafficStats, World
 
 __all__ = [
-    "AodvConfig",
     "AodvRouter",
     "CONTROL_BYTES",
     "DEFAULT_HOLDING_TIME",

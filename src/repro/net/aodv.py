@@ -10,7 +10,7 @@ Implements the core of Ad hoc On-demand Distance Vector routing:
 * **Data forwarding** — hop-by-hop via the routing table; using a route
   refreshes its lifetime, and every hop learns the route back to the
   frame's source (RFC 3561 §6.2).
-* **Route maintenance** — a route lives ``active_route_timeout``
+* **Route maintenance** — a route lives :data:`ACTIVE_ROUTE_TIMEOUT`
   seconds past its last use, or longer while an upper-layer session
   holds it (:meth:`AodvRouter.hold_route`: a continuous subscription
   holds every node's route to its originator until its last epoch
@@ -36,10 +36,15 @@ neighbour whose own route still runs back through this node can offer.
 Result ACKs and DELTAs therefore ride routes that already exist, and
 the valid next-hop graph toward any destination stays loop-free.
 
+The timers, retry counts and TTL are module constants that every run
+shares, named as in RFC 3561 where it has a name (``docs/simulator.md``
+lists them with their sources).
+
 Simplifications relative to RFC 3561, none of which affect the paper's
 metrics:
 
-* no expanding-ring search (fixed TTL);
+* no expanding-ring search: every RREQ floods :data:`NET_DIAMETER`
+  hops, and a DATA packet starts with the same TTL;
 * no precursor lists (RERRs unicast toward the data source and carry
   no sequence number; the receiver bumps its own copy);
 * no HELLO beacons (link failures are detected on use);
@@ -62,41 +67,22 @@ from .engine import EventHandle, Simulator
 from .messages import CONTROL_BYTES, Frame, FrameKind, HEADER_BYTES, SEQ_BYTES
 from .world import World
 
-__all__ = ["AodvConfig", "AodvRouter", "Route", "DataPacket"]
+__all__ = ["AodvRouter", "Route", "DataPacket"]
 
 
-@dataclass(frozen=True)
-class AodvConfig:
-    """AODV tunables.
-
-    Attributes:
-        active_route_timeout: Route lifetime in seconds; refreshed on
-            use, and never shorter than a hold (``hold_route``).
-        rreq_retries: Discovery attempts before declaring a destination
-            unreachable.
-        rreq_timeout: Seconds to wait for an RREP per attempt.
-        ttl: Max RREQ flood depth (fixed; no expanding ring).
-        repair_attempts: Local-repair discoveries a forwarding node may
-            try for one packet before sending an RERR.
-    """
-
-    active_route_timeout: float = 60.0
-    rreq_retries: int = 2
-    rreq_timeout: float = 1.5
-    ttl: int = 32
-    repair_attempts: int = 1
-
-    def __post_init__(self) -> None:
-        if self.active_route_timeout <= 0:
-            raise ValueError("active_route_timeout must be > 0")
-        if self.rreq_retries < 0:
-            raise ValueError("rreq_retries must be >= 0")
-        if self.rreq_timeout <= 0:
-            raise ValueError("rreq_timeout must be > 0")
-        if self.ttl < 1:
-            raise ValueError("ttl must be >= 1")
-        if self.repair_attempts < 0:
-            raise ValueError("repair_attempts must be >= 0")
+#: Seconds a route lives past its last use (the RFC's default is 3 s);
+#: a hold (``hold_route``) can only lengthen it.
+ACTIVE_ROUTE_TIMEOUT = 60.0
+#: Discoveries after the first before a destination is unreachable.
+RREQ_RETRIES = 2
+#: Seconds to wait for an RREP per discovery attempt; unlike the RFC,
+#: retries do not back off.
+NET_TRAVERSAL_TIME = 1.5
+#: RREQ flood depth and DATA packet TTL (fixed; no expanding ring).
+NET_DIAMETER = 32
+#: Local-repair discoveries a forwarding node may try for one packet
+#: before sending an RERR (RFC 3561 §6.12 names no count).
+LOCAL_REPAIR_ATTEMPTS = 1
 
 
 @dataclass
@@ -135,7 +121,7 @@ class DataPacket:
     payload: Any
     size_bytes: int
     repairs: int = 0
-    hops_left: int = 32
+    hops_left: int = NET_DIAMETER
     source_seq: int = 0
 
 
@@ -161,7 +147,6 @@ class AodvRouter:
         world: The wireless world, held through a weak proxy: the world
             owns the node that owns this router.
         node_id: This node's identifier.
-        config: Protocol tunables.
         on_data: Callback ``(packet: DataPacket) -> None`` invoked when a
             DATA frame addressed to this node arrives.
         on_undeliverable: Callback ``(packet: DataPacket) -> None`` when
@@ -172,7 +157,6 @@ class AodvRouter:
         self,
         world: World,
         node_id: int,
-        config: AodvConfig = AodvConfig(),
         on_data: Optional[Callable[[DataPacket], None]] = None,
         on_undeliverable: Optional[Callable[[DataPacket], None]] = None,
     ) -> None:
@@ -180,7 +164,6 @@ class AodvRouter:
         #: The event engine, held directly (it is on every hop's path).
         self.sim: Simulator = world.sim
         self.node_id = node_id
-        self.config = config
         self.on_data = on_data
         self.on_undeliverable = on_undeliverable
         self.routes: Dict[int, Route] = {}
@@ -213,7 +196,7 @@ class AodvRouter:
         packet = DataPacket(
             source=self.node_id, dest=dest, kind=kind,
             payload=payload, size_bytes=size_bytes,
-            hops_left=self.config.ttl, source_seq=self._seq,
+            hops_left=NET_DIAMETER, source_seq=self._seq,
         )
         self._dispatch(packet, on_undeliverable)
 
@@ -271,7 +254,7 @@ class AodvRouter:
 
     def _lifetime(self, dest: int, now: float) -> float:
         """Expiry of a route to ``dest`` installed or used at ``now``."""
-        expires = now + self.config.active_route_timeout
+        expires = now + ACTIVE_ROUTE_TIMEOUT
         floor = self._holds.get(dest)
         if floor is not None and floor > expires:
             return floor
@@ -381,7 +364,7 @@ class AodvRouter:
                 node=self.node_id, dest=packet.dest, repairs=packet.repairs,
             )
         self._invalidate(packet.dest, next_hop)
-        if packet.repairs < self.config.repair_attempts:
+        if packet.repairs < LOCAL_REPAIR_ATTEMPTS:
             packet.repairs += 1
             self._dispatch(packet, on_undeliverable)
             return
@@ -396,7 +379,7 @@ class AodvRouter:
         # so replies such as result ACKs find it already installed.
         self.learn_route(
             packet.source, sender,
-            self.config.ttl - packet.hops_left + 1, packet.source_seq,
+            NET_DIAMETER - packet.hops_left + 1, packet.source_seq,
         )
         if packet.dest == self.node_id:
             if self.on_data is not None:
@@ -452,7 +435,7 @@ class AodvRouter:
             "dest": dest,
             "dest_seq": self.routes[dest].dest_seq if dest in self.routes else 0,
             "hops": 0,
-            "ttl": self.config.ttl,
+            "ttl": NET_DIAMETER,
         }
         self._mark_seen(self.node_id, self._rreq_id)
         self.world.broadcast(
@@ -462,7 +445,7 @@ class AodvRouter:
             )
         )
         pending.timer = self.sim.schedule(
-            self.config.rreq_timeout, self._on_discovery_timeout, dest
+            NET_TRAVERSAL_TIME, self._on_discovery_timeout, dest
         )
 
     def _on_discovery_timeout(self, dest: int) -> None:
@@ -472,7 +455,7 @@ class AodvRouter:
         if self.has_route(dest):
             self._flush_pending(dest)
             return
-        if pending.attempts > self.config.rreq_retries:
+        if pending.attempts > RREQ_RETRIES:
             del self._pending[dest]
             for packet, cb in pending.packets:
                 self._give_up(packet, cb)

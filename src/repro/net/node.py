@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import weakref
 
-from .aodv import AodvConfig, AodvRouter, DataPacket
+from .aodv import AodvRouter, DataPacket
 from .engine import Simulator
 from .messages import Frame
 from .world import World
@@ -29,16 +29,13 @@ class Node:
     Args:
         world: The wireless world (the node attaches itself).
         node_id: Identifier matching a mobility slot.
-        aodv_config: Routing tunables.
 
     Attributes:
         sim: The event engine, held directly: it holds no node once its
             queue is empty.
     """
 
-    def __init__(
-        self, world: World, node_id: int, aodv_config: AodvConfig = AodvConfig()
-    ) -> None:
+    def __init__(self, world: World, node_id: int) -> None:
         self.world = weakref.proxy(world)
         self.sim: Simulator = world.sim
         self.node_id = node_id
@@ -46,7 +43,6 @@ class Node:
         self.router = AodvRouter(
             world,
             node_id,
-            config=aodv_config,
             on_data=lambda packet: node.on_data(packet),
             on_undeliverable=lambda packet: node.on_undeliverable(packet),
         )

@@ -2,7 +2,7 @@
 
 Links follow the unit-disk model used by ad hoc network simulators: two
 nodes can exchange frames iff they are within radio range. Frame delivery
-takes ``latency + size / bandwidth`` seconds; a frame is lost if the
+takes ``LATENCY + size / BANDWIDTH_BPS`` seconds; a frame is lost if the
 receiver has moved out of range by delivery time (mobility-induced loss,
 the dominant loss mode the paper's setting cares about). IEEE
 802.11b-flavoured defaults: 250 m range, 2 Mbit/s effective bandwidth.
@@ -32,6 +32,12 @@ from .spatial_index import NeighborIndex
 
 __all__ = ["World", "RadioConfig", "TrafficStats", "NetworkNode"]
 
+#: Effective link bandwidth in bits per second and fixed per-hop
+#: latency in seconds (propagation + MAC): IEEE 802.11b-flavoured
+#: defaults, the same for every run.
+BANDWIDTH_BPS = 2_000_000.0
+LATENCY = 0.002
+
 
 @dataclass(frozen=True)
 class RadioConfig:
@@ -39,31 +45,23 @@ class RadioConfig:
 
     Attributes:
         radio_range: Unit-disk communication range in metres.
-        bandwidth_bps: Effective link bandwidth in bits per second.
-        latency: Fixed per-hop latency in seconds (propagation + MAC).
         loss_rate: Independent per-frame loss probability in [0, 1]
             (failure injection; 0 by default — mobility already causes
             losses; 1.0 is a total blackout, useful for fault tests).
     """
 
     radio_range: float = 250.0
-    bandwidth_bps: float = 2_000_000.0
-    latency: float = 0.002
     loss_rate: float = 0.0
 
     def __post_init__(self) -> None:
         if self.radio_range <= 0:
             raise ValueError("radio_range must be > 0")
-        if self.bandwidth_bps <= 0:
-            raise ValueError("bandwidth_bps must be > 0")
-        if self.latency < 0:
-            raise ValueError("latency must be >= 0")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError("loss_rate must be in [0, 1]")
 
     def transfer_delay(self, size_bytes: int) -> float:
         """Seconds to push ``size_bytes`` over one hop."""
-        return self.latency + (size_bytes * 8.0) / self.bandwidth_bps
+        return LATENCY + (size_bytes * 8.0) / BANDWIDTH_BPS
 
 
 @dataclass

@@ -60,6 +60,15 @@ _RECOVERY_COUNTERS = (
     "resilience.deadline_closes",
 )
 
+#: Width of one aggregation window in simulated seconds.
+WINDOW = 5.0
+#: Prior windows (or samples) a detector compares a value against.
+HISTORY = 24
+#: Both scores must exceed their threshold to flag a value: the MAD
+#: score and the sigma score of the consensus test.
+MAD_THRESHOLD = 3.0
+SIGMA_THRESHOLD = 3.0
+
 
 def _median(values: List[float]) -> float:
     ordered = sorted(values)
@@ -170,27 +179,14 @@ class _SampleSeries:
 class StreamAnalyzer:
     """Sliding-window aggregation + online anomaly detection."""
 
-    def __init__(
-        self,
-        window: float = 5.0,
-        history: int = 24,
-        mad_threshold: float = 3.0,
-        sigma_threshold: float = 3.0,
-        detectors: Tuple[Detector, ...] = DEFAULT_DETECTORS,
-    ) -> None:
-        if window <= 0:
-            raise ValueError("window must be > 0")
-        self.window = window
-        self.history = history
-        self.mad_threshold = mad_threshold
-        self.sigma_threshold = sigma_threshold
+    def __init__(self, detectors: Tuple[Detector, ...] = DEFAULT_DETECTORS) -> None:
         self.detectors = detectors
         self.rates: Dict[str, List[float]] = {}
         self.samples: Dict[str, _SampleSeries] = {}
         self.anomalies: List[Anomaly] = []
         self.windows_closed = 0
         self._registry = None
-        self._next_close = window
+        self._next_close = WINDOW
         self._last_counters: Dict[str, float] = {}
         self._rate_detectors = [d for d in detectors if d.kind == "rate"]
         self._sample_detectors = {
@@ -212,7 +208,7 @@ class StreamAnalyzer:
         compare)."""
         while now >= self._next_close:
             self._close_window(self._next_close)
-            self._next_close += self.window
+            self._next_close += WINDOW
 
     def observe(self, series: str, value: float, now: float) -> None:
         """Record one raw sample (coverage, wall seconds, sizes)."""
@@ -231,11 +227,11 @@ class StreamAnalyzer:
     def finalize(self, now: float) -> None:
         """Close the trailing partial window at end of run."""
         self.advance(now)
-        if now > self._next_close - self.window:
+        if now > self._next_close - WINDOW:
             self._close_window(now)
             self._next_close = (
-                (now // self.window) + 1
-            ) * self.window
+                (now // WINDOW) + 1
+            ) * WINDOW
 
     # -- windowing -----------------------------------------------------------
 
@@ -272,7 +268,7 @@ class StreamAnalyzer:
             if series is None:
                 continue
             value = series[-1]
-            history = series[:-1][-self.history:]
+            history = series[:-1][-HISTORY:]
             self._judge(detector, value, history, end, window_index)
         for record in self.samples.values():
             record.window_values = []
@@ -299,8 +295,8 @@ class StreamAnalyzer:
             else (float("inf") if directional > 0 else 0.0)
         )
         anomalous = (
-            mad_score > self.mad_threshold
-            and sigma_score > self.sigma_threshold
+            mad_score > MAD_THRESHOLD
+            and sigma_score > SIGMA_THRESHOLD
         )
         score = min(mad_score, sigma_score)
         if score == float("inf"):
@@ -351,7 +347,7 @@ class StreamAnalyzer:
         if detector.direction == "high" and value < detector.floor:
             return
         anomalous, baseline, score = self._consensus(
-            value, history[-self.history:], detector.direction
+            value, history[-HISTORY:], detector.direction
         )
         if anomalous:
             self.anomalies.append(Anomaly(
@@ -368,7 +364,7 @@ class StreamAnalyzer:
         for name, series in sorted(self.rates.items()):
             if not any(series):
                 continue
-            per_second = [v / self.window for v in series]
+            per_second = [v / WINDOW for v in series]
             rates[name] = {
                 "total": sum(series),
                 "mean_per_s": sum(per_second) / len(per_second),
@@ -386,7 +382,7 @@ class StreamAnalyzer:
             }
         return {
             "schema": HEALTH_SCHEMA,
-            "window_s": self.window,
+            "window_s": WINDOW,
             "windows": self.windows_closed,
             "detectors": [d.name for d in self.detectors],
             "rates": rates,
@@ -398,7 +394,7 @@ class StreamAnalyzer:
     def render_dashboard(self, width: int = 32) -> str:
         """``repro top``-style text dashboard of the run so far."""
         lines = [
-            f"stream: {self.windows_closed} windows x {self.window:g}s, "
+            f"stream: {self.windows_closed} windows x {WINDOW:g}s, "
             f"{len(self.anomalies)} anomalies",
             f"{'series':<36} {'total':>9} {'max/s':>8}  activity",
         ]
@@ -407,7 +403,7 @@ class StreamAnalyzer:
                 continue
             lines.append(
                 f"{name:<36} {sum(series):>9g} "
-                f"{max(series) / self.window:>8.2f}  "
+                f"{max(series) / WINDOW:>8.2f}  "
                 f"{_sparkline(series, width)}"
             )
         for name, record in sorted(self.samples.items()):

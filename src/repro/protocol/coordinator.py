@@ -12,20 +12,9 @@ from typing import List, Optional, Sequence, Tuple, Type
 
 from ..data.partition import GlobalDataset
 from ..data.workload import QueryRequest
-from ..faults import (
-    DataUpdateSchedule,
-    FaultInjector,
-    FaultSchedule,
-    UpdateInjector,
-)
-from ..net.aodv import AodvConfig
+from ..faults import FaultInjector, FaultSchedule
 from ..net.engine import Simulator
-from ..net.mobility import (
-    DEFAULT_HOLDING_TIME,
-    DEFAULT_SPEED_RANGE,
-    MobilityModel,
-    RandomWaypoint,
-)
+from ..net.mobility import DEFAULT_SPEED_RANGE, MobilityModel, RandomWaypoint
 from ..net.world import RadioConfig, TrafficStats, World
 from ..obs.observer import Observer
 from .device import BFDevice, DFDevice, ProtocolConfig, QueryRecord, SkylineDevice
@@ -44,32 +33,25 @@ class SimulationConfig:
         strategy: ``bf`` (breadth-first) or ``df`` (depth-first).
         sim_time: Simulated duration in seconds (paper: 2 h).
         radio: Physical-layer parameters.
-        aodv: Routing parameters.
         protocol: Skyline protocol switches.
-        speed_range: Random-waypoint speed range (paper: 2-10 m/s).
-        holding_time: Random-waypoint pause (paper: 120 s).
+        speed_range: Random-waypoint speed range (paper: 2-10 m/s);
+            the pause is the paper's fixed
+            :data:`~repro.net.mobility.DEFAULT_HOLDING_TIME`.
         seed: Master seed for mobility and loss processes.
         drain_time: Extra simulated seconds after the last workload
             entry so in-flight queries can finish.
         faults: Optional deterministic fault schedule (device churn,
             link blackouts, loss bursts) injected into the run.
-        updates: Optional deterministic data-update schedule — seeded
-            relation perturbations applied to devices mid-run (the
-            continuous layer's event source; one-shot runs accept it
-            too, so a query can race a data update).
     """
 
     strategy: str = "bf"
     sim_time: float = 7200.0
     radio: RadioConfig = field(default_factory=RadioConfig)
-    aodv: AodvConfig = field(default_factory=AodvConfig)
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     speed_range: Tuple[float, float] = DEFAULT_SPEED_RANGE
-    holding_time: float = DEFAULT_HOLDING_TIME
     seed: Optional[int] = None
     drain_time: float = 120.0
     faults: Optional[FaultSchedule] = None
-    updates: Optional[DataUpdateSchedule] = None
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -132,7 +114,6 @@ def build_network(
             node_count=dataset.devices,
             extent=dataset.schema.spatial_extent,
             speed_range=config.speed_range,
-            holding_time=config.holding_time,
             seed=config.seed,
         )
     if mobility.node_count != dataset.devices:
@@ -144,10 +125,7 @@ def build_network(
     if device_cls is None:
         device_cls = BFDevice if config.strategy == "bf" else DFDevice
     devices: List[SkylineDevice] = [
-        device_cls(
-            world, i, dataset.local(i),
-            config=config.protocol, aodv_config=config.aodv,
-        )
+        device_cls(world, i, dataset.local(i), config=config.protocol)
         for i in range(dataset.devices)
     ]
     return sim, world, devices
@@ -190,8 +168,6 @@ def run_manet_simulation(
     injector: Optional[FaultInjector] = None
     if config.faults is not None:
         injector = FaultInjector(config.faults).install(world)
-    if config.updates is not None:
-        UpdateInjector(config.updates).install(world, devices)
     issued = 0
     suppressed = 0
 

@@ -43,7 +43,7 @@ from ..core.local import (
 from ..core.query import QueryCounter, QueryLog, SkylineQuery
 from ..devices.cost_model import PDA_2006, DeviceCostModel
 from ..devices.energy import EnergyMeter
-from ..net.aodv import AodvConfig, DataPacket
+from ..net.aodv import DataPacket
 from ..net.engine import EventHandle
 from ..net.messages import Frame, FrameKind
 from ..net.node import Node
@@ -256,7 +256,6 @@ class SkylineDevice(Node):
         device_id: Node id (also the index of the local relation).
         relation: The device's local relation ``R_i``.
         config: Protocol switches.
-        aodv_config: Routing tunables.
     """
 
     def __init__(
@@ -265,9 +264,8 @@ class SkylineDevice(Node):
         device_id: int,
         relation: Relation,
         config: ProtocolConfig = ProtocolConfig(),
-        aodv_config: AodvConfig = AodvConfig(),
     ) -> None:
-        super().__init__(world, device_id, aodv_config)
+        super().__init__(world, device_id)
         self.relation = relation
         self.config = config
         self.query_counter = QueryCounter()

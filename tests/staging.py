@@ -10,11 +10,19 @@ faulted re-run share their prefix bit for bit.
 Imports nothing from hypothesis: the chaos CI job runs without it.
 """
 
+from repro.net import aodv
 from repro.obs import FlightRecorder, Observer
 
 #: Ring depth per node, far above what any staged scenario records, so
 #: no first event is ever evicted.
 STAGING_CAPACITY = 100_000
+
+
+def quick_discovery(monkeypatch):
+    """Give up on an unreachable destination after one 0.4 s route
+    discovery, for the rest of the calling test."""
+    monkeypatch.setattr(aodv, "RREQ_RETRIES", 0)
+    monkeypatch.setattr(aodv, "NET_TRAVERSAL_TIME", 0.4)
 
 
 def observe(world):

@@ -25,7 +25,6 @@ from repro.core.query import SkylineQuery
 from repro.data import make_global_dataset
 from repro.faults import DataUpdateSchedule, FaultSchedule, perturb_relation
 from repro.net import (
-    AodvConfig,
     FrameKind,
     RadioConfig,
     Simulator,
@@ -39,7 +38,7 @@ from repro.protocol import BFDevice, ProtocolConfig
 from repro.protocol.messages import QueryMessage, ResultAckMessage
 from repro.resilience import ResiliencePolicy
 
-from .staging import first_time, observe
+from .staging import first_time, observe, quick_discovery
 
 #: Orphan suppression off: the originator stays up, and the give-up
 #: must come from the retry budget, not from the dead-letter check.
@@ -74,8 +73,7 @@ class TestResultGivenUp:
         )
         observer = observe(world) if observed else None
         devices = [
-            BFDevice(world, i, dataset.local(i), config=self.CONFIG,
-                     aodv_config=AodvConfig(rreq_retries=0, rreq_timeout=0.4))
+            BFDevice(world, i, dataset.local(i), config=self.CONFIG)
             for i in range(dataset.devices)
         ]
         if blackout_at is not None:
@@ -90,7 +88,8 @@ class TestResultGivenUp:
         )
         return signature, devices, observer
 
-    def test_one_give_up_counted_per_reply(self, dataset):
+    def test_one_give_up_counted_per_reply(self, dataset, monkeypatch):
+        quick_discovery(monkeypatch)
         _, _, clean = self.run(dataset)
         blackout_at = (
             first_time(clean, 0, "tx.query") + first_time(clean, 1, "tx.data")
@@ -185,7 +184,6 @@ class TestSharedPendingTable:
                 config=replace(
                     continuous_protocol_config(), resilience=NO_SUPPRESSION,
                 ),
-                aodv_config=AodvConfig(),
             )
             for i in range(dataset.devices)
         ]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.net import (
-    AodvConfig,
     Frame,
     FrameKind,
     Node,
@@ -12,6 +11,7 @@ from repro.net import (
     StaticPlacement,
     World,
 )
+from repro.net import aodv
 from repro.net.messages import HEADER_BYTES, SEQ_BYTES
 from repro.obs import Observer
 
@@ -19,8 +19,8 @@ from repro.obs import Observer
 class AppNode(Node):
     """Node recording routed payload deliveries and failures."""
 
-    def __init__(self, world, node_id, aodv_config=AodvConfig()):
-        super().__init__(world, node_id, aodv_config)
+    def __init__(self, world, node_id):
+        super().__init__(world, node_id)
         self.delivered = []
         self.failed = []
 
@@ -31,12 +31,12 @@ class AppNode(Node):
         self.failed.append(packet)
 
 
-def line_network(n, spacing=200.0, aodv=AodvConfig()):
+def line_network(n, spacing=200.0):
     """n nodes in a line; adjacent pairs in range (range 250)."""
     sim = Simulator()
     positions = [(i * spacing, 0.0) for i in range(n)]
     world = World(sim, StaticPlacement(positions), RadioConfig(radio_range=250.0))
-    nodes = [AppNode(world, i, aodv) for i in range(n)]
+    nodes = [AppNode(world, i) for i in range(n)]
     return sim, world, nodes
 
 
@@ -76,9 +76,8 @@ class TestDiscoveryAndDelivery:
 
     def test_unreachable_destination_gives_up(self):
         sim, world, nodes = line_network(2, spacing=1000.0)  # out of range
-        cfg = nodes[0].router.config
         nodes[0].router.send_data(1, FrameKind.RESULT, "lost", 10)
-        sim.run(until=(cfg.rreq_retries + 2) * cfg.rreq_timeout + 1)
+        sim.run(until=(aodv.RREQ_RETRIES + 2) * aodv.NET_TRAVERSAL_TIME + 1)
         assert nodes[0].failed
         assert not nodes[1].delivered
 
@@ -94,9 +93,9 @@ class TestRouteTable:
         nodes[0].router.learn_route(2, next_hop=1, hops=2, seq=1)
         assert nodes[0].router.has_route(2)
 
-    def test_route_expiry(self):
-        aodv = AodvConfig(active_route_timeout=1.0)
-        sim, world, nodes = line_network(3, aodv=aodv)
+    def test_route_expiry(self, monkeypatch):
+        monkeypatch.setattr(aodv, "ACTIVE_ROUTE_TIMEOUT", 1.0)
+        sim, world, nodes = line_network(3)
         nodes[0].router.learn_route(2, next_hop=1, hops=2, seq=1)
         assert nodes[0].router.has_route(2)
         sim.schedule(2.0, lambda: None)
@@ -194,11 +193,13 @@ class TestReverseRoutes:
 
 
 class TestLoopProtection:
-    def test_data_ttl_kills_loops(self):
+    def test_data_ttl_kills_loops(self, monkeypatch):
         """Force a two-node routing loop; the packet must die by TTL, not
         circulate forever."""
-        aodv = AodvConfig(ttl=8, repair_attempts=0, rreq_retries=0)
-        sim, world, nodes = line_network(3, aodv=aodv)
+        monkeypatch.setattr(aodv, "NET_DIAMETER", 8)
+        monkeypatch.setattr(aodv, "LOCAL_REPAIR_ATTEMPTS", 0)
+        monkeypatch.setattr(aodv, "RREQ_RETRIES", 0)
+        sim, world, nodes = line_network(3)
         # Manually corrupt tables: 0 -> 1 -> 0 for destination 2.
         nodes[0].router.learn_route(2, next_hop=1, hops=1, seq=1)
         nodes[1].router.learn_route(2, next_hop=0, hops=1, seq=1)
@@ -206,11 +207,13 @@ class TestLoopProtection:
         # just watch the frame count stay bounded.
         nodes[0].router.send_data(2, FrameKind.RESULT, "loop", 10)
         sim.run(until=30.0)
-        assert world.stats.by_kind.get("data", 0) <= aodv.ttl + 1
+        assert world.stats.by_kind.get("data", 0) <= aodv.NET_DIAMETER + 1
 
-    def test_ttl_expiry_is_counted_when_observed(self):
-        aodv = AodvConfig(ttl=4, repair_attempts=0, rreq_retries=0)
-        sim, world, nodes = line_network(3, aodv=aodv)
+    def test_ttl_expiry_is_counted_when_observed(self, monkeypatch):
+        monkeypatch.setattr(aodv, "NET_DIAMETER", 4)
+        monkeypatch.setattr(aodv, "LOCAL_REPAIR_ATTEMPTS", 0)
+        monkeypatch.setattr(aodv, "RREQ_RETRIES", 0)
+        sim, world, nodes = line_network(3)
         observer = Observer().bind(world)
         nodes[0].router.learn_route(2, next_hop=1, hops=1, seq=1)
         nodes[1].router.learn_route(2, next_hop=0, hops=1, seq=1)
@@ -239,7 +242,7 @@ class TestMobilityRepair:
 class TestFailurePaths:
     """The maintenance branches: local repair, RERR, retry exhaustion."""
 
-    def diamond(self, aodv=AodvConfig()):
+    def diamond(self):
         """0-1-{2,4}-3: node 1 has two disjoint ways to reach 3."""
         sim = Simulator()
         positions = [
@@ -249,7 +252,7 @@ class TestFailurePaths:
         world = World(
             sim, StaticPlacement(positions), RadioConfig(radio_range=250.0)
         )
-        nodes = [AppNode(world, i, aodv) for i in range(5)]
+        nodes = [AppNode(world, i) for i in range(5)]
         return sim, world, nodes
 
     def test_hop_failure_repaired_via_alternate_path(self):
@@ -269,11 +272,11 @@ class TestFailurePaths:
         # the repaired route goes around the crashed node
         assert nodes[1].router.routes[3].next_hop != on_path
 
-    def test_repair_exhaustion_sends_rerr_to_source(self):
+    def test_repair_exhaustion_sends_rerr_to_source(self, monkeypatch):
         """With no repair budget, a forwarding node reports the break
         toward the source, which invalidates its route."""
-        aodv = AodvConfig(repair_attempts=0)
-        sim, world, nodes = line_network(4, aodv=aodv)
+        monkeypatch.setattr(aodv, "LOCAL_REPAIR_ATTEMPTS", 0)
+        sim, world, nodes = line_network(4)
         nodes[0].router.send_data(3, FrameKind.RESULT, "one", 10)
         sim.run(until=5.0)
         assert nodes[0].router.has_route(3)
@@ -284,9 +287,10 @@ class TestFailurePaths:
         assert not nodes[0].router.has_route(3)
         assert [p for p, *_ in nodes[3].delivered] == ["one"]
 
-    def test_source_side_hop_failure_reports_undeliverable(self):
-        aodv = AodvConfig(repair_attempts=0, rreq_retries=0)
-        sim, world, nodes = line_network(2, aodv=aodv)
+    def test_source_side_hop_failure_reports_undeliverable(self, monkeypatch):
+        monkeypatch.setattr(aodv, "LOCAL_REPAIR_ATTEMPTS", 0)
+        monkeypatch.setattr(aodv, "RREQ_RETRIES", 0)
+        sim, world, nodes = line_network(2)
         nodes[0].router.send_data(1, FrameKind.RESULT, "one", 10)
         sim.run(until=5.0)
         world.fail_node(1)
@@ -295,11 +299,11 @@ class TestFailurePaths:
         assert len(nodes[0].failed) == 1
         assert nodes[0].failed[0].payload == "lost"
 
-    def test_discovery_retry_exhaustion(self):
-        """rreq_retries + 1 attempts, then every queued packet is
+    def test_discovery_retry_exhaustion(self, monkeypatch):
+        """RREQ_RETRIES + 1 attempts, then every queued packet is
         surrendered and the pending queue is cleared."""
-        aodv = AodvConfig(rreq_retries=2, rreq_timeout=0.5)
-        sim, world, nodes = line_network(2, spacing=1000.0, aodv=aodv)
+        monkeypatch.setattr(aodv, "NET_TRAVERSAL_TIME", 0.5)
+        sim, world, nodes = line_network(2, spacing=1000.0)
         nodes[0].router.send_data(1, FrameKind.RESULT, "a", 10)
         nodes[0].router.send_data(1, FrameKind.RESULT, "b", 10)
         sim.run(until=10.0)
@@ -342,9 +346,9 @@ class TestRouteHolds:
     """``hold_route``: a floor under a route's lifetime for as long as an
     upper-layer session needs the route."""
 
-    def test_held_route_outlives_the_timeout(self):
-        aodv = AodvConfig(active_route_timeout=1.0)
-        sim, world, nodes = line_network(3, aodv=aodv)
+    def test_held_route_outlives_the_timeout(self, monkeypatch):
+        monkeypatch.setattr(aodv, "ACTIVE_ROUTE_TIMEOUT", 1.0)
+        sim, world, nodes = line_network(3)
         r = nodes[0].router
         r.learn_route(2, next_hop=1, hops=2, seq=1)
         r.hold_route(2, until=50.0)
@@ -360,7 +364,7 @@ class TestRouteHolds:
         sim, world, nodes = line_network(3)
         r = nodes[0].router
         r.learn_route(2, next_hop=1, hops=2, seq=1)
-        timeout = r.config.active_route_timeout
+        timeout = aodv.ACTIVE_ROUTE_TIMEOUT
         r.hold_route(2, until=5.0)
         assert r.routes[2].expires == timeout
         r.hold_route(2, until=90.0)
@@ -374,11 +378,11 @@ class TestRouteHolds:
         r.learn_route(2, next_hop=1, hops=2, seq=1)
         assert r.routes[2].expires == 80.0 + timeout
 
-    def test_hold_applies_to_later_routes(self):
+    def test_hold_applies_to_later_routes(self, monkeypatch):
         """The hold is per destination, not per entry: a route learned
         later at a higher sequence number is held too."""
-        aodv = AodvConfig(active_route_timeout=1.0)
-        sim, world, nodes = line_network(3, aodv=aodv)
+        monkeypatch.setattr(aodv, "ACTIVE_ROUTE_TIMEOUT", 1.0)
+        sim, world, nodes = line_network(3)
         r = nodes[0].router
         r.hold_route(2, until=40.0)
         assert 2 not in r.routes
@@ -421,9 +425,9 @@ class TestRouteHolds:
         assert route.next_hop != on_path
         assert route.expires == 1000.0
 
-    def test_reset_drops_the_holds(self):
-        aodv = AodvConfig(active_route_timeout=1.0)
-        sim, world, nodes = line_network(3, aodv=aodv)
+    def test_reset_drops_the_holds(self, monkeypatch):
+        monkeypatch.setattr(aodv, "ACTIVE_ROUTE_TIMEOUT", 1.0)
+        sim, world, nodes = line_network(3)
         r = nodes[0].router
         r.hold_route(2, until=100.0)
         r.reset()
@@ -457,9 +461,9 @@ class TestDiscoveryCause:
             (0, 3, "no-route", FrameKind.RESULT, 1)
         ]
 
-    def test_expired(self):
-        aodv = AodvConfig(active_route_timeout=2.0)
-        sim, world, nodes = line_network(4, aodv=aodv)
+    def test_expired(self, monkeypatch):
+        monkeypatch.setattr(aodv, "ACTIVE_ROUTE_TIMEOUT", 2.0)
+        sim, world, nodes = line_network(4)
         observer = Observer().bind(world)
         nodes[0].router.send_data(3, FrameKind.RESULT, "one", 10)
         sim.run(until=5.0)
@@ -470,9 +474,9 @@ class TestDiscoveryCause:
             (0, 3, "expired", FrameKind.ACK, 1)
         ]
 
-    def test_repair_and_its_retries(self):
-        aodv = AodvConfig(rreq_retries=1)
-        sim, world, nodes = line_network(4, aodv=aodv)
+    def test_repair_and_its_retries(self, monkeypatch):
+        monkeypatch.setattr(aodv, "RREQ_RETRIES", 1)
+        sim, world, nodes = line_network(4)
         observer = Observer().bind(world)
         nodes[0].router.send_data(3, FrameKind.RESULT, "one", 10)
         sim.run(until=5.0)

@@ -1,10 +1,7 @@
 """Edge-case tests for AODV internals: sequence numbers, RERR paths,
 route replacement rules, and discovery corner cases."""
 
-import pytest
-
 from repro.net import (
-    AodvConfig,
     Frame,
     FrameKind,
     Node,
@@ -13,12 +10,13 @@ from repro.net import (
     StaticPlacement,
     World,
 )
+from repro.net import aodv
 from repro.net.aodv import Route
 
 
 class AppNode(Node):
-    def __init__(self, world, node_id, aodv_config=AodvConfig()):
-        super().__init__(world, node_id, aodv_config)
+    def __init__(self, world, node_id):
+        super().__init__(world, node_id)
         self.delivered = []
         self.failed = []
 
@@ -29,14 +27,14 @@ class AppNode(Node):
         self.failed.append(packet)
 
 
-def line(n, spacing=200.0, aodv=AodvConfig()):
+def line(n, spacing=200.0):
     sim = Simulator()
     world = World(
         sim,
         StaticPlacement([(i * spacing, 0.0) for i in range(n)]),
         RadioConfig(radio_range=250.0),
     )
-    return sim, world, [AppNode(world, i, aodv) for i in range(n)]
+    return sim, world, [AppNode(world, i) for i in range(n)]
 
 
 class TestRouteEntry:
@@ -73,9 +71,9 @@ class TestInstallRules:
         nodes[0].router.learn_route(0, next_hop=1, hops=1, seq=1)
         assert 0 not in nodes[0].router.routes
 
-    def test_expired_route_freely_replaced(self):
-        aodv = AodvConfig(active_route_timeout=1.0)
-        sim, world, nodes = line(3, aodv=aodv)
+    def test_expired_route_freely_replaced(self, monkeypatch):
+        monkeypatch.setattr(aodv, "ACTIVE_ROUTE_TIMEOUT", 1.0)
+        sim, world, nodes = line(3)
         r = nodes[0].router
         r.learn_route(2, next_hop=1, hops=1, seq=1)
         sim.schedule(5.0, lambda: None)
@@ -183,9 +181,9 @@ class TestRouteInvalidation:
 
 
 class TestDataPacketDefaults:
-    def test_hops_left_set_from_config(self):
-        aodv = AodvConfig(ttl=5)
-        sim, world, nodes = line(2, aodv=aodv)
+    def test_hops_left_set_from_config(self, monkeypatch):
+        monkeypatch.setattr(aodv, "NET_DIAMETER", 5)
+        sim, world, nodes = line(2)
         sent = []
         original = world.send
 
@@ -200,18 +198,3 @@ class TestDataPacketDefaults:
         sim.run(until=2.0)
         assert sent and sent[0].hops_left == 5
 
-
-class TestConfigValidation:
-    @pytest.mark.parametrize("field, value", [
-        ("ttl", 0),
-        ("ttl", -4),
-        ("active_route_timeout", 0.0),
-        ("active_route_timeout", -5.0),
-        ("rreq_timeout", 0.0),
-        ("rreq_timeout", -1.0),
-        ("rreq_retries", -2),
-        ("repair_attempts", -1),
-    ])
-    def test_rejects_bad_values(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            AodvConfig(**{field: value})

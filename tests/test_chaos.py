@@ -182,7 +182,7 @@ class TestRecoverMidQueryClassification:
     POSITIONS = [(0.0, 0.0), (200.0, 0.0), (400.0, 0.0), (600.0, 0.0)]
 
     def build(self, dataset, config):
-        from repro.net import AodvConfig, RadioConfig, StaticPlacement, World
+        from repro.net import RadioConfig, StaticPlacement, World
         from repro.protocol import BFDevice
 
         sim = Simulator()
@@ -192,10 +192,7 @@ class TestRecoverMidQueryClassification:
         )
         observer = observe(world)
         devices = [
-            BFDevice(
-                world, i, dataset.local(i),
-                config=config, aodv_config=AodvConfig(),
-            )
+            BFDevice(world, i, dataset.local(i), config=config)
             for i in range(dataset.devices)
         ]
         return sim, world, devices, observer

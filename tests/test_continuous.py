@@ -29,7 +29,8 @@ from repro.core import skyline_of_relation
 from repro.core.query import SkylineQuery
 from repro.data import make_global_dataset
 from repro.faults import DataUpdateSchedule, FaultSchedule, perturb_relation
-from repro.net import AodvConfig, RadioConfig, Simulator, World
+from repro.continuous import runner
+from repro.net import RadioConfig, Simulator, World, aodv
 from repro.obs.observer import Observer
 from repro.storage import union_all
 
@@ -283,25 +284,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ContinuousConfig(devices=9, originator=9)
 
-    def test_negative_install_time(self):
-        with pytest.raises(ValueError):
-            ContinuousConfig(install_time=-1.0)
-
     @pytest.mark.parametrize("field, value", [
         ("data_updates", -3),
-        ("drain_time", -5.0),
+        ("epochs", -1),
     ])
     def test_negative_counts_and_times(self, field, value):
         """A negative update count would run with no updates and a
-        negative drain would drop the last epoch's books."""
+        negative epoch count with no schedule at all."""
         with pytest.raises(ValueError, match=field):
             ContinuousConfig(**{field: value})
 
+    def test_interval_shorter_than_the_epoch_budget(self):
+        """The schedule is checked when the config is built, not when
+        the engine installs the subscription after the dataset and the
+        network were built."""
+        with pytest.raises(ValueError, match="interval"):
+            ContinuousConfig(interval=runner.EPOCH_BUDGET - 3.0)
+        assert ContinuousConfig(interval=runner.EPOCH_BUDGET).interval \
+            == runner.EPOCH_BUDGET
+
     def test_horizon(self):
-        config = ContinuousConfig(
-            install_time=10.0, interval=20.0, epochs=3,
-            epoch_budget=8.0, drain_time=30.0,
-        )
+        config = ContinuousConfig(interval=20.0, epochs=3)
         assert config.last_close == 10.0 + 3 * 20.0 + 8.0
         assert config.horizon == config.last_close + 30.0
 
@@ -492,9 +495,8 @@ class TestRouteHold:
             devices=25, cardinality=2500, d=500.0, epochs=30,
             data_updates=30, static_grid=True, seed=1,
         )
-        aodv = AodvConfig()
-        assert config.last_close - config.install_time \
-            > 5 * aodv.active_route_timeout
+        assert config.last_close - runner.INSTALL_TIME \
+            > 5 * aodv.ACTIVE_ROUTE_TIMEOUT
         result = run_continuous_simulation(config, keep_network=True)
         assert verify_continuous_run(result) == []
         assert result.max_divergence == 0.0
@@ -506,8 +508,8 @@ class TestRouteHold:
         assert by_kind.get("data", 0) > 0
         assert all(by_kind.get(kind, 0) == 0 for kind in ("rreq", "rrep", "rerr"))
         _, _, devices = result.network
-        hold = config.install_time + config.epochs * config.interval \
-            + config.epoch_budget
+        hold = runner.INSTALL_TIME + config.epochs * config.interval \
+            + runner.EPOCH_BUDGET
         assert all(
             device.router._holds == {config.originator: hold}
             for device in devices if device.node_id != config.originator
@@ -558,7 +560,7 @@ def build_grid(dataset, observe=False):
     devices = [
         ContinuousDevice(
             world, i, dataset.local(i),
-            config=continuous_protocol_config(), aodv_config=AodvConfig(),
+            config=continuous_protocol_config(),
         )
         for i in range(dataset.devices)
     ]

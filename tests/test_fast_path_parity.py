@@ -494,8 +494,10 @@ class TestWorkerResolution:
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "7")
         assert resolve_workers() == 7
-        monkeypatch.setenv("REPRO_WORKERS", "garbage")
-        assert resolve_workers() >= 1
+        for bad in ("garbage", "0", "-3"):
+            monkeypatch.setenv("REPRO_WORKERS", bad)
+            with pytest.raises(ValueError, match=f"REPRO_WORKERS={bad!r}"):
+                resolve_workers()
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):

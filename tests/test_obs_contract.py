@@ -24,7 +24,6 @@ from repro.data import make_global_dataset
 from repro.experiments.chaos_sweep import run_chaos_point
 from repro.experiments.continuous_sweep import continuous_point_config
 from repro.net import (
-    AodvConfig,
     RadioConfig,
     Simulator,
     StaticPlacement,
@@ -378,8 +377,7 @@ def _staged(dataset, cls, positions, config, send, hear):
         )
         observer = observe(world)
         devices = [
-            cls(world, i, dataset.local(i), config=config,
-                aodv_config=AodvConfig())
+            cls(world, i, dataset.local(i), config=config)
             for i in range(dataset.devices)
         ]
         return sim, world, devices, observer

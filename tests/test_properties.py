@@ -26,6 +26,7 @@ from repro.core import (
 from repro.core.skyline import skyline_rows_within
 from repro.data import QueryRequest, make_global_dataset
 from repro.data.spatial import rect_within_circle
+from repro.net import RandomWaypoint
 from repro.net.aodv import AodvRouter
 from repro.obs import Observer
 from repro.protocol import SimulationConfig, run_manet_simulation
@@ -448,6 +449,16 @@ moving_world = st.fixed_dictionaries({
 })
 
 
+def waypoints(world, devices):
+    """The random waypoint model a run builds for itself from this
+    draw's speeds, pause and seed over the default dataset extent."""
+    return RandomWaypoint(
+        node_count=devices, extent=uniform_schema(2).spatial_extent,
+        speed_range=(world["slow"], world["slow"] + world["spread"]),
+        holding_time=world["holding"], seed=world["seed"],
+    )
+
+
 class TestRoutingLoopFreedom:
     """Every route the routers learn (floods, RREQ/RREP, routed DATA,
     overhearing) keeps the valid next-hop graph toward each destination
@@ -470,8 +481,7 @@ class TestRoutingLoopFreedom:
         dataset = replace(full, locals=full.locals[:devices])
         config = SimulationConfig(
             strategy=strategy, sim_time=120.0, drain_time=30.0,
-            speed_range=(world["slow"], world["slow"] + world["spread"]),
-            holding_time=world["holding"], seed=world["seed"],
+            seed=world["seed"],
         )
         workload = [
             QueryRequest(device=(world["seed"] + i) % devices,
@@ -480,7 +490,10 @@ class TestRoutingLoopFreedom:
         ]
         observer = Observer()
         with _LoopWatch() as watch:
-            run_manet_simulation(dataset, workload, config, observer=observer)
+            run_manet_simulation(
+                dataset, workload, config,
+                mobility=waypoints(world, devices), observer=observer,
+            )
         _assert_routing_sound(watch, observer)
 
     @given(moving_world, st.sampled_from([9, 16]))
@@ -495,10 +508,10 @@ class TestRoutingLoopFreedom:
             devices=devices, cardinality=60 * devices, d=600.0,
             originator=world["seed"] % devices, epochs=4,
             seed=world["seed"],
-            speed_range=(world["slow"], world["slow"] + world["spread"]),
-            holding_time=world["holding"],
         )
         observer = Observer()
         with _LoopWatch() as watch:
-            run_continuous_simulation(config, observer=observer)
+            run_continuous_simulation(
+                config, mobility=waypoints(world, devices), observer=observer,
+            )
         _assert_routing_sound(watch, observer)

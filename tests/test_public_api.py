@@ -5,6 +5,8 @@ must exist, be importable, and carry a docstring. This is the test that
 keeps refactors from silently breaking the README.
 """
 
+import dataclasses
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -16,6 +18,30 @@ import repro
 #: The only environment variables the package reads. A new knob must
 #: earn its place here; a second code path behind a selector does not.
 ENV_KNOBS = {"REPRO_CACHE_DIR", "REPRO_OBS", "REPRO_WORKERS"}
+
+#: The settable fields of the configuration classes. A value that no
+#: measured workload varies is a module constant, not a field: a field
+#: that comes back must change this pin.
+CONFIG_FIELDS = {
+    "repro.protocol.ProtocolConfig": (
+        "use_filter", "dynamic_filter", "cost_model", "query_timeout",
+        "completion_quorum", "ack_timeout", "result_retries",
+        "token_watchdog", "token_reissues", "resilience",
+    ),
+    "repro.resilience.ResiliencePolicy": (
+        "deadline", "df_failover", "orphan_suppression",
+    ),
+    "repro.protocol.SimulationConfig": (
+        "strategy", "sim_time", "radio", "protocol", "speed_range", "seed",
+        "drain_time", "faults",
+    ),
+    "repro.net.RadioConfig": ("radio_range", "loss_rate"),
+    "repro.continuous.ContinuousConfig": (
+        "mode", "devices", "cardinality", "d", "originator", "interval",
+        "epochs", "data_updates", "updates", "faults", "loss_rate", "seed",
+        "capture_reference", "static_grid", "protocol",
+    ),
+}
 
 
 class TestTopLevelExports:
@@ -54,8 +80,6 @@ class TestSubpackageSurfaces:
         "repro.faults", "repro.resilience",
     ])
     def test_subpackage_all_resolves(self, module_name):
-        import importlib
-
         module = importlib.import_module(module_name)
         assert hasattr(module, "__all__") and module.__all__
         for name in module.__all__:
@@ -79,8 +103,6 @@ class TestPublicModuleDocstrings:
         "repro.metrics.drr", "repro.experiments.sensitivity",
     ])
     def test_module_has_docstring(self, module_name):
-        import importlib
-
         module = importlib.import_module(module_name)
         assert module.__doc__ and len(module.__doc__.strip()) > 20
 
@@ -92,3 +114,32 @@ class TestEnvironmentKnobs:
         for path in src.rglob("*.py"):
             found.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
         assert found == ENV_KNOBS
+
+
+class TestSettableValues:
+    @pytest.mark.parametrize("path", sorted(CONFIG_FIELDS))
+    def test_config_fields_are_pinned(self, path):
+        module_name, cls_name = path.rsplit(".", 1)
+        cls = getattr(importlib.import_module(module_name), cls_name)
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        assert names == CONFIG_FIELDS[path]
+
+    def test_stream_analyzer_takes_only_detectors(self):
+        from repro.obs import StreamAnalyzer
+
+        params = inspect.signature(StreamAnalyzer.__init__).parameters
+        assert list(params) == ["self", "detectors"]
+
+    def test_routing_has_no_config_object(self):
+        """AODV's timers and TTL are constants of ``repro.net.aodv``:
+        the radio is the only configuration class ``repro.net``
+        exports."""
+        import repro.net
+
+        configs = [n for n in repro.net.__all__ if n.endswith("Config")]
+        assert configs == ["RadioConfig"]
+        assert set(configs) <= set(repro.__all__)
+        assert not [
+            n for n in repro.__all__
+            if n.startswith("Aodv") and n.endswith("Config")
+        ]

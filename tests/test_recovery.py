@@ -14,7 +14,6 @@ from repro.core import skyline_of_relation
 from repro.core.query import SkylineQuery
 from repro.data import make_global_dataset
 from repro.net import (
-    AodvConfig,
     Frame,
     FrameKind,
     RadioConfig,
@@ -26,7 +25,7 @@ from repro.protocol import BFDevice, DFDevice, ProtocolConfig
 from repro.protocol.messages import QueryMessage
 from repro.storage import union_all
 
-from .staging import first_time, observe
+from .staging import first_time, observe, quick_discovery
 
 
 @pytest.fixture(scope="module")
@@ -35,14 +34,14 @@ def dataset():
     return make_global_dataset(1600, 2, 4, "independent", seed=31, value_step=1.0)
 
 
-def build(dataset, cls, positions, config, aodv=AodvConfig()):
+def build(dataset, cls, positions, config):
     sim = Simulator()
     world = World(
         sim, StaticPlacement(positions), RadioConfig(radio_range=250.0)
     )
     observer = observe(world)
     devices = [
-        cls(world, i, dataset.local(i), config=config, aodv_config=aodv)
+        cls(world, i, dataset.local(i), config=config)
         for i in range(dataset.devices)
     ]
     return sim, world, devices, observer
@@ -58,7 +57,10 @@ class TestBFResultAck:
     # Line 0-1-2 (adjacent pairs in range); 3 parked out of everyone's
     # reach. Device 2's result must relay through 1.
     POSITIONS = [(0.0, 0.0), (200.0, 0.0), (400.0, 0.0), (9000.0, 9000.0)]
-    AODV = AodvConfig(rreq_retries=0, rreq_timeout=0.4)
+
+    @pytest.fixture(autouse=True)
+    def _quick_discovery(self, monkeypatch):
+        quick_discovery(monkeypatch)
 
     def config(self, result_retries):
         return ProtocolConfig(
@@ -70,7 +72,7 @@ class TestBFResultAck:
     def run(self, dataset, result_retries=3, crash_at=None):
         sim, world, devices, observer = build(
             dataset, BFDevice, self.POSITIONS,
-            self.config(result_retries), aodv=self.AODV,
+            self.config(result_retries),
         )
         if crash_at is not None:
             # relay 1 is down while AODV repair runs dry, back up well
@@ -120,7 +122,7 @@ class TestBFResultAck:
             ack_timeout=0.5, result_retries=2, query_timeout=300.0,
         )
         sim, world, devices, _ = build(
-            dataset, BFDevice, positions, config, aodv=self.AODV
+            dataset, BFDevice, positions, config
         )
         query = SkylineQuery(origin=0, cnt=1, pos=(9000.0, 0.0), d=1.0e6)
         frame = Frame(

@@ -13,7 +13,6 @@ from repro.core import skyline_of_relation
 from repro.core.query import SkylineQuery
 from repro.data import make_global_dataset
 from repro.net import (
-    AodvConfig,
     FrameKind,
     RadioConfig,
     Simulator,
@@ -32,7 +31,7 @@ from repro.resilience.invariants import check_retransmission_bounds
 from repro.resilience.policy import MAX_FAILOVERS
 from repro.storage import union_all
 
-from .staging import event_times, first_time, observe
+from .staging import event_times, first_time, observe, quick_discovery
 
 
 @pytest.fixture(scope="module")
@@ -42,14 +41,14 @@ def dataset():
     )
 
 
-def build(dataset, cls, positions, config, aodv=AodvConfig()):
+def build(dataset, cls, positions, config):
     sim = Simulator()
     world = World(
         sim, StaticPlacement(positions), RadioConfig(radio_range=250.0)
     )
     observer = observe(world)
     devices = [
-        cls(world, i, dataset.local(i), config=config, aodv_config=aodv)
+        cls(world, i, dataset.local(i), config=config)
         for i in range(dataset.devices)
     ]
     return sim, world, devices, observer
@@ -216,14 +215,14 @@ class TestTimerHygiene:
         # completion: nothing in the queue will ever fire again
         assert sim.live_pending == 0
 
-    def test_bf_run_drains_clean(self, dataset):
+    def test_bf_run_drains_clean(self, dataset, monkeypatch):
+        quick_discovery(monkeypatch)
         config = ProtocolConfig(
             query_timeout=60.0, ack_timeout=2.0, result_retries=2,
         )
         sim, world, devices, _ = build(
             dataset, BFDevice,
             [(0, 0), (200, 0), (400, 0), (9000, 9000)], config,
-            aodv=AodvConfig(rreq_retries=0, rreq_timeout=0.4),
         )
         record = devices[0].issue_query(d=1.0e6)
         sim.run()  # drain completely: the t=60 deadline close fires
@@ -232,10 +231,11 @@ class TestTimerHygiene:
         for device in devices:
             assert device._pending == {}
 
-    def test_deadline_close_cancels_pending_retries(self, dataset):
+    def test_deadline_close_cancels_pending_retries(self, dataset, monkeypatch):
         # Originator parked alone: responders' results never arrive and
         # never get ACKed. Retry timers must still wind down and the
         # deadline close must leave a drained queue.
+        quick_discovery(monkeypatch)
         config = ProtocolConfig(
             query_timeout=400.0, ack_timeout=2.0, result_retries=2,
             resilience=ResiliencePolicy(deadline=30.0),
@@ -243,7 +243,6 @@ class TestTimerHygiene:
         sim, world, devices, _ = build(
             dataset, BFDevice,
             [(0, 0), (9000, 0), (9200, 0), (9400, 0)], config,
-            aodv=AodvConfig(rreq_retries=0, rreq_timeout=0.4),
         )
         record = devices[0].issue_query(d=1.0e6)
         sim.run()

@@ -15,17 +15,11 @@ from repro.obs import (
     StreamAnalyzer,
     validate_health_report,
 )
-from repro.obs.stream import RECOVERY_SERIES
+from repro.obs.stream import RECOVERY_SERIES, WINDOW
 
 
-def analyzer(**overrides):
-    fields = dict(window=5.0, history=24)
-    fields.update(overrides)
-    return StreamAnalyzer(**fields)
-
-
-def rate_analyzer(detector, **overrides):
-    return analyzer(detectors=(detector,), **overrides)
+def rate_analyzer(detector):
+    return StreamAnalyzer(detectors=(detector,))
 
 
 def feed(stream, registry, series, per_window):
@@ -35,7 +29,7 @@ def feed(stream, registry, series, per_window):
     for value in per_window:
         counter.inc(value)
         stream.advance(now)  # closes the window ending at ``now``
-        now += stream.window
+        now += WINDOW
 
 
 # ---------------------------------------------------------------------------
@@ -46,14 +40,14 @@ def feed(stream, registry, series, per_window):
 class TestWindows:
     def test_counter_deltas_become_rates(self):
         registry = MetricsRegistry()
-        stream = analyzer().attach(registry)
+        stream = StreamAnalyzer().attach(registry)
         feed(stream, registry, "net.tx.frames", [3, 5, 0, 2])
         assert stream.rates["net.tx.frames"] == [3.0, 5.0, 0.0, 2.0]
         assert stream.windows_closed == 4
 
     def test_advance_is_lazy_and_idempotent(self):
         registry = MetricsRegistry()
-        stream = analyzer().attach(registry)
+        stream = StreamAnalyzer().attach(registry)
         stream.advance(2.0)  # before the first boundary
         assert stream.windows_closed == 0
         stream.advance(17.0)  # crosses boundaries at 5, 10, 15
@@ -63,7 +57,7 @@ class TestWindows:
 
     def test_late_series_backfills_zeros(self):
         registry = MetricsRegistry()
-        stream = analyzer().attach(registry)
+        stream = StreamAnalyzer().attach(registry)
         feed(stream, registry, "a", [1, 1])
         feed(stream, registry, "b", [4])
         assert stream.rates["b"] == [0.0, 0.0, 4.0]
@@ -71,7 +65,7 @@ class TestWindows:
 
     def test_recovery_series_sums_components(self):
         registry = MetricsRegistry()
-        stream = analyzer().attach(registry)
+        stream = StreamAnalyzer().attach(registry)
         registry.counter("protocol.token.reissues").inc(2)
         registry.counter("resilience.failovers").inc(1)
         stream.advance(5.0)
@@ -79,14 +73,10 @@ class TestWindows:
 
     def test_finalize_closes_partial_window(self):
         registry = MetricsRegistry()
-        stream = analyzer().attach(registry)
+        stream = StreamAnalyzer().attach(registry)
         registry.counter("a").inc(4)
         stream.finalize(7.5)  # one full window + a 2.5 s partial
         assert stream.windows_closed == 2
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError):
-            StreamAnalyzer(window=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -162,20 +152,19 @@ class TestSampleDetection:
                         direction="low", floor=0.5, min_history=2)
 
     def test_low_side_fires_under_floor(self):
-        stream = StreamAnalyzer(window=5.0,
-                                detectors=(self.COLLAPSE,))
+        stream = StreamAnalyzer(detectors=(self.COLLAPSE,))
         for i, value in enumerate([1.0, 1.0, 1.0, 0.2]):
             stream.observe("cov", value, float(i))
         assert [a.detector for a in stream.anomalies] == ["collapse"]
 
     def test_healthy_coverage_stays_quiet(self):
-        stream = StreamAnalyzer(window=5.0, detectors=(self.COLLAPSE,))
+        stream = StreamAnalyzer(detectors=(self.COLLAPSE,))
         for i, value in enumerate([1.0, 0.9, 1.0, 0.95, 1.0]):
             stream.observe("cov", value, float(i))
         assert stream.anomalies == []
 
     def test_percentiles_in_report(self):
-        stream = StreamAnalyzer(window=5.0, detectors=())
+        stream = StreamAnalyzer(detectors=())
         for i, value in enumerate([0.5, 1.0, 0.75]):
             stream.observe("cov", value, float(i))
         samples = stream.health_report()["samples"]["cov"]
@@ -203,7 +192,7 @@ class TestHealthReport:
 
     def test_clean_run_is_healthy(self):
         registry = MetricsRegistry()
-        stream = analyzer().attach(registry)
+        stream = StreamAnalyzer().attach(registry)
         feed(stream, registry, "net.tx.frames", [3, 4, 3])
         report = stream.health_report()
         assert report["healthy"] is True
@@ -242,7 +231,7 @@ class TestObserverWiring:
         class FakeWorld:
             sim = FakeSim()
 
-        observer = Observer().attach_stream(StreamAnalyzer(window=5.0))
+        observer = Observer().attach_stream(StreamAnalyzer())
         observer.bind(FakeWorld())
         observer.event("protocol.something", node=0)
         FakeSim.now = 12.0

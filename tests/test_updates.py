@@ -1,5 +1,5 @@
 """The data-update event path: seeded relation perturbation, update
-schedules, the injector, and its coordinator wiring.
+schedules and the injector.
 
 Updates are the continuous layer's only source of answer change (tuple
 sites are static), so this file pins the properties the subscription
@@ -243,25 +243,3 @@ class TestUpdateInjector:
         steps = devices[1].relation.values - lows
         assert np.allclose(steps, np.round(steps))
 
-
-class TestCoordinatorWiring:
-    def test_simulation_config_updates_applied(self, dataset):
-        from repro.data import generate_workload
-        from repro.protocol import SimulationConfig, run_manet_simulation
-
-        workload = generate_workload(
-            devices=4, sim_time=60.0, distance=300.0,
-            queries_per_device=(1, 1), seed=23,
-        )
-        schedule = DataUpdateSchedule().update(5.0, device=1, fraction=0.5)
-        config = SimulationConfig(
-            strategy="bf", sim_time=60.0, seed=24, updates=schedule,
-        )
-        result = run_manet_simulation(
-            dataset, workload, config, keep_network=True
-        )
-        devices = result.network[2]
-        assert devices[1].data_epoch == 1
-        assert all(
-            d.data_epoch == 0 for d in devices if d.node_id != 1
-        )

@@ -33,16 +33,12 @@ def make_world(positions, radio=None, seed=0):
 
 class TestRadioConfig:
     def test_transfer_delay(self):
-        radio = RadioConfig(bandwidth_bps=1_000_000, latency=0.001)
-        assert radio.transfer_delay(1000) == pytest.approx(0.001 + 0.008)
+        # 2 ms per hop plus 1000 bytes at 2 Mbit/s.
+        assert RadioConfig().transfer_delay(1000) == pytest.approx(0.002 + 0.004)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RadioConfig(radio_range=0)
-        with pytest.raises(ValueError):
-            RadioConfig(bandwidth_bps=0)
-        with pytest.raises(ValueError):
-            RadioConfig(latency=-1)
         with pytest.raises(ValueError):
             RadioConfig(loss_rate=1.5)
         with pytest.raises(ValueError):
