@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Optional, Tuple
 
-import numpy as np
-
 from ..core.query import SkylineQuery
 from ..net.aodv import DataPacket
 from ..net.engine import EventHandle
@@ -463,19 +461,14 @@ class ContinuousDevice(BFDevice):
         """Diff the fresh local skyline against the last report and ship
         only the membership changes."""
         enter_rows = rows - last
-        leaves = tuple(sorted(
-            {int(row[0]) for row in last} - {int(s) for s in skyline.site_ids}
-        ))
-        mask = np.array(
-            [
-                ((int(sid),) + tuple(float(v) for v in vals)) in enter_rows
-                for sid, vals in zip(skyline.site_ids, skyline.values)
-            ],
-            dtype=bool,
-        )
+        site_ids = skyline.site_ids.tolist()
+        leaves = tuple(sorted({row[0] for row in last} - set(site_ids)))
+        enters = [
+            i for i, row in enumerate(zip(site_ids, *skyline.values.T.tolist()))
+            if row in enter_rows
+        ]
         self._ship_delta(
-            spec, epoch, skyline.take(np.nonzero(mask)[0]), leaves,
-            full=False,
+            spec, epoch, skyline.take(enters), leaves, full=False,
         )
 
     def _ship_delta(

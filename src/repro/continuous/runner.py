@@ -25,6 +25,7 @@ from ..faults import (
     DataUpdateSchedule,
     FaultInjector,
     FaultSchedule,
+    UpdateEvent,
     UpdateInjector,
 )
 from ..net.mobility import MobilityModel, StaticPlacement
@@ -101,7 +102,7 @@ def _guarded_updates(config: "ContinuousConfig") -> DataUpdateSchedule:
     import numpy as np
 
     rng = np.random.default_rng(config.seed + 5)
-    schedule = DataUpdateSchedule()
+    events = []
     for _ in range(config.data_updates):
         device = int(rng.integers(config.devices))
         slot = int(rng.integers(config.epochs))
@@ -112,11 +113,11 @@ def _guarded_updates(config: "ContinuousConfig") -> DataUpdateSchedule:
             rng.exponential(_UPDATE_FRACTION)
         )))
         update_seed = int(rng.integers(0, 2**31 - 1))
-        schedule.update(
+        events.append(UpdateEvent(
             INSTALL_TIME + slot * config.interval + offset,
             device, fraction, update_seed,
-        )
-    return schedule
+        ))
+    return DataUpdateSchedule(events)
 
 
 def continuous_protocol_config() -> ProtocolConfig:

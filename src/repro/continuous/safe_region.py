@@ -48,10 +48,10 @@ def relation_rows(relation: Relation) -> FrozenSet[Tuple]:
 
     The row identity deliberately includes the values, so a value
     change on a site that stays in the skyline still reads as a
-    membership change (leave + re-enter)."""
+    membership change (leave + re-enter). Built from ``tolist()``, so
+    the elements are Python ints and floats, never numpy scalars."""
     return frozenset(
-        (int(sid),) + tuple(float(v) for v in row)
-        for sid, row in zip(relation.site_ids, relation.values)
+        zip(relation.site_ids.tolist(), *relation.values.T.tolist())
     )
 
 

@@ -23,12 +23,11 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..core.skyline import skyline_of_relation
+from ..core.skyline import skyline_numpy
 from ..net.engine import EventHandle
 from ..resilience.report import CompletionReport, build_completion_report
-from ..storage.relation import Relation, union_all
+from ..storage.relation import Relation
 from .messages import DeltaMessage, SubscriptionSpec
-from .safe_region import relation_rows
 
 __all__ = ["RefreshEpoch", "SubscriptionRecord", "apply_delta"]
 
@@ -37,11 +36,13 @@ def apply_delta(stored: Relation, delta: DeltaMessage) -> Relation:
     """Fold one device's DELTA into its stored report slice."""
     if delta.full:
         return delta.enters
-    drop = set(int(s) for s in delta.leaves)
-    drop.update(int(s) for s in delta.enters.site_ids)
+    drop = set(delta.leaves)
+    drop.update(delta.enters.site_ids.tolist())
     if drop:
-        keep = ~np.isin(stored.site_ids, np.array(sorted(drop), dtype=np.int64))
-        stored = stored.take(np.nonzero(keep)[0])
+        stored = stored.take([
+            i for i, sid in enumerate(stored.site_ids.tolist())
+            if sid not in drop
+        ])
     if delta.enters.cardinality:
         stored = stored.union(delta.enters)
     return stored
@@ -148,15 +149,22 @@ class SubscriptionRecord:
     def result_rows(self) -> FrozenSet[Tuple]:
         """Row identities of the maintained global answer: the skyline
         of the union of every stored slice (slices are already
-        self-reduced), recomputed only after a slice changed."""
+        self-reduced), recomputed only after a slice changed. Identities
+        are built only for the rows the kernel keeps."""
         if self.answer_rows is None:
             slices = [self.own_report] + [
                 self.device_reports[device]
                 for device in sorted(self.device_reports)
             ]
-            self.answer_rows = relation_rows(
-                skyline_of_relation(union_all(slices))
+            keep = skyline_numpy(
+                np.concatenate([s.normalized_values() for s in slices])
             )
+            site_ids = np.concatenate([s.site_ids for s in slices])
+            values = np.concatenate([s.values for s in slices])
+            self.answer_rows = frozenset(zip(
+                site_ids.take(keep).tolist(),
+                *values.take(keep, axis=0).T.tolist(),
+            ))
         return self.answer_rows
 
     def refresh_own_report(self, data_epoch: int, compute_local) -> None:

@@ -161,8 +161,13 @@ def vdr_matrix(values: np.ndarray, bounds: Sequence[float]) -> np.ndarray:
         raise ValueError(
             f"values must be (N, {len(bounds)}), got {values.shape}"
         )
-    factors = np.maximum(np.asarray(bounds, dtype=np.float64)[None, :] - values, 0.0)
-    return factors.prod(axis=1)
+    # One column at a time, multiplied left to right as ``prod(axis=1)``
+    # does, instead of broadcasting the bounds row against every row.
+    out = np.ones(values.shape[0])
+    for j, bound in enumerate(bounds):
+        factor = np.subtract(float(bound), values[:, j])
+        out *= np.maximum(factor, 0.0, out=factor)
+    return out
 
 
 def select_filter(

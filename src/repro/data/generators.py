@@ -23,6 +23,7 @@ __all__ = [
     "generate",
     "scale_to_domain",
     "quantize",
+    "clip_to_domain",
     "DISTRIBUTIONS",
 ]
 
@@ -53,8 +54,9 @@ def correlated(
     rng = _rng(rng)
     _check(n, dimensions)
     level = _truncated_normal(rng, n, loc=0.5, scale=0.25)
-    noise = rng.normal(0.0, spread, size=(n, dimensions))
-    points = level[:, None] + noise
+    points = rng.normal(0.0, spread, size=(n, dimensions))
+    for j in range(dimensions):
+        points[:, j] += level
     return _reflect_into_unit(points)
 
 
@@ -124,15 +126,20 @@ def generate(
 
 
 def scale_to_domain(unit_values: np.ndarray, schema: RelationSchema) -> np.ndarray:
-    """Map ``[0, 1]^n`` values onto the schema's per-attribute domains."""
+    """Map ``[0, 1]^n`` values onto the schema's per-attribute domains,
+    one column at a time (a broadcast ``(n,)`` row against ``(N, n)``
+    values runs a length-``n`` inner loop ``N`` times)."""
     unit_values = np.asarray(unit_values, dtype=np.float64)
     if unit_values.ndim != 2 or unit_values.shape[1] != schema.dimensions:
         raise ValueError(
             f"expected (N, {schema.dimensions}) unit values, got {unit_values.shape}"
         )
-    lows = np.asarray(schema.lows)
-    highs = np.asarray(schema.highs)
-    return lows[None, :] + unit_values * (highs - lows)[None, :]
+    out = np.empty_like(unit_values, order="C")
+    for j, (low, high) in enumerate(zip(schema.lows, schema.highs)):
+        col = out[:, j]
+        np.multiply(unit_values[:, j], high - low, out=col)
+        col += low
+    return out
 
 
 def quantize(values: np.ndarray, step: float) -> np.ndarray:
@@ -144,7 +151,20 @@ def quantize(values: np.ndarray, step: float) -> np.ndarray:
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    return np.round(np.asarray(values, dtype=np.float64) / step) * step
+    out = np.divide(np.asarray(values, dtype=np.float64), step)
+    np.rint(out, out=out)
+    out *= step
+    return out
+
+
+def clip_to_domain(values: np.ndarray, schema: RelationSchema) -> np.ndarray:
+    """Clip ``(N, n)`` values into the schema's attribute domains, in
+    place and one column at a time. Returns ``values``."""
+    for j, (low, high) in enumerate(zip(schema.lows, schema.highs)):
+        # The two ufuncs ``np.clip`` runs, without its wrapper's checks.
+        col = values[:, j]
+        np.minimum(np.maximum(col, low, out=col), high, out=col)
+    return values
 
 
 def _rng(rng: Optional[np.random.Generator]) -> np.random.Generator:

@@ -191,8 +191,9 @@ def make_global_dataset(
     unit = generators.generate(distribution, cardinality, dimensions, rng)
     values = generators.scale_to_domain(unit, schema)
     if value_step is not None:
-        values = generators.quantize(values, value_step)
-        values = np.clip(values, schema.lows, schema.highs)
+        values = generators.clip_to_domain(
+            generators.quantize(values, value_step), schema
+        )
     xy = uniform_positions(cardinality, schema.spatial_extent, rng)
     global_relation = Relation(schema, xy, values)
 
@@ -217,19 +218,12 @@ def make_global_dataset(
         for cell, rows in extra.items():
             per_cell[cell] = np.sort(np.concatenate((per_cell[cell], rows)))
 
-    locals_: List[Relation] = []
-    for idx in per_cell:
-        if idx.size:
-            locals_.append(
-                Relation(
-                    schema,
-                    global_relation.xy[idx],
-                    global_relation.values[idx],
-                    global_relation.site_ids[idx],
-                )
-            )
-        else:
-            locals_.append(Relation.empty(schema))
+    g = global_relation
+    locals_ = [
+        Relation._wrap(schema, g.xy.take(idx, axis=0),
+                       g.values.take(idx, axis=0), g.site_ids.take(idx))
+        for idx in per_cell
+    ]
     return GlobalDataset(
         schema=schema,
         global_relation=global_relation,

@@ -52,8 +52,8 @@ def device_dataset(
     rng = np.random.default_rng(seed)
     unit = generators.generate(distribution, cardinality, dimensions, rng)
     values = generators.scale_to_domain(unit, schema)
-    values = np.clip(
-        generators.quantize(values, DEVICE_STEP), schema.lows, schema.highs
+    values = generators.clip_to_domain(
+        generators.quantize(values, DEVICE_STEP), schema
     )
     xy = uniform_positions(cardinality, schema.spatial_extent, rng)
     return Relation(schema, xy, values)

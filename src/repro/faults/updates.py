@@ -22,6 +22,9 @@ report provably cannot change the subscription answer.
 
 from __future__ import annotations
 
+import bisect
+import math
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,23 +65,26 @@ def perturb_relation(
     if n == 0 or fraction == 0.0:
         return relation
     rng = np.random.default_rng(seed)
-    count = min(n, int(np.ceil(fraction * n)))
+    count = min(n, math.ceil(fraction * n))
     rows = rng.choice(n, size=count, replace=False)
     schema = relation.schema
     values = relation.values.copy()
-    lows = np.asarray(schema.lows, dtype=np.float64)
-    highs = np.asarray(schema.highs, dtype=np.float64)
-    # ``rng.uniform(lows, highs, size=...)`` evaluates exactly this
-    # expression on the same draws; spelled out, it skips uniform's
-    # per-call bound checks and broadcasting.
-    fresh = lows + (highs - lows) * rng.random((count, schema.dimensions))
-    if value_step is not None and value_step > 0:
-        fresh = lows + np.round((fresh - lows) / value_step) * value_step
-        fresh = np.clip(fresh, lows, highs)
+    fresh = rng.random((count, schema.dimensions))
+    # ``rng.uniform(lows, highs, size=...)``'s expression on the same
+    # draws, quantized and clipped, one column at a time and in place.
+    for j, (low, high) in enumerate(zip(schema.lows, schema.highs)):
+        col = fresh[:, j]
+        col *= high - low
+        col += low
+        if value_step is not None and value_step > 0:
+            col -= low
+            col /= value_step
+            np.rint(col, out=col)
+            col *= value_step
+            col += low
+            np.minimum(np.maximum(col, low, out=col), high, out=col)
     values[rows] = fresh
-    # The coordinate and id arrays are read-only, so the new version
-    # shares them.
-    return Relation(schema, relation.xy, values, relation.site_ids)
+    return relation.with_values(values)
 
 
 class UpdateEvent:
@@ -117,6 +123,10 @@ class UpdateEvent:
         )
 
 
+#: Schedule order: by time, then device; ties keep insertion order.
+_event_key = attrgetter("time", "device")
+
+
 class DataUpdateSchedule:
     """An ordered collection of data-update events.
 
@@ -129,9 +139,7 @@ class DataUpdateSchedule:
     """
 
     def __init__(self, events: Sequence[UpdateEvent] = ()) -> None:
-        self._events: List[UpdateEvent] = sorted(
-            events, key=lambda e: (e.time, e.device)
-        )
+        self._events: List[UpdateEvent] = sorted(events, key=_event_key)
 
     # -- builders -----------------------------------------------------------
 
@@ -147,8 +155,10 @@ class DataUpdateSchedule:
         """
         if update_seed is None:
             update_seed = (int(time * 1000) * 31 + device) & 0x7FFFFFFF
-        self._events.append(UpdateEvent(time, device, fraction, update_seed))
-        self._events.sort(key=lambda e: (e.time, e.device))
+        bisect.insort(
+            self._events, UpdateEvent(time, device, fraction, update_seed),
+            key=_event_key,
+        )
         return self
 
     # -- generation ---------------------------------------------------------
@@ -190,7 +200,7 @@ class DataUpdateSchedule:
         eligible = [n for n in range(node_count) if n not in set(protect)]
         if not eligible:
             raise ValueError("every device is protected; nothing to update")
-        schedule = cls()
+        events = []
         for _ in range(updates):
             device = eligible[int(rng.integers(len(eligible)))]
             time = float(rng.uniform(lo, hi))
@@ -198,8 +208,8 @@ class DataUpdateSchedule:
                 rng.exponential(mean_fraction)
             )))
             update_seed = int(rng.integers(0, 2**31 - 1))
-            schedule.update(time, device, fraction, update_seed)
-        return schedule
+            events.append(UpdateEvent(time, device, fraction, update_seed))
+        return cls(events)
 
     # -- access -------------------------------------------------------------
 

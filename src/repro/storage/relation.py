@@ -250,6 +250,14 @@ class Relation:
             self._site_ids.take(idx),
         )
 
+    def with_values(self, values: np.ndarray) -> "Relation":
+        """The same sites with new ``values``, a float64 array of this
+        relation's shape. Coordinates, ids and the cached MBR carry
+        over: sites do not move."""
+        rel = Relation._wrap(self._schema, self._xy, values, self._site_ids)
+        rel._mbr = self._mbr
+        return rel
+
     def within(self, pos: Tuple[float, float], d: float) -> np.ndarray:
         """Boolean mask of rows within Euclidean distance ``d`` of ``pos``.
 

@@ -4,20 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.data import make_global_dataset
 from repro.storage import Relation, uniform_schema
 
-try:
-    from hypothesis import settings
-except ImportError:  # suites without property tests run without hypothesis
-    settings = None
-
 # ``--hypothesis-profile=deep`` runs ten times hypothesis's default number
 # of examples for every test that takes its example count from the
 # active profile, e.g. the routing properties.
-if settings is not None:
-    settings.register_profile("deep", max_examples=1000, print_blob=True)
+settings.register_profile("deep", max_examples=1000, print_blob=True)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -6,8 +6,6 @@ a scenario cleanly, reading off exactly when a frame of interest flies
 and re-running the identical simulation with a fault placed around that
 moment. Observation is passive, so the observed clean run and the
 faulted re-run share their prefix bit for bit.
-
-Imports nothing from hypothesis: the chaos CI job runs without it.
 """
 
 from repro.net import aodv

@@ -10,12 +10,15 @@ subscription's known epoch clock (``install_time + e * interval``).
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.continuous import (
     ContinuousConfig,
     ContinuousDevice,
     DeltaMessage,
     SafeRegion,
+    SubscriptionRecord,
     SubscriptionSpec,
     apply_delta,
     continuous_protocol_config,
@@ -32,7 +35,14 @@ from repro.faults import DataUpdateSchedule, FaultSchedule, perturb_relation
 from repro.continuous import runner
 from repro.net import RadioConfig, Simulator, World, aodv
 from repro.obs.observer import Observer
-from repro.storage import union_all
+from repro.storage import (
+    AttributeSpec,
+    Preference,
+    Relation,
+    RelationSchema,
+    uniform_schema,
+    union_all,
+)
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +168,68 @@ class TestApplyDelta:
         )
         assert relation_rows(apply_delta(stored, delta)) \
             == relation_rows(stored)
+
+
+#: All-MIN, and one MAX attribute beside a MIN one.
+ANSWER_SCHEMAS = (
+    uniform_schema(2),
+    RelationSchema(attributes=(
+        AttributeSpec("p1"),
+        AttributeSpec("p2", preference=Preference.MAX),
+    )),
+)
+
+
+@st.composite
+def stored_slices(draw):
+    """An originator slice plus up to four device slices, some empty,
+    over a small integer domain (``value_step=1`` data, so rows tie)."""
+    schema = draw(st.sampled_from(ANSWER_SCHEMAS))
+    row = st.tuples(
+        st.integers(0, 40),
+        *[st.integers(0, 4).map(float)] * schema.dimensions,
+    )
+    slices = []
+    for _ in range(draw(st.integers(1, 5))):
+        rows = draw(st.lists(row, max_size=6))
+        site_ids = np.array([r[0] for r in rows], dtype=np.int64)
+        values = np.array([r[1:] for r in rows], dtype=np.float64)
+        xy = np.zeros((len(rows), 2))
+        slices.append(Relation(
+            schema, xy, values.reshape(len(rows), schema.dimensions),
+            site_ids,
+        ))
+    return slices
+
+
+def python_typed(rows):
+    return all(
+        type(row[0]) is int and all(type(v) is float for v in row[1:])
+        for row in rows
+    )
+
+
+class TestEpochAnswer:
+    @given(stored_slices())
+    def test_result_rows_is_skyline_of_the_union(self, slices):
+        record = SubscriptionRecord(
+            spec=sample_spec(), originator=0, epochs_total=3,
+        )
+        record.own_report = slices[0]
+        # Device ids out of order: the answer reads them sorted.
+        for device, part in zip((7, 2, 9, 4), slices[1:]):
+            record.device_reports[device] = part
+        ordered = [slices[0]] + [
+            record.device_reports[device]
+            for device in sorted(record.device_reports)
+        ]
+        expected = relation_rows(skyline_of_relation(union_all(ordered)))
+        got = record.result_rows()
+        assert got == expected
+        # ``np.float64`` hashes equal to ``float``, so only the exact
+        # type shows whether numpy scalars leaked into the identities.
+        assert python_typed(got)
+        assert python_typed(expected)
 
 
 class TestSafeRegion:

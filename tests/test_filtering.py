@@ -39,6 +39,18 @@ class TestVdr:
         for i in range(50):
             assert m[i] == pytest.approx(vdr(tuple(values[i]), bounds))
 
+    @pytest.mark.parametrize("dims", [1, 2, 3, 5])
+    def test_matrix_matches_the_broadcast_product(self, dims):
+        """Bit for bit what ``max(bounds - values, 0).prod(axis=1)``
+        over a broadcast bounds row gave."""
+        rng = np.random.default_rng(dims)
+        values = rng.uniform(-50.0, 150.0, size=(200, dims))
+        bounds = tuple(rng.uniform(0.0, 100.0, size=dims))
+        expected = np.maximum(np.asarray(bounds)[None, :] - values, 0.0)
+        got = vdr_matrix(values, bounds)
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.prod(axis=1).tobytes()
+
     def test_matrix_shape_check(self):
         with pytest.raises(ValueError):
             vdr_matrix(np.zeros((3, 2)), (1.0, 1.0, 1.0))

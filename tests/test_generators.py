@@ -109,6 +109,10 @@ class TestScaling:
         q = quantize(np.array([1.2, 3.7]), 1.0)
         assert list(q) == [1.0, 4.0]
 
+    def test_quantize_rounds_half_to_even(self):
+        q = quantize(np.array([0.5, 1.5, 2.5, -0.5]), 1.0)
+        assert list(q) == [0.0, 2.0, 2.0, -0.0]
+
     def test_quantize_invalid_step(self):
         with pytest.raises(ValueError):
             quantize(np.array([1.0]), 0.0)

@@ -11,6 +11,7 @@ protocol state).
 import numpy as np
 import pytest
 
+from repro.continuous import ContinuousConfig, runner
 from repro.data import make_global_dataset
 from repro.faults import (
     DataUpdateSchedule,
@@ -123,6 +124,43 @@ class TestDataUpdateSchedule:
         assert [e.time for e in schedule] == [20.0, 45.0]
         assert len(schedule) == 2
         assert schedule.updated_devices() == [1, 3]
+
+    def test_chained_ties_keep_insertion_order(self):
+        calls = [(5.0, 2, 0.1, 11), (1.0, 3, 0.2, 12), (5.0, 2, 0.3, 13),
+                 (5.0, 1, 0.4, 14), (1.0, 3, 0.5, 15), (5.0, 2, 0.6, 16)]
+        chained = DataUpdateSchedule()
+        for call in calls:
+            chained.update(*call)
+        built = DataUpdateSchedule([UpdateEvent(*call) for call in calls])
+        assert chained.signature() == built.signature()
+        assert [e.update_seed for e in chained] == [12, 15, 14, 11, 13, 16]
+
+    def test_guarded_updates_match_a_sort_per_insert(self):
+        """The runner's schedule, built with one sort, against the
+        schedule as it was built: a full sort after every insert."""
+        for seed in range(1, 21):
+            config = ContinuousConfig(devices=25, epochs=30,
+                                      data_updates=60, seed=seed)
+            rng = np.random.default_rng(seed + 5)
+            events = []
+            for _ in range(config.data_updates):
+                device = int(rng.integers(config.devices))
+                slot = int(rng.integers(config.epochs))
+                offset = float(rng.uniform(
+                    runner._UPDATE_GUARD, 1.0 - runner._UPDATE_GUARD
+                )) * config.interval
+                fraction = min(1.0, max(1e-3, float(
+                    rng.exponential(runner._UPDATE_FRACTION)
+                )))
+                update_seed = int(rng.integers(0, 2**31 - 1))
+                events.append(UpdateEvent(
+                    runner.INSTALL_TIME + slot * config.interval + offset,
+                    device, fraction, update_seed,
+                ))
+                events.sort(key=lambda e: (e.time, e.device))
+            assert runner._guarded_updates(config).signature() == tuple(
+                e.signature() for e in events
+            )
 
     def test_default_update_seed_is_stable(self):
         a = DataUpdateSchedule().update(20.0, device=3, fraction=0.2)
