@@ -22,7 +22,7 @@ unless delta is strictly cheaper than re-flood at every intensity
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..continuous import (
     ContinuousConfig,
@@ -130,31 +130,43 @@ class ContinuousReport:
         out.extend(self.dominance_failures)
         return out
 
-    @property
-    def dominance_failures(self) -> List[str]:
-        """Scenarios where delta did not strictly beat reflood on
-        messages per refresh (compared within the same seed/fault
-        setting; only checked when both modes ran)."""
-        failures = []
+    def _mode_pairs(
+        self,
+    ) -> Iterator[Tuple[int, bool, ContinuousPoint, ContinuousPoint]]:
+        """``(seed, faulty, delta, reflood)`` of every scenario (same
+        seed and fault setting) that ran in both modes, in order."""
         by_scenario = {}
         for p in self.points:
             by_scenario.setdefault((p.seed, p.faulty), {})[p.mode] = p
         for (seed, faulty), modes in sorted(by_scenario.items()):
             delta, reflood = modes.get("delta"), modes.get("reflood")
-            if delta is None or reflood is None:
-                continue
-            if reflood.enrolled == 0:
-                # Isolated originator: neither mode can do anything but
-                # flood into the void, so there is nothing to dominate.
-                continue
-            if not delta.messages_per_refresh < reflood.messages_per_refresh:
-                failures.append(
-                    f"[seed={seed}{'+faults' if faulty else ''}] delta "
-                    f"({delta.messages_per_refresh:.1f} msg/refresh) does "
-                    f"not beat reflood "
-                    f"({reflood.messages_per_refresh:.1f})"
-                )
-        return failures
+            if delta is not None and reflood is not None:
+                yield seed, faulty, delta, reflood
+
+    @property
+    def isolated_scenarios(self) -> int:
+        """Scenarios that ran in both modes with an isolated originator
+        (reflood enrolled no device): neither mode can do anything but
+        flood into the void, so :attr:`dominance_failures` does not
+        compare them."""
+        return sum(1 for *_, reflood in self._mode_pairs()
+                   if reflood.enrolled == 0)
+
+    @property
+    def dominance_failures(self) -> List[str]:
+        """Scenarios where delta did not strictly beat reflood on
+        messages per refresh (compared within the same seed/fault
+        setting; only checked when both modes ran and the originator
+        was not isolated)."""
+        return [
+            f"[seed={seed}{'+faults' if faulty else ''}] delta "
+            f"({delta.messages_per_refresh:.1f} msg/refresh) does "
+            f"not beat reflood "
+            f"({reflood.messages_per_refresh:.1f})"
+            for seed, faulty, delta, reflood in self._mode_pairs()
+            if reflood.enrolled != 0
+            and not delta.messages_per_refresh < reflood.messages_per_refresh
+        ]
 
     def render(self) -> str:
         lines = [
@@ -178,7 +190,8 @@ class ContinuousReport:
         dom = len(self.dominance_failures)
         lines.append(
             f"-- {total} runs, {total - bad} clean, {bad} with violations, "
-            f"{dom} dominance failures"
+            f"{dom} dominance failures, {self.isolated_scenarios} not "
+            f"compared (isolated originator)"
         )
         return "\n".join(lines)
 

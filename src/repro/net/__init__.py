@@ -1,7 +1,7 @@
 """MANET substrate: event engine, mobility, radio world, AODV routing."""
 
 from .aodv import AodvRouter, DataPacket, Route
-from .engine import EventHandle, Process, Simulator
+from .engine import EventHandle, Simulator
 from .messages import (
     CONTROL_BYTES,
     HEADER_BYTES,
@@ -35,7 +35,6 @@ __all__ = [
     "NeighborIndex",
     "NetworkNode",
     "Node",
-    "Process",
     "QUERY_BYTES",
     "RadioConfig",
     "RandomWaypoint",

@@ -1,9 +1,9 @@
 """Discrete-event simulation kernel.
 
-A minimal, deterministic event engine in the style of simpy's core (which
-is not available in this environment): a binary-heap event queue with
-stable FIFO ordering among simultaneous events, callback scheduling, and
-generator-based processes that ``yield`` delays.
+A minimal, deterministic event engine in the style of simpy's core: a
+binary-heap event queue with stable FIFO ordering among simultaneous
+events. An event is a callback and its arguments; there are no
+generator processes.
 
 Determinism: events fire in ``(time, sequence)`` order, where the
 sequence number is assigned at scheduling time, so two runs with the same
@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
-__all__ = ["Simulator", "EventHandle", "Process"]
+__all__ = ["Simulator", "EventHandle"]
 
 
 class EventHandle:
@@ -79,11 +79,6 @@ class Simulator:
         return self._events_fired
 
     @property
-    def pending(self) -> int:
-        """Events still queued (including cancelled ones not yet popped)."""
-        return len(self._heap)
-
-    @property
     def live_pending(self) -> int:
         """Events still queued that will actually fire (cancelled debris
         excluded) — the leaked-timer metric the resilience invariants
@@ -95,11 +90,6 @@ class Simulator:
         """Every queued handle, cancelled ones included, in no particular
         order."""
         return [entry[2] for entry in self._heap]
-
-    def _live_pending_scan(self) -> int:
-        """O(heap) reference count of live queued events — the ground
-        truth the counter is unit-tested against."""
-        return sum(1 for h in self.queued() if not h.cancelled)
 
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
@@ -119,12 +109,6 @@ class Simulator:
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulation time ``time``."""
         return self.schedule(time - self._now, callback, *args)
-
-    def process(self, generator: Generator[float, None, None]) -> "Process":
-        """Run a generator as a process: each yielded float is a delay."""
-        proc = Process(self, generator)
-        proc._step()
-        return proc
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Execute events until the queue drains, ``until`` is reached, or
@@ -165,50 +149,3 @@ class Simulator:
             and (not heap or heap[0][0] > until)
         ):
             self._now = until
-
-    def step(self) -> bool:
-        """Execute exactly one event; return False if the queue is empty."""
-        while self._heap:
-            time, _, head = heapq.heappop(self._heap)
-            if head.cancelled:
-                continue
-            head.cancelled = True
-            self._live -= 1
-            self._now = time
-            head.callback(*head.args)
-            self._events_fired += 1
-            return True
-        return False
-
-
-class Process:
-    """A generator-driven process: ``yield <delay>`` suspends it.
-
-    The generator may yield non-negative floats (relative delays). When
-    it returns, the process is finished.
-    """
-
-    def __init__(self, sim: Simulator, generator: Generator[float, None, None]):
-        self._sim = sim
-        self._gen = generator
-        self.finished = False
-        self._handle: Optional[EventHandle] = None
-
-    def _step(self) -> None:
-        if self.finished:
-            return
-        try:
-            delay = next(self._gen)
-        except StopIteration:
-            self.finished = True
-            return
-        if not isinstance(delay, (int, float)) or delay < 0:
-            raise ValueError(f"process must yield non-negative delays, got {delay!r}")
-        self._handle = self._sim.schedule(float(delay), self._step)
-
-    def stop(self) -> None:
-        """Terminate the process without running it further."""
-        self.finished = True
-        if self._handle is not None:
-            self._handle.cancel()
-        self._gen.close()

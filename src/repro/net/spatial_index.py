@@ -1,7 +1,8 @@
 """Epoch-cached spatial neighbor index for the wireless world.
 
 Every hop of BF/DF query processing asks the world a connectivity
-question (``neighbors``, ``reachable_from``, ``broadcast``), and the
+question (``neighbors``, ``neighbor_map``, ``reachable_from``, and
+``broadcast`` through ``neighbors``), and the
 naive answer recomputes all pairwise positions and distances from the
 mobility model — O(m²) random-waypoint evaluations per question. This
 module memoises the answer per simulation time:
@@ -22,8 +23,10 @@ module memoises the answer per simulation time:
   comparison-space pruning the skyline literature applies to dominance
   tests, applied here to unit-disk neighborhood tests. The bulk build
   enumerates all candidate pairs with array arithmetic (no Python loop
-  over cells or pairs) and emits CSR adjacency. The differential suite
-  pins it bit-identical to a Python-loop build kept as a test oracle.
+  over cells or pairs), applies the fault rule to the in-range pairs,
+  and emits one CSR adjacency: the fault-aware one, the only adjacency
+  a run reads. The differential suite pins it bit-identical to a
+  Python-loop build kept as a test oracle.
 * **Epoch layer** — fault state (crashed nodes, link blackouts,
   partitions) and topology changes (late ``attach``) bump a generation
   counter; the adjacency cache is keyed on ``(sim.now, epoch,
@@ -113,19 +116,15 @@ class NeighborIndex:
         self._adj_key: Optional[Tuple[float, int, float]] = None
         # reachable_from closures of the current adjacency, by node
         self._reach: Dict[int, set] = {}
-        # CSR adjacency in index space over the sorted attached-id
-        # array, plus lazily materialised lists
+        # fault-aware CSR adjacency in index space over the sorted
+        # attached-id array, plus lazily materialised lists
         self._ids: Optional[np.ndarray] = None
         self._ids_epoch = -1
         self._ids_arange = True
         self._idx_of: Optional[Dict[int, int]] = None
-        self._eff_indptr: Optional[np.ndarray] = None
-        self._eff_nbr: Optional[np.ndarray] = None
-        self._geom_indptr: Optional[np.ndarray] = None
-        self._geom_nbr: Optional[np.ndarray] = None
-        self._eff_edges: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._eff_lists: Dict[int, List[int]] = {}
-        self._geom_lists: Dict[int, List[int]] = {}
+        self._indptr: Optional[np.ndarray] = None
+        self._nbr: Optional[np.ndarray] = None
+        self._lists: Dict[int, List[int]] = {}
         # lazy row cache
         self._row_key: Optional[Tuple[float, int, float]] = None
         self._rows: Dict[int, List[int]] = {}
@@ -180,19 +179,15 @@ class NeighborIndex:
         """Fault-aware neighbor ids of ``node``, sorted ascending.
 
         The list is the cache's own — callers must not mutate it.
+
+        Raises:
+            ValueError: ``node`` is not attached to the world.
         """
-        world = self._world
-        if node not in world._nodes:
-            # Unattached node: answer by pairwise tests against the
-            # attached set, without polluting the cache.
-            return [
-                other
-                for other in sorted(world._nodes)
-                if world.can_communicate(node, other)
-            ]
+        if node not in self._world._nodes:
+            raise ValueError(f"unknown node {node}")
         key = self._key()
         if self._adj_key == key:
-            return self._eff_list(node)
+            return self._list(node)
         if self._row_key != key:
             self._row_key = key
             self._rows = {}
@@ -201,27 +196,10 @@ class NeighborIndex:
             return hit
         if len(self._rows) >= _ROW_BUILD_THRESHOLD:
             self._build(key)
-            return self._eff_list(node)
+            return self._list(node)
         row = self._compute_row(node)
         self._rows[node] = row
         return row
-
-    def geometric_neighbors(self, node: int) -> List[int]:
-        """In-range neighbor ids ignoring fault state, sorted ascending."""
-        if node not in self._world._nodes:
-            return [
-                other
-                for other in sorted(self._world._nodes)
-                if self._world.in_range(node, other)
-            ]
-        self._ensure()
-        lst = self._geom_lists.get(node)
-        if lst is None:
-            i = self._idx(node)
-            sl = self._geom_nbr[self._geom_indptr[i]:self._geom_indptr[i + 1]]
-            lst = self._ids[sl].tolist()
-            self._geom_lists[node] = lst
-        return lst
 
     def reachable_from(self, node: int) -> set:
         """Transitive fault-aware closure of ``node`` (BFS, includes it).
@@ -237,8 +215,8 @@ class NeighborIndex:
         return set(hit)
 
     def _reachable_bulk(self, node: int) -> set:
-        indptr = self._eff_indptr
-        nbr = self._eff_nbr
+        indptr = self._indptr
+        nbr = self._nbr
         n = len(self._ids)
         seen = np.zeros(n, dtype=bool)
         start = self._idx(node)
@@ -261,14 +239,6 @@ class NeighborIndex:
             frontier = np.unique(fresh)
             seen[frontier] = True
         return set(self._ids[np.flatnonzero(seen)].tolist())
-
-    def edges(self) -> List[Tuple[int, int]]:
-        """Every fault-aware link as an ``(i, j)`` id pair with
-        ``i < j`` — the bulk query ``connectivity_snapshot`` consumes
-        instead of probing every node's neighbor list."""
-        self._ensure()
-        lo, hi = self._eff_edges
-        return list(zip(lo.tolist(), hi.tolist()))
 
     # -- builds -------------------------------------------------------------
 
@@ -297,10 +267,9 @@ class NeighborIndex:
 
     def _compute_row(self, node: int) -> List[int]:
         """One node's fault-aware neighbor list from a single vectorised
-        distance row — no grid, no all-pairs work."""
+        distance row — no grid, no all-pairs work. The in-range
+        candidates pass through the world's fault rule one by one."""
         world = self._world
-        if node in world._down:
-            return []
         pos = self.positions()
         ids = self._ids_array()
         r = world.radio.radio_range
@@ -310,38 +279,29 @@ class NeighborIndex:
         dx = sub[:, 0] - x
         dy = sub[:, 1] - y
         mask = (dx * dx + dy * dy) <= r * r
-        cand = ids[mask]
-        down = world._down
-        blackouts = world._blackouts
-        partitions = world._partitions
-        if partitions:
-            pa = (float(x), float(y))
-        out: List[int] = []
-        for j in cand.tolist():
-            if j == node or j in down:
-                continue
-            if blackouts and frozenset((node, j)) in blackouts:
-                continue
-            if partitions and not world._same_partition_side(
-                pa, (float(pos[j, 0]), float(pos[j, 1]))
-            ):
-                continue
-            out.append(j)
-        return out
+        fault_free = world._fault_free
 
-    def _eff_list(self, node: int) -> List[int]:
-        lst = self._eff_lists.get(node)
+        def position(k: int) -> tuple:
+            return (float(pos[k, 0]), float(pos[k, 1]))
+
+        return [
+            j for j in ids[mask].tolist()
+            if j != node and fault_free(node, j, position)
+        ]
+
+    def _list(self, node: int) -> List[int]:
+        lst = self._lists.get(node)
         if lst is None:
             i = self._idx(node)
-            sl = self._eff_nbr[self._eff_indptr[i]:self._eff_indptr[i + 1]]
+            sl = self._nbr[self._indptr[i]:self._indptr[i + 1]]
             lst = self._ids[sl].tolist()
-            self._eff_lists[node] = lst
+            self._lists[node] = lst
         return lst
 
     def _build(self, key: Tuple[float, int, float]) -> None:
         """Vectorised full build: grid bucketing, candidate-pair
-        enumeration, and range testing all happen in array arithmetic;
-        the result is CSR adjacency plus the undirected edge list."""
+        enumeration, range testing and the fault rule all happen in
+        array arithmetic; the result is the fault-aware CSR adjacency."""
         self._reach = {}
         world = self._world
         pos_all = self.positions()
@@ -398,8 +358,9 @@ class NeighborIndex:
         a = a[hits]
         b = b[hits]
 
-        # Effective pairs: both endpoints up, no blackout, same side of
-        # every partition cut — all tested at the pair level.
+        # The world's fault rule (``World._fault_free``) in array form:
+        # both endpoints up, no blackout, same side of every partition
+        # cut — all tested at the pair level.
         valid = np.ones(len(a), dtype=bool)
         down = world._down
         if down:
@@ -433,34 +394,13 @@ class NeighborIndex:
                 enc = lo * encode_base + hi
                 valid &= ~np.isin(enc, np.asarray(bl, dtype=np.int64))
 
-        self._install_bulk(a, b, n, a[valid], b[valid])
+        self._install_bulk(a[valid], b[valid], n)
         self._adj_key = key
         self._rebuilds += 1
 
-    def _install_bulk(
-        self,
-        geom_a: np.ndarray,
-        geom_b: np.ndarray,
-        n: int,
-        eff_a: Optional[np.ndarray] = None,
-        eff_b: Optional[np.ndarray] = None,
-    ) -> None:
-        if eff_a is None:
-            eff_a, eff_b = geom_a, geom_b
-        self._geom_indptr, self._geom_nbr = self._csr(geom_a, geom_b, n)
-        self._eff_indptr, self._eff_nbr = self._csr(eff_a, eff_b, n)
-        ids = self._ids if self._ids is not None else _EMPTY_I64
-        if len(eff_a):
-            ida = ids[eff_a]
-            idb = ids[eff_b]
-            lo = np.minimum(ida, idb)
-            hi = np.maximum(ida, idb)
-            edge_order = np.lexsort((hi, lo))
-            self._eff_edges = (lo[edge_order], hi[edge_order])
-        else:
-            self._eff_edges = (_EMPTY_I64, _EMPTY_I64)
-        self._eff_lists = {}
-        self._geom_lists = {}
+    def _install_bulk(self, a: np.ndarray, b: np.ndarray, n: int) -> None:
+        self._indptr, self._nbr = self._csr(a, b, n)
+        self._lists = {}
 
     @staticmethod
     def _csr(a: np.ndarray, b: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,6 @@ outcome matches scheduling one event per receiver.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Protocol
 
@@ -215,11 +214,6 @@ class World:
         vectorised mobility sweep, memoised per simulation time)."""
         return self._index.positions()
 
-    def distance(self, a: int, b: int) -> float:
-        """Current distance between two nodes."""
-        pa, pb = self.position(a), self.position(b)
-        return math.hypot(pa[0] - pb[0], pa[1] - pb[1])
-
     def in_range(self, a: int, b: int) -> bool:
         """Are ``a`` and ``b`` geometrically within radio range?
 
@@ -241,18 +235,25 @@ class World:
         Geometry plus fault state: both endpoints up, the pairwise link
         not blacked out, and no active partition cut between them.
         """
-        if (
-            a in self._down
-            or b in self._down
-            or (self._blackouts and frozenset((a, b)) in self._blackouts)
-            or not self.in_range(a, b)
-        ):
+        return self._fault_free(a, b, self.position) and self.in_range(a, b)
+
+    def _fault_free(
+        self, a: int, b: int, position: Callable[[int], tuple]
+    ) -> bool:
+        """The fault rule of a link: both endpoints up, the link not
+        blacked out, and no active partition cut between them.
+
+        ``position(node)`` is read only while a cut is active. The
+        neighbor index applies the same rule to its lazy rows; its bulk
+        build is the one array form of it.
+        """
+        if a in self._down or b in self._down:
             return False
-        if self._partitions and not self._same_partition_side(
-            self.position(a), self.position(b)
-        ):
+        if self._blackouts and frozenset((a, b)) in self._blackouts:
             return False
-        return True
+        return not self._partitions or self._same_partition_side(
+            position(a), position(b)
+        )
 
     def _same_partition_side(self, pa: tuple, pb: tuple) -> bool:
         """Are two positions on the same side of every active cut?"""
@@ -264,7 +265,8 @@ class World:
 
     def neighbors(self, node: int) -> List[int]:
         """Nodes ``node`` can currently exchange frames with, in sorted
-        id order (determinism contract: never attach order)."""
+        id order (determinism contract: never attach order). Raises
+        ``ValueError`` if ``node`` is not attached."""
         return self._index.neighbors(node)
 
     def neighbor_map(self) -> Dict[int, List[int]]:
@@ -278,7 +280,8 @@ class World:
     def reachable_from(self, node: int) -> set:
         """Transitive communication closure of ``node`` right now.
 
-        Breadth-first search over :meth:`can_communicate`; includes
+        Breadth-first search over the neighbor index's fault-aware
+        adjacency (the links :meth:`can_communicate` allows); includes
         ``node`` itself. The basis of result-coverage accounting: a
         query can only ever gather data from this set.
         """
@@ -384,11 +387,6 @@ class World:
             )
         return True
 
-    @property
-    def partitions(self) -> tuple:
-        """Active ``(axis, coord)`` partition cuts, in activation order."""
-        return tuple(self._partitions)
-
     def set_duplication(self, rate: Optional[float]) -> None:
         """Set the message-duplication fault rate (``None`` disables).
 
@@ -422,11 +420,6 @@ class World:
             self.obs.fault("jitter-override", max_delay=new)
         self._jitter = new
 
-    @property
-    def delay_jitter(self) -> float:
-        """Current max extra per-hop delay (0.0 = off)."""
-        return self._jitter
-
     def set_loss_override(self, loss_rate: Optional[float]) -> None:
         """Temporarily override the radio's loss rate (bursty-loss
         windows); ``None`` restores the configured rate."""
@@ -442,23 +435,6 @@ class World:
         if self._loss_override is not None:
             return self._loss_override
         return self.radio.loss_rate
-
-    def connectivity_snapshot(self):
-        """Current connectivity as a networkx graph (analysis helper).
-
-        Fault-aware: crashed nodes appear isolated and blacked-out links
-        are absent, matching what :meth:`can_communicate` would answer.
-
-        The edge set comes from the index's bulk
-        :meth:`~repro.net.spatial_index.NeighborIndex.edges` query (one
-        adjacency build, no per-node probing).
-        """
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(self.node_ids)
-        g.add_edges_from(self._index.edges())
-        return g
 
     # -- transmission -------------------------------------------------------
 

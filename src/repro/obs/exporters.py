@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, IO, List, Optional, Tuple, Union
 
+from .flight import _jsonify
 from .observer import EventRecord, Observer, SpanRecord
 
 __all__ = [
@@ -37,19 +38,6 @@ __all__ = [
 ]
 
 QueryKey = Tuple[int, int]
-
-
-def _jsonify(value: Any) -> Any:
-    """Best-effort conversion of attr values to JSON-safe types."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_jsonify(v) for v in value)
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    return repr(value)
 
 
 # ---------------------------------------------------------------------------

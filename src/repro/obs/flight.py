@@ -58,7 +58,7 @@ class FlightEntry:
             "time": self.time,
             "kind": self.kind,
             "query": list(self.query) if self.query is not None else None,
-            "info": {k: _jsonable(v) for k, v in self.info.items()},
+            "info": {k: _jsonify(v) for k, v in self.info.items()},
         }
 
     def render(self) -> str:
@@ -67,15 +67,17 @@ class FlightEntry:
         return f"[{self.time:10.3f}] {self.kind:<20}{query} {info}".rstrip()
 
 
-def _jsonable(value: Any) -> Any:
+def _jsonify(value: Any) -> Any:
+    """Best-effort conversion of attr values to JSON-safe types (the
+    one sanitizer of ``repro.obs``; the trace exporters use it too)."""
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [_jsonify(v) for v in value]
     if isinstance(value, (set, frozenset)):
-        return sorted(_jsonable(v) for v in value)
+        return sorted(_jsonify(v) for v in value)
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): _jsonify(v) for k, v in value.items()}
     return repr(value)
 
 

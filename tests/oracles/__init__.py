@@ -13,5 +13,7 @@ for bit:
   and a world on the reference neighbor-index build;
 * :mod:`.spatial_index`: the Python-loop index build and loop BFS;
 * :mod:`.mobility`: the scalar position sweep, and random waypoint
-  with scalar draws and a bisection per query.
+  with scalar draws and a bisection per query;
+* :mod:`.engine`: the O(heap) count of live queued events that the
+  engine's O(1) counter must match.
 """

@@ -42,7 +42,6 @@ class ReferenceNeighborIndex(NeighborIndex):
 
     def __init__(self, world) -> None:
         super().__init__(world)
-        self._geom: Dict[int, List[int]] = {}
         self._eff: Dict[int, List[int]] = {}
 
     def neighbors(self, node: int) -> List[int]:
@@ -51,12 +50,6 @@ class ReferenceNeighborIndex(NeighborIndex):
         self._ensure()
         return self._eff[node]
 
-    def geometric_neighbors(self, node: int) -> List[int]:
-        if node not in self._world._nodes:
-            return super().geometric_neighbors(node)
-        self._ensure()
-        return self._geom[node]
-
     def reachable_from(self, node: int) -> set:
         self._ensure()
         hit = self._reach.get(node)
@@ -64,15 +57,6 @@ class ReferenceNeighborIndex(NeighborIndex):
             hit = reachable_from_lists(self, node)
             self._reach[node] = hit
         return set(hit)
-
-    def edges(self) -> List[Tuple[int, int]]:
-        self._ensure()
-        return [
-            (i, j)
-            for i, lst in self._eff.items()
-            for j in lst
-            if i < j
-        ]
 
     def _build(self, key: Tuple[float, int, float]) -> None:
         self._build_reference(key)
@@ -155,7 +139,6 @@ class ReferenceNeighborIndex(NeighborIndex):
                 eff[i] = [j for j in geom[i] if j not in down]
             else:
                 eff[i] = geom[i][:]
-        self._geom = geom
         self._eff = eff
         self._adj_key = key
         self._rebuilds += 1

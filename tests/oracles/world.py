@@ -92,18 +92,6 @@ class UncachedWorld(World):
             raise ValueError(f"unknown node {node}")
         return uncached_reachable_from(self, node)
 
-    def connectivity_snapshot(self):
-        import networkx as nx
-
-        g = nx.Graph()
-        ids = self.node_ids
-        g.add_nodes_from(ids)
-        for i in ids:
-            for j in uncached_neighbors(self, i):
-                if i < j:
-                    g.add_edge(i, j)
-        return g
-
 
 class PerReceiverWorld(World):
     """Broadcasts schedule one delivery event per receiver."""

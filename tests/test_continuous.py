@@ -888,6 +888,55 @@ class TestMaintenanceCurve:
         assert "at 8 data updates" in failures[1]
 
 
+class TestSuiteReport:
+    """The suite footer says how many scenarios it left uncompared."""
+
+    @staticmethod
+    def point(seed, mode, enrolled, per_refresh, faulty=False):
+        from repro.experiments import ContinuousPoint
+
+        return ContinuousPoint(
+            seed=seed, mode=mode, faulty=faulty, violations=[],
+            status="expired", epochs_closed=5, complete_epochs=0,
+            enrolled=enrolled, messages_per_refresh=per_refresh,
+            max_divergence=None,
+        )
+
+    def test_isolated_originator_is_counted_not_compared(self):
+        from repro.experiments import ContinuousReport
+
+        report = ContinuousReport([
+            self.point(7, "delta", 3, 2.0),
+            self.point(7, "reflood", 3, 4.0),
+            self.point(7, "delta", 3, 2.5, faulty=True),
+            # Isolated: equal cost in both modes, which a compared
+            # scenario would report as a dominance failure.
+            self.point(9, "delta", 0, 1.0),
+            self.point(9, "reflood", 0, 1.0),
+        ])
+        assert report.isolated_scenarios == 1
+        assert report.dominance_failures == []
+        assert report.ok
+        assert report.render().splitlines()[-1] == (
+            "-- 5 runs, 5 clean, 0 with violations, 0 dominance failures, "
+            "1 not compared (isolated originator)"
+        )
+
+    def test_enrolled_scenario_is_compared(self):
+        from repro.experiments import ContinuousReport
+
+        report = ContinuousReport([
+            self.point(9, "delta", 1, 1.0),
+            self.point(9, "reflood", 1, 1.0),
+        ])
+        assert report.isolated_scenarios == 0
+        assert len(report.dominance_failures) == 1
+        assert not report.ok
+        assert report.render().endswith(
+            "1 dominance failures, 0 not compared (isolated originator)"
+        )
+
+
 class TestMobileSuite:
     """The sweep harness holds its invariants on mobile topologies too
     (partitions allowed, exactness gated only on covered epochs)."""

@@ -4,6 +4,8 @@ import pytest
 
 from repro.net import Simulator
 
+from .oracles.engine import live_pending_scan
+
 
 class TestScheduling:
     def test_time_ordering(self):
@@ -117,14 +119,6 @@ class TestRunControl:
         sim.run(until=30.0, max_events=2)
         assert sim.now == 30.0
 
-    def test_step(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, 1)
-        assert sim.step()
-        assert not sim.step()
-        assert fired == [1]
-
     def test_events_fired_counter(self):
         sim = Simulator()
         for i in range(4):
@@ -158,14 +152,14 @@ class TestLivePendingCounter:
         sim = Simulator()
         handles = [sim.schedule(float(i % 7) + 0.5, lambda: None)
                    for i in range(50)]
-        assert sim.live_pending == 50 == sim._live_pending_scan()
+        assert sim.live_pending == 50 == live_pending_scan(sim)
         for h in handles[::3]:
             h.cancel()
-        assert sim.live_pending == sim._live_pending_scan()
+        assert sim.live_pending == live_pending_scan(sim)
         sim.run(until=3.0)
-        assert sim.live_pending == sim._live_pending_scan()
+        assert sim.live_pending == live_pending_scan(sim)
         sim.run()
-        assert sim.live_pending == 0 == sim._live_pending_scan()
+        assert sim.live_pending == 0 == live_pending_scan(sim)
 
     def test_double_cancel_is_idempotent(self):
         sim = Simulator()
@@ -174,7 +168,7 @@ class TestLivePendingCounter:
         h.cancel()
         h.cancel()
         h.cancel()
-        assert sim.live_pending == 1 == sim._live_pending_scan()
+        assert sim.live_pending == 1 == live_pending_scan(sim)
         other.cancel()
         assert sim.live_pending == 0
 
@@ -185,7 +179,7 @@ class TestLivePendingCounter:
         sim.run(until=2.0)
         h.cancel()
         h.cancel()
-        assert sim.live_pending == 1 == sim._live_pending_scan()
+        assert sim.live_pending == 1 == live_pending_scan(sim)
         keeper.cancel()
         assert sim.live_pending == 0
 
@@ -198,7 +192,7 @@ class TestLivePendingCounter:
 
         box["handle"] = sim.schedule(1.0, cb)
         sim.run()
-        assert sim.live_pending == 0 == sim._live_pending_scan()
+        assert sim.live_pending == 0 == live_pending_scan(sim)
         assert sim.events_fired == 1
 
     def test_counter_survives_nested_scheduling_and_cancel(self):
@@ -212,7 +206,7 @@ class TestLivePendingCounter:
         sim.schedule(1.0, outer)
         assert sim.live_pending == 1
         sim.run(until=1.0)
-        assert sim.live_pending == 1 == sim._live_pending_scan()
+        assert sim.live_pending == 1 == live_pending_scan(sim)
         sim.run()
         assert sim.live_pending == 0
 
@@ -226,62 +220,22 @@ class TestLivePendingCounter:
         assert set(map(id, sim.queued())) == {id(handles[0]), id(handles[2])}
 
 
-class TestProcesses:
-    def test_generator_process(self):
-        sim = Simulator()
-        trace = []
-
-        def proc():
-            trace.append(("start", sim.now))
-            yield 2.0
-            trace.append(("mid", sim.now))
-            yield 3.0
-            trace.append(("end", sim.now))
-
-        p = sim.process(proc())
-        sim.run()
-        assert trace == [("start", 0.0), ("mid", 2.0), ("end", 5.0)]
-        assert p.finished
-
-    def test_process_stop(self):
-        sim = Simulator()
-        trace = []
-
-        def proc():
-            while True:
-                trace.append(sim.now)
-                yield 1.0
-
-        p = sim.process(proc())
-        sim.run(until=3.0)
-        p.stop()
-        sim.run(until=10.0)
-        assert len(trace) == 4  # t=0,1,2,3
-
-    def test_invalid_yield(self):
-        sim = Simulator()
-
-        def proc():
-            yield -1.0
-
-        with pytest.raises(ValueError):
-            sim.process(proc())
-
-
 class TestDeterminism:
     def test_identical_replay(self):
         def build():
             sim = Simulator()
             trace = []
 
-            def proc(tag, dt):
-                while sim.now < 20:
-                    trace.append((sim.now, tag))
-                    yield dt
+            def tick(tag, dt):
+                trace.append((sim.now, tag))
+                if sim.now + dt < 20:
+                    sim.schedule(dt, tick, tag, dt)
 
-            sim.process(proc("a", 1.5))
-            sim.process(proc("b", 2.0))
+            sim.schedule(0.0, tick, "a", 1.5)
+            sim.schedule(0.0, tick, "b", 2.0)
             sim.run(until=20.0)
             return trace
 
-        assert build() == build()
+        first = build()
+        assert first == build()
+        assert first[:4] == [(0.0, "a"), (0.0, "b"), (1.5, "a"), (2.0, "b")]

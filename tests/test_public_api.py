@@ -5,10 +5,12 @@ must exist, be importable, and carry a docstring. This is the test that
 keeps refactors from silently breaking the README.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,11 @@ import repro
 #: The only environment variables the package reads. A new knob must
 #: earn its place here; a second code path behind a selector does not.
 ENV_KNOBS = {"REPRO_CACHE_DIR", "REPRO_OBS", "REPRO_WORKERS"}
+
+#: The only modules outside the standard library that ``src/repro`` may
+#: import. A new runtime dependency must earn its place here (and in
+#: ``pyproject.toml``).
+RUNTIME_DEPENDENCIES = {"numpy"}
 
 #: The settable fields of the configuration classes. A value that no
 #: measured workload varies is a module constant, not a field: a field
@@ -114,6 +121,41 @@ class TestEnvironmentKnobs:
         for path in src.rglob("*.py"):
             found.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
         assert found == ENV_KNOBS
+
+
+class TestRuntimeDependencies:
+    def test_src_imports_only_stdlib_and_numpy(self):
+        """Every absolute import in ``src/repro`` names the package
+        itself, a standard-library module or a declared dependency,
+        wherever it sits (function bodies and ``TYPE_CHECKING`` blocks
+        included)."""
+        src = Path(repro.__file__).parent
+        allowed = set(sys.stdlib_module_names) | RUNTIME_DEPENDENCIES | {"repro"}
+        found = {}
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    top = name.split(".")[0]
+                    if top not in allowed:
+                        found.setdefault(top, str(path.relative_to(src)))
+        assert found == {}
+
+    def test_pyproject_declares_exactly_the_runtime_dependencies(self):
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        match = re.search(
+            r"^dependencies = \[(.*?)\]", pyproject.read_text(), re.M | re.S
+        )
+        declared = {
+            re.split(r"[<>=!~ ]", spec.strip().strip('"'))[0]
+            for spec in match.group(1).split(",") if spec.strip()
+        }
+        assert declared == RUNTIME_DEPENDENCIES
 
 
 class TestSettableValues:

@@ -130,7 +130,8 @@ class TestBFResultAck:
             payload=QueryMessage(query=query, flt=None, hops=1),
         )
         devices[1].on_protocol_frame(frame, sender=0)
-        while sim.step():  # run until the reply is armed for retry
+        while sim.live_pending:  # run until the reply is armed for retry
+            sim.run(max_events=1)
             if devices[1]._pending:
                 break
         assert devices[1]._pending

@@ -70,17 +70,14 @@ def assert_world_agrees(world):
                 == uncached_reachable_from(world, i)), (
             f"reachable_from({i}) diverged at t={world.sim.now}"
         )
-    g = world.connectivity_snapshot()
+    # Every link read from either endpoint's list is a reference link:
+    # the lists are symmetric and lose no edge.
     expected_edges = {
         (i, j) for i in ids for j in uncached_neighbors(world, i) if i < j
     }
-    assert {tuple(sorted(e)) for e in g.edges} == expected_edges
-    assert set(g.nodes) == set(ids)
-    # The index's bulk edge list must agree with the per-node answers,
-    # arrive sorted, and match the frontier-expansion reference.
-    edges = world._index.edges()
-    assert set(edges) == expected_edges
-    assert edges == sorted(edges)
+    edges = {(min(i, j), max(i, j)) for i in ids for j in world.neighbors(i)}
+    assert edges == expected_edges
+    # The vectorised closure must match the frontier-expansion reference.
     for i in ids:
         assert (world._index.reachable_from(i)
                 == reachable_from_lists(world._index, i)), (
@@ -186,7 +183,7 @@ class TestCacheBehaviour:
             for i in world.node_ids:
                 world.neighbors(i)
             world.reachable_from(0)
-            world.connectivity_snapshot()
+            world.neighbor_map()
         assert world._index.rebuilds == before + 1
 
     def test_positions_memoised_per_time(self):
@@ -363,10 +360,11 @@ class TestLargeWorld:
     @staticmethod
     def linked_pair(world):
         """Two nodes in range at time 0, so the blackout cuts a link."""
-        for i in range(world.mobility.node_count):
-            row = world._index.geometric_neighbors(i)
-            if row:
-                return i, row[0]
+        m = world.mobility.node_count
+        for i in range(m):
+            for j in range(m):
+                if world.in_range(i, j):
+                    return i, j
         raise AssertionError("no link at time 0")
 
     def test_rows_and_full_build_match_reference_build(self):
@@ -389,35 +387,29 @@ class TestLargeWorld:
             assert world._index.rebuilds == rebuilds + 1
             for node in range(self.M):
                 assert world.neighbors(node) == ref.neighbors(node), (node, t)
-            assert world._index.edges() == sorted(ref._index.edges())
             for node in probes:
                 assert world.reachable_from(node) == ref.reachable_from(node)
 
 
 class TestUnattachedNodeFallback:
     def test_neighbors_of_unattached_mobility_slot(self):
-        """Legacy semantics: a node with a mobility slot but no attached
-        device still gets a geometric answer against the attached set."""
-        sim = Simulator()
-        world = World(
-            sim,
-            StaticPlacement([(0, 0), (100, 0), (500, 0)]),
-            RadioConfig(radio_range=150),
-        )
-        Recorder(world, 0)
-        Recorder(world, 1)
-        # slot 2 never attached; query it anyway
-        assert world.neighbors(2) == []
-        world2 = World(
-            Simulator(),
-            StaticPlacement([(0, 0), (100, 0), (120, 0)]),
-            RadioConfig(radio_range=150),
-        )
-        Recorder(world2, 0)
-        Recorder(world2, 1)
-        assert world2.neighbors(2) == [0, 1]
-        with pytest.raises(ValueError):
-            world2.reachable_from(2)
+        """A mobility slot with no attached device is not a node of the
+        network: ``neighbors`` refuses it as ``reachable_from`` does,
+        even when it lies in range of attached nodes, on either build."""
+        for world_cls in BUILDS.values():
+            world = world_cls(
+                Simulator(),
+                StaticPlacement([(0, 0), (100, 0), (120, 0)]),
+                RadioConfig(radio_range=150),
+            )
+            Recorder(world, 0)
+            Recorder(world, 1)
+            # slot 2 never attached; query it anyway
+            with pytest.raises(ValueError, match="unknown node 2"):
+                world.neighbors(2)
+            with pytest.raises(ValueError, match="unknown node 2"):
+                world.reachable_from(2)
+            assert world.neighbors(0) == [1]
 
 
 def static_world(m=24, seed=5, radio_range=180.0, side=600.0,
@@ -463,8 +455,8 @@ class TestStaticTopology:
             elif action == 4:
                 world.set_partition(str(rng.choice(["x", "y"])),
                                     float(rng.uniform(100.0, 500.0)), True)
-            elif action == 5 and world.partitions:
-                axis, coord = world.partitions[0]
+            elif action == 5 and world._partitions:
+                axis, coord = world._partitions[0]
                 world.set_partition(axis, coord, False)
             # actions 6 and 7 only advance time
             assert_world_agrees(world)
@@ -479,7 +471,7 @@ class TestStaticTopology:
             for i in world.node_ids:
                 world.neighbors(i)
                 world.reachable_from(i)
-            world.connectivity_snapshot()
+            world.neighbor_map()
         assert world._index.rebuilds == before
         world.fail_node(3)
         sim.run(until=302.0)
@@ -488,7 +480,7 @@ class TestStaticTopology:
         assert world._index.rebuilds == before + 1
         world.set_partition("x", 300.0, True)
         sim.run(until=400.0)
-        world._index.edges()
+        world.reachable_from(0)
         assert world._index.rebuilds == before + 2
 
     def test_positions_swept_once(self):

@@ -25,6 +25,7 @@ from repro.net import (
 )
 from repro.protocol import SimulationConfig, run_manet_simulation
 
+from .oracles.engine import live_pending_scan
 from .oracles.world import PerReceiverWorld, install_world
 
 #: Delivery mode -> the world class that implements it.
@@ -212,7 +213,7 @@ class TestWaveEdgeCases:
         world.broadcast(qframe(0))
         assert sim.live_pending > 0
         sim.run()
-        assert sim.live_pending == 0 == sim._live_pending_scan()
+        assert sim.live_pending == 0 == live_pending_scan(sim)
 
     def test_crashed_source_radiates_nothing(self):
         def scenario(mode):
@@ -325,7 +326,7 @@ class TestFullRunDifferential:
             # The run stops on the time bound, so timers may still be
             # pending — but the O(1) counter must agree with a scan.
             sim = result.network[0]
-            assert sim.live_pending == sim._live_pending_scan()
+            assert sim.live_pending == live_pending_scan(sim)
 
     @pytest.mark.parametrize("strategy", ["bf", "df"])
     def test_obs_spans_and_metrics_identical(self, dataset, workload,
@@ -402,7 +403,7 @@ class TestContinuousDifferential:
             # The run stops on the time bound, so timers may still be
             # pending — but the O(1) counter must agree with a scan.
             sim = result.network[0]
-            assert sim.live_pending == sim._live_pending_scan()
+            assert sim.live_pending == live_pending_scan(sim)
 
 
 class TestAttachOrderDeterminismWave:

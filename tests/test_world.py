@@ -59,13 +59,6 @@ class TestTopology:
         assert sorted(world.neighbors(1)) == [0, 2]
         assert world.neighbors(3) == []
 
-    def test_connectivity_snapshot(self):
-        _, world, _ = make_world([(0, 0), (100, 0), (600, 0)])
-        g = world.connectivity_snapshot()
-        assert g.has_edge(0, 1)
-        assert not g.has_edge(0, 2)
-        assert g.number_of_nodes() == 3
-
     def test_attach_validation(self):
         sim = Simulator()
         world = World(sim, StaticPlacement([(0, 0)]), RadioConfig())
