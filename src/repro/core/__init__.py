@@ -6,7 +6,7 @@ from .assembly import (
     merge_skylines,
     merge_tree,
 )
-from .dominance import ComparisonCounter, dominance_mask, dominates_values
+from .dominance import ComparisonCounter, dominates_values
 from .filtering import (
     Estimation,
     FilteringTuple,
@@ -39,7 +39,6 @@ __all__ = [
     "QueryLog",
     "SkylineAssembler",
     "SkylineQuery",
-    "dominance_mask",
     "dominates_values",
     "estimation_bounds",
     "local_skyline",

@@ -207,7 +207,6 @@ class SkylineAssembler:
         if incoming.cardinality == 0:
             return
         self._result_cache = None
-        inc_xy = incoming.xy
         inc_norm = incoming.normalized_values()
         n_inc = incoming.cardinality
 
@@ -215,22 +214,29 @@ class SkylineAssembler:
         # location set (O(1) lookups instead of rebuilding the set per
         # merge) and within the contribution itself (first copy wins).
         coords = self._coords
-        keys = list(map(tuple, inc_xy.tolist()))
-        keep_incoming = np.zeros(n_inc, dtype=bool)
+        keys = list(map(tuple, incoming.xy.tolist()))
+        fresh: List[int] = []
         within: set = set()
         for i, key in enumerate(keys):
             if key not in coords and key not in within:
-                keep_incoming[i] = True
+                fresh.append(i)
                 within.add(key)
+        if not fresh:
+            return
+        if len(fresh) < n_inc:
+            inc_norm = inc_norm.take(fresh, axis=0)
 
         # Which incoming rows does the (pre-merge) current set dominate?
-        keep_incoming &= ~dominated_mask(self._norm, inc_norm, self._block)
-        if not keep_incoming.any():
-            return
+        dominated = dominated_mask(self._norm, inc_norm, self._block)
+        if dominated.any():
+            alive = np.flatnonzero(~dominated)
+            if alive.shape[0] == 0:
+                return
+            fresh = [fresh[k] for k in alive.tolist()]
+            inc_norm = inc_norm.take(alive, axis=0)
 
         # Which current rows do the surviving incoming rows dominate?
-        kept_norm = inc_norm[keep_incoming]
-        cur_dominated = dominated_mask(kept_norm, self._norm, self._block)
+        cur_dominated = dominated_mask(inc_norm, self._norm, self._block)
         if cur_dominated.any():
             keep = ~cur_dominated
             coords.difference_update(
@@ -241,17 +247,16 @@ class SkylineAssembler:
             self._site_ids = self._site_ids[keep]
             self._norm = self._norm[keep]
 
-        self._xy = np.vstack([self._xy, inc_xy[keep_incoming]])
-        self._values = np.vstack(
-            [self._values, incoming.values[keep_incoming]]
-        )
-        self._site_ids = np.concatenate(
-            [self._site_ids, incoming.site_ids[keep_incoming]]
-        )
-        self._norm = np.vstack([self._norm, kept_norm])
-        coords.update(
-            key for i, key in enumerate(keys) if keep_incoming[i]
-        )
+        inc_xy, inc_values, inc_ids = incoming.xy, incoming.values, incoming.site_ids
+        if len(fresh) < n_inc:
+            inc_xy = inc_xy.take(fresh, axis=0)
+            inc_values = inc_values.take(fresh, axis=0)
+            inc_ids = inc_ids.take(fresh)
+        self._xy = np.concatenate((self._xy, inc_xy))
+        self._values = np.concatenate((self._values, inc_values))
+        self._site_ids = np.concatenate((self._site_ids, inc_ids))
+        self._norm = np.concatenate((self._norm, inc_norm))
+        coords.update(keys[i] for i in fresh)
 
     def add_all(self, results: Iterable[Relation]) -> None:
         """Merge a batch of partial skylines."""

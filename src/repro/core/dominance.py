@@ -17,7 +17,6 @@ from ..storage.schema import Preference
 __all__ = [
     "dominates_values",
     "dominated_mask",
-    "dominance_mask",
 ]
 
 
@@ -52,22 +51,25 @@ def dominated_mask(
     """Mask over ``targets`` rows strictly dominated by some ``by`` row.
 
     This is the one vectorised dominance kernel: the skyline engine, the
-    result assembler and the filter-pruning steps all call it. Both
-    inputs are 2-D and in minimization space.
+    result assembler, the filter-pruning steps and the filter tests all
+    call it (a single point is a one-row ``by``). Both inputs are 2-D
+    and in minimization space.
 
-    ``block=None`` runs one unbounded ``(B, T, d)`` broadcast. An integer runs the same elementwise comparisons in tiles
-    of at most ``block²`` pairs, so every intermediate is bounded by
-    ``block²`` booleans whatever the input sizes; the output is identical.
+    ``block=None`` compares every pair in one tile. An integer runs the
+    same elementwise comparisons in tiles of at most ``block²`` pairs,
+    so every intermediate is bounded by ``block²`` booleans whatever the
+    input sizes; the output is identical.
     """
     n_by, n_targets = by.shape[0], targets.shape[0]
     if n_by == 0 or n_targets == 0:
         return np.zeros(n_targets, dtype=bool)
-    if block is None:
-        no_worse = (by[:, None, :] <= targets[None, :, :]).all(axis=2)
-        better = (by[:, None, :] < targets[None, :, :]).any(axis=2)
-        return (no_worse & better).any(axis=0)
+    if block is None or n_by * n_targets <= block * block:
+        # Answer-sized inputs (a filter row against a slice, a running
+        # skyline against one contribution) fit one tile: no output
+        # buffer and no tile loops, whose numpy calls cost more than
+        # the comparisons here.
+        return _tile(by, targets)
     out = np.zeros(n_targets, dtype=bool)
-    dims = by.shape[1]
     area = block * block
     # Tiles hold at most block² pairs but stretch along the longer side:
     # a lopsided comparison (one pivot row against thousands of targets,
@@ -78,32 +80,24 @@ def dominated_mask(
         tgt = targets[j : j + cols]
         rows = max(block, area // tgt.shape[0])
         for i in range(0, n_by, rows):
-            blk = by[i : i + rows]
-            # Attribute-at-a-time 2-D comparisons: the equivalent
-            # (R, T, d) broadcast forces numpy onto a strided inner
-            # loop that is an order of magnitude slower here.
-            no_worse = blk[:, 0:1] <= tgt[:, 0]
-            better = blk[:, 0:1] < tgt[:, 0]
-            for a in range(1, dims):
-                no_worse &= blk[:, a : a + 1] <= tgt[:, a]
-                better |= blk[:, a : a + 1] < tgt[:, a]
-            out[j : j + cols] |= (no_worse & better).any(axis=0)
+            out[j : j + cols] |= _tile(by[i : i + rows], tgt)
     return out
 
 
-def dominance_mask(point: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Vectorised: which rows of ``block`` does ``point`` dominate?
+def _tile(by: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """:func:`dominated_mask` of one tile, every pair compared at once.
 
-    Both arguments must already be in minimization space. Returns a boolean
-    array of shape ``(len(block),)``.
+    Attribute-at-a-time 2-D comparisons: the equivalent ``(B, T, d)``
+    broadcast forces numpy onto a strided inner loop that is an order
+    of magnitude slower on large tiles.
     """
-    point = np.asarray(point, dtype=np.float64)
-    block = np.asarray(block, dtype=np.float64)
-    if block.ndim != 2 or point.shape != (block.shape[1],):
-        raise ValueError(
-            f"shape mismatch: point {point.shape} vs block {block.shape}"
-        )
-    return dominated_mask(point[None, :], block)
+    no_worse = by[:, 0:1] <= targets[:, 0]
+    better = by[:, 0:1] < targets[:, 0]
+    for a in range(1, by.shape[1]):
+        no_worse &= by[:, a : a + 1] <= targets[:, a]
+        better |= by[:, a : a + 1] < targets[:, a]
+    no_worse &= better
+    return no_worse.any(axis=0)
 
 
 class ComparisonCounter:

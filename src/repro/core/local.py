@@ -47,7 +47,7 @@ from ..storage.base import StorageModel
 from ..storage.flat import FlatStorage
 from ..storage.hybrid import HybridStorage
 from ..storage.relation import Relation
-from .dominance import ComparisonCounter, dominance_mask, dominates_values
+from .dominance import ComparisonCounter, dominated_mask, dominates_values
 from .filtering import (
     Estimation,
     FilteringTuple,
@@ -608,7 +608,9 @@ def _local_skyline_values(
 
     if flt is not None and unreduced:
         counter.count_value(dims * unreduced)
-        flt_dom = dominance_mask(flt.values, values[window])
+        flt_dom = dominated_mask(
+            np.array([flt.values], dtype=np.float64), values[window]
+        )
         same_site = (xy[window, 0] == flt.site.x) & (xy[window, 1] == flt.site.y)
         survivors = window[~same_site & ~flt_dom]
     else:
@@ -725,12 +727,18 @@ def local_skyline_vectorized(
             scanned=relation.cardinality, in_range=in_range,
         )
 
-    norm = relation.normalized_values()
+    sub = relation.normalized_values().take(rows, axis=0)
     if flt is not None:
+        # One mask: rows the filter dominates, then rows at its site.
         xy = relation.xy.take(rows, axis=0)
-        dominated = dominance_mask(flt_vals, norm.take(rows, axis=0))
-        same_site = (xy[:, 0] == flt.site.x) & (xy[:, 1] == flt.site.y)
-        rows = rows[~(dominated | same_site)]
+        drop = dominated_mask(np.array([flt_vals]), sub)
+        same_site = xy[:, 0] == flt.site.x
+        same_site &= xy[:, 1] == flt.site.y
+        drop |= same_site
+        if drop.any():
+            keep = ~drop
+            rows = rows[keep]
+            sub = sub[keep]
 
     updated = flt
     if rows.shape[0]:
@@ -741,7 +749,7 @@ def local_skyline_vectorized(
                 if estimation is Estimation.UNDER else None
             ),
         )
-        scores = vdr_matrix(norm.take(rows, axis=0), bounds)
+        scores = vdr_matrix(sub, bounds)
         best = int(scores.argmax())
         candidate = FilteringTuple(
             site=relation.row(int(rows[best])), vdr=float(scores[best])

@@ -40,6 +40,12 @@ __all__ = [
     "sfs_sort_order",
 ]
 
+#: Inputs of at most this many rows resolve in one self tile: every
+#: row against every row, with no row sums, pivot pass or sort. Their
+#: numpy calls, not their comparisons, are the cost. Timed at 5-200
+#: rows (``docs/performance.md``, *In-run versus isolated cost*).
+SMALL = 32
+
 
 def _as_matrix(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
@@ -84,7 +90,8 @@ def skyline_numpy(values: np.ndarray, block: int = 256) -> np.ndarray:
        :func:`~repro.core.dominance.dominated_mask`.
 
     When at most ``block`` rows survive step 1, steps 2 and 3 collapse
-    to one ``dominated_mask`` of the survivors against themselves.
+    to one ``dominated_mask`` of the survivors against themselves. At
+    most :data:`SMALL` rows skip step 1 too: one self tile resolves them.
 
     Every intermediate is bounded by ``block²`` booleans or by O(n·d):
     there is no all-pairs matrix. Output matches the brute-force
@@ -94,8 +101,8 @@ def skyline_numpy(values: np.ndarray, block: int = 256) -> np.ndarray:
     n = values.shape[0]
     if block < 1:
         raise ValueError("block must be >= 1")
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
+    if n <= SMALL:
+        return np.flatnonzero(~dominated_mask(values, values, block))
     # Row sums one column at a time: ``values.sum(axis=1)`` reduces
     # each short row on its own and is an order of magnitude slower.
     # Any row is a safe pivot, so the order of the additions is free.

@@ -121,9 +121,9 @@ class World:
     fault state into the unit-disk test.
 
     Connectivity questions are answered by an epoch-cached
-    :class:`~repro.net.spatial_index.NeighborIndex` (one vectorised
-    position sweep per simulation time, spatial-hash adjacency, epoch
-    invalidation on fault transitions).
+    :class:`~repro.net.spatial_index.NeighborIndex` (speed-bounded
+    candidate lists from a spatial-hash grid, rows from scalar position
+    lookups, epoch invalidation on fault transitions).
 
     The world owns its attached nodes and its index; both refer back
     to it through weak proxies, so a dropped network is freed by
@@ -244,8 +244,8 @@ class World:
         blacked out, and no active partition cut between them.
 
         ``position(node)`` is read only while a cut is active. The
-        neighbor index applies the same rule to its lazy rows; its bulk
-        build is the one array form of it.
+        neighbor index applies the same rule to its candidate rows; its
+        bulk build is the one array form of it.
         """
         if a in self._down or b in self._down:
             return False
@@ -272,10 +272,10 @@ class World:
     def neighbor_map(self) -> Dict[int, List[int]]:
         """Current fault-aware neighbor lists for every attached node.
 
-        One cache build serves the whole map — the bulk variant of
-        :meth:`neighbors` for callers sweeping all nodes at once.
+        One full adjacency build serves the whole map — the bulk variant
+        of :meth:`neighbors` for callers sweeping all nodes at once.
         """
-        return {i: list(self.neighbors(i)) for i in self.node_ids}
+        return self._index.neighbor_map()
 
     def reachable_from(self, node: int) -> set:
         """Transitive communication closure of ``node`` right now.

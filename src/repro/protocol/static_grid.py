@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..core.assembly import SkylineAssembler
-from ..core.dominance import dominance_mask
+from ..core.dominance import dominated_mask
 from ..core.filtering import (
     Estimation,
     FilteringTuple,
@@ -94,7 +94,8 @@ class StaticGridCache:
             return sky, unreduced
         fvals = normalize_values(flt.values, self.dataset.schema)
         same_site = (sky.xy[:, 0] == flt.site.x) & (sky.xy[:, 1] == flt.site.y)
-        keep = ~(dominance_mask(fvals, sky.normalized_values()) | same_site)
+        keep = ~(dominated_mask(np.array([fvals]), sky.normalized_values())
+                 | same_site)
         return sky.take(np.nonzero(keep)[0]), unreduced
 
     def promote(

@@ -20,7 +20,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.dominance import dominance_mask
+from repro.core.dominance import dominated_mask
 from repro.core.filtering import FilteringTuple, normalize_values
 from repro.storage.relation import Relation
 
@@ -78,10 +78,10 @@ def prune_with_filters(
     values = skyline.normalized_values()
     dominated = np.zeros(skyline.cardinality, dtype=bool)
     for flt in filters:
-        f = np.asarray(normalize_values(flt.values, skyline.schema),
-                       dtype=np.float64)
+        f = np.array([normalize_values(flt.values, skyline.schema)],
+                     dtype=np.float64)
         same_site = (skyline.xy[:, 0] == flt.site.x) & (
             skyline.xy[:, 1] == flt.site.y
         )
-        dominated |= dominance_mask(f, values) | same_site
+        dominated |= dominated_mask(f, values) | same_site
     return skyline.take(np.nonzero(~dominated)[0])

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import ComparisonCounter, dominance_mask, dominates_values
+from repro.core import ComparisonCounter, dominates_values
+from repro.core.dominance import dominated_mask
 from repro.storage import Preference
 
 vectors = st.lists(
@@ -66,20 +67,10 @@ class TestDominatesValues:
 
 
 class TestVectorised:
-    def test_dominance_mask(self):
-        point = np.array([1.0, 1.0])
-        block = np.array([[2.0, 2.0], [1.0, 1.0], [0.5, 3.0], [1.0, 2.0]])
-        mask = dominance_mask(point, block)
-        assert list(mask) == [True, False, False, True]
-
-    def test_dominance_mask_shape_check(self):
-        with pytest.raises(ValueError, match="shape"):
-            dominance_mask(np.zeros(3), np.zeros((4, 2)))
-
     @given(pair_of_vectors)
     def test_mask_matches_scalar(self, pair):
         a, b = pair
-        mask = dominance_mask(np.array(a), np.array([b]))
+        mask = dominated_mask(np.array([a]), np.array([b]))
         assert bool(mask[0]) == dominates_values(a, b)
 
 

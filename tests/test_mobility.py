@@ -63,14 +63,17 @@ class TestRandomWaypoint:
         assert m.position(0, 119.9) == start
 
     def test_speed_bound(self):
-        """Displacement over any interval never exceeds v_max * dt."""
+        """Displacement over any interval never exceeds v_max * dt, and
+        ``max_speed`` is that v_max."""
         m = RandomWaypoint(3, speed_range=(2.0, 10.0), holding_time=0.0, seed=3)
+        assert m.max_speed == 10.0
+        assert StaticPlacement([(0.0, 0.0)]).max_speed == 0.0
         for node in range(3):
             prev = m.position(node, 0.0)
             for t in np.arange(1.0, 600.0, 7.0):
                 cur = m.position(node, float(t))
                 dist = math.hypot(cur[0] - prev[0], cur[1] - prev[1])
-                assert dist <= 10.0 * 7.0 + 1e-6
+                assert dist <= m.max_speed * 7.0 + 1e-6
                 prev = cur
 
     def test_movement_actually_happens(self):
@@ -217,10 +220,15 @@ class TestScalarPositions:
     @settings(max_examples=60, deadline=None)
     def test_matches_reference(self, seed, holding, queries):
         model = RandomWaypoint(3, seed=seed, holding_time=holding)
+        batch = RandomWaypoint(3, seed=seed, holding_time=holding)
         ref = ReferenceWaypoint(3, seed=seed, holding_time=holding)
         for node, query in queries:
             t = _leg_end(ref, node, *query) if isinstance(query, tuple) else query
             assert model.position(node, t) == ref.position(node, t), (node, t)
+            others = [node, (node + 1) % 3]
+            assert batch.positions_of(others, t) == [
+                ref.position(other, t) for other in others
+            ], (node, t)
 
     @pytest.mark.parametrize("holding", [0.0, 120.0])
     def test_leg_ends_after_the_next_leg(self, holding):

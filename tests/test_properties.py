@@ -17,17 +17,27 @@ from repro.continuous import ContinuousConfig, run_continuous_simulation
 from repro.core import (
     Estimation,
     FilteringTuple,
+    SkylineAssembler,
     SkylineQuery,
     local_skyline_vectorized,
     merge_skylines,
     select_filter,
+    skyline_numpy,
     skyline_of_relation,
 )
-from repro.core.skyline import skyline_rows_within
+from repro.core.dominance import dominated_mask
+from repro.core.skyline import SMALL, skyline_rows_within
 from repro.data import QueryRequest, make_global_dataset
 from repro.data.spatial import rect_within_circle
-from repro.net import RandomWaypoint
+from repro.net import (
+    MobilityModel,
+    RadioConfig,
+    RandomWaypoint,
+    Simulator,
+    World,
+)
 from repro.net.aodv import AodvRouter
+from repro.net.spatial_index import SKIN
 from repro.obs import Observer
 from repro.protocol import SimulationConfig, run_manet_simulation
 from repro.protocol.static_grid import StaticGridCache, run_static_query
@@ -40,12 +50,14 @@ from repro.storage import (
     uniform_schema,
 )
 
+from .oracles.assembly import LegacyAssembler
 from .oracles.skyline import (
     bnl_of_relation,
     prune_with_filters,
     skyline_bnl,
     skyline_bruteforce,
 )
+from .oracles.world import uncached_neighbors, uncached_reachable_from
 
 # -- strategies -------------------------------------------------------------
 
@@ -515,3 +527,239 @@ class TestRoutingLoopFreedom:
                 config, mobility=waypoints(world, devices), observer=observer,
             )
         _assert_routing_sound(watch, observer)
+
+
+# -- neighbor candidate lists ---------------------------------------------------
+
+
+class _Recorder:
+    """A node that ignores its frames."""
+
+    def __init__(self, world, node_id):
+        self.node_id = node_id
+        world.attach(self)
+
+    def on_frame(self, frame, sender):
+        pass
+
+
+def _assert_rows_exact(world):
+    """Every node's row and closure equal the uncached answers."""
+    for node in world.node_ids:
+        assert world.neighbors(node) == uncached_neighbors(world, node), (
+            node, world.sim.now,
+        )
+    for node in world.node_ids:
+        assert world.reachable_from(node) == uncached_reachable_from(
+            world, node
+        ), (node, world.sim.now)
+
+
+#: One step of a candidate-window schedule: where the next query time
+#: falls relative to the current window, a fraction placing it there,
+#: and the fault event applied at that time.
+window_step = st.tuples(
+    st.sampled_from(["inside", "end", "across"]),
+    st.floats(0.0, 1.0),
+    st.sampled_from(
+        ["none", "crash", "recover", "blackout", "lift", "split", "heal"]
+    ),
+    st.integers(0, 10**6),
+)
+
+
+class TestCandidateRows:
+    """Rows and closures read from speed-bounded candidate lists equal
+    the uncached world's at query times inside a list's window, exactly
+    at its end and past it, with crashes, blackouts and partitions in
+    between. Examples come from the active hypothesis profile
+    (``--hypothesis-profile=deep`` runs ten times as many)."""
+
+    @given(
+        m=st.integers(2, 12),
+        seed=st.integers(0, 10**6),
+        band=st.sampled_from([(2.0, 10.0), (50.0, 100.0)]),
+        holding=st.sampled_from([0.0, 1.0, 30.0]),
+        side=st.sampled_from([400.0, 1000.0]),
+        radio_range=st.sampled_from([100.0, 250.0]),
+        steps=st.lists(window_step, min_size=1, max_size=8),
+    )
+    @settings(deadline=None)
+    def test_rows_equal_uncached_answers(
+        self, m, seed, band, holding, side, radio_range, steps
+    ):
+        sim = Simulator()
+        mobility = RandomWaypoint(
+            node_count=m, extent=(0.0, 0.0, side, side), speed_range=band,
+            holding_time=holding, seed=seed,
+        )
+        world = World(sim, mobility, RadioConfig(radio_range=radio_range),
+                      seed=seed)
+        for i in range(m):
+            _Recorder(world, i)
+        _assert_rows_exact(world)
+        index = world._index
+        for where, frac, event, pick in steps:
+            start, window = index._cand_time, index._cand_window
+            if where == "inside":
+                t = start + frac * window
+            elif where == "end":
+                t = start + window
+            else:
+                t = start + window * (1.0 + 3.0 * frac) + 1e-9
+            sim.run(until=max(t, sim.now))
+            node = pick % m
+            other = (node + 1 + pick // m % (m - 1)) % m
+            if event == "crash":
+                world.fail_node(node)
+            elif event == "recover" and world.down_nodes:
+                world.restore_node(world.down_nodes[0])
+            elif event == "blackout":
+                world.set_link_blackout(node, other, True)
+            elif event == "lift" and world._blackouts:
+                world.set_link_blackout(*sorted(next(iter(world._blackouts))),
+                                        False)
+            elif event == "split":
+                world.set_partition("xy"[pick % 2], frac * side, True)
+            elif event == "heal" and world._partitions:
+                world.set_partition(*world._partitions[0], False)
+            _assert_rows_exact(world)
+
+    def test_head_on_pairs_at_and_past_the_window_end(self):
+        """Two pairs close head-on at ``max_speed``: one is exactly
+        ``r + skin`` apart when the lists are built and touches range at
+        the window's end; the other starts ``skin / 2`` farther out and
+        enters range half a window later, when only rebuilt lists hold
+        it."""
+        r, v = 250.0, 10.0
+        skin = SKIN * r
+        window = skin / (2.0 * v)
+
+        class HeadOn(MobilityModel):
+            #: (start x, y, direction) per node; pairs 0-1 and 2-3 close.
+            starts = (
+                (-(r + skin) / 2, 0.0, 1.0), ((r + skin) / 2, 0.0, -1.0),
+                (-(r + 1.5 * skin) / 2, 5000.0, 1.0),
+                ((r + 1.5 * skin) / 2, 5000.0, -1.0),
+            )
+
+            @property
+            def node_count(self):
+                return len(self.starts)
+
+            @property
+            def max_speed(self):
+                return v
+
+            def position(self, node, t):
+                x, y, sign = self.starts[node]
+                return (x + sign * v * t, y)
+
+        sim = Simulator()
+        world = World(sim, HeadOn(), RadioConfig(radio_range=r), seed=0)
+        for i in range(4):
+            _Recorder(world, i)
+        assert world.neighbors(0) == [] and world.neighbors(2) == []
+        sim.run(until=window)
+        assert world.neighbors(0) == [1]
+        assert world.neighbors(2) == []
+        sim.run(until=1.5 * window)
+        assert world.neighbors(2) == [3]
+        _assert_rows_exact(world)
+
+
+# -- answer-sized dominance ---------------------------------------------------
+
+
+def _broadcast_dominated(by, targets):
+    """The unbounded ``(B, T, d)`` broadcast: the definition, once."""
+    if by.shape[0] == 0 or targets.shape[0] == 0:
+        return np.zeros(targets.shape[0], dtype=bool)
+    no_worse = (by[:, None, :] <= targets[None, :, :]).all(axis=2)
+    better = (by[:, None, :] < targets[None, :, :]).any(axis=2)
+    return (no_worse & better).any(axis=0)
+
+
+def _tied_rows(rng, n, dims, distinct):
+    """``n`` rows over a few distinct values, so ties and duplicate
+    rows are common."""
+    return rng.integers(0, distinct, size=(n, dims)).astype(float)
+
+
+class TestAnswerSizedDominance:
+    """The one-tile path of ``dominated_mask``, the small-n path of
+    ``skyline_numpy`` and the assembler's merge each equal an
+    independent answer on both sides of their switch-over."""
+
+    @given(
+        block=st.integers(1, 6),
+        side=st.sampled_from([-1, 0, 1]),
+        lopsided=st.booleans(),
+        dims=st.integers(1, 5),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(deadline=None)
+    def test_dominated_mask_on_both_sides_of_one_tile(
+        self, block, side, lopsided, dims, seed
+    ):
+        pairs = block * block + side
+        if pairs < 1:
+            return
+        n_by = 1 if lopsided else max(1, int(pairs ** 0.5))
+        n_targets = max(1, pairs // n_by)
+        rng = np.random.default_rng(seed)
+        by = _tied_rows(rng, n_by, dims, 3)
+        targets = np.concatenate((by[: n_targets // 2],
+                                  _tied_rows(rng, n_targets, dims, 3)))
+        want = _broadcast_dominated(by, targets)
+        assert (dominated_mask(by, targets, None) == want).all()
+        assert (dominated_mask(by, targets, block) == want).all()
+        assert (dominated_mask(targets, by, block)
+                == _broadcast_dominated(targets, by)).all()
+
+    @given(
+        offset=st.sampled_from([-1, 0, 1]),
+        dims=st.integers(1, 5),
+        distinct=st.sampled_from([2, 4, 1000]),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(deadline=None)
+    def test_skyline_numpy_around_small(self, offset, dims, distinct, seed):
+        rng = np.random.default_rng(seed)
+        values = _tied_rows(rng, SMALL + offset, dims, distinct)
+        assert skyline_numpy(values).tolist() == skyline_bnl(values).tolist()
+
+    @given(
+        seed=st.integers(0, 10**6),
+        sizes=st.lists(st.integers(0, 8), min_size=1, max_size=6),
+    )
+    @settings(deadline=None)
+    def test_assembler_equals_left_fold(self, seed, sizes):
+        rng = np.random.default_rng(seed)
+        schema = uniform_schema(2, high=4.0)
+        sites = rng.uniform(0, 1000, size=(12, 2))
+
+        def contribution(n):
+            # Sites from a small pool: duplicate coordinates inside one
+            # contribution and across contributions.
+            pick = rng.integers(0, len(sites), size=n)
+            return Relation(schema, sites[pick], _tied_rows(rng, n, 2, 5))
+
+        seed_rel = contribution(int(rng.integers(0, 6)))
+        parts = [contribution(n) for n in sizes]
+        # A contribution the running answer wholly dominates, after one
+        # that sweeps the board (evicting what came before).
+        best = Relation(schema, rng.uniform(2000, 3000, size=(1, 2)),
+                        np.zeros((1, 2)))
+        worst = Relation(schema, rng.uniform(2000, 3000, size=(2, 2)),
+                         np.full((2, 2), 4.0))
+        parts[len(parts) // 2:len(parts) // 2] = [best, worst]
+        assembler = SkylineAssembler(schema, seed_rel)
+        folded = LegacyAssembler(schema, seed_rel)
+        for part in parts:
+            assembler.add(part)
+            folded.add(part)
+            got, want = assembler.result(), folded.result()
+            assert np.array_equal(got.xy, want.xy)
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.site_ids, want.site_ids)
