@@ -30,10 +30,9 @@ from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..core.query import SkylineQuery
-from ..net.aodv import DataPacket
 from ..net.engine import EventHandle
-from ..net.messages import Frame, FrameKind
-from ..protocol.device import BFDevice
+from ..net.messages import FrameKind
+from ..protocol.device import ONE_HOP, ROUTED, BFDevice
 from ..storage.relation import Relation
 from .messages import (
     DeltaAckMessage,
@@ -293,34 +292,6 @@ class ContinuousDevice(BFDevice):
                     trace=self._trace(record.key),
                 ))
 
-    # -- frame dispatch ------------------------------------------------------
-
-    def on_protocol_frame(self, frame: Frame, sender: int) -> None:
-        if frame.kind == FrameKind.SUBSCRIBE and isinstance(
-            frame.payload, SubscribeMessage
-        ):
-            self._handle_subscribe_flood(frame.payload, sender)
-            return
-        if frame.kind == FrameKind.UNSUBSCRIBE and isinstance(
-            frame.payload, UnsubscribeMessage
-        ):
-            self._handle_unsubscribe_flood(frame.payload, sender)
-            return
-        super().on_protocol_frame(frame, sender)
-
-    def on_data(self, packet: DataPacket) -> None:
-        if packet.kind == FrameKind.DELTA and isinstance(
-            packet.payload, DeltaMessage
-        ):
-            self._accept_delta(packet.payload)
-            return
-        if packet.kind == FrameKind.ACK and isinstance(
-            packet.payload, DeltaAckMessage
-        ):
-            self._acked((packet.payload.sub_key, packet.payload.epoch))
-            return
-        super().on_data(packet)
-
     # -- subscriber side -----------------------------------------------------
 
     def _handle_subscribe_flood(
@@ -528,7 +499,7 @@ class ContinuousDevice(BFDevice):
 
     # -- originator DELTA intake ---------------------------------------------
 
-    def _accept_delta(self, delta: DeltaMessage) -> None:
+    def _accept_delta(self, delta: DeltaMessage, sender: int) -> None:
         """ACK every copy (even duplicates — an unacknowledged sender
         keeps retransmitting), merge each ``(sender, epoch)`` once."""
         self._send_ack(delta.sender, DeltaAckMessage(
@@ -546,3 +517,16 @@ class ContinuousDevice(BFDevice):
                 "delta.merged", query=delta.sub_key, node=self.node_id,
                 sender=delta.sender, epoch=delta.epoch,
             )
+
+    def _retire_delta(self, ack: DeltaAckMessage, sender: int) -> None:
+        self._acked((ack.sub_key, ack.epoch))
+
+    # ACK is the one kind with two payload types: a BF RESULT's and a
+    # DELTA's.
+    HANDLERS = {
+        **BFDevice.HANDLERS,
+        (ONE_HOP, FrameKind.SUBSCRIBE, SubscribeMessage): _handle_subscribe_flood,
+        (ONE_HOP, FrameKind.UNSUBSCRIBE, UnsubscribeMessage): _handle_unsubscribe_flood,
+        (ROUTED, FrameKind.DELTA, DeltaMessage): _accept_delta,
+        (ROUTED, FrameKind.ACK, DeltaAckMessage): _retire_delta,
+    }

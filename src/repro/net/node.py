@@ -1,8 +1,11 @@
 """Base network node: wires a World slot to an AODV router.
 
-Protocol-level code (the skyline devices) subclasses :class:`Node` and
-implements :meth:`Node.on_protocol_frame` plus :meth:`Node.on_data` for
-routed end-to-end payloads.
+Protocol-level code subclasses :class:`Node` and implements its two
+extension points: :meth:`Node.on_protocol_frame` for one-hop protocol
+frames and :meth:`Node.on_data` for routed end-to-end payloads. The
+skyline devices implement both once, in
+:class:`~repro.protocol.device.SkylineDevice`, as a lookup in a
+per-class handler table.
 """
 
 from __future__ import annotations

@@ -63,6 +63,9 @@ EVENT_COUNTERS: Dict[str, Tuple[str, ...]] = {
     "result.given-up": ("protocol.results.given_up",),
     "token.reissue": ("protocol.token.reissues",),
     "token.duplicate-dropped": ("protocol.token.duplicates_dropped",),
+    "frame.unhandled": (
+        "protocol.frames.unhandled", "protocol.frames.unhandled.{reason}",
+    ),
     "query.failover": ("resilience.failovers",),
     "query.deadline-close": ("resilience.deadline_closes",),
     "orphan.reaped": (

@@ -24,6 +24,11 @@ keyed by the tag its ACK names, and ``_retry`` retransmits it with
 capped exponential backoff until ``_acked`` retires it, its originator
 is found dead, or its retries run out (counted as given up, then handed
 to the ``_reply_given_up`` hook).
+
+Frames come in through ``on_protocol_frame`` (channel :data:`ONE_HOP`)
+and ``on_data`` (:data:`ROUTED`), each one lookup in the class's own
+``HANDLERS`` table, keyed by ``(channel, FrameKind, payload type)``. A
+frame no row matches is dropped and counted (``frame.unhandled``).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..core.assembly import SkylineAssembler, merge_skylines
 from ..core.filtering import Estimation, FilteringTuple, select_filter
@@ -64,6 +69,11 @@ __all__ = [
     "BFDevice",
     "DFDevice",
 ]
+
+#: Dispatch channels: a frame heard over the radio, and a packet the
+#: AODV layer delivered end to end.
+ONE_HOP = "one-hop"
+ROUTED = "routed"
 
 #: Dominating-region bounding mode of every device: the paper's
 #: simulation uses under-estimation (Section 5.2.2-II). The OVE/EXT/UNE
@@ -361,6 +371,36 @@ class SkylineDevice(Node):
         query this device originated before the crash is ignored by the
         origin-check in the frame handlers, not by the wiped log.)
         """
+
+    # -- frame dispatch -------------------------------------------------------
+
+    def on_protocol_frame(self, frame: Frame, sender: int) -> None:
+        self._dispatch(ONE_HOP, frame.kind, frame.payload, sender)
+
+    def on_data(self, packet: DataPacket) -> None:
+        self._dispatch(ROUTED, packet.kind, packet.payload, packet.source)
+
+    def _dispatch(self, channel: str, kind: str, payload, sender: int) -> None:
+        handler = self.HANDLERS.get((channel, kind, type(payload)))
+        if handler is not None:
+            handler(self, payload, sender)
+        elif self.world.obs.enabled:
+            mismatch = any(row[:2] == (channel, kind) for row in self.HANDLERS)
+            self.world.obs.event(
+                "frame.unhandled", node=self.node_id, channel=channel,
+                kind=kind, sender=sender,
+                reason="type-mismatch" if mismatch else "unknown-kind",
+            )
+
+    def _ignore_transfer(self, batch: tuple, sender: int) -> None:
+        """Redistribution sends TRANSFER frames only for the byte and
+        energy accounting; the tuples themselves move through
+        ``apply_update``."""
+
+    #: ``(channel, kind, payload type) -> handler(self, payload, sender)``.
+    HANDLERS: Dict[Tuple[str, str, type], Callable] = {
+        (ONE_HOP, FrameKind.TRANSFER, tuple): _ignore_transfer,
+    }
 
     # -- local processing ---------------------------------------------------
 
@@ -716,7 +756,7 @@ class SkylineDevice(Node):
         pending.timer.cancel()
         return True
 
-    def _retire_result(self, ack: ResultAckMessage) -> None:
+    def _retire_result(self, ack: ResultAckMessage, sender: int) -> None:
         if self._acked(ack.query_key) and self.world.obs.enabled:
             self.world.obs.event(
                 "result.acked", query=ack.query_key, node=self.node_id
@@ -801,26 +841,10 @@ class BFDevice(SkylineDevice):
         self._schedule_guarded(delay, self._flood, FrameKind.QUERY, message)
         return record
 
-    def on_protocol_frame(self, frame: Frame, sender: int) -> None:
-        if frame.kind != FrameKind.QUERY or not isinstance(
-            frame.payload, QueryMessage
-        ):
-            return
-        self._handle_flood_query(frame.payload, sender)
-
     # -- originator side ----------------------------------------------------
 
-    def on_data(self, packet: DataPacket) -> None:
-        if packet.kind == FrameKind.ACK and isinstance(
-            packet.payload, ResultAckMessage
-        ):
-            self._retire_result(packet.payload)
-            return
-        if packet.kind != FrameKind.RESULT or not isinstance(
-            packet.payload, ResultMessage
-        ):
-            return
-        record = self._accept_flood_result(packet.payload)
+    def _merge_flood_result(self, reply: ResultMessage, sender: int) -> None:
+        record = self._accept_flood_result(reply)
         if record is None:
             return
         # The paper's completion rule: a quorum (80%) of the other
@@ -829,6 +853,13 @@ class BFDevice(SkylineDevice):
         needed = math.ceil(self.config.completion_quorum * others)
         if len(record.contributions) >= needed:
             self._complete_query(record.key, close=False)
+
+    HANDLERS = {
+        **SkylineDevice.HANDLERS,
+        (ONE_HOP, FrameKind.QUERY, QueryMessage): SkylineDevice._handle_flood_query,
+        (ROUTED, FrameKind.RESULT, ResultMessage): _merge_flood_result,
+        (ROUTED, FrameKind.ACK, ResultAckMessage): SkylineDevice._retire_result,
+    }
 
 
 class DFDevice(SkylineDevice):
@@ -845,12 +876,9 @@ class DFDevice(SkylineDevice):
         #: serial). Intentional re-sends always carry fresh serials.
         self._seen_token_serials: set = set()
 
-    def _resolve_key(self, key: Tuple[int, int]) -> Tuple[int, int]:
+    def _resolve_record_key(self, key: Tuple[int, int]) -> Tuple[int, int]:
         """Map a (possibly re-issued) query key to its root record key."""
         return self._reissue_alias.get(key, key)
-
-    def _resolve_record_key(self, key: Tuple[int, int]) -> Tuple[int, int]:
-        return self._resolve_key(key)
 
     def _cancel_query_timers(
         self, key: Tuple[int, int], record: QueryRecord
@@ -980,7 +1008,7 @@ class DFDevice(SkylineDevice):
             trace=self._trace(query.key),
         ))
 
-    def _merge_failover_result(self, reply: ResultMessage) -> None:
+    def _merge_failover_result(self, reply: ResultMessage, sender: int) -> None:
         record = self._accept_flood_result(reply)
         if record is None:
             return
@@ -992,18 +1020,7 @@ class DFDevice(SkylineDevice):
 
     # -- token receipt --------------------------------------------------------
 
-    def on_protocol_frame(self, frame: Frame, sender: int) -> None:
-        if frame.kind == FrameKind.QUERY and isinstance(
-            frame.payload, QueryMessage
-        ):
-            # Another DF originator's failover flood.
-            self._handle_flood_query(frame.payload, sender)
-            return
-        if frame.kind != FrameKind.TOKEN or not isinstance(
-            frame.payload, TokenMessage
-        ):
-            return
-        token: TokenMessage = frame.payload
+    def _handle_token_hop(self, token: TokenMessage, sender: int) -> None:
         # ``sender`` is a true one-hop neighbour here, so a route toward
         # the originator via it is safe to learn (hop count bounded by
         # the token's forward path).
@@ -1013,26 +1030,6 @@ class DFDevice(SkylineDevice):
                 token.query.origin_seq,
             )
         self._receive_token(token, sender)
-
-    def on_data(self, packet: DataPacket) -> None:
-        # Backtracking tokens travel routed (the parent may have moved);
-        # the router already learned the route back to packet.source.
-        # RESULT/ACK packets belong to the failover flood path.
-        if packet.kind == FrameKind.ACK and isinstance(
-            packet.payload, ResultAckMessage
-        ):
-            self._retire_result(packet.payload)
-            return
-        if packet.kind == FrameKind.RESULT and isinstance(
-            packet.payload, ResultMessage
-        ):
-            self._merge_failover_result(packet.payload)
-            return
-        if packet.kind != FrameKind.TOKEN or not isinstance(
-            packet.payload, TokenMessage
-        ):
-            return
-        self._receive_token(packet.payload, packet.source)
 
     def _receive_token(self, token: TokenMessage, sender: int) -> None:
         if token.serial in self._seen_token_serials:
@@ -1151,7 +1148,7 @@ class DFDevice(SkylineDevice):
                 # The originator ran out of reachable unvisited neighbours:
                 # the traversal is over. (Results were already merged in
                 # _token_home before the token was sent back out.)
-                self._complete_query(self._resolve_key(token.query.key))
+                self._complete_query(self._resolve_record_key(token.query.key))
             # Otherwise: a dead end away from home — the token dies and
             # the originator's watchdog / timeout recovers the query.
             return
@@ -1187,7 +1184,7 @@ class DFDevice(SkylineDevice):
     # -- originator side ---------------------------------------------------------
 
     def _token_home(self, token: TokenMessage) -> None:
-        record = self.records.get(self._resolve_key(token.query.key))
+        record = self.records.get(self._resolve_record_key(token.query.key))
         if record is None or record.closed:
             return
         obs = self.world.obs
@@ -1228,4 +1225,15 @@ class DFDevice(SkylineDevice):
         if unvisited:
             self._pass_token(token)
         else:
-            self._complete_query(self._resolve_key(token.query.key))
+            self._complete_query(self._resolve_record_key(token.query.key))
+
+    # QUERY, RESULT and ACK carry failover floods; a backtracking token
+    # travels routed, as its parent may have moved.
+    HANDLERS = {
+        **SkylineDevice.HANDLERS,
+        (ONE_HOP, FrameKind.QUERY, QueryMessage): SkylineDevice._handle_flood_query,
+        (ROUTED, FrameKind.RESULT, ResultMessage): _merge_failover_result,
+        (ROUTED, FrameKind.ACK, ResultAckMessage): SkylineDevice._retire_result,
+        (ONE_HOP, FrameKind.TOKEN, TokenMessage): _handle_token_hop,
+        (ROUTED, FrameKind.TOKEN, TokenMessage): _receive_token,
+    }

@@ -16,6 +16,8 @@ from repro.protocol.redistribution import (
 )
 from repro.storage import Relation
 
+from .staging import event_times, observe
+
 
 @pytest.fixture
 def dataset():
@@ -148,6 +150,7 @@ class TestInSimulation:
             SimulationConfig(strategy="bf", sim_time=2000.0, seed=32),
             mobility=RandomWaypoint(9, seed=99, holding_time=5.0),
         )
+        observer = observe(world)
         proc = RedistributionProcess(world, devices, period=50.0,
                                      improvement=10.0)
         sim.run(until=600.0)
@@ -155,6 +158,11 @@ class TestInSimulation:
         if proc.stats.tuples_moved:
             assert proc.stats.bytes_moved > 0
             assert world.stats.by_kind.get("transfer", 0) > 0
+            # Delivered, and each device's table has a row for them.
+            assert any(event_times(observer, d.node_id, "rx.transfer")
+                       for d in devices)
+        assert not [name for name in observer.metrics.counter_values()
+                    if name.startswith("protocol.frames.unhandled")]
 
     def test_invalid_period(self, dataset):
         sim, world, devices = build_network(
