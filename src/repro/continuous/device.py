@@ -32,7 +32,7 @@ from typing import Dict, FrozenSet, Optional, Tuple
 from ..core.query import SkylineQuery
 from ..net.engine import EventHandle
 from ..net.messages import FrameKind
-from ..protocol.device import ONE_HOP, ROUTED, BFDevice
+from ..protocol.device import ONE_HOP, ROUTED, BFDevice, DataUpdate
 from ..storage.relation import Relation
 from .messages import (
     DeltaAckMessage,
@@ -72,10 +72,10 @@ class ContinuousDevice(BFDevice):
 
     # -- fault hooks ---------------------------------------------------------
 
-    def apply_update(self, relation: Relation) -> None:
-        """Swap in new data and wake every subscription whose slice it
-        can change at the next epoch boundary."""
-        super().apply_update(relation)
+    def apply_update(self, update: DataUpdate) -> None:
+        """Apply a data update and wake every subscription whose slice
+        it can change at the next epoch boundary."""
+        super().apply_update(update)
         for key, state in self._subscriber.items():
             if state.region.note_update():
                 self._wake_early(key, state)

@@ -16,7 +16,7 @@ reference bit-for-bit, and the engine heap drains clean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..core.skyline import skyline_of_relation
@@ -134,6 +134,11 @@ def continuous_protocol_config() -> ProtocolConfig:
     )
 
 
+#: The default ``ContinuousConfig.protocol``: one instance shared by
+#: every config (both dataclasses are frozen).
+_CONTINUOUS_PROTOCOL = continuous_protocol_config()
+
+
 @dataclass(frozen=True)
 class ContinuousConfig:
     """One continuous-subscription experiment, fully seeded.
@@ -185,9 +190,7 @@ class ContinuousConfig:
     #: waypoint — the setup for exactness gates, where every device is
     #: reachable at every epoch and fault-free runs must be bit-exact.
     static_grid: bool = False
-    protocol: ProtocolConfig = field(
-        default_factory=continuous_protocol_config
-    )
+    protocol: ProtocolConfig = _CONTINUOUS_PROTOCOL
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:

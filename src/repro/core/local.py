@@ -91,7 +91,7 @@ class LocalResultCache:
     miss produced (relations and counters are never mutated
     downstream), so a hit is indistinguishable from a re-run.
     Invalidation is by construction — the ``data_epoch`` in the key
-    changes whenever ``apply_update`` swaps the relation — plus an
+    changes whenever ``apply_update`` takes a data update — plus an
     explicit :meth:`invalidate` flush on update/crash so stale epochs
     don't occupy LRU slots.
     """

@@ -12,18 +12,24 @@ explicitly or drawn from one seeded generator, applied to a live run by
 Because :class:`~repro.storage.relation.Relation` is immutable, an
 update never mutates arrays in place: :func:`perturb_relation` builds a
 *new* relation (same sites and coordinates, a seeded subset of rows
-re-drawn within the schema's value bounds) and the injector swaps it
-into the device wholesale, bumping the device's ``data_epoch``. An
-update is the only thing that can change a subscriber's slice, so the
-continuous layer wakes a subscriber at the next epoch boundary after
-one and lets it sleep otherwise: a device with no update since its last
-report provably cannot change the subscription answer.
+re-drawn within the schema's value bounds). The injector hands the
+device that step as a function of the current version; the device bumps
+its ``data_epoch`` at once but runs the step only when its relation is
+next read. That is exact because :func:`perturb_relation` draws its
+rows and values from the row count and the seed alone, never from the
+values it replaces, and it is cheap because most updates land on
+devices no subscription reads. An update is the only thing that can
+change a subscriber's slice, so the continuous layer wakes a subscriber
+at the next epoch boundary after one and lets it sleep otherwise: a
+device with no update since its last report provably cannot change the
+subscription answer.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from functools import partial
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -239,9 +245,11 @@ class DataUpdateSchedule:
 class UpdateInjector:
     """Applies a :class:`DataUpdateSchedule` to live devices.
 
-    Each event swaps the target device's relation for a perturbed
-    version via the device's ``apply_update`` hook (which also bumps its
-    ``data_epoch``). Crashed devices still receive updates — the data
+    Each event hands the target device's ``apply_update`` hook a
+    :func:`perturb_relation` step with the event's fraction and seed.
+    The hook bumps the device's ``data_epoch`` at once; the step runs
+    when the device's relation is next read, so an update nothing reads
+    costs nothing. Crashed devices still receive updates — the data
     lives on the device's storage, not in its volatile protocol state,
     and fail-stop crashes lose the latter only.
 
@@ -272,12 +280,10 @@ class UpdateInjector:
         device = self._devices.get(event.device)
         effective = device is not None
         if device is not None:
-            device.apply_update(
-                perturb_relation(
-                    device.relation, event.fraction, event.update_seed,
-                    value_step=self.value_step,
-                )
-            )
+            device.apply_update(partial(
+                perturb_relation, fraction=event.fraction,
+                seed=event.update_seed, value_step=self.value_step,
+            ))
             if self._world.obs.enabled:
                 self._world.obs.event(
                     "data.updated", node=event.device,

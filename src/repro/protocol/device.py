@@ -70,6 +70,9 @@ __all__ = [
     "DFDevice",
 ]
 
+#: A data update: maps one version of a device's relation to the next.
+DataUpdate = Callable[[Relation], Relation]
+
 #: Dispatch channels: a frame heard over the radio, and a packet the
 #: AODV layer delivered end to end.
 ONE_HOP = "one-hop"
@@ -276,7 +279,13 @@ class SkylineDevice(Node):
         config: ProtocolConfig = ProtocolConfig(),
     ) -> None:
         super().__init__(world, device_id)
-        self.relation = relation
+        #: The last materialized version of the local relation, and the
+        #: updates applied since, oldest first; see :attr:`relation`.
+        self._relation = relation
+        self._unread: List[DataUpdate] = []
+        #: Shared by every version of the relation: frame sizing and
+        #: cost pricing read it without materializing pending updates.
+        self.schema = relation.schema
         self.config = config
         self.query_counter = QueryCounter()
         self.query_log = QueryLog()
@@ -333,7 +342,8 @@ class SkylineDevice(Node):
         continuations are epoch-invalidated, the routing table and the
         duplicate-suppression log are wiped, and an active originated
         query is closed (its record survives for metrics, flagged
-        ``aborted_by_crash``).
+        ``aborted_by_crash``). Data updates not yet read are storage,
+        not protocol state, and stay pending.
         """
         for tag in list(self._pending):
             self._acked(tag)
@@ -351,15 +361,34 @@ class SkylineDevice(Node):
                     )
             self._close_query(self._active_key)
 
-    def apply_update(self, relation: Relation) -> None:
-        """Swap in a new version of the local relation (data update).
+    @property
+    def relation(self) -> Relation:
+        """The current version of the local relation.
 
-        Relations are immutable, so an update replaces the whole object
-        and bumps ``data_epoch``. Updates land on storage, not volatile
-        protocol state, so they apply to crashed devices too and survive
-        recovery.
+        Reading it folds the updates applied since the last read into
+        the stored version, oldest first, so data nothing reads is
+        never computed.
         """
-        self.relation = relation
+        if self._unread:
+            relation = self._relation
+            for update in self._unread:
+                relation = update(relation)
+            self._relation = relation
+            self._unread.clear()
+        return self._relation
+
+    def apply_update(self, update: DataUpdate) -> None:
+        """Apply a data update: ``update`` maps the current version of
+        the local relation to the next one.
+
+        The version changes at once — ``data_epoch`` is bumped and the
+        local cache flushed — but ``update`` runs only when
+        :attr:`relation` is next read, so it must depend on nothing
+        that can change in between. Updates land on storage, not
+        volatile protocol state, so they apply to crashed devices too
+        and survive recovery.
+        """
+        self._unread.append(update)
         self.data_epoch += 1
         self.local_cache.invalidate()
 
@@ -436,7 +465,7 @@ class SkylineDevice(Node):
     def processing_delay(self, result: LocalSkylineResult) -> float:
         """Simulated device time the run took."""
         return self.config.cost_model.time_for_result(
-            result, dims=self.relation.dimensions
+            result, dims=self.schema.dimensions
         )
 
     # -- query lifecycle ------------------------------------------------------
@@ -482,7 +511,7 @@ class SkylineDevice(Node):
             originator=self.node_id,
             local_unreduced=local.unreduced_size,
             local_reduced=local.reduced_size,
-            assembler=SkylineAssembler(self.relation.schema, local.skyline),
+            assembler=SkylineAssembler(self.schema, local.skyline),
             reachable_at_issue=frozenset(
                 self.world.reachable_from(self.node_id)
             ),
@@ -615,7 +644,7 @@ class SkylineDevice(Node):
                 src=self.node_id,
                 dst=None,
                 payload=message,
-                size_bytes=message.size_bytes(self.relation.dimensions),
+                size_bytes=message.size_bytes(self.schema.dimensions),
             )
         )
 
@@ -706,7 +735,7 @@ class SkylineDevice(Node):
             dest=origin,
             kind=kind,
             payload=payload,
-            size_bytes=payload.size_bytes(self.relation.dimensions),
+            size_bytes=payload.size_bytes(self.schema.dimensions),
         )
 
     def _arm_retry(self, tag: Tuple, pending: "_PendingReply") -> None:
@@ -1111,7 +1140,7 @@ class DFDevice(SkylineDevice):
                 src=self.node_id,
                 dst=target,
                 payload=outgoing,
-                size_bytes=outgoing.size_bytes(self.relation.dimensions),
+                size_bytes=outgoing.size_bytes(self.schema.dimensions),
             )
 
             epoch = self._epoch
@@ -1177,7 +1206,7 @@ class DFDevice(SkylineDevice):
             dest=parent,
             kind=FrameKind.TOKEN,
             payload=returned,
-            size_bytes=returned.size_bytes(self.relation.dimensions),
+            size_bytes=returned.size_bytes(self.schema.dimensions),
             on_undeliverable=undeliverable,
         )
 

@@ -24,6 +24,7 @@ offline for analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -155,6 +156,11 @@ def redistribute_once(
     return new_relations, moved
 
 
+def _replaced_by(new: Relation, _current: Relation) -> Relation:
+    """A round's data update: the round computed the next version."""
+    return new
+
+
 class RedistributionProcess:
     """Periodic redistribution inside a running simulation.
 
@@ -198,7 +204,7 @@ class RedistributionProcess:
         )
         bytes_moved = 0
         if moved:
-            dims = self.devices[0].relation.dimensions
+            dims = self.devices[0].schema.dimensions
             for device, (old, new) in enumerate(zip(relations, new_relations)):
                 outgoing = old.cardinality - int(
                     np.isin(old.site_ids, new.site_ids).sum()
@@ -220,6 +226,6 @@ class RedistributionProcess:
                         )
             for device, new in enumerate(new_relations):
                 # a data update: bumps data_epoch, flushes the local cache
-                self.devices[device].apply_update(new)
+                self.devices[device].apply_update(partial(_replaced_by, new))
         self.stats.merge_round(moved, bytes_moved)
         self.world.sim.schedule(self.period, self._round)

@@ -15,5 +15,7 @@ for bit:
 * :mod:`.mobility`: the scalar position sweep, and random waypoint
   with scalar draws and a bisection per query;
 * :mod:`.engine`: the O(heap) count of live queued events that the
-  engine's O(1) counter must match.
+  engine's O(1) counter must match;
+* :mod:`.updates`: a store that folds each data update in on arrival,
+  which a device's deferred updates must match at every read.
 """

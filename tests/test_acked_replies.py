@@ -8,6 +8,7 @@ still forces the sender's full resync report.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -233,8 +234,8 @@ class TestSharedPendingTable:
         a, b = subs[0], subs[8]
         # New data: the hub's wake at the epoch-1 tick ships a DELTA
         # for each subscription; a BF query lands at the same instant.
-        hub.apply_update(perturb_relation(
-            hub.relation, 0.6, seed=5, value_step=1.0
+        hub.apply_update(partial(
+            perturb_relation, fraction=0.6, seed=5, value_step=1.0
         ))
         query_key = []
         sim.schedule_at(30.0, lambda: query_key.append(

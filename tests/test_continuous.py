@@ -8,6 +8,8 @@ grids make delivery deterministic, and faults are placed around the
 subscription's known epoch clock (``install_time + e * interval``).
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -375,6 +377,13 @@ class TestConfigValidation:
         assert ContinuousConfig(interval=runner.EPOCH_BUDGET).interval \
             == runner.EPOCH_BUDGET
 
+    def test_default_protocol_is_shared(self):
+        """Both dataclasses are frozen, so every default config can hold
+        the one protocol instance instead of building its own."""
+        a, b = ContinuousConfig(), ContinuousConfig(seed=8)
+        assert a.protocol is b.protocol
+        assert a.protocol == continuous_protocol_config()
+
     def test_horizon(self):
         config = ContinuousConfig(interval=20.0, epochs=3)
         assert config.last_close == 10.0 + 3 * 20.0 + 8.0
@@ -653,8 +662,8 @@ class TestWakeOnChange:
         return records
 
     def update(self, device, seed=5):
-        device.apply_update(perturb_relation(
-            device.relation, 0.6, seed=seed, value_step=1.0
+        device.apply_update(partial(
+            perturb_relation, fraction=0.6, seed=seed, value_step=1.0
         ))
 
     def test_update_on_a_tick_is_reported_at_that_epoch(self):

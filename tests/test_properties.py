@@ -7,13 +7,18 @@ routing over small moving worlds.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.continuous import ContinuousConfig, run_continuous_simulation
+from repro.continuous import (
+    ContinuousConfig,
+    ContinuousDevice,
+    run_continuous_simulation,
+)
 from repro.core import (
     Estimation,
     FilteringTuple,
@@ -29,17 +34,20 @@ from repro.core.dominance import dominated_mask
 from repro.core.skyline import SMALL, skyline_rows_within
 from repro.data import QueryRequest, make_global_dataset
 from repro.data.spatial import rect_within_circle
+from repro.faults import perturb_relation
 from repro.net import (
     MobilityModel,
     RadioConfig,
     RandomWaypoint,
     Simulator,
+    StaticPlacement,
     World,
 )
 from repro.net.aodv import AodvRouter
 from repro.net.spatial_index import SKIN
 from repro.obs import Observer
 from repro.protocol import SimulationConfig, run_manet_simulation
+from repro.protocol.redistribution import _replaced_by
 from repro.protocol.static_grid import StaticGridCache, run_static_query
 from repro.storage import (
     AttributeSpec,
@@ -57,6 +65,7 @@ from .oracles.skyline import (
     skyline_bnl,
     skyline_bruteforce,
 )
+from .oracles.updates import EagerStore
 from .oracles.world import uncached_neighbors, uncached_reachable_from
 
 # -- strategies -------------------------------------------------------------
@@ -763,3 +772,63 @@ class TestAnswerSizedDominance:
             assert np.array_equal(got.xy, want.xy)
             assert np.array_equal(got.values, want.values)
             assert np.array_equal(got.site_ids, want.site_ids)
+
+
+# -- data updates: deferred equals eager -------------------------------------
+
+update_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("perturb"),
+            st.floats(1e-3, 1.0),
+            st.sampled_from([None, 1.0]),
+            st.integers(0, 2**31 - 2),
+        ),
+        st.tuples(st.just("replace"), st.integers(1, 30),
+                  st.integers(0, 10**6)),
+        st.tuples(st.sampled_from(["read", "crash", "recover"])),
+    ),
+    max_size=25,
+)
+
+
+class TestDeferredUpdates:
+    """A device runs each data update at the next read of its relation;
+    every read must equal the relation an eager fold of the same updates
+    holds, and the version count must move at apply time."""
+
+    @given(rows=st.integers(1, 30), dims=st.integers(1, 3),
+           seed=st.integers(0, 10**6), steps=update_steps)
+    @settings(deadline=None)
+    def test_every_read_equals_the_eager_fold(self, rows, dims, seed, steps):
+        start = build_relation(rows, dims, seed)
+        world = World(Simulator(), StaticPlacement([(0.0, 0.0)]),
+                      RadioConfig(radio_range=250.0))
+        device = ContinuousDevice(world, 0, start)
+        eager = EagerStore(start)
+        for step in steps:
+            kind = step[0]
+            if kind == "perturb":
+                _, fraction, value_step, update_seed = step
+                update = partial(perturb_relation, fraction=fraction,
+                                 seed=update_seed, value_step=value_step)
+            elif kind == "replace":
+                update = partial(_replaced_by,
+                                 build_relation(step[1], dims, step[2]))
+            elif kind == "crash":
+                world.fail_node(0)
+                continue
+            elif kind == "recover":
+                world.restore_node(0)
+                continue
+            else:
+                got, want = device.relation, eager.relation
+                assert np.array_equal(got.values, want.values)
+                assert np.array_equal(got.xy, want.xy)
+                assert np.array_equal(got.site_ids, want.site_ids)
+                assert got.mbr() == want.mbr()
+                continue
+            device.apply_update(update)
+            eager.apply_update(update)
+            assert device.data_epoch == eager.data_epoch
+        assert np.array_equal(device.relation.values, eager.relation.values)

@@ -8,10 +8,19 @@ and crash-transparency (data lives on storage, not in volatile
 protocol state).
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro.continuous import ContinuousConfig, runner
+from repro.continuous import (
+    ContinuousConfig,
+    grid_placement,
+    min_distance_to_mbr,
+    run_continuous_simulation,
+    runner,
+)
+from repro.core import SkylineQuery
 from repro.data import make_global_dataset
 from repro.faults import (
     DataUpdateSchedule,
@@ -19,8 +28,11 @@ from repro.faults import (
     UpdateInjector,
     perturb_relation,
 )
+from repro.faults import updates as updates_module
 from repro.net import RadioConfig, Simulator, StaticPlacement, World
+from repro.net.messages import FrameKind
 from repro.protocol import BFDevice, ProtocolConfig
+from repro.protocol.messages import QueryMessage, ResultMessage
 
 
 @pytest.fixture(scope="module")
@@ -243,7 +255,7 @@ class TestUpdateInjector:
         everything = SkylineQuery(origin=0, cnt=0, pos=(0.0, 0.0), d=1.0e9)
         dev.compute_local(everything, None)
         assert dev.relation.skyline_rows() is not None
-        dev.apply_update(perturb_relation(dev.relation, 0.5, seed=3))
+        dev.apply_update(partial(perturb_relation, fraction=0.5, seed=3))
         assert dev.relation.skyline_rows() is None
         res = dev.compute_local(everything, None)
         assert res.skyline.rows() == skyline_of_relation(dev.relation).rows()
@@ -281,3 +293,66 @@ class TestUpdateInjector:
         steps = devices[1].relation.values - lows
         assert np.allclose(steps, np.round(steps))
 
+
+class TestDeferredApply:
+    """An update bumps the device's version at once but runs
+    :func:`perturb_relation` only when the device's data is next read."""
+
+    POSITIONS = TestUpdateInjector.POSITIONS
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The seeds of every :func:`perturb_relation` the injector's
+        updates run, in call order."""
+        seeds = []
+
+        def counted(relation, fraction, seed, value_step=None):
+            seeds.append(seed)
+            return perturb_relation(relation, fraction, seed, value_step)
+
+        monkeypatch.setattr(updates_module, "perturb_relation", counted)
+        return seeds
+
+    def test_first_read_after_k_updates_runs_k(self, dataset, calls):
+        sim, world, devices = build_world(dataset, self.POSITIONS)
+        schedule = (DataUpdateSchedule()
+                    .update(10.0, device=1, fraction=0.5)
+                    .update(20.0, device=1, fraction=0.2)
+                    .update(30.0, device=1, fraction=1.0))
+        UpdateInjector(schedule).install(world, devices)
+        sim.run(until=40.0)
+        dev = devices[1]
+        assert dev.data_epoch == 3 and calls == []
+        # Frame sizing and cost pricing read the schema, not the data.
+        everything = SkylineQuery(origin=0, cnt=0, pos=(0.0, 0.0), d=1.0e9)
+        result = devices[0].compute_local(everything, None)
+        dev.processing_delay(result)
+        dev._flood(FrameKind.QUERY, QueryMessage(everything))
+        dev._send_reply(FrameKind.RESULT, ResultMessage(
+            (0, 0), 1, result.skyline, result.unreduced_size,
+        ), origin=0)
+        assert calls == []
+        dev.relation  # the first read runs the three, oldest first
+        assert calls == [e.update_seed for e in schedule]
+        dev.relation
+        assert len(calls) == 3
+
+    def test_spatially_exempt_devices_never_run_theirs(self, calls):
+        config = ContinuousConfig(
+            mode="delta", devices=9, cardinality=270, epochs=3, d=400.0,
+            seed=7, data_updates=12, static_grid=True,
+            capture_reference=False,
+        )
+        result = run_continuous_simulation(config)
+        pos = grid_placement(config.devices).position(config.originator, 0.0)
+        exempt = {
+            i for i in range(config.devices)
+            if min_distance_to_mbr(pos, result.dataset.local(i).mbr())
+            > config.d
+        }
+        device_of = {seed: device for _, device, _, seed, _
+                     in result.update_events}
+        updated = set(device_of.values())
+        assert updated & exempt and updated - exempt
+        assert not {device_of[seed] for seed in calls} & exempt
+        assert len(calls) < len(result.update_events)
