@@ -4,19 +4,20 @@ tuple. Important questions include how many, and which, tuples should be
 used as filters".
 
 We implement the greedy max-union-volume selection
-(:func:`repro.core.select_filter_set`) and measure, on the static grid,
-how pooled DRR moves with k when each shipped filter is charged its own
-tuple cost (the honest version of Formula 1's "-1").
+(:func:`tests.extensions.multifilter.select_filter_set`) and measure, on
+the static grid, how pooled DRR moves with k when each shipped filter is
+charged its own tuple cost (the honest version of Formula 1's "-1").
 """
 
 import numpy as np
 import pytest
 
-from repro.core import Estimation, select_filter_set
+from repro.core import Estimation
 from repro.core.filtering import normalize_values
 from repro.data import make_global_dataset
 from repro.metrics import drr_of_pairs
 from repro.protocol.static_grid import StaticGridCache
+from tests.extensions.multifilter import select_filter_set
 
 
 @pytest.fixture(scope="module")

@@ -10,12 +10,13 @@ import pytest
 
 from repro.data import make_global_dataset
 from repro.net import RandomWaypoint
-from repro.protocol import (
+from repro.net.messages import tuple_bytes
+from repro.protocol import SimulationConfig
+from repro.protocol.coordinator import build_network
+from tests.extensions.redistribution import (
     RedistributionProcess,
-    SimulationConfig,
     locality_score,
 )
-from repro.protocol.coordinator import build_network
 
 
 @pytest.fixture(scope="module")
@@ -45,16 +46,16 @@ def run_with_redistribution(dataset, enabled, until=1801.0, seed=77):
     sim.run(until=until)
     positions = [world.position(d.node_id) for d in devices]
     score = locality_score([d.relation for d in devices], positions)
-    return score, proc, world
+    return score, proc
 
 
 class TestRedistributionAblation:
     def test_redistribution_restores_locality(self, benchmark, dataset):
-        with_score, proc, _ = benchmark.pedantic(
+        with_score, proc = benchmark.pedantic(
             lambda: run_with_redistribution(dataset, True),
             rounds=1, iterations=1,
         )
-        without_score, _, _ = run_with_redistribution(dataset, False)
+        without_score, _ = run_with_redistribution(dataset, False)
         assert with_score < without_score * 0.8, (
             f"redistribution should cut tuple-to-host distance: "
             f"with={with_score:.1f} m, without={without_score:.1f} m"
@@ -63,10 +64,12 @@ class TestRedistributionAblation:
 
     def test_transfer_cost_is_bounded(self, benchmark, dataset):
         """The mechanism must not thrash: total moved tuples over 30
-        minutes stays within a small multiple of the dataset size."""
-        _, proc, world = benchmark.pedantic(
+        minutes stays within a small multiple of the dataset size, and
+        every moved tuple is charged its wire size."""
+        _, proc = benchmark.pedantic(
             lambda: run_with_redistribution(dataset, True),
             rounds=1, iterations=1,
         )
         assert proc.stats.tuples_moved < 5 * dataset.global_relation.cardinality
-        assert world.stats.by_kind.get("transfer", 0) >= proc.stats.rounds * 0
+        assert proc.stats.bytes_moved > 0
+        assert proc.stats.bytes_moved == proc.stats.tuples_moved * tuple_bytes(2)

@@ -45,7 +45,6 @@ from .core import (
     local_skyline_vectorized,
     merge_skylines,
     select_filter,
-    select_filter_set,
     skyline_numpy,
     skyline_of_relation,
     vdr,
@@ -156,7 +155,6 @@ __all__ = [
     "run_static_grid",
     "run_static_query",
     "select_filter",
-    "select_filter_set",
     "skyline_numpy",
     "skyline_of_relation",
     "uniform_schema",

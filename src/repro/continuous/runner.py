@@ -125,12 +125,10 @@ def continuous_protocol_config() -> ProtocolConfig:
     retransmission tail fits inside one epoch budget, orphan suppression
     on so subscriber state reaps itself after an originator crash."""
     return ProtocolConfig(
+        query_timeout=60.0,
         ack_timeout=1.5,
         result_retries=2,
-        resilience=ResiliencePolicy(
-            deadline=60.0,
-            orphan_suppression=True,
-        ),
+        resilience=ResiliencePolicy(orphan_suppression=True),
     )
 
 
@@ -251,26 +249,6 @@ class ContinuousResult:
         ]
         return max(divs) if divs else None
 
-    @property
-    def local_cache_stats(self) -> Optional[dict]:
-        """Aggregate per-device local-result cache counters.
-
-        Requires ``keep_network=True`` (None otherwise). The refresh
-        path re-issues the same query signature every epoch, so on
-        update-free devices the hit rate approaches 1.0 — the
-        skyline-diagram serving win the cache exists for.
-        """
-        if self.network is None:
-            return None
-        caches = [d.local_cache for d in self.network[2]]
-        hits = sum(c.hits for c in caches)
-        misses = sum(c.misses for c in caches)
-        return {
-            "hits": hits,
-            "misses": misses,
-            "invalidations": sum(c.invalidations for c in caches),
-            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-        }
 
 
 def run_continuous_simulation(

@@ -14,8 +14,6 @@ from .filtering import (
     normalize_values,
     promote_filter,
     select_filter,
-    select_filter_set,
-    union_dominating_volume,
     vdr,
     vdr_matrix,
 )
@@ -48,10 +46,8 @@ __all__ = [
     "normalize_values",
     "promote_filter",
     "select_filter",
-    "select_filter_set",
     "skyline_numpy",
     "skyline_of_relation",
-    "union_dominating_volume",
     "vdr",
     "vdr_matrix",
 ]

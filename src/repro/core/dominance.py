@@ -8,7 +8,7 @@ directions so mixed-direction skylines work too.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -138,10 +138,6 @@ class ComparisonCounter:
         self.id_comparisons += other.id_comparisons
         self.value_comparisons += other.value_comparisons
         self.distance_checks += other.distance_checks
-
-    def as_tuple(self) -> Tuple[int, int, int]:
-        """``(id_comparisons, value_comparisons, distance_checks)``."""
-        return (self.id_comparisons, self.value_comparisons, self.distance_checks)
 
     def __repr__(self) -> str:
         return (

@@ -13,7 +13,7 @@ is excluded from equality, hashing and the duplicate-suppression log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 __all__ = ["SkylineQuery", "QueryLog", "QueryCounter", "COUNTER_MODULUS"]
@@ -55,14 +55,6 @@ class SkylineQuery:
         """``(origin, cnt)`` — the identity used for duplicate checks."""
         return (self.origin, self.cnt)
 
-    def unconstrained(self) -> "SkylineQuery":
-        """A copy with an effectively unbounded region of interest.
-
-        The static pre-tests "ignore the distance constraint"
-        (Section 5.2.2-I); this helper gives them a query object whose
-        spatial predicate never rejects anything.
-        """
-        return replace(self, d=float("inf"))
 
 
 class QueryCounter:

@@ -22,17 +22,14 @@ class EnergyModel:
         tx_per_byte: Joules to transmit one byte.
         rx_per_byte: Joules to receive one byte.
         cpu_per_second: Joules per second of active computation.
-        idle_per_second: Joules per second spent idle (radio listening).
     """
 
     tx_per_byte: float = 1.2e-6
     rx_per_byte: float = 0.8e-6
     cpu_per_second: float = 0.9
-    idle_per_second: float = 0.05
 
     def __post_init__(self) -> None:
-        for name in ("tx_per_byte", "rx_per_byte", "cpu_per_second",
-                     "idle_per_second"):
+        for name in ("tx_per_byte", "rx_per_byte", "cpu_per_second"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
@@ -45,7 +42,6 @@ class EnergyMeter:
     tx_bytes: int = 0
     rx_bytes: int = 0
     cpu_seconds: float = 0.0
-    idle_seconds: float = 0.0
 
     def on_transmit(self, size_bytes: int) -> None:
         """Record a frame transmission."""
@@ -65,12 +61,6 @@ class EnergyMeter:
             raise ValueError("seconds must be >= 0")
         self.cpu_seconds += seconds
 
-    def on_idle(self, seconds: float) -> None:
-        """Record idle/listening time."""
-        if seconds < 0:
-            raise ValueError("seconds must be >= 0")
-        self.idle_seconds += seconds
-
     @property
     def joules(self) -> float:
         """Total energy spent so far."""
@@ -78,5 +68,4 @@ class EnergyMeter:
             self.tx_bytes * self.model.tx_per_byte
             + self.rx_bytes * self.model.rx_per_byte
             + self.cpu_seconds * self.model.cpu_per_second
-            + self.idle_seconds * self.model.idle_per_second
         )

@@ -90,7 +90,6 @@ def chaos_protocol_config(failover: bool = True) -> ProtocolConfig:
         token_watchdog=12.0,
         token_reissues=1,
         resilience=ResiliencePolicy(
-            deadline=CHAOS_DEADLINE,
             df_failover=failover,
             orphan_suppression=True,
         ),

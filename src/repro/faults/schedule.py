@@ -335,20 +335,9 @@ class FaultSchedule:
 
     # -- access -------------------------------------------------------------
 
-    @property
-    def events(self) -> Tuple[FaultEvent, ...]:
-        """All events in time order."""
-        return tuple(self._events)
-
     def signature(self) -> Tuple[Tuple, ...]:
         """Bit-for-bit identity of the whole schedule."""
         return tuple(e.signature() for e in self._events)
-
-    def crashed_nodes(self) -> List[int]:
-        """Distinct nodes that crash at least once, sorted."""
-        return sorted(
-            {e.node for e in self._events if e.kind == "node-crash"}
-        )
 
     def __len__(self) -> int:
         return len(self._events)

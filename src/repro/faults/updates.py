@@ -5,9 +5,9 @@ Tuple *sites* in this reproduction are static — device mobility changes
 connectivity, never the answer — so the only thing that can change a
 skyline over time is the data itself. A :class:`DataUpdateSchedule` is
 the data-plane sibling of :class:`~repro.faults.schedule.FaultSchedule`:
-an immutable, time-ordered list of :class:`UpdateEvent` entries, built
-explicitly or drawn from one seeded generator, applied to a live run by
-:class:`UpdateInjector`.
+an immutable, time-ordered list of :class:`UpdateEvent` entries (the
+continuous runner draws one per run from its seed), applied to a live
+run by :class:`UpdateInjector`.
 
 Because :class:`~repro.storage.relation.Relation` is immutable, an
 update never mutates arrays in place: :func:`perturb_relation` builds a
@@ -27,7 +27,6 @@ subscription answer.
 
 from __future__ import annotations
 
-import bisect
 import math
 from functools import partial
 from operator import attrgetter
@@ -100,8 +99,7 @@ class UpdateEvent:
         time: Simulation time at which the update lands.
         device: Target device id.
         fraction: Fraction of the device's rows that change.
-        update_seed: Seed for :func:`perturb_relation` (drawn by
-            :meth:`DataUpdateSchedule.generate`, or chosen by the test).
+        update_seed: Seed for :func:`perturb_relation`.
     """
 
     __slots__ = ("time", "device", "fraction", "update_seed")
@@ -134,103 +132,17 @@ _event_key = attrgetter("time", "device")
 
 
 class DataUpdateSchedule:
-    """An ordered collection of data-update events.
-
-    Build one empty and chain :meth:`update`, or call :meth:`generate`
-    for a randomized-but-deterministic schedule::
-
-        updates = (DataUpdateSchedule()
-                   .update(20.0, device=3, fraction=0.2)
-                   .update(45.0, device=1, fraction=0.5))
-    """
+    """An ordered collection of data-update events: by time, then
+    device, ties in the order given."""
 
     def __init__(self, events: Sequence[UpdateEvent] = ()) -> None:
         self._events: List[UpdateEvent] = sorted(events, key=_event_key)
 
-    # -- builders -----------------------------------------------------------
-
-    def update(
-        self, time: float, device: int, fraction: float,
-        update_seed: Optional[int] = None,
-    ) -> "DataUpdateSchedule":
-        """Insert one update, keeping time order. Returns self.
-
-        ``update_seed`` defaults to a stable function of the event's own
-        coordinates, so explicitly built schedules replay bit-for-bit
-        without the caller inventing seeds.
-        """
-        if update_seed is None:
-            update_seed = (int(time * 1000) * 31 + device) & 0x7FFFFFFF
-        bisect.insort(
-            self._events, UpdateEvent(time, device, fraction, update_seed),
-            key=_event_key,
-        )
-        return self
-
-    # -- generation ---------------------------------------------------------
-
-    @classmethod
-    def generate(
-        cls,
-        node_count: int,
-        sim_time: float,
-        seed: int,
-        updates: int,
-        mean_fraction: float = 0.25,
-        window: Optional[Tuple[float, float]] = None,
-        protect: Sequence[int] = (),
-    ) -> "DataUpdateSchedule":
-        """Draw an update schedule from one seeded generator.
-
-        Args:
-            node_count: Devices in the simulation.
-            sim_time: Horizon; every update lands inside ``[0, sim_time)``
-                (or inside ``window`` when given).
-            seed: Determinism anchor — same arguments, same schedule.
-            updates: Number of update events to draw.
-            mean_fraction: Mean of the exponential draw of each event's
-                changed-row fraction (clamped to (0, 1]).
-            window: Optional ``(start, end)`` interval constraining
-                update times.
-            protect: Device ids that never receive updates (e.g. an
-                originator a test wants bit-stable).
-        """
-        if node_count <= 0:
-            raise ValueError("node_count must be > 0")
-        if updates < 0:
-            raise ValueError("updates must be >= 0")
-        lo, hi = window if window is not None else (0.0, sim_time)
-        if not 0 <= lo < hi <= sim_time:
-            raise ValueError("window must satisfy 0 <= start < end <= sim_time")
-        rng = np.random.default_rng(seed)
-        eligible = [n for n in range(node_count) if n not in set(protect)]
-        if not eligible:
-            raise ValueError("every device is protected; nothing to update")
-        events = []
-        for _ in range(updates):
-            device = eligible[int(rng.integers(len(eligible)))]
-            time = float(rng.uniform(lo, hi))
-            fraction = min(1.0, max(1e-3, float(
-                rng.exponential(mean_fraction)
-            )))
-            update_seed = int(rng.integers(0, 2**31 - 1))
-            events.append(UpdateEvent(time, device, fraction, update_seed))
-        return cls(events)
-
     # -- access -------------------------------------------------------------
-
-    @property
-    def events(self) -> Tuple[UpdateEvent, ...]:
-        """All events in time order."""
-        return tuple(self._events)
 
     def signature(self) -> Tuple[Tuple, ...]:
         """Bit-for-bit identity of the whole schedule."""
         return tuple(e.signature() for e in self._events)
-
-    def updated_devices(self) -> List[int]:
-        """Distinct devices updated at least once, sorted."""
-        return sorted({e.device for e in self._events})
 
     def __len__(self) -> int:
         return len(self._events)

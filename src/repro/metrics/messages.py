@@ -38,12 +38,6 @@ class MessageCounts:
             return None
         return self.control_total / self.queries
 
-    @property
-    def total_per_query(self) -> Optional[float]:
-        """All frames per issued query."""
-        if self.queries == 0:
-            return None
-        return (self.protocol_total + self.control_total) / self.queries
 
 
 def messages_per_query(traffic: TrafficStats, queries: int) -> MessageCounts:

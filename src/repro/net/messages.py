@@ -56,7 +56,6 @@ class FrameKind:
     RESULT = "result"
     TOKEN = "token"
     ACK = "ack"
-    TRANSFER = "transfer"
     #: Continuous-subscription traffic (``repro.continuous``): install/
     #: renew/cancel floods and routed incremental updates. Only runs
     #: that register subscriptions ever emit these, so the one-shot
@@ -69,9 +68,6 @@ class FrameKind:
     PROTOCOL = frozenset(
         {QUERY, RESULT, TOKEN, ACK, DATA, SUBSCRIBE, DELTA, UNSUBSCRIBE}
     )
-    #: Bulk data movement (redistribution) — neither query protocol nor
-    #: routing control; reported separately.
-    MAINTENANCE = frozenset({TRANSFER})
 
 
 _frame_ids = itertools.count()

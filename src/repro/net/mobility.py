@@ -155,7 +155,6 @@ class RandomWaypoint(MobilityModel):
         if not (x_min < x_max and y_min < y_max):
             raise ValueError(f"degenerate extent {extent}")
         self._count = node_count
-        self._extent = extent
         self._max_speed = float(hi)
         self._holding = holding_time
         seed_seq = np.random.SeedSequence(seed)
@@ -217,11 +216,6 @@ class RandomWaypoint(MobilityModel):
     @property
     def node_count(self) -> int:
         return self._count
-
-    @property
-    def extent(self) -> Tuple[float, float, float, float]:
-        """The movement area."""
-        return self._extent
 
     @property
     def max_speed(self) -> float:

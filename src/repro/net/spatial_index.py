@@ -1,8 +1,8 @@
 """Epoch-cached spatial neighbor index for the wireless world.
 
 Every hop of BF/DF query processing asks the world a connectivity
-question (``neighbors``, ``neighbor_map``, ``reachable_from``, and
-``broadcast`` through ``neighbors``), and the
+question (``neighbors``, ``reachable_from``, and ``broadcast``
+through ``neighbors``), and the
 naive answer recomputes all pairwise positions and distances from the
 mobility model — O(m²) random-waypoint evaluations per question. This
 module answers from a few layers of memo:
@@ -24,9 +24,9 @@ module answers from a few layers of memo:
   ``positions_of`` call) and the world's scalar fault rule: no
   position sweep and no array work per row once the node has its
   list. Rows are cached per adjacency key.
-* **Full adjacency** — ``reachable_from`` and ``neighbor_map`` read one
-  CSR adjacency. Its build sweeps all positions once (the position
-  memo, one ``mobility.positions(t)`` per distinct time), enumerates
+* **Full adjacency** — ``reachable_from`` reads one CSR adjacency.
+  Its build sweeps all positions once (the position memo, one
+  ``mobility.positions(t)`` per distinct time), enumerates
   the pairs of a uniform spatial hash with cell size equal to the
   radio range, range-tests them in one vectorised pass, and applies
   the fault rule in array form. Two nodes in range lie in adjacent
@@ -91,8 +91,6 @@ SKIN = 0.5
 #: orders of magnitude above those errors, keeps a pair that comes into
 #: range at the window's end from falling out of the list.
 _SLACK = 1e-6
-
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -278,12 +276,6 @@ class NeighborIndex:
             hit = self._rows[node] = self._compute_row(node)
         return hit
 
-    def neighbor_map(self) -> Dict[int, List[int]]:
-        """Every attached node's neighbor list, from one full build; the
-        caller owns the lists."""
-        self._ensure()
-        return {i: list(self.neighbors(i)) for i in sorted(self._world._nodes)}
-
     def reachable_from(self, node: int) -> set:
         """Transitive fault-aware closure of ``node`` (BFS, includes it).
 
@@ -445,9 +437,6 @@ class NeighborIndex:
         self._adj_key = key
         self._rebuilds += 1
         self._lists = {}
-        if n == 0:
-            self._indptr, self._nbr = self._csr(_EMPTY_I64, _EMPTY_I64, 0)
-            return
         pos = self._id_positions()
         a, b = _grid_pairs(pos, r)
         hits = _squared_distances(pos, a, b) <= r * r
@@ -503,7 +492,7 @@ class NeighborIndex:
         """
         key = np.concatenate((a * n + b, b * n + a))
         key.sort()
-        src = key // n if n else key
+        src = key // n
         dst = key - src * n
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])

@@ -269,14 +269,6 @@ class World:
         ``ValueError`` if ``node`` is not attached."""
         return self._index.neighbors(node)
 
-    def neighbor_map(self) -> Dict[int, List[int]]:
-        """Current fault-aware neighbor lists for every attached node.
-
-        One full adjacency build serves the whole map — the bulk variant
-        of :meth:`neighbors` for callers sweeping all nodes at once.
-        """
-        return self._index.neighbor_map()
-
     def reachable_from(self, node: int) -> set:
         """Transitive communication closure of ``node`` right now.
 
@@ -400,11 +392,6 @@ class World:
         if self.obs.enabled and new != self._dup_rate:
             self.obs.fault("duplication-override", rate=new)
         self._dup_rate = new
-
-    @property
-    def duplication_rate(self) -> float:
-        """Current message-duplication fault rate (0.0 = off)."""
-        return self._dup_rate
 
     def set_delay_jitter(self, max_delay: Optional[float]) -> None:
         """Set the delay-jitter fault (``None`` disables).

@@ -59,13 +59,6 @@ class SpanNode:
         for child in self.children:
             yield from child.walk()
 
-    def leaf_intervals(self) -> List[Tuple[float, float]]:
-        """Sim-time ``(t0, t1)`` of every closed leaf span under this node."""
-        out = []
-        for node in self.walk():
-            if not node.children and node.span.t1 is not None:
-                out.append((node.span.t0, node.span.t1))
-        return out
 
 
 def build_query_trees(observer: Observer) -> Dict[QueryKey, SpanNode]:

@@ -61,11 +61,6 @@ class FlightEntry:
             "info": {k: _jsonify(v) for k, v in self.info.items()},
         }
 
-    def render(self) -> str:
-        query = f" q={self.query[0]}:{self.query[1]}" if self.query else ""
-        info = " ".join(f"{k}={v}" for k, v in sorted(self.info.items()))
-        return f"[{self.time:10.3f}] {self.kind:<20}{query} {info}".rstrip()
-
 
 def _jsonify(value: Any) -> Any:
     """Best-effort conversion of attr values to JSON-safe types (the

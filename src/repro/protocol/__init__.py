@@ -17,12 +17,6 @@ from .device import (
 )
 from .messages import QueryMessage, ResultAckMessage, ResultMessage, TokenMessage
 from ..resilience import CompletionReport, ResiliencePolicy
-from .redistribution import (
-    RedistributionProcess,
-    RedistributionStats,
-    locality_score,
-    redistribute_once,
-)
 from .static_grid import (
     StaticContribution,
     StaticQueryOutcome,
@@ -38,8 +32,6 @@ __all__ = [
     "ProtocolConfig",
     "QueryMessage",
     "QueryRecord",
-    "RedistributionProcess",
-    "RedistributionStats",
     "ResiliencePolicy",
     "ResultAckMessage",
     "ResultMessage",
@@ -51,8 +43,6 @@ __all__ = [
     "StaticQueryOutcome",
     "TokenMessage",
     "build_network",
-    "locality_score",
-    "redistribute_once",
     "run_manet_simulation",
     "run_static_grid",
     "run_static_query",

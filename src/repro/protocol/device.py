@@ -134,7 +134,7 @@ class ProtocolConfig:
         token_reissues: Re-issues per query before the watchdog gives
             up and leaves closure to ``query_timeout``.
         resilience: The :class:`~repro.resilience.ResiliencePolicy` —
-            deadline budgets, DF→BF failover, orphan suppression.
+            DF→BF failover, orphan suppression.
             Defaults are inert: a default policy reproduces the
             pre-resilience protocol bit for bit.
     """
@@ -168,10 +168,9 @@ class ProtocolConfig:
 
     @property
     def effective_deadline(self) -> float:
-        """The per-query close budget: the policy's deadline when set,
-        else ``query_timeout``."""
-        deadline = self.resilience.deadline
-        return self.query_timeout if deadline is None else deadline
+        """The per-query close budget in simulated seconds
+        (``query_timeout``)."""
+        return self.query_timeout
 
 
 @dataclass
@@ -421,15 +420,9 @@ class SkylineDevice(Node):
                 reason="type-mismatch" if mismatch else "unknown-kind",
             )
 
-    def _ignore_transfer(self, batch: tuple, sender: int) -> None:
-        """Redistribution sends TRANSFER frames only for the byte and
-        energy accounting; the tuples themselves move through
-        ``apply_update``."""
-
-    #: ``(channel, kind, payload type) -> handler(self, payload, sender)``.
-    HANDLERS: Dict[Tuple[str, str, type], Callable] = {
-        (ONE_HOP, FrameKind.TRANSFER, tuple): _ignore_transfer,
-    }
+    #: ``(channel, kind, payload type) -> handler(self, payload, sender)``;
+    #: each strategy class writes out its own table.
+    HANDLERS: Dict[Tuple[str, str, type], Callable] = {}
 
     # -- local processing ---------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Query-resilience layer: deadlines, failover, graded completion.
+"""Query-resilience layer: failover, orphan suppression, graded completion.
 
 Policy and report types live here and are re-exported by
 :mod:`repro.protocol`; the invariant checkers the chaos harness uses are

@@ -1,13 +1,11 @@
-"""Per-query reliability policy: deadlines, failover, orphan suppression.
+"""Per-query reliability policy: failover and orphan suppression.
 
 A :class:`ResiliencePolicy` rides on
 :class:`~repro.protocol.device.ProtocolConfig` and grades how a query is
-allowed to degrade under faults:
+allowed to degrade under faults. Its close budget is
+``ProtocolConfig.query_timeout``: the originator closes the record that
+long after issue, no matter what is still in flight.
 
-* **Deadline budget** — an explicit per-query wall-clock budget (in
-  simulated seconds) after which the originator closes the record no
-  matter what is still in flight. When unset, ``query_timeout`` is the
-  budget, exactly as before this layer existed.
 * **DF→BF failover** — when the depth-first token watchdog exhausts its
   ``token_reissues`` budget, the originator abandons the token walk and
   re-floods the query breadth-first to the *unvisited residue* (devices
@@ -25,8 +23,6 @@ tests pin this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 __all__ = ["MAX_FAILOVERS", "ResiliencePolicy"]
 
 #: Failover floods per query (the flood has its own ACK/retransmit
@@ -39,10 +35,6 @@ class ResiliencePolicy:
     """Behavioural switches for the query-resilience layer.
 
     Attributes:
-        deadline: Per-query budget in simulated seconds; the record is
-            closed (and its :class:`~repro.resilience.report.CompletionReport`
-            built) this long after issue. ``None`` falls back to
-            ``ProtocolConfig.query_timeout``.
         df_failover: Allow a DF originator whose token watchdog ran out
             of re-issues to fall back to a breadth-first flood over the
             unvisited residue.
@@ -51,10 +43,5 @@ class ResiliencePolicy:
             cancel the timers that would have driven it.
     """
 
-    deadline: Optional[float] = None
     df_failover: bool = False
     orphan_suppression: bool = False
-
-    def __post_init__(self) -> None:
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError("deadline must be > 0 (or None)")

@@ -120,19 +120,6 @@ class Relation:
         return cls(schema, arr[:, :2], arr[:, 2:])
 
     @classmethod
-    def from_tuples(
-        cls, schema: RelationSchema, tuples: Iterable[SiteTuple]
-    ) -> "Relation":
-        """Build a relation from :class:`SiteTuple` s, keeping site ids."""
-        tuples = list(tuples)
-        if not tuples:
-            return cls.empty(schema)
-        xy = np.array([[t.x, t.y] for t in tuples], dtype=np.float64)
-        values = np.array([t.values for t in tuples], dtype=np.float64)
-        site_ids = np.array([t.site_id for t in tuples], dtype=np.int64)
-        return cls(schema, xy, values, site_ids)
-
-    @classmethod
     def empty(cls, schema: RelationSchema) -> "Relation":
         """An empty relation over ``schema``."""
         return cls._wrap(

@@ -126,13 +126,6 @@ class RelationSchema:
         """True if every attribute is minimized (the paper's assumption)."""
         return all(a.preference is Preference.MIN for a in self.attributes)
 
-    def index_of(self, name: str) -> int:
-        """Return the position of attribute ``name`` in the schema."""
-        for i, attr in enumerate(self.attributes):
-            if attr.name == name:
-                return i
-        raise KeyError(f"no attribute named {name!r} in schema {self.names}")
-
     def validate_values(self, values: Sequence[float]) -> None:
         """Raise ValueError unless ``values`` fits this schema's arity."""
         if len(values) != self.dimensions:
@@ -183,10 +176,6 @@ class SiteTuple:
     def value(self, index: int) -> float:
         """Value of non-spatial attribute ``p_{index+1}``."""
         return self.values[index]
-
-    def distance_to(self, pos: Tuple[float, float]) -> float:
-        """Euclidean distance from this site to ``pos``."""
-        return math.hypot(self.x - pos[0], self.y - pos[1])
 
     def same_site(self, other: "SiteTuple") -> bool:
         """Duplicate check by location only (paper Section 4.3)."""

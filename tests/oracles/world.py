@@ -20,7 +20,7 @@ telemetry identical to the default world.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.net.messages import Frame
 from repro.net.world import World
@@ -86,9 +86,6 @@ class UncachedWorld(World):
 
     def neighbors(self, node: int) -> List[int]:
         return uncached_neighbors(self, node)
-
-    def neighbor_map(self) -> Dict[int, List[int]]:
-        return {i: uncached_neighbors(self, i) for i in self.node_ids}
 
     def reachable_from(self, node: int) -> set:
         if node not in self._nodes:

@@ -5,9 +5,11 @@ a scenario cleanly, reading off exactly when a frame of interest flies
 (``tx.<kind>`` on the sender's ring, ``rx.<kind>`` on each receiver's),
 and re-running the identical simulation with a fault placed around that
 moment. Observation is passive, so the observed clean run and the
-faulted re-run share their prefix bit for bit.
+faulted re-run share their prefix bit for bit. Data updates are staged
+the same way, from explicit ``(time, device, fraction)`` triples.
 """
 
+from repro.faults import DataUpdateSchedule, UpdateEvent
 from repro.net import aodv
 from repro.obs import FlightRecorder, Observer
 
@@ -49,3 +51,14 @@ def first_time(observer, node, kind):
     times = event_times(observer, node, kind)
     assert times, f"no {kind} events for node {node}"
     return times[0]
+
+
+def update_schedule(*updates):
+    """A :class:`~repro.faults.DataUpdateSchedule` of ``(time, device,
+    fraction)`` updates, each seeded from its own coordinates so a
+    staged schedule replays bit for bit."""
+    return DataUpdateSchedule([
+        UpdateEvent(time, device, fraction,
+                    (int(time * 1000) * 31 + device) & 0x7FFFFFFF)
+        for time, device, fraction in updates
+    ])

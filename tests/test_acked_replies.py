@@ -24,7 +24,7 @@ from repro.continuous import (
 )
 from repro.core.query import SkylineQuery
 from repro.data import make_global_dataset
-from repro.faults import DataUpdateSchedule, FaultSchedule, perturb_relation
+from repro.faults import FaultSchedule, perturb_relation
 from repro.net import (
     FrameKind,
     RadioConfig,
@@ -39,7 +39,7 @@ from repro.protocol import BFDevice, ProtocolConfig
 from repro.protocol.messages import QueryMessage, ResultAckMessage
 from repro.resilience import ResiliencePolicy
 
-from .staging import first_time, observe, quick_discovery
+from .staging import first_time, observe, quick_discovery, update_schedule
 
 #: Orphan suppression off: the originator stays up, and the give-up
 #: must come from the retry budget, not from the dead-letter check.
@@ -122,9 +122,7 @@ class TestDeltaGivenUp:
                 devices=9, cardinality=270, epochs=3, d=600.0, seed=7,
                 data_updates=0, static_grid=True, loss_rate=0.0,
                 faults=faults,
-                updates=DataUpdateSchedule().update(
-                    22.0, device=1, fraction=0.6
-                ),
+                updates=update_schedule((22.0, 1, 0.6)),
                 protocol=replace(
                     continuous_protocol_config(), resilience=NO_SUPPRESSION,
                 ),

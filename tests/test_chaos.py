@@ -200,14 +200,12 @@ class TestRecoverMidQueryClassification:
     def test_recovered_device_stays_lost_to_fault(self):
         from repro.data import make_global_dataset
         from repro.protocol import ProtocolConfig
-        from repro.resilience import ResiliencePolicy
 
         dataset = make_global_dataset(
             400, 2, 4, "independent", seed=61, value_step=1.0
         )
         config = ProtocolConfig(
-            query_timeout=60.0, ack_timeout=2.0, result_retries=2,
-            resilience=ResiliencePolicy(deadline=40.0),
+            query_timeout=40.0, ack_timeout=2.0, result_retries=2,
         )
         # Stage on a clean run: when does device 3 hear the query, and
         # when does it send its result home?

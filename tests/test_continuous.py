@@ -33,7 +33,7 @@ from repro.continuous import (
 from repro.core import skyline_of_relation
 from repro.core.query import SkylineQuery
 from repro.data import make_global_dataset
-from repro.faults import DataUpdateSchedule, FaultSchedule, perturb_relation
+from repro.faults import FaultSchedule, perturb_relation
 from repro.continuous import runner
 from repro.net import RadioConfig, Simulator, World, aodv
 from repro.obs.observer import Observer
@@ -45,6 +45,8 @@ from repro.storage import (
     uniform_schema,
     union_all,
 )
+
+from .staging import update_schedule
 
 
 @pytest.fixture(scope="module")
@@ -482,7 +484,7 @@ class TestRetriedDelta:
     tick is retransmitted and still lands inside the epoch budget."""
 
     def test_loss_burst_at_tick_recovers_via_retry(self):
-        updates = DataUpdateSchedule().update(22.0, device=1, fraction=0.6)
+        updates = update_schedule((22.0, 1, 0.6))
         observer = Observer()
         result = run_continuous_simulation(
             grid_config(
@@ -521,9 +523,7 @@ class TestLostDeltaResync:
         result = run_continuous_simulation(
             grid_config(
                 data_updates=0, faults=faults,
-                updates=DataUpdateSchedule().update(
-                    22.0, device=1, fraction=0.6
-                ),
+                updates=update_schedule((22.0, 1, 0.6)),
             ),
             observer=observer,
             keep_network=True,
@@ -606,9 +606,7 @@ class TestRouteHold:
             grid_config(
                 data_updates=0,
                 faults=FaultSchedule().link_blackout(29.0, 1, 0),
-                updates=DataUpdateSchedule().update(
-                    22.0, device=1, fraction=0.6
-                ),
+                updates=update_schedule((22.0, 1, 0.6)),
             ),
             observer=observer,
             keep_network=True,
@@ -674,9 +672,7 @@ class TestWakeOnChange:
         result = run_continuous_simulation(
             grid_config(
                 data_updates=0,
-                updates=DataUpdateSchedule().update(
-                    30.0, device=1, fraction=0.6
-                ),
+                updates=update_schedule((30.0, 1, 0.6)),
             ),
             observer=observer,
             keep_network=True,

@@ -77,16 +77,12 @@ class TestCostModel:
 
 class TestEnergy:
     def test_meter_accumulates(self):
-        model = EnergyModel(
-            tx_per_byte=1.0, rx_per_byte=2.0, cpu_per_second=3.0,
-            idle_per_second=4.0,
-        )
+        model = EnergyModel(tx_per_byte=1.0, rx_per_byte=2.0, cpu_per_second=3.0)
         meter = EnergyMeter(model=model)
         meter.on_transmit(10)
         meter.on_receive(5)
         meter.on_compute(2.0)
-        meter.on_idle(1.0)
-        assert meter.joules == 10 * 1 + 5 * 2 + 2 * 3 + 1 * 4
+        assert meter.joules == 10 * 1 + 5 * 2 + 2 * 3
 
     def test_validation(self):
         with pytest.raises(ValueError):

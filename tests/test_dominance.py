@@ -85,7 +85,7 @@ class TestComparisonCounter:
         d.count_id(1)
         c.merge(d)
         assert c.id_comparisons == 6
-        assert c.as_tuple() == (6, 2, 1)
+        assert (c.id_comparisons, c.value_comparisons, c.distance_checks) == (6, 2, 1)
 
     def test_repr(self):
         assert "id=0" in repr(ComparisonCounter())

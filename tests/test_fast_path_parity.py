@@ -316,9 +316,8 @@ class TestLocalCacheParity:
             install_uncached_local(patch)
             off = run_continuous_simulation(config, keep_network=True)
 
-        stats = on.local_cache_stats
-        assert stats["hits"] > 0 and stats["hit_rate"] > 0.0
-        assert off.local_cache_stats["hits"] == 0
+        assert _cache_hits(on.network[2]) > 0
+        assert _cache_hits(off.network[2]) == 0
 
         assert len(on.record.epochs) == len(off.record.epochs)
         for ea, eb in zip(on.record.epochs, off.record.epochs):

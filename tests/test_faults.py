@@ -138,7 +138,7 @@ class TestFaultSchedule:
             node_count=10, sim_time=100.0, seed=7,
             crash_fraction=0.5, protect=(0, 1),
         )
-        crashed = schedule.crashed_nodes()
+        crashed = {e.node for e in schedule if e.kind == "node-crash"}
         assert len(crashed) == 5
         assert not set(crashed) & {0, 1}
         assert all(0.0 <= e.time < 100.0 for e in schedule
@@ -486,7 +486,7 @@ class TestDuplicationFaults:
         FaultInjector(schedule).install(world)
         seen = []
         for t in (2.0, 4.0, 6.0, 12.0):
-            sim.schedule_at(t, lambda: seen.append(world.duplication_rate))
+            sim.schedule_at(t, lambda: seen.append(world._dup_rate))
         sim.run()
         assert seen == [0.5, 0.9, 0.5, 0.0]
 

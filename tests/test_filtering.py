@@ -10,14 +10,13 @@ from repro.core import (
     Estimation,
     estimation_bounds,
     select_filter,
-    select_filter_set,
-    union_dominating_volume,
     vdr,
     vdr_matrix,
 )
 from repro.storage import uniform_schema
 
 from .conftest import relation_from_values
+from .extensions.multifilter import select_filter_set, union_dominating_volume
 
 
 class TestVdr:

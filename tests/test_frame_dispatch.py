@@ -44,11 +44,7 @@ KINDS = sorted(
 )
 CHANNELS = (ONE_HOP, ROUTED)
 
-SKYLINE_ROWS = {
-    (ONE_HOP, "transfer", "tuple"): "_ignore_transfer",
-}
 BF_ROWS = {
-    **SKYLINE_ROWS,
     (ONE_HOP, "query", "QueryMessage"): "_handle_flood_query",
     (ROUTED, "result", "ResultMessage"): "_merge_flood_result",
     (ROUTED, "ack", "ResultAckMessage"): "_retire_result",
@@ -56,7 +52,6 @@ BF_ROWS = {
 TABLES = {
     BFDevice: BF_ROWS,
     DFDevice: {
-        **SKYLINE_ROWS,
         (ONE_HOP, "query", "QueryMessage"): "_handle_flood_query",
         (ROUTED, "result", "ResultMessage"): "_merge_failover_result",
         (ROUTED, "ack", "ResultAckMessage"): "_retire_result",
@@ -173,6 +168,6 @@ def test_every_unhandled_frame_is_counted_and_dropped(dataset, cls):
     assert counters["protocol.frames.unhandled"] == sum(expected.values())
     for reason, count in expected.items():
         assert counters[f"protocol.frames.unhandled.{reason}"] == count
-    # Both reasons occur for every class: ACK, QUERY and TRANSFER rows
+    # Both reasons occur for every class: ACK and QUERY rows
     # exist with one payload type each.
     assert all(expected.values())

@@ -45,7 +45,11 @@ def _observe(evaluate, storage_cls, rel, query, **kwargs):
         res.skipped,
         res.scanned,
         res.in_range,
-        res.comparisons.as_tuple(),
+        (
+            res.comparisons.id_comparisons,
+            res.comparisons.value_comparisons,
+            res.comparisons.distance_checks,
+        ),
         (
             storage.stats.value_reads,
             storage.stats.id_reads,

@@ -136,13 +136,11 @@ class TestMessageCounts:
         assert counts.control_total == 45
         assert counts.protocol_per_query == 6.0
         assert counts.control_per_query == 4.5
-        assert counts.total_per_query == 10.5
 
     def test_zero_queries(self):
         counts = messages_per_query(self._traffic(), queries=0)
         assert counts.protocol_per_query is None
         assert counts.control_per_query is None
-        assert counts.total_per_query is None
 
     def test_negative_queries(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 ``tests/test_properties.py`` checks the Figure 4 pipeline's filtered
 answer against :func:`~tests.oracles.skyline.prune_with_filters`; these
 pin the oracle itself. The Section 7 filter-set choice
-(:func:`repro.core.select_filter_set`) is swept by
+(:func:`tests.extensions.multifilter.select_filter_set`) is swept by
 ``benchmarks/test_ablation_multifilter.py``.
 """
 

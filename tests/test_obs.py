@@ -529,9 +529,10 @@ class TestReconciliation:
                     record.completion_time
                 )
             # every leaf interval sits inside the query's lifetime
-            for t0, t1 in tree.leaf_intervals():
-                assert t0 >= root.t0 - 1e-9
-                assert t1 <= root.t1 + 1e-9
+            for node in tree.walk():
+                if not node.children and node.span.t1 is not None:
+                    assert node.span.t0 >= root.t0 - 1e-9
+                    assert node.span.t1 <= root.t1 + 1e-9
             merged = [e for e in tree.events if e.name == "result.merged"]
             assert len(merged) == len(record.contributions)
             assert {e.attrs["sender"] for e in merged} == set(

@@ -47,7 +47,6 @@ from repro.net.aodv import AodvRouter
 from repro.net.spatial_index import SKIN
 from repro.obs import Observer
 from repro.protocol import SimulationConfig, run_manet_simulation
-from repro.protocol.redistribution import _replaced_by
 from repro.protocol.static_grid import StaticGridCache, run_static_query
 from repro.storage import (
     AttributeSpec,
@@ -790,6 +789,11 @@ update_steps = st.lists(
     ),
     max_size=25,
 )
+
+
+def _replaced_by(new, _current):
+    """An update step that installs a precomputed next version."""
+    return new
 
 
 class TestDeferredUpdates:

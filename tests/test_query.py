@@ -21,12 +21,6 @@ class TestSkylineQuery:
         with pytest.raises(ValueError):
             SkylineQuery(origin=0, cnt=0, pos=(0, 0), d=0.0)
 
-    def test_unconstrained(self):
-        q = SkylineQuery(origin=0, cnt=0, pos=(0, 0), d=5.0)
-        u = q.unconstrained()
-        assert u.d == float("inf")
-        assert u.key == q.key
-
     def test_origin_seq_is_not_identity(self):
         """The originator's sequence number rides the query for route
         learning only: key, equality, hashing and dedup ignore it."""

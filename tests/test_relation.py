@@ -42,12 +42,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             small_relation.values[0, 0] = -1.0
 
-    def test_from_tuples_roundtrip(self, schema2):
-        rel = Relation.from_rows(schema2, [(1, 2, 30, 40), (5, 6, 70, 80)])
-        again = Relation.from_tuples(schema2, rel.rows())
-        assert np.array_equal(rel.values, again.values)
-        assert np.array_equal(rel.site_ids, again.site_ids)
-
 
 class TestAccessors:
     def test_row(self, schema2):

@@ -67,27 +67,16 @@ def result_values(relation):
 class TestResiliencePolicy:
     def test_defaults_are_inert(self):
         policy = ResiliencePolicy()
-        assert policy.deadline is None
         assert not policy.df_failover
         assert not policy.orphan_suppression
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ResiliencePolicy(deadline=0.0)
-        with pytest.raises(ValueError):
-            ResiliencePolicy(deadline=-5.0)
-
     def test_effective_deadline(self):
-        config = ProtocolConfig(query_timeout=600.0)
-        assert config.effective_deadline == 600.0
-        config = ProtocolConfig(
-            query_timeout=600.0, resilience=ResiliencePolicy(deadline=45.0)
-        )
-        assert config.effective_deadline == 45.0
+        assert ProtocolConfig().effective_deadline == 600.0
+        assert ProtocolConfig(query_timeout=45.0).effective_deadline == 45.0
 
     def test_config_requires_policy_instance(self):
         with pytest.raises(TypeError):
-            ProtocolConfig(resilience={"deadline": 10.0})
+            ProtocolConfig(resilience={"df_failover": True})
 
 
 class TestPromotedConfigFields:
@@ -197,10 +186,7 @@ class TestTimerHygiene:
     survives in the engine queue."""
 
     def test_df_completion_retires_watchdog_and_deadline(self, dataset):
-        config = ProtocolConfig(
-            token_watchdog=60.0,
-            resilience=ResiliencePolicy(deadline=300.0),
-        )
+        config = ProtocolConfig(token_watchdog=60.0, query_timeout=300.0)
         sim, world, devices, _ = build(
             dataset, DFDevice,
             [(0, 0), (200, 0), (9000, 9000), (9200, 9000)], config,
@@ -237,8 +223,7 @@ class TestTimerHygiene:
         # deadline close must leave a drained queue.
         quick_discovery(monkeypatch)
         config = ProtocolConfig(
-            query_timeout=400.0, ack_timeout=2.0, result_retries=2,
-            resilience=ResiliencePolicy(deadline=30.0),
+            query_timeout=30.0, ack_timeout=2.0, result_retries=2,
         )
         sim, world, devices, _ = build(
             dataset, BFDevice,
@@ -252,11 +237,8 @@ class TestTimerHygiene:
 
 
 class TestDeadlineClose:
-    def test_deadline_budget_overrides_query_timeout(self, dataset):
-        config = ProtocolConfig(
-            query_timeout=600.0,
-            resilience=ResiliencePolicy(deadline=25.0),
-        )
+    def test_query_timeout_closes_with_an_exact_report(self, dataset):
+        config = ProtocolConfig(query_timeout=25.0)
         sim, world, devices, observer = build(
             dataset, BFDevice,
             [(0, 0), (200, 0), (9000, 9000), (9200, 9000)], config,
@@ -288,12 +270,10 @@ class TestDFFailover:
         return ProtocolConfig(
             token_watchdog=watchdog,
             token_reissues=0,
-            query_timeout=400.0,
+            query_timeout=120.0,
             ack_timeout=2.0,
             result_retries=3,
-            resilience=ResiliencePolicy(
-                deadline=120.0, df_failover=failover,
-            ),
+            resilience=ResiliencePolicy(df_failover=failover),
         )
 
     def run(self, dataset, config, crash_at=None, downtime=None):
@@ -504,8 +484,7 @@ class TestDeadlineTimerRearm:
 
     def test_rearm_swaps_timer_without_leak_or_spurious_close(self, dataset):
         config = ProtocolConfig(
-            query_timeout=400.0, ack_timeout=2.0, result_retries=2,
-            resilience=ResiliencePolicy(deadline=120.0),
+            query_timeout=120.0, ack_timeout=2.0, result_retries=2,
         )
         sim, world, devices, _ = build(
             dataset, BFDevice, self.POSITIONS, config,

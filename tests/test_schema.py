@@ -86,12 +86,6 @@ class TestRelationSchema:
                 spatial_extent=(0.0, 0.0, 0.0, 100.0),
             )
 
-    def test_index_of(self):
-        schema = uniform_schema(3)
-        assert schema.index_of("p2") == 1
-        with pytest.raises(KeyError):
-            schema.index_of("missing")
-
     def test_validate_values(self):
         schema = uniform_schema(2)
         schema.validate_values((1.0, 2.0))
@@ -114,10 +108,6 @@ class TestSiteTuple:
         assert t.position == (3.0, 4.0)
         assert t.value(1) == 20.0
         assert len(t) == 2
-
-    def test_distance(self):
-        t = SiteTuple(x=3.0, y=4.0, values=(1.0,))
-        assert t.distance_to((0.0, 0.0)) == pytest.approx(5.0)
 
     def test_same_site_by_location_only(self):
         a = SiteTuple(x=1.0, y=2.0, values=(10.0,))

@@ -183,7 +183,6 @@ class TestCacheBehaviour:
             for i in world.node_ids:
                 world.neighbors(i)
             world.reachable_from(0)
-            world.neighbor_map()
         assert world._index.rebuilds == before + 1
 
     def test_positions_memoised_per_time(self):
@@ -195,14 +194,15 @@ class TestCacheBehaviour:
         sim.run(until=20.0)
         assert world.positions() is not arr1
 
-    def test_neighbor_map_matches_per_node_queries(self):
+    def test_adjacency_rows_match_per_node_queries(self):
+        """The lists a full adjacency build serves equal the rows
+        computed one node at a time before it."""
         sim, world, _ = waypoint_world(m=10)
         sim.run(until=33.0)
         world.fail_node(4)
-        nm = world.neighbor_map()
-        assert sorted(nm) == world.node_ids
-        for i, lst in nm.items():
-            assert lst == world.neighbors(i)
+        rows = {i: list(world.neighbors(i)) for i in world.node_ids}
+        world.reachable_from(0)
+        assert {i: world.neighbors(i) for i in world.node_ids} == rows
 
     def test_radio_range_change_invalidates(self):
         sim, world, _ = waypoint_world(m=10, radio_range=50.0)
@@ -241,18 +241,6 @@ class TestCandidateLists:
         assert index._cand_time == sim.now
         assert index._cand_lists is not lists and list(index._cand_lists) == [0]
         assert_world_agrees(world)
-
-    def test_empty_world_answers_inside_one_window(self):
-        """A world with no attached node has an empty map at every
-        time, inside a window or not."""
-        sim = Simulator()
-        world = World(sim, RandomWaypoint(node_count=3, seed=1),
-                      RadioConfig(radio_range=250.0), seed=1)
-        assert world.neighbor_map() == {}
-        sim.run(until=0.5)
-        assert world.neighbor_map() == {}
-        sim.run(until=60.0)
-        assert world.neighbor_map() == {}
 
     def test_window_follows_the_speed_bound(self):
         sim, world, _ = waypoint_world(m=6, radio_range=200.0)
@@ -519,7 +507,6 @@ class TestStaticTopology:
             for i in world.node_ids:
                 world.neighbors(i)
                 world.reachable_from(i)
-            world.neighbor_map()
         assert world._index.rebuilds == before
         world.fail_node(3)
         sim.run(until=302.0)
@@ -544,9 +531,9 @@ class TestStaticTopology:
         for t in (0.0, 5.0, 60.0, 61.0):
             sim.run(until=t)
             world.positions()
-            world.neighbor_map()
+            world.reachable_from(0)
         world.fail_node(0)
-        world.neighbor_map()
+        world.reachable_from(1)
         assert len(calls) == 1
 
     def test_returned_reachable_set_is_a_copy(self):
@@ -562,11 +549,10 @@ class TestStaticTopology:
 
     def test_moving_world_rebuilds_when_time_advances(self):
         sim, world, _ = waypoint_world(m=10)
-        world.neighbor_map()
+        world.reachable_from(0)
         before = world._index.rebuilds
         for step, t in enumerate((5.0, 10.0, 15.0), start=1):
             sim.run(until=t)
-            world.neighbor_map()
             world.reachable_from(0)
             assert world._index.rebuilds == before + step
             assert_world_agrees(world)

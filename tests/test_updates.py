@@ -34,6 +34,8 @@ from repro.net.messages import FrameKind
 from repro.protocol import BFDevice, ProtocolConfig
 from repro.protocol.messages import QueryMessage, ResultMessage
 
+from .staging import update_schedule
+
 
 @pytest.fixture(scope="module")
 def dataset():
@@ -130,22 +132,15 @@ class TestUpdateEvent:
 
 class TestDataUpdateSchedule:
     def test_builder_keeps_time_order(self):
-        schedule = (DataUpdateSchedule()
-                    .update(45.0, device=1, fraction=0.5)
-                    .update(20.0, device=3, fraction=0.2))
-        assert [e.time for e in schedule] == [20.0, 45.0]
+        schedule = update_schedule((45.0, 1, 0.5), (20.0, 3, 0.2))
+        assert [(e.time, e.device) for e in schedule] == [(20.0, 3), (45.0, 1)]
         assert len(schedule) == 2
-        assert schedule.updated_devices() == [1, 3]
 
     def test_chained_ties_keep_insertion_order(self):
         calls = [(5.0, 2, 0.1, 11), (1.0, 3, 0.2, 12), (5.0, 2, 0.3, 13),
                  (5.0, 1, 0.4, 14), (1.0, 3, 0.5, 15), (5.0, 2, 0.6, 16)]
-        chained = DataUpdateSchedule()
-        for call in calls:
-            chained.update(*call)
         built = DataUpdateSchedule([UpdateEvent(*call) for call in calls])
-        assert chained.signature() == built.signature()
-        assert [e.update_seed for e in chained] == [12, 15, 14, 11, 13, 16]
+        assert [e.update_seed for e in built] == [12, 15, 14, 11, 13, 16]
 
     def test_guarded_updates_match_a_sort_per_insert(self):
         """The runner's schedule, built with one sort, against the
@@ -174,45 +169,9 @@ class TestDataUpdateSchedule:
                 e.signature() for e in events
             )
 
-    def test_default_update_seed_is_stable(self):
-        a = DataUpdateSchedule().update(20.0, device=3, fraction=0.2)
-        b = DataUpdateSchedule().update(20.0, device=3, fraction=0.2)
-        assert a.signature() == b.signature()
-
     def test_empty_schedule_is_falsy(self):
         assert not DataUpdateSchedule()
-        assert DataUpdateSchedule().update(1.0, 0, 0.1)
-
-    def test_generate_deterministic(self):
-        kwargs = dict(node_count=5, sim_time=100.0, seed=21, updates=8)
-        a = DataUpdateSchedule.generate(**kwargs)
-        b = DataUpdateSchedule.generate(**kwargs)
-        assert a.signature() == b.signature()
-        assert len(a) == 8
-        assert all(0.0 <= e.time < 100.0 for e in a)
-        assert all(0.0 < e.fraction <= 1.0 for e in a)
-
-    def test_generate_window_and_protect(self):
-        schedule = DataUpdateSchedule.generate(
-            node_count=5, sim_time=100.0, seed=22, updates=20,
-            window=(30.0, 60.0), protect=(0,),
-        )
-        assert all(30.0 <= e.time < 60.0 for e in schedule)
-        assert 0 not in schedule.updated_devices()
-
-    def test_generate_validation(self):
-        with pytest.raises(ValueError):
-            DataUpdateSchedule.generate(0, 10.0, seed=1, updates=1)
-        with pytest.raises(ValueError):
-            DataUpdateSchedule.generate(3, 10.0, seed=1, updates=-1)
-        with pytest.raises(ValueError):
-            DataUpdateSchedule.generate(
-                3, 10.0, seed=1, updates=1, window=(5.0, 20.0)
-            )
-        with pytest.raises(ValueError):
-            DataUpdateSchedule.generate(
-                3, 10.0, seed=1, updates=1, protect=(0, 1, 2)
-            )
+        assert update_schedule((1.0, 0, 0.1))
 
 
 def build_world(dataset, positions):
@@ -232,9 +191,7 @@ class TestUpdateInjector:
 
     def test_applies_at_scheduled_time_and_bumps_epoch(self, dataset):
         sim, world, devices = build_world(dataset, self.POSITIONS)
-        schedule = (DataUpdateSchedule()
-                    .update(10.0, device=1, fraction=0.5)
-                    .update(30.0, device=1, fraction=0.5))
+        schedule = update_schedule((10.0, 1, 0.5), (30.0, 1, 0.5))
         injector = UpdateInjector(schedule).install(world, devices)
         before = devices[1].relation
         sim.run(until=20.0)
@@ -264,7 +221,7 @@ class TestUpdateInjector:
         # Data lives on storage, not volatile protocol state: fail-stop
         # crashes must not shield a device from data updates.
         sim, world, devices = build_world(dataset, self.POSITIONS)
-        schedule = DataUpdateSchedule().update(10.0, device=2, fraction=0.5)
+        schedule = update_schedule((10.0, 2, 0.5))
         UpdateInjector(schedule).install(world, devices)
         world.fail_node(2)
         sim.run(until=20.0)
@@ -272,7 +229,7 @@ class TestUpdateInjector:
 
     def test_unknown_device_recorded_ineffective(self, dataset):
         sim, world, devices = build_world(dataset, self.POSITIONS)
-        schedule = DataUpdateSchedule().update(10.0, device=99, fraction=0.5)
+        schedule = update_schedule((10.0, 99, 0.5))
         injector = UpdateInjector(schedule).install(world, devices)
         sim.run(until=20.0)
         assert injector.applied_signature()[0][-1] is False
@@ -286,7 +243,7 @@ class TestUpdateInjector:
 
     def test_value_step_propagates(self, dataset):
         sim, world, devices = build_world(dataset, self.POSITIONS)
-        schedule = DataUpdateSchedule().update(10.0, device=1, fraction=1.0)
+        schedule = update_schedule((10.0, 1, 1.0))
         UpdateInjector(schedule, value_step=1.0).install(world, devices)
         sim.run(until=20.0)
         lows = np.asarray(devices[1].relation.schema.lows)
@@ -315,10 +272,7 @@ class TestDeferredApply:
 
     def test_first_read_after_k_updates_runs_k(self, dataset, calls):
         sim, world, devices = build_world(dataset, self.POSITIONS)
-        schedule = (DataUpdateSchedule()
-                    .update(10.0, device=1, fraction=0.5)
-                    .update(20.0, device=1, fraction=0.2)
-                    .update(30.0, device=1, fraction=1.0))
+        schedule = update_schedule((10.0, 1, 0.5), (20.0, 1, 0.2), (30.0, 1, 1.0))
         UpdateInjector(schedule).install(world, devices)
         sim.run(until=40.0)
         dev = devices[1]
