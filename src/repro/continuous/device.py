@@ -306,16 +306,18 @@ class ContinuousDevice(BFDevice):
         self.router.learn_route(
             origin, sender, message.hops, message.flood.origin_seq
         )
+        if not self.query_log.check_and_record(message.flood):
+            # Same flood via another path, or a fault-injected duplicate
+            # delivery: either way it was fully handled the first time,
+            # and the first copy's route hold already floors the
+            # lifetime of every route ``learn_route`` installs.
+            return
         # DELTAs and relayed DELTAs ride this route until the last
         # epoch closes, so it must not time out between refresh ticks.
         spec = message.spec
         self.router.hold_route(
             origin, spec.tick_time(message.epochs_total) + spec.epoch_budget
         )
-        if not self.query_log.check_and_record(message.flood):
-            # Same flood via another path, or a fault-injected duplicate
-            # delivery: either way it was fully handled the first time.
-            return
         self._flood(FrameKind.SUBSCRIBE, replace(
             message, hops=message.hops + 1,
             trace=self._trace(message.sub_key),

@@ -21,6 +21,7 @@ from typing import List, Optional, Tuple
 
 from ..core.skyline import skyline_of_relation
 from ..data.partition import GlobalDataset, make_global_dataset
+from ..data.spatial import rect_overlaps_circle
 from ..faults import (
     DataUpdateSchedule,
     FaultInjector,
@@ -310,15 +311,18 @@ def run_continuous_simulation(
         # The reference is the answer a fresh centralized query would
         # see at the refresh instant: the skyline of every device's
         # current data restricted to the subscription disk. Data
-        # survives crashes (storage is not volatile state), so all
-        # devices contribute.
+        # survives crashes (storage is not volatile state), so every
+        # device whose sites can meet the disk contributes; the others'
+        # data is never read, so their pending updates stay pending.
         query = installed[0].spec.query
-        slices = [
-            device.relation.restrict(query.pos, query.d)
-            for device in devices
-        ]
-        references[epoch] = relation_rows(
-            skyline_of_relation(union_all(slices))
+        slices = []
+        for device in devices:
+            mbr = device.sites_mbr
+            if mbr is not None and rect_overlaps_circle(mbr, query.pos, query.d):
+                slices.append(device.relation.restrict(query.pos, query.d))
+        references[epoch] = (
+            relation_rows(skyline_of_relation(union_all(slices)))
+            if slices else frozenset()
         )
 
     if config.capture_reference:

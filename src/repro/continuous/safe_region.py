@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
+from ..data.spatial import rect_overlaps_circle
 from ..storage.relation import Relation
 
 __all__ = ["SafeRegion", "relation_rows", "min_distance_to_mbr"]
@@ -92,8 +93,11 @@ class SafeRegion:
         reported: Relation,
     ) -> "SafeRegion":
         """Build the region at enrollment time, after the full report."""
-        exempt = relation.cardinality == 0 or (
-            min_distance_to_mbr(pos, relation.mbr()) > d
+        # The arithmetic of the range test, as the MBR skip uses: a
+        # ``math.hypot`` distance can round past ``d`` for a row that
+        # test keeps, and exempt a device whose slice can change.
+        exempt = relation.cardinality == 0 or not rect_overlaps_circle(
+            relation.mbr(), pos, d
         )
         return cls(
             spatially_exempt=exempt,

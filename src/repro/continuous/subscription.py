@@ -150,12 +150,19 @@ class SubscriptionRecord:
         """Row identities of the maintained global answer: the skyline
         of the union of every stored slice (slices are already
         self-reduced), recomputed only after a slice changed. Identities
-        are built only for the rows the kernel keeps."""
+        are built only for the rows the kernel keeps, and only non-empty
+        slices are gathered: most devices of a small disk report none."""
         if self.answer_rows is None:
-            slices = [self.own_report] + [
-                self.device_reports[device]
-                for device in sorted(self.device_reports)
+            slices = [
+                s for s in [self.own_report] + [
+                    self.device_reports[device]
+                    for device in sorted(self.device_reports)
+                ]
+                if s.cardinality
             ]
+            if not slices:
+                self.answer_rows = frozenset()
+                return self.answer_rows
             keep = skyline_numpy(
                 np.concatenate([s.normalized_values() for s in slices])
             )

@@ -37,8 +37,8 @@ schemas.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -154,7 +154,6 @@ class LocalResultCache:
         return self.hits / total if total else 0.0
 
 
-@dataclass
 class LocalSkylineResult:
     """Outcome of one local skyline evaluation.
 
@@ -169,19 +168,59 @@ class LocalSkylineResult:
             spatial check rejected the whole relation, ``"dominated"`` if
             the filtering tuple did.
         updated_filter: The filtering tuple to forward onward — the
-            incoming one, or a local tuple that beat it on VDR.
+            incoming one, or a local tuple that beat it on VDR. The
+            vectorised path promotes on the first read and keeps the
+            outcome on the result (:meth:`defer_promotion`), so a reader
+            that ships only the skyline (a subscriber, a BF originator
+            picking its own initial filter) never pays for it, and a
+            :class:`LocalResultCache` hit, which returns this same
+            object, reads the same value.
         comparisons: Operation counts for the device cost model.
         scanned: Number of tuples examined by the scan.
         in_range: Number of tuples that passed the spatial check.
     """
 
-    skyline: Relation
-    unreduced_size: int
-    skipped: Optional[str] = None
-    updated_filter: Optional[FilteringTuple] = None
-    comparisons: ComparisonCounter = field(default_factory=ComparisonCounter)
-    scanned: int = 0
-    in_range: int = 0
+    __slots__ = (
+        "skyline", "unreduced_size", "skipped", "comparisons", "scanned",
+        "in_range", "_filter", "_promote",
+    )
+
+    def __init__(
+        self,
+        skyline: Relation,
+        unreduced_size: int,
+        skipped: Optional[str] = None,
+        updated_filter: Optional[FilteringTuple] = None,
+        comparisons: Optional[ComparisonCounter] = None,
+        scanned: int = 0,
+        in_range: int = 0,
+    ) -> None:
+        self.skyline = skyline
+        self.unreduced_size = unreduced_size
+        self.skipped = skipped
+        self.comparisons = (
+            ComparisonCounter() if comparisons is None else comparisons
+        )
+        self.scanned = scanned
+        self.in_range = in_range
+        self._filter = updated_filter
+        self._promote: Optional[Callable[[], Optional[FilteringTuple]]] = None
+
+    @property
+    def updated_filter(self) -> Optional[FilteringTuple]:
+        """The filtering tuple to forward (see the class docstring)."""
+        if self._promote is not None:
+            self._filter = self._promote()
+            self._promote = None
+        return self._filter
+
+    def defer_promotion(
+        self, promote: Callable[[], Optional[FilteringTuple]]
+    ) -> "LocalSkylineResult":
+        """Let the first read of :attr:`updated_filter` compute it with
+        ``promote()``; returns ``self``."""
+        self._promote = promote
+        return self
 
     @property
     def reduced_size(self) -> int:
@@ -691,7 +730,8 @@ def local_skyline_vectorized(
     contains the MBR builds no range mask and reads the relation's
     cached skyline, and a disk that cuts it runs the kernel only on
     the in-range rows the cached skyline does not eliminate
-    (:func:`~repro.core.skyline.skyline_rows_in_disk`).
+    (:func:`~repro.core.skyline.skyline_rows_in_disk`). The promoted
+    filter is computed only if the result's ``updated_filter`` is read.
     """
     schema = relation.schema
     if relation.cardinality == 0 or not rect_overlaps_circle(
@@ -727,40 +767,54 @@ def local_skyline_vectorized(
             scanned=relation.cardinality, in_range=in_range,
         )
 
-    sub = relation.normalized_values().take(rows, axis=0)
     if flt is not None:
         # One mask: rows the filter dominates, then rows at its site.
         xy = relation.xy.take(rows, axis=0)
-        drop = dominated_mask(np.array([flt_vals]), sub)
+        drop = dominated_mask(
+            np.array([flt_vals]), relation.normalized_values().take(rows, axis=0)
+        )
         same_site = xy[:, 0] == flt.site.x
         same_site &= xy[:, 1] == flt.site.y
         drop |= same_site
         if drop.any():
-            keep = ~drop
-            rows = rows[keep]
-            sub = sub[keep]
+            rows = rows[~drop]
 
-    updated = flt
-    if rows.shape[0]:
-        bounds = estimation_bounds(
-            schema, estimation,
-            local_highs=(
-                relation.normalized_worst()
-                if estimation is Estimation.UNDER else None
-            ),
-        )
-        scores = vdr_matrix(sub, bounds)
-        best = int(scores.argmax())
-        candidate = FilteringTuple(
-            site=relation.row(int(rows[best])), vdr=float(scores[best])
-        )
-        if flt is None or candidate.vdr > vdr(flt_vals, bounds):
-            updated = candidate
-
-    return LocalSkylineResult(
+    result = LocalSkylineResult(
         skyline=relation.take(rows),
         unreduced_size=unreduced,
-        updated_filter=updated,
+        updated_filter=flt,
         scanned=relation.cardinality,
         in_range=in_range,
     )
+    if rows.shape[0]:
+        result.defer_promotion(partial(
+            _promote_rows, relation, rows, flt, flt_vals, estimation
+        ))
+    return result
+
+
+def _promote_rows(
+    relation: Relation,
+    rows: np.ndarray,
+    flt: Optional[FilteringTuple],
+    flt_vals: Optional[Tuple[float, ...]],
+    estimation: Estimation,
+) -> Optional[FilteringTuple]:
+    """Section 3.4 promotion over the reduced skyline, ``rows`` of
+    ``relation``: its max-VDR row replaces ``flt`` (normalized:
+    ``flt_vals``) when that VDR is strictly larger."""
+    bounds = estimation_bounds(
+        relation.schema, estimation,
+        local_highs=(
+            relation.normalized_worst()
+            if estimation is Estimation.UNDER else None
+        ),
+    )
+    scores = vdr_matrix(relation.normalized_values().take(rows, axis=0), bounds)
+    best = int(scores.argmax())
+    candidate = FilteringTuple(
+        site=relation.row(int(rows[best])), vdr=float(scores[best])
+    )
+    if flt is None or candidate.vdr > vdr(flt_vals, bounds):
+        return candidate
+    return flt

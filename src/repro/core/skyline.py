@@ -102,7 +102,10 @@ def skyline_numpy(values: np.ndarray, block: int = 256) -> np.ndarray:
     if block < 1:
         raise ValueError("block must be >= 1")
     if n <= SMALL:
-        return np.flatnonzero(~dominated_mask(values, values, block))
+        # ``mask.nonzero()[0]``, not ``np.flatnonzero``: the same
+        # indices without two Python-level wrapper calls, a cost that
+        # shows on answer-sized inputs.
+        return (~dominated_mask(values, values, block)).nonzero()[0]
     # Row sums one column at a time: ``values.sum(axis=1)`` reduces
     # each short row on its own and is an order of magnitude slower.
     # Any row is a safe pivot, so the order of the additions is free.
@@ -110,7 +113,16 @@ def skyline_numpy(values: np.ndarray, block: int = 256) -> np.ndarray:
     for j in range(1, values.shape[1]):
         sums += values[:, j]
     pivot = int(sums.argmin())
-    cand = np.flatnonzero(~dominated_mask(values[pivot : pivot + 1], values, block))
+    # The rows the pivot does not dominate, without a dominance tile:
+    # a row better than the pivot on some attribute, or with its sum.
+    # An equal row has its sum (the same additions). A dominated row
+    # that shares it only by collapse is kept, and the passes below
+    # drop it: any superset of the survivors is a safe candidate set.
+    best = values[pivot]
+    keep = sums == sums[pivot]
+    for j in range(values.shape[1]):
+        keep |= values[:, j] < best[j]
+    cand = keep.nonzero()[0]
     if cand.shape[0] <= block:
         # One tile holds every survivor: resolve them against each
         # other directly, in index order, without the sort.
@@ -165,7 +177,7 @@ def skyline_rows_within(
     sky_in = None if sky is None else sky[mask[sky]]
     if sky_in is not None and sky_in.shape[0] == sky.shape[0]:
         return sky
-    idx = np.flatnonzero(mask)
+    idx = mask.nonzero()[0]
     if sky_in is not None and sky_in.shape[0]:
         # ``take`` gathers rows an order of magnitude faster than fancy
         # indexing does.

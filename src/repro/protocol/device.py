@@ -376,6 +376,17 @@ class SkylineDevice(Node):
             self._unread.clear()
         return self._relation
 
+    @property
+    def sites_mbr(self) -> Optional[Tuple[float, float, float, float]]:
+        """The MBR of this device's sites, None when it holds none.
+
+        Updates are value-only and sites never move, so every version
+        of the relation has this MBR, and reading it runs no pending
+        update.
+        """
+        relation = self._relation
+        return relation.mbr() if relation.cardinality else None
+
     def apply_update(self, update: DataUpdate) -> None:
         """Apply a data update: ``update`` maps the current version of
         the local relation to the next one.

@@ -80,6 +80,7 @@ class Relation:
         self._normalized_worst: Optional[Tuple[float, ...]] = None
         self._normalized_best: Optional[Tuple[float, ...]] = None
         self._skyline_rows: Optional[np.ndarray] = None
+        self._last_within: Optional[Tuple] = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -229,6 +230,7 @@ class Relation:
             rel._normalized_worst = self._normalized_worst
             rel._normalized_best = self._normalized_best
             rel._skyline_rows = self._skyline_rows
+            rel._last_within = self._last_within
             return rel
         return Relation._wrap(
             self._schema,
@@ -239,21 +241,43 @@ class Relation:
 
     def with_values(self, values: np.ndarray) -> "Relation":
         """The same sites with new ``values``, a float64 array of this
-        relation's shape. Coordinates, ids and the cached MBR carry
-        over: sites do not move."""
+        relation's shape. Coordinates, ids, the cached MBR and the last
+        :meth:`within` mask carry over: sites do not move.
+
+        No skyline view carries over. Any row of the new version is a
+        sound pruner for its own skyline, so the rows this version's
+        skyline held could drop dominated rows before the next
+        version's kernel runs, with no record of which rows changed.
+        On ``continuous_updates`` that pruning cost more than it saved:
+        the kernel's own minimum-sum pivot already leaves about two
+        dozen candidates, and a pass with several pruner rows costs
+        more than the pivot's row sums (``docs/performance.md``, *A
+        subscriber's read pays for what it ships*)."""
         rel = Relation._wrap(self._schema, self._xy, values, self._site_ids)
         rel._mbr = self._mbr
+        rel._last_within = self._last_within
         return rel
 
     def within(self, pos: Tuple[float, float], d: float) -> np.ndarray:
-        """Boolean mask of rows within Euclidean distance ``d`` of ``pos``.
+        """Read-only boolean mask of rows within Euclidean distance
+        ``d`` of ``pos``.
 
         This is the spatial constraint of query :math:`Q_{ds}`
-        (Section 2, condition (a)).
+        (Section 2, condition (a)). The last mask is kept, and the
+        versions :meth:`with_values` makes share it, so a subscription
+        that reads each new version of a device's data through one
+        disk computes it once.
         """
-        dx = self._xy[:, 0] - pos[0]
-        dy = self._xy[:, 1] - pos[1]
-        return dx * dx + dy * dy <= d * d
+        x, y = pos
+        last = self._last_within
+        if last is not None and last[:3] == (x, y, d):
+            return last[3]
+        dx = self._xy[:, 0] - x
+        dy = self._xy[:, 1] - y
+        mask = dx * dx + dy * dy <= d * d
+        mask.setflags(write=False)
+        self._last_within = (x, y, d, mask)
+        return mask
 
     def restrict(self, pos: Tuple[float, float], d: float) -> "Relation":
         """Sub-relation of sites within distance ``d`` of ``pos``."""

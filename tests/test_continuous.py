@@ -243,6 +243,23 @@ class TestSafeRegion:
         assert min_distance_to_mbr((13.0, 14.0), mbr) == 5.0
         assert min_distance_to_mbr((-3.0, 5.0), mbr) == 3.0
 
+    def test_row_one_ulp_inside_the_disk_is_not_exempt(self):
+        # ``math.hypot`` puts this row a hair past ``d`` while the range
+        # test keeps it: a subscriber that reports the row must wake
+        # when it changes.
+        rel = Relation.from_rows(
+            uniform_schema(2),
+            [(252.64191028980022, 294.50112899127583, 1.0, 1.0)],
+        )
+        pos, d = (0.0, 0.0), 388.01913588380603
+        assert min_distance_to_mbr(pos, rel.mbr()) > d
+        assert rel.within(pos, d).all()
+        region = SafeRegion.establish(
+            relation=rel, pos=pos, d=d, reported=rel,
+        )
+        assert not region.spatially_exempt
+        assert region.note_update()
+
     def test_empty_relation_is_exempt(self, dataset):
         empty = dataset.local(0).take(np.empty(0, dtype=np.int64))
         region = SafeRegion.establish(

@@ -5,16 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.continuous import ContinuousConfig, run_continuous_simulation
 from repro.core import (
     Estimation,
     FilteringTuple,
+    LocalResultCache,
+    LocalSkylineResult,
     SkylineQuery,
+    estimation_bounds,
     local_skyline,
     local_skyline_vectorized,
+    promote_filter,
     select_filter,
     skyline_of_relation,
 )
+from repro.core import local as local_module
 from repro.core.dominance import dominated_mask
+from repro.data import QueryRequest, make_global_dataset
+from repro.protocol import SimulationConfig, run_manet_simulation
 from repro.storage import (
     DomainStorage,
     FlatStorage,
@@ -348,6 +356,92 @@ class TestFilterPromotion:
         res = local_skyline(HybridStorage(rel), WIDE, stale,
                             estimation=Estimation.EXACT)
         assert res.updated_filter.values == (4.0, 4.0)
+
+
+class TestDeferredPromotion:
+    """The vectorised path promotes the filter on the first read of
+    ``updated_filter``; the value is the one an eager promotion under
+    the same bounds picks."""
+
+    FILTERS = {
+        "none": None,
+        "weak": FilteringTuple(
+            site=SiteTuple(x=-1.0, y=-1.0, values=(990.0, 990.0)), vdr=0.0
+        ),
+        "strong": FilteringTuple(
+            site=SiteTuple(x=-1.0, y=-1.0, values=(200.0, 200.0)), vdr=0.0
+        ),
+    }
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("incoming", sorted(FILTERS))
+    @pytest.mark.parametrize("estimation", list(Estimation))
+    def test_lazy_value_equals_eager_promotion(self, seed, incoming, estimation):
+        rel = random_relation(seed=seed)
+        flt = self.FILTERS[incoming]
+        res = local_skyline_vectorized(rel, QUERY, flt, estimation=estimation)
+        bounds = estimation_bounds(
+            rel.schema, estimation, local_highs=rel.normalized_worst()
+        )
+        got = res.updated_filter
+        assert got == promote_filter(res.skyline, flt, bounds)
+        assert res.updated_filter is got
+        if flt is None:
+            assert got is not None
+
+    def test_cache_hit_reads_the_same_value(self):
+        rel = random_relation(seed=7)
+        cache = LocalResultCache()
+        key = LocalResultCache.signature(0, QUERY, None)
+        cache.put(key, local_skyline_vectorized(rel, QUERY))
+        eager = promote_filter(
+            local_skyline_vectorized(rel, QUERY).skyline, None,
+            estimation_bounds(rel.schema, Estimation.UNDER,
+                              local_highs=rel.normalized_worst()),
+        )
+        assert cache.get(key).updated_filter == eager
+        assert cache.get(key).updated_filter is cache.get(key).updated_filter
+
+
+class TestPromotionReaders:
+    """Only readers that forward a filter pay for promotion: subscribers
+    ship the skyline alone, BF responders forward the promoted filter."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"deferred": 0, "promoted": 0}
+        defer, promote = LocalSkylineResult.defer_promotion, local_module._promote_rows
+
+        def counting_defer(self, fn):
+            counts["deferred"] += 1
+            return defer(self, fn)
+
+        def counting_promote(*args):
+            counts["promoted"] += 1
+            return promote(*args)
+
+        monkeypatch.setattr(LocalSkylineResult, "defer_promotion", counting_defer)
+        monkeypatch.setattr(local_module, "_promote_rows", counting_promote)
+        return counts
+
+    def test_continuous_run_never_promotes(self, counts):
+        result = run_continuous_simulation(ContinuousConfig(
+            mode="delta", devices=25, cardinality=25_000, d=500.0,
+            epochs=30, data_updates=60, static_grid=True, seed=1,
+            capture_reference=False,
+        ))
+        assert len(result.epochs) == 31
+        assert counts["deferred"] > 0
+        assert counts["promoted"] == 0
+
+    def test_bf_run_promotes(self, counts):
+        dataset = make_global_dataset(2000, 2, 9, "independent", seed=3)
+        result = run_manet_simulation(
+            dataset, [QueryRequest(device=4, time=1.0, distance=2000.0)],
+            SimulationConfig(strategy="bf", sim_time=300.0, seed=0),
+        )
+        assert result.records
+        assert 0 < counts["promoted"] <= counts["deferred"]
 
 
 class TestCounters:

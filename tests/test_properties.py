@@ -356,6 +356,48 @@ class TestSkylineFirstElimination:
         assert skyline_rows_within(rel, mask).tolist() == expected
 
 
+class TestVersionChainReads:
+    """Reads along a chain of ``perturb_relation`` versions, as a device
+    that takes data updates makes them: each version is read in full,
+    through random masks, or not at all, and every read is the BNL
+    skyline of its masked rows."""
+
+    @given(
+        st.integers(1, 120),
+        st.integers(1, 3),
+        st.integers(0, 10**6),
+        st.lists(
+            st.tuples(
+                st.floats(1e-3, 1.0),
+                # Per read: None reads every row, a float is the mask
+                # density; an empty list leaves the version unread.
+                st.lists(st.one_of(st.none(), st.floats(0.0, 1.0)),
+                         max_size=3),
+            ),
+            min_size=1, max_size=6,
+        ),
+    )
+    @settings(deadline=None)
+    def test_every_read_equals_bnl_of_its_rows(self, rows, dims, seed, chain):
+        # value_step=1 over a 0..4 domain: many equal value vectors.
+        rel = make_global_dataset(
+            rows, dims, 1, "independent",
+            schema=uniform_schema(dims, high=4.0), seed=seed, value_step=1.0,
+        ).local(0)
+        rng = np.random.default_rng(seed)
+        for version, (fraction, reads) in enumerate(chain):
+            rel = perturb_relation(rel, fraction, seed + version, value_step=1.0)
+            values = rel.normalized_values()
+            for density in reads:
+                if density is None:
+                    mask, idx = None, np.arange(rel.cardinality)
+                else:
+                    mask = rng.random(rel.cardinality) < density
+                    idx = np.flatnonzero(mask)
+                expected = idx[skyline_bnl(values[idx])].tolist()
+                assert skyline_rows_within(rel, mask).tolist() == expected
+
+
 # -- merge algebra -----------------------------------------------------------
 
 

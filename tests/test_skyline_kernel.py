@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core import skyline_numpy, skyline_of_relation
+from repro.core.skyline import SMALL
 from repro.data import generate
 from repro.storage import AttributeSpec, Preference, Relation, RelationSchema
 
@@ -67,6 +68,16 @@ class TestMatchesOracle:
         # dominates.
         assert int(np.argmin(values.sum(axis=1))) == 0
         assert skyline_numpy(values, block=block).tolist() == [1, 2]
+
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    def test_collapsed_sum_survives_the_pivot_pass_only(self, block):
+        # Past ``SMALL`` rows, so the pivot pass runs. Row 1 shares the
+        # pivot's sum only by collapse: the pass keeps it and the
+        # resolution passes drop it.
+        values = np.vstack([[[1.0, 0.0], [1.0, 1e-190]],
+                            np.full((SMALL, 2), 2.0)])
+        assert values[0].sum() == values[1].sum()
+        assert skyline_numpy(values, block=block).tolist() == [0]
 
     @pytest.mark.parametrize("block", [1, 7, 256])
     @pytest.mark.parametrize("dims", [1, 3, 5])

@@ -19,9 +19,11 @@ from repro.continuous import (
     min_distance_to_mbr,
     run_continuous_simulation,
     runner,
+    verify_continuous_run,
 )
 from repro.core import SkylineQuery
 from repro.data import make_global_dataset
+from repro.data.spatial import rect_overlaps_circle
 from repro.faults import (
     DataUpdateSchedule,
     UpdateEvent,
@@ -310,3 +312,23 @@ class TestDeferredApply:
         assert updated & exempt and updated - exempt
         assert not {device_of[seed] for seed in calls} & exempt
         assert len(calls) < len(result.update_events)
+
+    def test_reference_capture_reads_only_devices_the_disk_meets(self, calls):
+        config = ContinuousConfig(
+            mode="delta", devices=9, cardinality=270, epochs=3, d=400.0,
+            seed=7, data_updates=12, static_grid=True,
+        )
+        result = run_continuous_simulation(config)
+        assert verify_continuous_run(result) == []
+        assert result.max_divergence == 0.0
+        pos = grid_placement(config.devices).position(config.originator, 0.0)
+        missed = {
+            i for i in range(config.devices)
+            if not rect_overlaps_circle(
+                result.dataset.local(i).mbr(), pos, config.d
+            )
+        }
+        device_of = {seed: device for _, device, _, seed, _
+                     in result.update_events}
+        assert set(device_of.values()) & missed
+        assert not {device_of[seed] for seed in calls} & missed
