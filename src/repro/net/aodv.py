@@ -264,11 +264,19 @@ class AodvRouter:
         """Install the 1-hop route to a node just heard transmitting.
 
         It keeps the entry's current sequence number: a route straight
-        to the destination cannot loop, so it needs no fresher one.
+        to the destination cannot loop, so it needs no fresher one. A
+        valid 1-hop entry is refreshed in place, which is what
+        :meth:`learn_route` would do with it.
         """
         current = self.routes.get(neighbor)
-        seq = current.dest_seq if current is not None else 0
-        self.learn_route(neighbor, neighbor, 1, seq)
+        if current is None:
+            self.learn_route(neighbor, neighbor, 1, 0)
+            return
+        now = self.sim.now
+        if current.next_hop == neighbor and current.hops == 1 and now < current.expires:
+            current.expires = self._lifetime(neighbor, now)
+            return
+        self.learn_route(neighbor, neighbor, 1, current.dest_seq)
 
     def advance_seq(self) -> int:
         """Bump and return this node's own sequence number.
@@ -302,21 +310,14 @@ class AodvRouter:
         self._seen_rreq.clear()
 
     def handle_frame(self, frame: Frame, sender: int) -> bool:
-        """Process an AODV-relevant frame. Returns False if the frame is
-        not AODV's business (the device handles it instead)."""
-        if frame.kind == FrameKind.RREQ:
-            self._on_rreq(frame.payload, sender)
-            return True
-        if frame.kind == FrameKind.RREP:
-            self._on_rrep(frame.payload, sender)
-            return True
-        if frame.kind == FrameKind.RERR:
-            self._on_rerr(frame.payload, sender)
-            return True
-        if frame.kind == FrameKind.DATA:
-            self._on_data_frame(frame.payload, sender)
-            return True
-        return False
+        """Process an AODV-relevant frame: one lookup in :attr:`HANDLERS`.
+        Returns False if the frame is not AODV's business (the device
+        handles it instead)."""
+        handler = self.HANDLERS.get(frame.kind)
+        if handler is None:
+            return False
+        handler(self, frame.payload, sender)
+        return True
 
     # -- data path ----------------------------------------------------------
 
@@ -602,3 +603,12 @@ class AodvRouter:
         if route is not None and route.next_hop == next_hop and route.valid_at(now):
             route.expires = now
             route.dest_seq += 1
+
+    #: ``FrameKind -> handler(self, payload, sender)`` for the frames
+    #: AODV consumes; :meth:`~repro.net.node.Node.on_frame` reads it.
+    HANDLERS: Dict[str, Callable[["AodvRouter", Any, int], None]] = {
+        FrameKind.RREQ: _on_rreq,
+        FrameKind.RREP: _on_rrep,
+        FrameKind.RERR: _on_rerr,
+        FrameKind.DATA: _on_data_frame,
+    }

@@ -57,8 +57,9 @@ class Node:
         return self.world.position(self.node_id)
 
     def on_frame(self, frame: Frame, sender: int) -> None:
-        """World delivery entry point: AODV frames go to the router,
-        everything else to the protocol handler.
+        """World delivery entry point: AODV frames go to the router's
+        handler (one lookup in :attr:`AodvRouter.HANDLERS`), everything
+        else to the protocol handler.
 
         Receiving any frame proves the transmitter is currently within
         radio range, so a 1-hop route to it is installed at the entry's
@@ -71,10 +72,13 @@ class Node:
         inside a single event in that order), exactly as if each
         delivery were its own same-time event.
         """
-        self.router.learn_neighbor(sender)
-        if self.router.handle_frame(frame, sender):
-            return
-        self.on_protocol_frame(frame, sender)
+        router = self.router
+        router.learn_neighbor(sender)
+        handler = router.HANDLERS.get(frame.kind)
+        if handler is None:
+            self.on_protocol_frame(frame, sender)
+        else:
+            handler(router, frame.payload, sender)
 
     # -- extension points ---------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Epoch-cached spatial neighbor index for the wireless world.
 
 Every hop of BF/DF query processing asks the world a connectivity
-question (``neighbors``, ``reachable_from``, and ``broadcast``
-through ``neighbors``), and the
+question (``neighbors``, ``reachable_from``, ``broadcast`` through
+``neighbors``, and the unicast link test through ``in_range``), and the
 naive answer recomputes all pairwise positions and distances from the
 mobility model — O(m²) random-waypoint evaluations per question. This
 module answers from a few layers of memo:
@@ -20,10 +20,17 @@ module answers from a few layers of memo:
   because the fault rule is applied when a question is answered.
 * **Row layer** — a lone ``neighbors(src)`` (the broadcast hot path:
   one row per wave, almost always at a new time) tests only that
-  node's candidates, with scalar mobility lookups (one
-  ``positions_of`` call) and the world's scalar fault rule: no
-  position sweep and no array work per row once the node has its
-  list. Rows are cached per adjacency key.
+  node's candidates, each by the pair rule below, then the world's
+  scalar fault rule: no position sweep and no array work per row once
+  the node has its list. Rows are cached per adjacency key.
+* **Pair layer** — :meth:`NeighborIndex.in_range` and a row's
+  candidates read the window's positions at ``t_c``, kept as Python
+  floats. Two nodes close or part at most ``2 * max_speed``, so a pair
+  whose window distance is outside ``r`` plus or minus that drift
+  (padded, :meth:`NeighborIndex._band`) has the answer it had at
+  ``t_c``; only a pair inside the band pays scalar mobility lookups
+  and the exact test. A static model answers from its fixed positions.
+  A pair question never opens a window.
 * **Full adjacency** — ``reachable_from`` reads one CSR adjacency.
   Its build sweeps all positions once (the position memo, one
   ``mobility.positions(t)`` per distinct time), enumerates
@@ -89,7 +96,8 @@ SKIN = 0.5
 #: trajectory and a trip can run an ulp above ``max_speed``. The bound
 #: behind a candidate window is exact only in real arithmetic; this pad,
 #: orders of magnitude above those errors, keeps a pair that comes into
-#: range at the window's end from falling out of the list.
+#: range at the window's end from falling out of the list. The band of
+#: a pair question is padded by ``_SLACK * r`` for the same reason.
 _SLACK = 1e-6
 
 
@@ -192,6 +200,9 @@ class NeighborIndex:
         self._cand_time = 0.0
         self._cand_window = 0.0
         self._cand_pos: Optional[np.ndarray] = None
+        # the same positions as Python floats by node id, for the scalar
+        # questions asked between sweeps
+        self._cand_at: Dict[int, Tuple[float, float]] = {}
         self._cand_r2 = 0.0
         self._cand_lists: Dict[int, List[int]] = {}
         # adjacency layer, keyed by (time, epoch, radio range)
@@ -276,6 +287,40 @@ class NeighborIndex:
             hit = self._rows[node] = self._compute_row(node)
         return hit
 
+    def in_range(self, a: int, b: int) -> bool:
+        """Are distinct nodes ``a`` and ``b`` within radio range right now?
+
+        The answer of the squared-distance test ``dx*dx + dy*dy <= r*r``
+        on the current positions, read where it can be from the open
+        window's positions at ``t_c`` (:meth:`_band`); a pair inside
+        the band, or one with a node the window does not hold, pays two
+        scalar mobility lookups and the exact test. A static model's
+        window positions are its positions, so it answers from them
+        with no band. The question never opens a window: a sweep costs
+        more than the two lookups it would save.
+        """
+        r = self._world.radio.radio_range
+        at = self._cand_at
+        pa = at.get(a)
+        pb = at.get(b)
+        if pa is not None and pb is not None:
+            dx = pa[0] - pb[0]
+            dy = pa[1] - pb[1]
+            d2 = dx * dx + dy * dy
+            if self._static:
+                return d2 <= r * r
+            inner2, outer2 = self._band(r)
+            if d2 <= inner2:
+                return True
+            if d2 > outer2:
+                return False
+        position = self._world.mobility.position
+        now = self._sim.now
+        pa, pb = position(a, now), position(b, now)
+        dx = pa[0] - pb[0]
+        dy = pa[1] - pb[1]
+        return dx * dx + dy * dy <= r * r
+
     def reachable_from(self, node: int) -> set:
         """Transitive fault-aware closure of ``node`` (BFS, includes it).
 
@@ -354,7 +399,8 @@ class NeighborIndex:
         ids = self._ids_array()
         skin = SKIN * r
         reach = r + skin
-        self._cand_pos = self._id_positions()
+        pos = self._cand_pos = self._id_positions()
+        self._keep_floats(ids, pos)
         self._cand_r2 = reach * reach * (1.0 + _SLACK)
         self._cand_lists = {}
         self._cand_key = (ids.shape[0], r)
@@ -364,17 +410,49 @@ class NeighborIndex:
             else skin / (2.0 * self._max_speed)
         )
 
+    def _keep_floats(self, ids: np.ndarray, pos: np.ndarray) -> None:
+        """Keep ``pos`` (rows in index order) as Python floats by node id,
+        for the pair questions and later rows."""
+        self._cand_at = dict(
+            zip(ids.tolist(), zip(pos[:, 0].tolist(), pos[:, 1].tolist()))
+        )
+
+    def _band(self, r: float) -> Tuple[float, float]:
+        """Squared window distances at or below which a pair is in range
+        right now, and above which it is out: ``(r - reach)²`` and
+        ``(r + reach)²``, the first ``-1`` once ``reach >= r``.
+
+        Two nodes close or part at most ``2 * max_speed`` m/s, so since
+        ``t_c`` a pair's distance has changed by at most
+        ``drift = 2 * max_speed * |now - t_c|``. ``reach`` is ``drift``
+        plus ``_SLACK * r``: computed positions sit a few ulps off the
+        exact trajectory, a trip can run an ulp above ``max_speed``, and
+        the squared distances are rounded. Those errors come to about
+        1e-11 m in a 1 km square over a run of hours; the pad is
+        2.5e-4 m at r = 250 m. So a pair outside the band gets the
+        answer the exact test would give on the current positions."""
+        reach = (
+            2.0 * self._max_speed * abs(self._sim.now - self._cand_time)
+            + _SLACK * r
+        )
+        inner = r - reach
+        outer = r + reach
+        return (inner * inner if inner > 0.0 else -1.0), outer * outer
+
     def _compute_row(self, node: int) -> List[int]:
         """One node's fault-aware neighbor list: its candidates tested
-        with scalar mobility lookups (one ``positions_of`` call), then
-        the world's fault rule.
+        by the window's speed bound (:meth:`_band`), those it cannot
+        settle with scalar mobility lookups (one ``position`` and one
+        ``positions_of`` call), then the world's fault rule.
 
         A node's first row in a window makes its candidate list with one
         vectorised distance test against every position at ``t_c``. A
-        row asked at ``t_c`` itself (every row, for a static model) is
-        read off those same distances: a row that opens a window then
-        costs one sweep and one vectorised test, and no scalar lookups
-        (``docs/performance.md``, *In-run versus isolated cost*)."""
+        row asked at ``t_c`` itself (a node's first row, for a static
+        model) is read off those same distances: a row that opens a
+        window then costs one sweep and one vectorised test, and no
+        scalar lookups (``docs/performance.md``, *In-run versus isolated
+        cost*). A static model's later rows test its fixed positions
+        with no band."""
         world = self._world
         r = world.radio.radio_range
         r2 = r * r
@@ -393,15 +471,30 @@ class NeighborIndex:
             if self._now() == self._cand_time:
                 row = self._ids[near[d2[near] <= r2]].tolist()
         if row is None:
-            mobility = world.mobility
-            now = self._sim.now
-            x, y = mobility.position(node, now)
+            at = self._cand_at
+            x, y = at[node]
+            inner2, outer2 = (r2, r2) if self._static else self._band(r)
             row = []
-            for j, (px, py) in zip(cands, mobility.positions_of(cands, now)):
+            band = []
+            for j in cands:
+                px, py = at[j]
                 dx = px - x
                 dy = py - y
-                if dx * dx + dy * dy <= r2:
+                d2 = dx * dx + dy * dy
+                if d2 <= inner2:
                     row.append(j)
+                elif d2 <= outer2:
+                    band.append(j)
+            if band:
+                mobility = world.mobility
+                now = self._sim.now
+                x, y = mobility.position(node, now)
+                for j, (px, py) in zip(band, mobility.positions_of(band, now)):
+                    dx = px - x
+                    dy = py - y
+                    if dx * dx + dy * dy <= r2:
+                        row.append(j)
+                row.sort()
         if row and (world._down or world._blackouts or world._partitions):
             fault_free = world._fault_free
             at = world.position
@@ -438,6 +531,11 @@ class NeighborIndex:
         self._rebuilds += 1
         self._lists = {}
         pos = self._id_positions()
+        if self._static:
+            # A static model's positions are the window's at any time:
+            # a world whose rows all come from this adjacency still
+            # answers its pair questions without a lookup.
+            self._keep_floats(ids, pos)
         a, b = _grid_pairs(pos, r)
         hits = _squared_distances(pos, a, b) <= r * r
         a = a[hits]

@@ -14,6 +14,12 @@ the per-broadcast heap traffic from ``O(degree)`` events to one. Loss,
 duplication and jitter randomness is drawn per receiver in that order,
 and fault state is re-checked per receiver at fire time, so the
 outcome matches scheduling one event per receiver.
+
+A delivery hands the frame straight to the receiving node's
+``on_frame``. The unicast link test at send and at delivery is a pair
+question to the neighbor index: the candidate window's positions and
+the mobility model's speed bound settle most pairs without a position
+lookup, and the rest get the exact test.
 """
 
 from __future__ import annotations
@@ -116,14 +122,18 @@ class World:
     Besides geometry, the world tracks *fault* state injected by a
     :class:`~repro.faults.FaultInjector`: crashed (down) nodes, blacked
     out node pairs, a temporary loss-rate override, half-plane network
-    partitions, message duplication, and per-hop delay jitter. All
-    transmission paths consult :meth:`can_communicate`, which folds
-    fault state into the unit-disk test.
+    partitions, message duplication, and per-hop delay jitter. Every
+    link a frame crosses passes the same rule: the fault rule
+    (:meth:`_fault_free`) and the unit-disk test. A unicast asks it as
+    :meth:`can_communicate`, at send and again at delivery; a broadcast
+    reads it as its source's :meth:`neighbors` row.
 
     Connectivity questions are answered by an epoch-cached
-    :class:`~repro.net.spatial_index.NeighborIndex` (speed-bounded
-    candidate lists from a spatial-hash grid, rows from scalar position
-    lookups, epoch invalidation on fault transitions).
+    :class:`~repro.net.spatial_index.NeighborIndex`: speed-bounded
+    candidate lists, rows and pair questions settled from the window's
+    positions where the speed bound allows and from scalar lookups where
+    it does not, a spatial-hash grid for the full adjacency, and epoch
+    invalidation on fault transitions.
 
     The world owns its attached nodes and its index; both refer back
     to it through weak proxies, so a dropped network is freed by
@@ -217,23 +227,18 @@ class World:
     def in_range(self, a: int, b: int) -> bool:
         """Are ``a`` and ``b`` geometrically within radio range?
 
-        The squared-distance unit-disk test on float64 positions.
+        The squared-distance unit-disk test on float64 positions, read
+        from the neighbor index's candidate window where its speed bound
+        settles the answer (:meth:`NeighborIndex.in_range`).
         """
-        if a == b:
-            return False
-        position = self.mobility.position
-        now = self.sim.now
-        pa, pb = position(a, now), position(b, now)
-        dx = pa[0] - pb[0]
-        dy = pa[1] - pb[1]
-        r = self.radio.radio_range
-        return dx * dx + dy * dy <= r * r
+        return a != b and self._index.in_range(a, b)
 
     def can_communicate(self, a: int, b: int) -> bool:
         """Can ``a`` and ``b`` currently exchange frames?
 
         Geometry plus fault state: both endpoints up, the pairwise link
-        not blacked out, and no active partition cut between them.
+        not blacked out, no active partition cut between them, and the
+        two within range (:meth:`in_range`).
         """
         return self._fault_free(a, b, self.position) and self.in_range(a, b)
 
@@ -441,6 +446,8 @@ class World:
             raise ValueError("unicast send needs frame.dst; use broadcast()")
         if frame.dst not in self._nodes:
             raise ValueError(f"unknown destination node {frame.dst}")
+        if frame.src not in self._nodes:
+            raise ValueError(f"unknown source node {frame.src}")
         if frame.src in self._down:
             # A crashed transmitter radiates nothing: no stats, no
             # failure callback — the sender's state died with it.
@@ -480,6 +487,8 @@ class World:
         """
         if frame.dst is not None:
             raise ValueError("broadcast frames must have dst=None")
+        if frame.src not in self._nodes:
+            raise ValueError(f"unknown source node {frame.src}")
         if frame.src in self._down:
             return []
         self.stats.record_send(frame)
@@ -515,38 +524,44 @@ class World:
         crashes a later receiver in the same wave therefore suppresses
         that delivery.
         """
+        src = frame.src
+        down = self._down
         blackouts = self._blackouts
+        stats = self.stats
+        meters = self.energy_meters
+        attached = self._nodes
         for node in nodes:
-            if (
-                node in self._down
-                or (blackouts and frozenset((frame.src, node)) in blackouts)
-            ):
-                self.stats.drops += 1
+            if node in down or (blackouts and frozenset((src, node)) in blackouts):
+                stats.drops += 1
                 if self.obs.enabled:
                     self.obs.frame_dropped(frame, node, "fault")
                 continue
-            self._deliver_to(node, frame)
+            stats.deliveries += 1
+            meter = meters.get(node)
+            if meter is not None:
+                meter.on_receive(frame.size_bytes)
+            if self.obs.enabled:
+                self.obs.frame_delivered(frame, node)
+            attached[node].on_frame(frame, src)
 
     def _deliver(self, frame: Frame, on_failure: Optional[Callable[[Frame], None]]) -> None:
         # Check again at delivery time: the receiver may have moved out
         # of range, crashed, or had its link blacked out mid-flight.
-        if not self.can_communicate(frame.src, frame.dst):
+        dst = frame.dst
+        if not self.can_communicate(frame.src, dst):
             self.stats.drops += 1
             if self.obs.enabled:
-                self.obs.frame_dropped(frame, frame.dst, "moved")
+                self.obs.frame_dropped(frame, dst, "moved")
             if on_failure is not None:
                 on_failure(frame)
             return
-        self._deliver_to(frame.dst, frame)
-
-    def _deliver_to(self, node: int, frame: Frame) -> None:
         self.stats.deliveries += 1
-        meter = self.energy_meters.get(node)
+        meter = self.energy_meters.get(dst)
         if meter is not None:
             meter.on_receive(frame.size_bytes)
         if self.obs.enabled:
-            self.obs.frame_delivered(frame, node)
-        self._nodes[node].on_frame(frame, frame.src)
+            self.obs.frame_delivered(frame, dst)
+        self._nodes[dst].on_frame(frame, frame.src)
 
     def _charge_tx(self, frame: Frame) -> None:
         meter = self.energy_meters.get(frame.src)

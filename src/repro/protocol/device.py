@@ -414,16 +414,24 @@ class SkylineDevice(Node):
     # -- frame dispatch -------------------------------------------------------
 
     def on_protocol_frame(self, frame: Frame, sender: int) -> None:
-        self._dispatch(ONE_HOP, frame.kind, frame.payload, sender)
+        payload = frame.payload
+        handler = self.HANDLERS.get((ONE_HOP, frame.kind, type(payload)))
+        if handler is None:
+            self._unhandled(ONE_HOP, frame.kind, sender)
+        else:
+            handler(self, payload, sender)
 
     def on_data(self, packet: DataPacket) -> None:
-        self._dispatch(ROUTED, packet.kind, packet.payload, packet.source)
+        payload = packet.payload
+        handler = self.HANDLERS.get((ROUTED, packet.kind, type(payload)))
+        if handler is None:
+            self._unhandled(ROUTED, packet.kind, packet.source)
+        else:
+            handler(self, payload, packet.source)
 
-    def _dispatch(self, channel: str, kind: str, payload, sender: int) -> None:
-        handler = self.HANDLERS.get((channel, kind, type(payload)))
-        if handler is not None:
-            handler(self, payload, sender)
-        elif self.world.obs.enabled:
+    def _unhandled(self, channel: str, kind: str, sender: int) -> None:
+        """Drop a frame no ``HANDLERS`` row matches, counted once."""
+        if self.world.obs.enabled:
             mismatch = any(row[:2] == (channel, kind) for row in self.HANDLERS)
             self.world.obs.event(
                 "frame.unhandled", node=self.node_id, channel=channel,

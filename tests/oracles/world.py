@@ -5,9 +5,10 @@ path back to the straightforward implementation it replaced:
 
 * :class:`UncachedWorld` answers every connectivity question with scalar
   mobility lookups and O(m²) pairwise tests, bypassing the neighbor
-  index and its position memo. The same answers are available for any
-  world through :func:`uncached_neighbors` and
-  :func:`uncached_reachable_from`.
+  index, its position memo and its candidate window: unicast link
+  checks included. The same answers are available for any world
+  through :func:`uncached_in_range`, :func:`uncached_can_communicate`,
+  :func:`uncached_neighbors` and :func:`uncached_reachable_from`.
 * :class:`PerReceiverWorld` schedules one engine event per broadcast
   receiver instead of one per delivery wave.
 * :class:`ReferenceIndexWorld` runs the Python-loop neighbor-index build
@@ -29,6 +30,8 @@ from .spatial_index import ReferenceNeighborIndex
 
 __all__ = [
     "UncachedWorld",
+    "uncached_in_range",
+    "uncached_can_communicate",
     "uncached_neighbors",
     "uncached_reachable_from",
     "PerReceiverWorld",
@@ -39,6 +42,17 @@ __all__ = [
 
 def uncached_position(world, node: int) -> tuple:
     return world.mobility.position(node, world.sim.now)
+
+
+def uncached_in_range(world, a: int, b: int) -> bool:
+    if a == b:
+        return False
+    pa = uncached_position(world, a)
+    pb = uncached_position(world, b)
+    dx = pa[0] - pb[0]
+    dy = pa[1] - pb[1]
+    r = world.radio.radio_range
+    return dx * dx + dy * dy <= r * r
 
 
 def uncached_can_communicate(world, a: int, b: int) -> bool:
@@ -84,6 +98,12 @@ class UncachedWorld(World):
     def position(self, node: int) -> tuple:
         return uncached_position(self, node)
 
+    def in_range(self, a: int, b: int) -> bool:
+        return uncached_in_range(self, a, b)
+
+    def can_communicate(self, a: int, b: int) -> bool:
+        return uncached_can_communicate(self, a, b)
+
     def neighbors(self, node: int) -> List[int]:
         return uncached_neighbors(self, node)
 
@@ -99,6 +119,8 @@ class PerReceiverWorld(World):
     def broadcast(self, frame: Frame) -> List[int]:
         if frame.dst is not None:
             raise ValueError("broadcast frames must have dst=None")
+        if frame.src not in self._nodes:
+            raise ValueError(f"unknown source node {frame.src}")
         if frame.src in self._down:
             return []
         self.stats.record_send(frame)
@@ -138,7 +160,13 @@ class PerReceiverWorld(World):
             if self.obs.enabled:
                 self.obs.frame_dropped(frame, node, "fault")
             return
-        self._deliver_to(node, frame)
+        self.stats.deliveries += 1
+        meter = self.energy_meters.get(node)
+        if meter is not None:
+            meter.on_receive(frame.size_bytes)
+        if self.obs.enabled:
+            self.obs.frame_delivered(frame, node)
+        self._nodes[node].on_frame(frame, frame.src)
 
 
 class ReferenceIndexWorld(World):

@@ -65,7 +65,12 @@ from .oracles.skyline import (
     skyline_bruteforce,
 )
 from .oracles.updates import EagerStore
-from .oracles.world import uncached_neighbors, uncached_reachable_from
+from .oracles.world import (
+    uncached_can_communicate,
+    uncached_in_range,
+    uncached_neighbors,
+    uncached_reachable_from,
+)
 
 # -- strategies -------------------------------------------------------------
 
@@ -716,6 +721,143 @@ class TestCandidateRows:
         sim.run(until=1.5 * window)
         assert world.neighbors(2) == [3]
         _assert_rows_exact(world)
+
+
+# -- link questions from the window's speed bound ---------------------------------
+
+
+def _assert_links_exact(world, mobility_ids):
+    """Every pair's ``in_range`` and ``can_communicate`` equal the scalar
+    answers, ``in_range`` for unattached mobility slots too."""
+    for a in mobility_ids:
+        for b in mobility_ids:
+            assert world.in_range(a, b) == uncached_in_range(world, a, b), (
+                a, b, world.sim.now,
+            )
+            assert world.can_communicate(a, b) == uncached_can_communicate(
+                world, a, b
+            ), (a, b, world.sim.now)
+
+
+#: One step of a link-question schedule: where the next query time falls
+#: relative to the current window, and a fraction placing it there.
+link_step = st.tuples(
+    st.sampled_from(["at", "inside", "end", "past"]), st.floats(0.0, 1.0),
+)
+
+
+class TestLinkBound:
+    """Pair questions read from the candidate window (``in_range``,
+    ``can_communicate``) and rows equal the scalar answers. Nodes come in
+    pairs planted about ``r`` apart, within ``2 * max_speed * dt`` of the
+    radio range for every ``dt`` up to the window's length, so many
+    pairs sit inside the band that the bound leaves to the exact test.
+    Questions are asked with no window open, at ``t_c``, inside the
+    window, at its end and past it (before a row opens the next one),
+    on random-waypoint worlds at 2-10 m/s and on a static placement,
+    with and without an active partition cut and blackout. Examples come
+    from the active hypothesis profile."""
+
+    @given(
+        pairs=st.integers(1, 5),
+        spare=st.booleans(),
+        seed=st.integers(0, 10**6),
+        speeds=st.tuples(st.floats(2.0, 10.0), st.floats(2.0, 10.0)),
+        holding=st.sampled_from([0.0, 1.0]),
+        radio_range=st.sampled_from([100.0, 250.0]),
+        offsets=st.lists(st.floats(-1.5, 1.5), min_size=5, max_size=5),
+        static=st.booleans(),
+        faults=st.booleans(),
+        steps=st.lists(link_step, min_size=1, max_size=6),
+    )
+    @settings(deadline=None)
+    def test_pair_answers_equal_scalar_answers(
+        self, pairs, spare, seed, speeds, holding, radio_range, offsets,
+        static, faults, steps,
+    ):
+        r = radio_range
+        lo, hi = sorted(speeds)
+        skin = SKIN * r
+        rng = np.random.default_rng(seed)
+        starts = []
+        for k in range(pairs):
+            cx, cy = rng.uniform(r, 1000.0 - r, size=2)
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            # ``skin`` is ``2 * max_speed`` times the window's length.
+            d = r + offsets[k] * skin
+            starts += [(cx, cy), (cx + d * np.cos(angle), cy + d * np.sin(angle))]
+        if spare:
+            starts.append((500.0, 500.0))
+        if static:
+            mobility = StaticPlacement(starts)
+        else:
+            mobility = RandomWaypoint(
+                node_count=len(starts), extent=(0.0, 0.0, 1000.0, 1000.0),
+                speed_range=(lo, hi), holding_time=holding, seed=seed,
+                start_positions=starts,
+            )
+        sim = Simulator()
+        world = World(sim, mobility, RadioConfig(radio_range=r), seed=seed)
+        attached = range(2 * pairs)
+        for i in attached:
+            _Recorder(world, i)
+        if faults:
+            world.set_partition("x", 500.0, True)
+            if pairs > 1:
+                world.set_link_blackout(0, 1, True)
+        ids = range(len(starts))
+        _assert_links_exact(world, ids)  # no window yet
+        index = world._index
+        for where, frac in steps:
+            for node in attached:
+                assert world.neighbors(node) == uncached_neighbors(world, node)
+            _assert_links_exact(world, ids)  # at t_c after a fresh window
+            start, window = index._cand_time, index._cand_window
+            if static or where == "at":
+                t = sim.now
+            elif where == "inside":
+                t = start + frac * window
+            elif where == "end":
+                t = start + window
+            else:
+                t = start + window * (1.0 + 3.0 * frac) + 1e-9
+            sim.run(until=max(t, sim.now))
+            _assert_links_exact(world, ids)
+
+    def test_pair_moving_apart_at_max_speed(self):
+        """A pair that parts at exactly ``2 * max_speed`` from ``r - drift``
+        is in range at the ask time and out just after, the band's two
+        edges, read both from a row and from a pair question."""
+        r, v = 250.0, 10.0
+        dt = 2.0
+
+        class Parting(MobilityModel):
+            starts = ((0.0, 0.0, -1.0), (r - 2.0 * v * dt, 0.0, 1.0),
+                      (0.0, 3000.0, 0.0))
+
+            @property
+            def node_count(self):
+                return len(self.starts)
+
+            @property
+            def max_speed(self):
+                return v
+
+            def position(self, node, t):
+                x, y, sign = self.starts[node]
+                return (x + sign * v * t, y)
+
+        sim = Simulator()
+        world = World(sim, Parting(), RadioConfig(radio_range=r), seed=0)
+        for i in range(3):
+            _Recorder(world, i)
+        assert world.neighbors(2) == []  # opens the window at t = 0
+        for t, linked in ((dt, True), (dt + 1e-6, False)):
+            sim.run(until=t)
+            assert world.in_range(0, 1) is linked
+            assert world.can_communicate(1, 0) is linked
+            assert world.neighbors(0) == ([1] if linked else [])
+            _assert_links_exact(world, range(3))
 
 
 # -- answer-sized dominance ---------------------------------------------------

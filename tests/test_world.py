@@ -107,6 +107,43 @@ class TestUnicast:
             world.send(Frame(kind=FrameKind.DATA, src=0, dst=None))
 
 
+class TestUnattachedSource:
+    """A frame whose source is a mobility slot with no attached node is
+    rejected before anything is counted: no transmission, no energy,
+    and no delivery."""
+
+    class Meter:
+        def __init__(self):
+            self.sent = 0
+
+        def on_transmit(self, size_bytes):
+            self.sent += size_bytes
+
+        def on_receive(self, size_bytes):
+            pass
+
+    def world_with_free_slot(self):
+        sim = Simulator()
+        world = World(
+            sim, StaticPlacement([(0, 0), (100, 0), (50, 0)]), seed=0
+        )
+        nodes = [Recorder(world, i) for i in range(2)]
+        meter = world.energy_meters[2] = self.Meter()
+        return sim, world, nodes, meter
+
+    @pytest.mark.parametrize("dst", [1, None], ids=["send", "broadcast"])
+    def test_rejected_before_any_accounting(self, dst):
+        sim, world, nodes, meter = self.world_with_free_slot()
+        frame = Frame(kind=FrameKind.DATA, src=2, dst=dst, size_bytes=100)
+        transmit = world.send if dst is not None else world.broadcast
+        with pytest.raises(ValueError, match="unknown source node 2"):
+            transmit(frame)
+        sim.run()
+        assert world.stats == type(world.stats)()
+        assert meter.sent == 0
+        assert [n.received for n in nodes] == [[], []]
+
+
 class TestBroadcast:
     def test_reaches_all_neighbors_once(self):
         sim, world, nodes = make_world([(0, 0), (100, 0), (200, 0), (900, 0)])
