@@ -21,7 +21,7 @@ oracle.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Collection, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -106,14 +106,27 @@ def _duplicate_mask(xy: np.ndarray, against: np.ndarray) -> np.ndarray:
     )
 
 
+def _first_copies(keys: List[tuple], taken: Collection = frozenset()) -> List[int]:
+    """Positions of the ``keys`` that are neither in ``taken`` nor seen
+    earlier in ``keys``: the first copy of each location wins."""
+    fresh: List[int] = []
+    within: set = set()
+    for i, key in enumerate(keys):
+        if key not in taken and key not in within:
+            fresh.append(i)
+            within.add(key)
+    return fresh
+
+
 def _dedup_within(relation: Relation) -> Relation:
-    """Drop same-location duplicates inside one partial result."""
+    """Drop same-location duplicates inside one partial result (first
+    copy wins, order kept)."""
     if relation.cardinality <= 1:
         return relation
-    _, first = np.unique(relation.xy, axis=0, return_index=True)
-    if first.shape[0] == relation.cardinality:
+    first = _first_copies(list(map(tuple, relation.xy.tolist())))
+    if len(first) == relation.cardinality:
         return relation
-    return relation.take(np.sort(first))
+    return relation.take(first)
 
 
 def merge_tree(
@@ -215,12 +228,7 @@ class SkylineAssembler:
         # merge) and within the contribution itself (first copy wins).
         coords = self._coords
         keys = list(map(tuple, incoming.xy.tolist()))
-        fresh: List[int] = []
-        within: set = set()
-        for i, key in enumerate(keys):
-            if key not in coords and key not in within:
-                fresh.append(i)
-                within.add(key)
+        fresh = _first_copies(keys, coords)
         if not fresh:
             return
         if len(fresh) < n_inc:

@@ -5,55 +5,60 @@ question (``neighbors``, ``reachable_from``, ``broadcast`` through
 ``neighbors``, and the unicast link test through ``in_range``), and the
 naive answer recomputes all pairwise positions and distances from the
 mobility model — O(m²) random-waypoint evaluations per question. This
-module answers from a few layers of memo:
+module answers every question asked while a candidate window is open
+from one geometry pass at the window's start:
 
 * **Candidate layer** — Verlet neighbour lists (Verlet 1967). A
-  window opens at time ``t_c`` with the positions at ``t_c`` and
-  nothing else; each node's list is made by its first row in the
-  window, with one vectorised distance test against those positions.
-  It holds the nodes within ``r + skin`` (``skin = SKIN * r``) at
-  ``t_c``: every node that can come within ``r`` before
+  window opens at time ``t_c`` with one position sweep and one pair
+  pass (:func:`_pass`): every pair within ``r + skin``
+  (``skin = SKIN * r``) at ``t_c``, flagged when it is within ``r``
+  at ``t_c``. That is every pair that can come within ``r`` before
   ``t_c ± skin / (2 * max_speed)``, since two nodes close at most
-  ``2 * max_speed`` (:attr:`~repro.net.mobility.MobilityModel.max_speed`).
-  A static model's window never closes. The lists depend only on the
-  attached ids and the radio range: fault transitions keep them,
-  because the fault rule is applied when a question is answered.
+  ``2 * max_speed``
+  (:attr:`~repro.net.mobility.MobilityModel.max_speed`). The pass
+  buckets the nodes into columns a little wider than the candidate
+  radius and tests each node only against the nodes of its own and the
+  next column that binary search finds within that radius in ``y``:
+  the comparison-space pruning of space partitioning, applied to
+  unit-disk pairs, in a fixed number of array calls and about
+  ``m log m`` work at fixed density. The pairs become every node's
+  candidate list, sorted by id, as Python lists. A static model's
+  window never closes. The lists depend only on the attached ids and
+  the radio range: fault transitions keep them, because the fault rule
+  is applied when a question is answered.
 * **Row layer** — a lone ``neighbors(src)`` (the broadcast hot path:
-  one row per wave, almost always at a new time) tests only that
-  node's candidates, each by the pair rule below, then the world's
-  scalar fault rule: no position sweep and no array work per row once
-  the node has its list. Rows are cached per adjacency key.
-* **Pair layer** — :meth:`NeighborIndex.in_range` and a row's
+  one row per wave, almost always at a new time) reads only that
+  node's candidates, then applies the world's scalar fault rule: no
+  sweep and no array call per row. A row asked at ``t_c`` keeps the
+  candidates whose kept distance is within ``r``; a later row tests
+  each by the pair rule below. Rows are cached per adjacency key.
+* **Pair layer** — :meth:`NeighborIndex.in_range` and a later row's
   candidates read the window's positions at ``t_c``, kept as Python
   floats. Two nodes close or part at most ``2 * max_speed``, so a pair
   whose window distance is outside ``r`` plus or minus that drift
   (padded, :meth:`NeighborIndex._band`) has the answer it had at
   ``t_c``; only a pair inside the band pays scalar mobility lookups
-  and the exact test. A static model answers from its fixed positions.
-  A pair question never opens a window.
-* **Full adjacency** — ``reachable_from`` reads one CSR adjacency.
-  Its build sweeps all positions once (the position memo, one
-  ``mobility.positions(t)`` per distinct time), enumerates
-  the pairs of a uniform spatial hash with cell size equal to the
-  radio range, range-tests them in one vectorised pass, and applies
-  the fault rule in array form. Two nodes in range lie in adjacent
-  cells (Chebyshev distance <= 1), so the pass inspects each cell pair
-  once instead of every node pair — the comparison-space pruning the
-  skyline literature applies to dominance tests, applied here to
-  unit-disk neighborhood tests — with array arithmetic and no Python
-  loop over cells or pairs. The differential suite pins it
-  bit-identical to a Python-loop build kept as a test oracle.
+  and the exact test. A pair question never opens a window.
+* **Full adjacency** — ``reachable_from`` reads one CSR adjacency,
+  made from the pass of a window open at the current time (opening one
+  there first if the open window started earlier): the pairs whose
+  kept distance is within ``r``, filtered by the fault rule in array
+  form. The differential suite pins it bit-identical to a Python-loop
+  build kept as a test oracle.
+* **Reachability** — a plain traversal of the adjacency's Python
+  lists, memoised per (adjacency key, node) until the next build;
+  callers get a copy. The question at query issue opens the window
+  that the query's flood then reads, so a BF query sweeps positions
+  once.
 * **Epoch layer** — fault state (crashed nodes, link blackouts,
   partitions) and topology changes (late ``attach``) bump a generation
   counter; rows and the adjacency are keyed on ``(sim.now, epoch,
   radio_range)`` so fault injection can never be served a stale
   connectivity answer. For a static mobility model
   (:attr:`~repro.net.mobility.MobilityModel.static`) the time is left
-  out of every key: positions are computed once and adjacency is built
-  once per epoch, however many distinct times the simulation visits.
-* **Reachability memo** — each :meth:`NeighborIndex.reachable_from`
-  closure is kept per (adjacency key, node) until the next build, and
-  callers get a copy.
+  out of every key: positions are swept and pairs enumerated once, and
+  adjacency is built once per epoch, however many distinct times the
+  simulation visits.
 
 Determinism contract: neighbor lists are sorted by node id, so BFS
 order, broadcast delivery order, and therefore event sequence numbers
@@ -61,13 +66,14 @@ depend only on the topology — never on the order nodes were attached.
 The in-range predicate is the squared-distance test
 ``dx*dx + dy*dy <= r*r`` evaluated in IEEE float64 on positions that
 the scalar and vectorised mobility paths give bit for bit, so rows and
-the vectorised build answer exactly as per-pair scalar tests would.
+the vectorised pass answer exactly as per-pair scalar tests would.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
+from itertools import compress
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -76,10 +82,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .world import World
 
 __all__ = ["NeighborIndex", "SKIN"]
-
-#: Half of the 3x3 Moore neighborhood: together with the cell itself,
-#: these offsets visit every unordered pair of adjacent cells exactly once.
-_HALF_NEIGHBORHOOD = ((1, 0), (0, 1), (1, 1), (1, -1))
 
 #: Verlet skin as a fraction of the radio range: candidates are listed
 #: out to ``(1 + SKIN) * r``. At r=250 m and 10 m/s a list lasts
@@ -103,66 +105,68 @@ _SLACK = 1e-6
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The concatenation of ``arange(s, s + c)`` over the pairs of
-    ``starts`` and ``counts``, without a Python loop."""
+    (non-empty) ``starts`` and ``counts``, without a Python loop."""
     ends = np.cumsum(counts)
-    total = int(ends[-1]) if ends.size else 0
-    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
 
 
-def _squared_distances(pos: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``dx*dx + dy*dy`` between rows ``a`` and ``b`` of ``pos``, gathered
-    from contiguous coordinate columns."""
+def _pass(
+    pos: np.ndarray, reach2: float, r2: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both directions of every pair of rows of ``pos`` whose squared
+    distance ``dx*dx + dy*dy`` is at most ``reach2``, sorted by
+    ``(src, dst)`` (the determinism contract), each flagged when that
+    distance is at most ``r2``: ``(src, dst, near)``.
+
+    Rows fall into columns of width ``w``, a hair above the reach, so
+    two rows within reach are in the same or adjacent columns. One
+    float key, ``column * span + y``, with ``span`` the ``y`` extent
+    plus ``3 * w``, sorts the rows by column and then ``y``: each row's
+    partners within ``w`` in ``y`` are a run after it in its own column
+    and a run in the next column, found by binary search. The runs are
+    a superset of the pairs in reach (the pad of ``w`` and of the search
+    bounds is far above the keys' rounding); the exact test keeps the
+    pairs in reach. Each directed pair is then one
+    ``(src * n + dst) * 2 + far`` key, so one sort orders the entries
+    and carries their flags: at m=1,600 an order of magnitude faster
+    than a two-key ``lexsort``."""
+    n = pos.shape[0]
     x = np.ascontiguousarray(pos[:, 0])
     y = np.ascontiguousarray(pos[:, 1])
-    dx = x.take(a)
-    dx -= x.take(b)
+    w = math.sqrt(reach2) * (1.0 + 1e-9)
+    y0 = float(y.min())
+    span = float(y.max()) - y0 + 3.0 * w
+    key = np.floor((x - x.min()) / w) * span + (y - y0)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    pad = w + 4.0 * float(np.spacing(key[-1]))
+    ends = np.searchsorted(
+        key, np.concatenate((key + pad, key + (span - pad), key + (span + pad)))
+    )
+    rows = np.arange(n)
+    starts = np.concatenate((rows + 1, ends[n:2 * n]))
+    counts = np.concatenate((ends[:n] - rows - 1, ends[2 * n:] - ends[n:2 * n]))
+    a = order[np.repeat(np.concatenate((rows, rows)), counts)]
+    b = order[_ranges(starts, counts)]
+    d2 = x.take(a)
+    d2 -= x.take(b)
     dy = y.take(a)
     dy -= y.take(b)
-    dx *= dx
+    d2 *= d2
     dy *= dy
-    dx += dy
-    return dx
-
-
-def _grid_pairs(pos: np.ndarray, radius: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Every unordered pair of rows of ``pos`` in the same or adjacent
-    cells of a grid of side ``radius``, each pair once: a superset of
-    the pairs within ``radius`` of each other."""
-    n = pos.shape[0]
-    cx = np.floor(pos[:, 0] / radius).astype(np.int64)
-    cy = np.floor(pos[:, 1] / radius).astype(np.int64)
-    # Collision-free cell keys with a one-cell guard band so the
-    # +-1 neighbor offsets can never wrap into another row.
-    kx = cx - cx.min() + 1
-    ky = cy - cy.min() + 1
-    width = int(ky.max()) + 2
-    cell_key = kx * width + ky
-    order = np.argsort(cell_key, kind="stable")
-    sorted_keys = cell_key[order]
-    bounds = np.flatnonzero(
-        np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
-    )
-    ukeys = sorted_keys[bounds]
-    starts = bounds.astype(np.int64)
-    counts = np.diff(np.concatenate((starts, [n])))
-    # Every occupied cell against itself and its half neighborhood, in
-    # one pass. Each offset is positive in key space, so a neighbor
-    # cell's rows come after the cell's own in sorted order: ``a < b``
-    # keeps every cross pair and each in-cell pair once.
-    offsets = np.array([0] + [ox * width + oy for ox, oy in _HALF_NEIGHBORHOOD])
-    want = (ukeys[:, None] + offsets).ravel()
-    j = np.minimum(np.searchsorted(ukeys, want), len(ukeys) - 1)
-    matched = np.flatnonzero(ukeys[j] == want)
-    ga = matched // len(offsets)
-    gb = j[matched]
-    # Each row of cell ``ga`` against the whole run of cell ``gb``.
-    rows_a = counts[ga]
-    ai = _ranges(starts[ga], rows_a)
-    run = np.repeat(counts[gb], rows_a)
-    bi = _ranges(np.repeat(starts[gb], rows_a), run)
-    ai = np.repeat(ai, run)
-    forward = ai < bi
-    return order[ai[forward]], order[bi[forward]]
+    d2 += dy
+    hits = np.flatnonzero(d2 <= reach2)
+    a = a.take(hits)
+    b = b.take(hits)
+    far = d2.take(hits) > r2
+    code = np.concatenate((a * n + b, b * n + a))
+    code <<= 1
+    code |= np.concatenate((far, far))
+    code.sort()
+    near = (code & 1) == 0
+    code >>= 1
+    src = code // n
+    return src, code - src * n, near
 
 
 class NeighborIndex:
@@ -193,9 +197,9 @@ class NeighborIndex:
         self._ids: Optional[np.ndarray] = None
         self._ids_arange = True
         self._idx_of: Optional[Dict[int, int]] = None
-        # candidate layer: positions at ``_cand_time`` and the per-node
-        # lists made from them, keyed by (attached-node count, radio
-        # range), valid within ``_cand_window`` seconds of ``_cand_time``
+        # candidate layer: one pair pass over the positions at
+        # ``_cand_time``, keyed by (attached-node count, radio range),
+        # valid within ``_cand_window`` seconds of ``_cand_time``
         self._cand_key: Optional[Tuple[int, float]] = None
         self._cand_time = 0.0
         self._cand_window = 0.0
@@ -203,17 +207,20 @@ class NeighborIndex:
         # the same positions as Python floats by node id, for the scalar
         # questions asked between sweeps
         self._cand_at: Dict[int, Tuple[float, float]] = {}
-        self._cand_r2 = 0.0
-        self._cand_lists: Dict[int, List[int]] = {}
+        # the pass: both directions of every pair within the candidate
+        # radius at ``_cand_time`` in index space, each flagged when
+        # within ``r``, and the same as CSR over node ids in Python lists
+        self._pairs: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._cand_ptr: List[int] = []
+        self._cand_ids: List[int] = []
+        self._cand_near: List[bool] = []
         # adjacency layer, keyed by (time, epoch, radio range)
         self._adj_key: Optional[Tuple[float, int, float]] = None
         # reachable_from closures of the current adjacency, by node
         self._reach: Dict[int, set] = {}
-        # fault-aware CSR adjacency in index space, plus lazily
-        # materialised lists
-        self._indptr: Optional[np.ndarray] = None
-        self._nbr: Optional[np.ndarray] = None
-        self._lists: Dict[int, List[int]] = {}
+        # fault-aware CSR adjacency over node ids, as Python lists
+        self._indptr: List[int] = []
+        self._nbr: List[int] = []
         # row cache, keyed like the adjacency
         self._row_key: Optional[Tuple[float, int, float]] = None
         self._rows: Dict[int, List[int]] = {}
@@ -330,29 +337,19 @@ class NeighborIndex:
         self._ensure()
         hit = self._reach.get(node)
         if hit is None:
-            hit = self._reachable_bulk(node)
-            self._reach[node] = hit
+            hit = self._reach[node] = self._closure(node)
         return set(hit)
 
-    def _reachable_bulk(self, node: int) -> set:
-        indptr = self._indptr
-        nbr = self._nbr
-        n = len(self._ids)
-        seen = np.zeros(n, dtype=bool)
-        start = self._idx(node)
-        seen[start] = True
-        frontier = np.array([start], dtype=np.int64)
-        # Vectorised frontier expansion: gather every frontier node's
-        # CSR slice in one pass, mask out already-seen targets, dedup.
-        while frontier.size:
-            starts = indptr[frontier]
-            targets = nbr[_ranges(starts, indptr[frontier + 1] - starts)]
-            fresh = targets[~seen[targets]]
-            if fresh.size == 0:
-                break
-            frontier = np.unique(fresh)
-            seen[frontier] = True
-        return set(self._ids[np.flatnonzero(seen)].tolist())
+    def _closure(self, node: int) -> set:
+        """``node`` and every node its adjacency lists lead to."""
+        seen = {node}
+        todo = [node]
+        while todo:
+            for other in self._list(todo.pop()):
+                if other not in seen:
+                    seen.add(other)
+                    todo.append(other)
+        return seen
 
     # -- attached ids -------------------------------------------------------
 
@@ -384,37 +381,40 @@ class NeighborIndex:
 
     # -- candidate layer ----------------------------------------------------
 
-    def _window(self) -> None:
+    def _window(self, at_now: bool = False) -> None:
         """Start a new candidate window at the current time if the
-        attached ids or the radio range changed or the window ran out.
+        attached ids or the radio range changed, the window ran out, or
+        ``at_now`` asks for one that starts now.
 
-        Starting one costs the position sweep at ``t_c`` and nothing
-        else: each node's list is made by that node's first row."""
+        Starting one costs the position sweep at ``t_c`` and one pair
+        pass (:func:`_pass`) out to the candidate radius; the pairs
+        serve every row and every adjacency build at ``t_c`` until the
+        window closes."""
         r = self._world.radio.radio_range
         if (
             self._cand_key == (len(self._world._nodes), r)
             and abs(self._sim.now - self._cand_time) <= self._cand_window
+            and not (at_now and self._now() != self._cand_time)
         ):
             return
         ids = self._ids_array()
         skin = SKIN * r
         reach = r + skin
         pos = self._cand_pos = self._id_positions()
-        self._keep_floats(ids, pos)
-        self._cand_r2 = reach * reach * (1.0 + _SLACK)
-        self._cand_lists = {}
+        self._cand_at = dict(
+            zip(ids.tolist(), zip(pos[:, 0].tolist(), pos[:, 1].tolist()))
+        )
+        src, dst, near = self._pairs = _pass(
+            pos, reach * reach * (1.0 + _SLACK), r * r
+        )
+        self._cand_ptr = np.searchsorted(src, np.arange(len(ids) + 1)).tolist()
+        self._cand_ids = ids[dst].tolist()
+        self._cand_near = near.tolist()
         self._cand_key = (ids.shape[0], r)
         self._cand_time = self._now()
         self._cand_window = (
             math.inf if self._static or self._max_speed <= 0.0
             else skin / (2.0 * self._max_speed)
-        )
-
-    def _keep_floats(self, ids: np.ndarray, pos: np.ndarray) -> None:
-        """Keep ``pos`` (rows in index order) as Python floats by node id,
-        for the pair questions and later rows."""
-        self._cand_at = dict(
-            zip(ids.tolist(), zip(pos[:, 0].tolist(), pos[:, 1].tolist()))
         )
 
     def _band(self, r: float) -> Tuple[float, float]:
@@ -440,40 +440,24 @@ class NeighborIndex:
         return (inner * inner if inner > 0.0 else -1.0), outer * outer
 
     def _compute_row(self, node: int) -> List[int]:
-        """One node's fault-aware neighbor list: its candidates tested
-        by the window's speed bound (:meth:`_band`), those it cannot
-        settle with scalar mobility lookups (one ``position`` and one
-        ``positions_of`` call), then the world's fault rule.
-
-        A node's first row in a window makes its candidate list with one
-        vectorised distance test against every position at ``t_c``. A
-        row asked at ``t_c`` itself (a node's first row, for a static
-        model) is read off those same distances: a row that opens a
-        window then costs one sweep and one vectorised test, and no
-        scalar lookups (``docs/performance.md``, *In-run versus isolated
-        cost*). A static model's later rows test its fixed positions
-        with no band."""
+        """One node's fault-aware neighbor list: its candidates, kept by
+        their distance at ``t_c`` for a row asked at ``t_c`` (every row
+        of a static model), else tested by the window's speed bound
+        (:meth:`_band`), those the bound cannot settle with scalar
+        mobility lookups (one ``position`` and one ``positions_of``
+        call); then the world's fault rule."""
         world = self._world
         r = world.radio.radio_range
-        r2 = r * r
         self._window()
-        row = None
-        cands = self._cand_lists.get(node)
-        if cands is None:
-            pos = self._cand_pos
-            i = self._idx(node)
-            dx = pos[:, 0] - pos[i, 0]
-            dy = pos[:, 1] - pos[i, 1]
-            d2 = dx * dx + dy * dy
-            near = np.flatnonzero(d2 <= self._cand_r2)
-            near = near[near != i]
-            cands = self._cand_lists[node] = self._ids[near].tolist()
-            if self._now() == self._cand_time:
-                row = self._ids[near[d2[near] <= r2]].tolist()
-        if row is None:
+        i = self._idx(node)
+        lo, hi = self._cand_ptr[i], self._cand_ptr[i + 1]
+        cands = self._cand_ids[lo:hi]
+        if self._now() == self._cand_time:
+            row = list(compress(cands, self._cand_near[lo:hi]))
+        else:
             at = self._cand_at
             x, y = at[node]
-            inner2, outer2 = (r2, r2) if self._static else self._band(r)
+            inner2, outer2 = self._band(r)
             row = []
             band = []
             for j in cands:
@@ -488,6 +472,7 @@ class NeighborIndex:
             if band:
                 mobility = world.mobility
                 now = self._sim.now
+                r2 = r * r
                 x, y = mobility.position(node, now)
                 for j, (px, py) in zip(band, mobility.positions_of(band, now)):
                     dx = px - x
@@ -510,41 +495,28 @@ class NeighborIndex:
         self._build(key)
 
     def _list(self, node: int) -> List[int]:
-        lst = self._lists.get(node)
-        if lst is None:
-            i = self._idx(node)
-            sl = self._nbr[self._indptr[i]:self._indptr[i + 1]]
-            lst = self._ids[sl].tolist()
-            self._lists[node] = lst
-        return lst
+        i = self._idx(node)
+        return self._nbr[self._indptr[i]:self._indptr[i + 1]]
 
     def _build(self, key: Tuple[float, int, float]) -> None:
-        """Vectorised full build: one grid pass at the radio range over
-        the current positions, then the range test and the fault rule in
+        """The full adjacency from the pass of a window open now: the
+        pairs within the radio range at ``t_c``, then the fault rule in
         array arithmetic; the result is the fault-aware CSR adjacency."""
         self._reach = {}
         world = self._world
-        ids = self._ids_array()
+        self._window(at_now=True)
+        ids = self._ids
         n = len(ids)
         r = world.radio.radio_range
         self._adj_key = key
         self._rebuilds += 1
-        self._lists = {}
-        pos = self._id_positions()
-        if self._static:
-            # A static model's positions are the window's at any time:
-            # a world whose rows all come from this adjacency still
-            # answers its pair questions without a lookup.
-            self._keep_floats(ids, pos)
-        a, b = _grid_pairs(pos, r)
-        hits = _squared_distances(pos, a, b) <= r * r
-        a = a[hits]
-        b = b[hits]
+        pos = self._cand_pos
+        a, b, valid = self._pairs
 
         # The world's fault rule (``World._fault_free``) in array form:
         # both endpoints up, no blackout, same side of every partition
-        # cut — all tested at the pair level.
-        valid = np.ones(len(a), dtype=bool)
+        # cut — all tested at the pair level, on top of the range test
+        # at ``t_c``.
         down = world._down
         if down:
             up = np.ones(n, dtype=bool)
@@ -553,13 +525,13 @@ class NeighborIndex:
             ok = pos_in < n
             ok[ok] = ids[pos_in[ok]] == darr[ok]
             up[pos_in[ok]] = False
-            valid &= up[a] & up[b]
+            valid = valid & up[a] & up[b]
         partitions = world._partitions
         if partitions:
             side = np.empty((n, len(partitions)), dtype=bool)
             for k, (axis, coord) in enumerate(partitions):
                 side[:, k] = pos[:, 0 if axis == "x" else 1] >= coord
-            valid &= (side[a] == side[b]).all(axis=1)
+            valid = valid & (side[a] == side[b]).all(axis=1)
         blackouts = world._blackouts
         if blackouts:
             attached = world._nodes
@@ -575,23 +547,8 @@ class NeighborIndex:
                 lo = np.minimum(ida, idb)
                 hi = np.maximum(ida, idb)
                 enc = lo * encode_base + hi
-                valid &= ~np.isin(enc, np.asarray(bl, dtype=np.int64))
+                valid = valid & ~np.isin(enc, np.asarray(bl, dtype=np.int64))
 
-        self._indptr, self._nbr = self._csr(a[valid], b[valid], n)
-
-    @staticmethod
-    def _csr(a: np.ndarray, b: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Symmetrise distinct undirected index pairs into CSR adjacency
-        with neighbor runs sorted ascending (the determinism contract).
-
-        Each directed pair is one ``src * n + dst`` key, so one sort of
-        the keys orders them: at m=1,600 an order of magnitude faster
-        than a two-key ``lexsort``.
-        """
-        key = np.concatenate((a * n + b, b * n + a))
-        key.sort()
-        src = key // n
-        dst = key - src * n
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return indptr, dst
+        a = a[valid]
+        self._indptr = np.searchsorted(a, np.arange(n + 1)).tolist()
+        self._nbr = ids[b[valid]].tolist()

@@ -129,11 +129,11 @@ class World:
     reads it as its source's :meth:`neighbors` row.
 
     Connectivity questions are answered by an epoch-cached
-    :class:`~repro.net.spatial_index.NeighborIndex`: speed-bounded
-    candidate lists, rows and pair questions settled from the window's
-    positions where the speed bound allows and from scalar lookups where
-    it does not, a spatial-hash grid for the full adjacency, and epoch
-    invalidation on fault transitions.
+    :class:`~repro.net.spatial_index.NeighborIndex`: one pair pass per
+    speed-bounded candidate window, which serves the rows and the full
+    adjacency; pair questions settled from the window's positions where
+    the speed bound allows and from scalar lookups where it does not;
+    and epoch invalidation on fault transitions.
 
     The world owns its attached nodes and its index; both refer back
     to it through weak proxies, so a dropped network is freed by

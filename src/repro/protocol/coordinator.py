@@ -194,6 +194,12 @@ def run_manet_simulation(
     for device in devices:
         records.extend(device.records.values())
     records.sort(key=lambda r: r.issue_time)
+    if not keep_network:
+        # A query still open at the end keeps its armed close timer, an
+        # engine handle bound to its device: drop it, so a held result
+        # keeps neither the device nor the engine alive.
+        for record in records:
+            record.close_timer = None
     result = SimulationResult(
         records=records,
         traffic=world.stats,

@@ -1,12 +1,13 @@
-"""Reference neighbor-index build and loop BFS.
+"""Reference neighbor-index build, loop BFS and all-pairs window.
 
-:class:`ReferenceNeighborIndex` is the Python-loop adjacency build the
-vectorised CSR build of :class:`repro.net.spatial_index.NeighborIndex`
-replaced: a dict of grid cells, per-pair appends, and per-node fault
-filtering into plain sorted lists. :func:`reachable_from_lists` is the
-loop BFS the vectorised frontier expansion replaced. Both share the
-live index's keys, epochs and position memo, so a differential test
-compares only the part that was rewritten.
+:class:`ReferenceNeighborIndex` is a Python-loop adjacency build: a
+dict of grid cells, per-pair appends, and per-node fault filtering into
+plain sorted lists. :func:`reachable_from_lists` is a loop BFS over any
+index's rows. Both share the live index's keys, epochs and position
+memo, so a differential test compares only the adjacency and the
+traversal. :func:`window_lists` enumerates all pairs of scalar mobility
+positions in a Python loop: the candidate lists and ``t_c`` rows the
+window's array pass must give.
 """
 
 from __future__ import annotations
@@ -16,9 +17,13 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.net.spatial_index import _HALF_NEIGHBORHOOD, NeighborIndex
+from repro.net.spatial_index import _SLACK, SKIN, NeighborIndex
 
-__all__ = ["ReferenceNeighborIndex", "reachable_from_lists"]
+__all__ = ["ReferenceNeighborIndex", "reachable_from_lists", "window_lists"]
+
+#: Half of the 3x3 Moore neighborhood: together with the cell itself,
+#: these offsets visit every unordered pair of adjacent cells exactly once.
+_HALF_NEIGHBORHOOD = ((1, 0), (0, 1), (1, 1), (1, -1))
 
 
 def reachable_from_lists(index: NeighborIndex, node: int) -> set:
@@ -35,6 +40,36 @@ def reachable_from_lists(index: NeighborIndex, node: int) -> set:
                     nxt.append(other)
         frontier = nxt
     return seen
+
+
+def window_lists(
+    index: NeighborIndex,
+) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
+    """Every attached node's candidates in the open window, and the
+    nodes within the radio range at ``t_c`` before the fault rule, by
+    testing every pair of scalar mobility positions at ``t_c``."""
+    world = index._world
+    r = world.radio.radio_range
+    reach = r + SKIN * r
+    reach2 = reach * reach * (1.0 + _SLACK)
+    at = {
+        i: world.mobility.position(i, index._cand_time)
+        for i in sorted(world._nodes)
+    }
+    cands: Dict[int, List[int]] = {i: [] for i in at}
+    near: Dict[int, List[int]] = {i: [] for i in at}
+    for i, (xi, yi) in at.items():
+        for j, (xj, yj) in at.items():
+            if i == j:
+                continue
+            dx = xi - xj
+            dy = yi - yj
+            d2 = dx * dx + dy * dy
+            if d2 <= reach2:
+                cands[i].append(j)
+            if d2 <= r * r:
+                near[i].append(j)
+    return cands, near
 
 
 class ReferenceNeighborIndex(NeighborIndex):

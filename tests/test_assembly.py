@@ -156,3 +156,45 @@ class TestAssembler:
                 tuple(sorted(map(tuple, asm.result().values.tolist())))
             )
         assert len(results) == 1
+
+
+class TestDedupWithin:
+    """``_dedup_within`` keeps the first copy of each location, in
+    order: the rows the sorted first indices of ``np.unique(axis=0)``
+    would keep."""
+
+    @staticmethod
+    def unique_first(relation):
+        if relation.cardinality <= 1:
+            return relation
+        _, first = np.unique(relation.xy, axis=0, return_index=True)
+        return relation.take(np.sort(first))
+
+    @given(
+        sites=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 4),
+                      st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_unique_first_copies(self, sites):
+        from repro.core.assembly import _dedup_within
+
+        schema = uniform_schema(2, high=10.0)
+        rel = rel_of(schema, sites) if sites else Relation.empty(schema)
+        got = _dedup_within(rel)
+        want = self.unique_first(rel)
+        assert got.xy.tolist() == want.xy.tolist()
+        assert got.values.tolist() == want.values.tolist()
+        assert got.site_ids.tolist() == want.site_ids.tolist()
+
+    def test_repeated_locations_keep_first_rows_in_order(self, schema):
+        from repro.core.assembly import _dedup_within
+
+        rel = rel_of(schema, [(2, 2, 1, 9), (1, 1, 2, 2), (2, 2, 5, 5),
+                              (0, 0, 9, 1), (1, 1, 3, 3)])
+        got = _dedup_within(rel)
+        assert got.xy.tolist() == [[2, 2], [1, 1], [0, 0]]
+        assert got.values.tolist() == [[1, 9], [2, 2], [9, 1]]
+        assert got.xy.tolist() == self.unique_first(rel).xy.tolist()

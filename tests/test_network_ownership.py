@@ -101,3 +101,34 @@ def test_node_used_after_its_world_is_dropped_raises(dataset):
         device.world.node_is_up(3)
     with pytest.raises(ReferenceError):
         device.router.world.node_is_up(3)
+
+
+def test_returned_result_pins_no_engine_or_device(dataset, monkeypatch):
+    """Without ``keep_network`` a held result reaches no engine handle:
+    a query still open when the run ends (its close timer armed past
+    ``sim_time + drain_time``) must not keep its device or the engine
+    alive through the record."""
+    import repro.protocol.coordinator as coordinator
+
+    small = make_global_dataset(2_500, 2, 9, "independent", seed=3,
+                                value_step=1.0)
+    built = []
+    real = coordinator.build_network
+
+    def capture(*args, **kwargs):
+        sim, world, devices = real(*args, **kwargs)
+        built.extend(weakref.ref(obj) for obj in (sim, world, *devices))
+        return sim, world, devices
+
+    monkeypatch.setattr(coordinator, "build_network", capture)
+    result = run_manet_simulation(
+        small,
+        [QueryRequest(time=5.0, device=4, distance=500.0),
+         QueryRequest(time=10.0, device=8, distance=500.0)],
+        SimulationConfig(strategy="bf", seed=5, sim_time=60.0),
+    )
+    assert result.issued == 2
+    assert not any(record.closed for record in result.records)
+    gc.collect()
+    assert [ref() for ref in built] == [None] * len(built)
+    assert len(result.records) == 2

@@ -6,8 +6,10 @@ filter-safety across estimation modes, merge algebra, and loop-free
 routing over small moving worlds.
 """
 
+import math
 from dataclasses import replace
 from functools import partial
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -44,7 +46,7 @@ from repro.net import (
     World,
 )
 from repro.net.aodv import AodvRouter
-from repro.net.spatial_index import SKIN
+from repro.net.spatial_index import _SLACK, SKIN
 from repro.obs import Observer
 from repro.protocol import SimulationConfig, run_manet_simulation
 from repro.protocol.static_grid import StaticGridCache, run_static_query
@@ -64,6 +66,7 @@ from .oracles.skyline import (
     skyline_bnl,
     skyline_bruteforce,
 )
+from .oracles.spatial_index import window_lists
 from .oracles.updates import EagerStore
 from .oracles.world import (
     uncached_can_communicate,
@@ -721,6 +724,133 @@ class TestCandidateRows:
         sim.run(until=1.5 * window)
         assert world.neighbors(2) == [3]
         _assert_rows_exact(world)
+
+
+# -- the window's pair pass -------------------------------------------------------
+
+
+def _closure(adjacency, node):
+    seen = {node}
+    todo = [node]
+    while todo:
+        for other in adjacency[todo.pop()]:
+            if other not in seen:
+                seen.add(other)
+                todo.append(other)
+    return seen
+
+
+#: A planted pair: its orientation (``across`` a column edge in ``x``,
+#: ``along`` one in ``y``, or ``back`` from one into the column before),
+#: its separation (the candidate radius ``(1 + SKIN) * r`` as the index
+#: pads it, or the radio range ``r``) and a step of -1, 0 or +1 ulp.
+PLANTS = [
+    (orient, kind, ulps)
+    for orient in ("across", "along", "back")
+    for kind in ("reach", "range")
+    for ulps in (-1, 0, 1)
+]
+
+
+class TestWindowPass:
+    """The window's one pair pass (its candidate lists, the rows at
+    ``t_c`` and the ``t_c`` adjacency) and ``reachable_from`` equal an
+    all-pairs Python enumeration of scalar positions, with the fault rule
+    applied pair by pair. Worlds are static or moving, with m in
+    {1, 2, 25, 400}, unattached
+    mobility slots, a crash, a blackout on a planted pair and a
+    partition cut on a column edge. Pairs are planted at the candidate
+    radius and at the radio range, one ulp in, on it and one ulp out,
+    anchored on column edges. Examples come from the active hypothesis
+    profile."""
+
+    @given(
+        m=st.sampled_from([1, 2, 25, 400]),
+        static=st.booleans(),
+        seed=st.integers(0, 10**6),
+        radio_range=st.sampled_from([100.0, 250.0]),
+        rot=st.integers(0, len(PLANTS) - 1),
+        unattached=st.integers(0, 2),
+        faults=st.lists(st.sampled_from(["crash", "blackout", "split"]),
+                        max_size=3, unique=True),
+        times=st.lists(st.floats(0.0, 60.0), max_size=2),
+    )
+    @settings(max_examples=max(settings.default.max_examples // 4, 1),
+              deadline=None)
+    def test_pass_equals_all_pairs_enumeration(
+        self, m, static, seed, radio_range, rot, unattached, faults, times,
+    ):
+        r = radio_range
+        reach = math.sqrt((r + SKIN * r) ** 2 * (1.0 + _SLACK))
+        width = reach * (1.0 + 1e-9)  # the column pass's column width
+
+        def separation(kind, ulps):
+            d = reach if kind == "reach" else r
+            for _ in range(abs(ulps)):
+                d = math.nextafter(d, math.inf if ulps > 0 else 0.0)
+            return d
+
+        slots = m + unattached
+        side = max(1000.0 * math.sqrt(slots / 25.0), 10.0 * width)
+        rng = np.random.default_rng(seed)
+        starts = [tuple(p) for p in rng.uniform(1.0, side, size=(slots, 2))]
+        # Node 0 at the origin pins the columns' edges to multiples of
+        # ``width``; with m=2 node 1 is planted from it.
+        starts[0] = (0.0, 0.0)
+        if slots == 2:
+            starts[1] = (separation(*PLANTS[rot][1:]), 0.0)
+        for k in range(min(len(PLANTS), (slots - 1) // 2)):
+            orient, kind, ulps = PLANTS[(k + rot) % len(PLANTS)]
+            d = separation(kind, ulps)
+            x = (1 + k % 3) * width
+            y = (1 + k // 3) * 1.25 * width
+            starts[1 + 2 * k] = (x, y)
+            starts[2 + 2 * k] = {
+                "across": (x + d, y), "along": (x, y + d), "back": (x - d, y),
+            }[orient]
+        if static:
+            mobility = StaticPlacement(starts)
+        else:
+            mobility = RandomWaypoint(
+                node_count=slots, extent=(0.0, 0.0, side, side),
+                holding_time=5.0, seed=seed, start_positions=starts,
+            )
+        sim = Simulator()
+        world = World(sim, mobility, RadioConfig(radio_range=r), seed=seed)
+        # Unattached slots sit before the last one, so the attached ids
+        # are not ``0..n-1``.
+        free = set(range(slots - 1 - unattached, slots - 1))
+        attached = [i for i in range(slots) if i not in free]
+        for i in attached:
+            _Recorder(world, i)
+        if "crash" in faults:
+            world.fail_node(attached[int(rng.integers(len(attached)))])
+        if "blackout" in faults and len(attached) >= 2:
+            world.set_link_blackout(attached[0], attached[1], True)
+        if "split" in faults:
+            world.set_partition("x", width, True)
+        index = world._index
+        for t in [0.0] + sorted(times):
+            sim.run(until=max(t, sim.now))
+            closure = world.reachable_from(attached[0])
+            assert index._cand_time == index._now()
+            cands, near = window_lists(index)
+            ptr = index._cand_ptr
+            expected = {}
+            for i in attached:
+                k = index._idx(i)
+                lo, hi = ptr[k], ptr[k + 1]
+                assert index._cand_ids[lo:hi] == cands[i], (i, t)
+                assert list(compress(cands[i], index._cand_near[lo:hi])) \
+                    == near[i], (i, t)
+                expected[i] = [
+                    j for j in near[i] if uncached_can_communicate(world, i, j)
+                ]
+            assert closure == _closure(expected, attached[0])
+            for i in attached:
+                assert world.neighbors(i) == expected[i], (i, t)
+                assert index._compute_row(i) == expected[i], (i, t)
+                assert world.reachable_from(i) == _closure(expected, i)
 
 
 # -- link questions from the window's speed bound ---------------------------------

@@ -217,13 +217,14 @@ class TestCacheBehaviour:
 class TestCandidateLists:
     def test_faults_keep_the_lists_and_expiry_renews_them(self):
         """Crashes, blackouts and partitions are applied when a question
-        is answered, so they never start a new candidate window; the
-        window running out does."""
+        is answered, so they never start a new candidate window, and a
+        build at ``t_c`` reads the window's pass; the window running out
+        starts a new one."""
         sim, world, _ = waypoint_world(m=10)
         index = world._index
         sim.run(until=1.0)
         world.neighbors(1)
-        lists = index._cand_lists
+        pairs = index._pairs
         world.reachable_from(0)
         world.fail_node(3)
         world.neighbors(1)
@@ -235,12 +236,31 @@ class TestCandidateLists:
         world.reachable_from(0)
         assert_world_agrees(world)
         assert index._cand_time == 1.0
-        assert index._cand_lists is lists and sorted(lists) == [1, 2]
+        assert index._pairs is pairs
         sim.run(until=1.0 + 2 * index._cand_window)
         world.neighbors(0)
         assert index._cand_time == sim.now
-        assert index._cand_lists is not lists and list(index._cand_lists) == [0]
+        assert index._pairs is not pairs
         assert_world_agrees(world)
+
+    def test_build_opens_a_window_at_its_time(self):
+        """A build asked after ``t_c`` inside the window opens a new
+        window at its own time; rows asked later inside that window
+        read its pass with no new sweep."""
+        sim, world, _ = waypoint_world(m=10)
+        index = world._index
+        sim.run(until=1.0)
+        world.neighbors(1)
+        pairs = index._pairs
+        sim.run(until=1.0 + index._cand_window / 4)
+        world.reachable_from(0)
+        assert index._cand_time == sim.now
+        assert index._pairs is not pairs
+        pairs = index._pairs
+        sim.run(until=sim.now + index._cand_window / 4)
+        for i in world.node_ids:
+            assert world.neighbors(i) == uncached_neighbors(world, i)
+        assert index._pairs is pairs
 
     def test_window_follows_the_speed_bound(self):
         sim, world, _ = waypoint_world(m=6, radio_range=200.0)
@@ -556,3 +576,36 @@ class TestStaticTopology:
             world.reachable_from(0)
             assert world._index.rebuilds == before + step
             assert_world_agrees(world)
+
+
+class TestOneSweepPerQuery:
+    def test_bf_issue_and_flood_sweep_positions_once(self):
+        """At the paper's default point (m=25, r=250 m, d=500 m) the
+        originator's reachability snapshot opens the candidate window
+        that its flood's rows then read: one ``mobility.positions``
+        sweep per query, and one adjacency build."""
+        from repro.data import make_global_dataset
+        from repro.protocol import SimulationConfig, build_network
+
+        dataset = make_global_dataset(2_500, 2, 25, "independent", seed=3,
+                                      value_step=1.0)
+        sim, world, devices = build_network(
+            dataset, SimulationConfig(strategy="bf", seed=5)
+        )
+        sweeps = []
+        sweep = world.mobility.positions
+
+        def counted(t):
+            sweeps.append(t)
+            return sweep(t)
+
+        world.mobility.positions = counted
+        origins = (4, 11, 19, 0, 23)
+        for k, origin in enumerate(origins):
+            sim.run(until=1200.0 * (k + 1))
+            rebuilds = world._index.rebuilds
+            record = devices[origin].issue_query(500.0)
+            sim.run(until=sim.now + 1200.0)
+            assert record.closed and record.contributions
+            assert len(sweeps) == k + 1
+            assert world._index.rebuilds == rebuilds + 1
