@@ -4,19 +4,18 @@ The originator merges each incoming reduced local skyline ``SK'_i`` into
 its running result ``SK_org``: duplicates are identified by location only
 (no two distinct sites share an ``(x, y)``), and dominance is resolved in
 both directions so non-qualifying tuples from either side are removed.
-The paper does this "within a simple nested loop"; the implementation
-below mirrors those semantics and is also used by intermediate devices in
-depth-first forwarding, which merge results en route.
+The paper does this "within a simple nested loop".
 
-:class:`SkylineAssembler` maintains a running ``(xy, values, site_ids)``
-array triple plus its normalization, eliminates duplicates against a
-persistent location set (one hash lookup per incoming row instead of
-rebuilding the set per merge), and resolves dominance in
-``(block, block, d)`` chunks so peak memory is bounded regardless of
-skyline size. Its results are bit-identical to a left fold of
-:func:`merge_skylines` with one unbounded broadcast per merge
-(``block=None``); the test suite keeps that fold as the differential
-oracle.
+:class:`SkylineAssembler` is the one implementation. It maintains a
+running ``(xy, values, site_ids)`` array triple plus its normalization,
+eliminates duplicates against a persistent location set (one hash lookup
+per incoming row instead of rebuilding the set per merge), and resolves
+dominance in ``(block, block, d)`` chunks so peak memory is bounded
+regardless of skyline size. :func:`merge_skylines` (one merge, which
+depth-first forwarding runs on every hop of the token) and
+:func:`merge_tree` (a batch) are folds over it. The test suite keeps the
+paper's merge as literally written, a relation rebuilt per merge, as the
+differential oracle.
 """
 
 from __future__ import annotations
@@ -42,68 +41,35 @@ DEFAULT_MERGE_BLOCK = 512
 
 
 def merge_skylines(
-    current: Relation,
-    incoming: Relation,
-    block: Optional[int] = DEFAULT_MERGE_BLOCK,
+    current: Relation, incoming: Relation, block: int = DEFAULT_MERGE_BLOCK
 ) -> Relation:
-    """Merge an incoming partial skyline into the current one.
+    """Merge an incoming partial skyline into the current one: an
+    assembler seeded with ``current`` that adds ``incoming``.
 
-    Args:
-        current: The running merged skyline (internally dominance-free).
-        incoming: A reduced local skyline ``SK'_i`` (also internally
-            dominance-free, as local skylines are).
-        block: Chunk edge for the blocked dominance pass; ``None`` uses
-            one unbounded broadcast. Output is bit-identical either way.
-
-    Returns:
-        The updated skyline: duplicates dropped (first copy wins),
-        dominated tuples from either side removed.
+    Returns the updated skyline: duplicates dropped (first copy wins),
+    dominated tuples from either side removed.
     """
-    if current.schema != incoming.schema:
-        raise ValueError("cannot merge skylines over different schemas")
-    if incoming.cardinality == 0:
-        return current
-    if current.cardinality == 0:
-        return _dedup_within(incoming)
-    incoming = _dedup_within(incoming)
-
-    cur_vals = current.normalized_values()
-    inc_vals = incoming.normalized_values()
-
-    # Duplicate detection by (x, y) only (Section 4.3).
-    dup_incoming = _duplicate_mask(incoming.xy, current.xy)
-
-    # a dominates b: a <= b everywhere, a < b somewhere (minimization
-    # space). Incoming tuples are tested against the *pre-merge* current
-    # set and vice versa, exactly as the nested loop of the paper does.
-    inc_dominated = dominated_mask(cur_vals, inc_vals, block)
-    keep_incoming = ~(inc_dominated | dup_incoming)
-    # Only non-duplicate incoming survivors may evict current members —
-    # a duplicate carries no new information, and a dominated incoming
-    # tuple cannot dominate anything the current set keeps.
-    cur_dominated = dominated_mask(inc_vals[keep_incoming], cur_vals, block)
-    keep_current = ~cur_dominated
-
-    merged_xy = np.vstack([current.xy[keep_current], incoming.xy[keep_incoming]])
-    merged_vals = np.vstack(
-        [current.values[keep_current], incoming.values[keep_incoming]]
-    )
-    merged_ids = np.concatenate(
-        [current.site_ids[keep_current], incoming.site_ids[keep_incoming]]
-    )
-    return Relation._wrap(current.schema, merged_xy, merged_vals, merged_ids)
+    asm = SkylineAssembler(current.schema, current, block=block)
+    asm.add(incoming)
+    return asm.result()
 
 
-def _duplicate_mask(xy: np.ndarray, against: np.ndarray) -> np.ndarray:
-    """Rows of ``xy`` whose exact location appears in ``against``."""
-    if against.shape[0] == 0 or xy.shape[0] == 0:
-        return np.zeros(xy.shape[0], dtype=bool)
-    seen = set(map(tuple, against.tolist()))
-    return np.fromiter(
-        (key in seen for key in map(tuple, xy.tolist())),
-        dtype=bool,
-        count=xy.shape[0],
-    )
+def merge_tree(
+    partials: Sequence[Relation],
+    *,
+    schema: Optional[RelationSchema] = None,
+    block: int = DEFAULT_MERGE_BLOCK,
+) -> Relation:
+    """Merge many partial skylines, in order, through one assembler;
+    ``schema`` is required only when ``partials`` is empty."""
+    rels = list(partials)
+    if rels:
+        schema = rels[0].schema
+    elif schema is None:
+        raise ValueError("merge_tree over no partials requires a schema")
+    asm = SkylineAssembler(schema, block=block)
+    asm.add_all(rels)
+    return asm.result()
 
 
 def _first_copies(keys: List[tuple], taken: Collection = frozenset()) -> List[int]:
@@ -127,42 +93,6 @@ def _dedup_within(relation: Relation) -> Relation:
     if len(first) == relation.cardinality:
         return relation
     return relation.take(first)
-
-
-def merge_tree(
-    partials: Sequence[Relation],
-    *,
-    schema: Optional[RelationSchema] = None,
-    block: Optional[int] = DEFAULT_MERGE_BLOCK,
-) -> Relation:
-    """Merge many partial skylines with a pairwise reduction tree.
-
-    Equivalent to the sequential left fold of :func:`merge_skylines` —
-    same rows, same order — because the merge is associative: the
-    surviving set is the skyline of the multiset union, and each
-    source's survivors appear in source order with sources concatenated
-    left to right. (This relies on location consistency — two partials
-    that both carry a site report the same ``(x, y)`` and values — which
-    holds for per-device local skylines over a shared relation.) The
-    tree shape keeps every intermediate merge between two *small*
-    partials instead of folding each contribution into the full
-    accumulated result, so batch assembly does O(total · log n) row
-    comparisons rather than O(total · n).
-    """
-    rels: List[Relation] = list(partials)
-    if not rels:
-        if schema is None:
-            raise ValueError("merge_tree over no partials requires a schema")
-        return Relation.empty(schema)
-    while len(rels) > 1:
-        merged: List[Relation] = [
-            merge_skylines(rels[i], rels[i + 1], block=block)
-            for i in range(0, len(rels) - 1, 2)
-        ]
-        if len(rels) % 2:
-            merged.append(rels[-1])
-        rels = merged
-    return _dedup_within(rels[0])
 
 
 class SkylineAssembler:

@@ -128,17 +128,6 @@ class ComparisonCounter:
         """Record ``n`` Euclidean distance checks."""
         self.distance_checks += n
 
-    @property
-    def total(self) -> int:
-        """All comparisons of any kind."""
-        return self.id_comparisons + self.value_comparisons + self.distance_checks
-
-    def merge(self, other: "ComparisonCounter") -> None:
-        """Accumulate another counter into this one."""
-        self.id_comparisons += other.id_comparisons
-        self.value_comparisons += other.value_comparisons
-        self.distance_checks += other.distance_checks
-
     def __repr__(self) -> str:
         return (
             f"ComparisonCounter(id={self.id_comparisons}, "

@@ -181,12 +181,8 @@ def select_filter(
         return None
     if estimation is Estimation.UNDER and local_highs is None:
         local_highs = skyline.normalized_worst()
-    if estimation is not Estimation.UNDER:
-        local_highs = None
     bounds = estimation_bounds(skyline.schema, estimation, local_highs=local_highs)
-    scores = vdr_matrix(skyline.normalized_values(), bounds)
-    best = int(np.argmax(scores))
-    return FilteringTuple(site=skyline.row(best), vdr=float(scores[best]))
+    return promote_filter(skyline, None, bounds)
 
 
 def promote_filter(
@@ -196,17 +192,18 @@ def promote_filter(
 ) -> Optional[FilteringTuple]:
     """Dynamic filter promotion over precomputed bounds (Section 3.4).
 
-    Scores every skyline row with :func:`vdr_matrix` (raw values — the
-    faithful storage paths assume all-MIN schemas, where raw and
-    normalized values coincide) and replaces ``incoming`` when the best
-    local candidate has a strictly larger VDR under the same bounds.
-    An empty skyline keeps the incoming filter unchanged.
+    Scores every skyline row with :func:`vdr_matrix` in minimization
+    space (for the paper's all-MIN schemas, the raw values) and replaces
+    ``incoming`` when the best local candidate has a strictly larger VDR
+    under the same bounds; with no incoming filter the candidate is the
+    Section 3.2 pick. An empty skyline keeps the incoming filter.
     """
     if skyline.cardinality == 0:
         return incoming
-    scores = vdr_matrix(skyline.values, bounds)
+    scores = vdr_matrix(skyline.normalized_values(), bounds)
     best = int(np.argmax(scores))
     candidate = FilteringTuple(site=skyline.row(best), vdr=float(scores[best]))
     if incoming is None:
         return candidate
-    return candidate if candidate.vdr > vdr(incoming.values, bounds) else incoming
+    held = vdr(normalize_values(incoming.values, skyline.schema), bounds)
+    return candidate if candidate.vdr > held else incoming

@@ -28,10 +28,15 @@ for the unsorted value layouts). They produce the skyline, the
 would, with the counts computed analytically instead of per
 comparison. The row-at-a-time walk lives in the test suite as the
 differential oracle. These paths serve the device-only Figure 5
-(:mod:`repro.experiments.local_processing`); every simulated device
-runs the vectorised variant over its raw relation
-(:func:`local_skyline_vectorized`), which also serves mixed-preference
-schemas.
+(:mod:`repro.experiments.local_processing`); every simulated device, and
+every device of the static pre-test grid, runs the vectorised variant
+over its raw relation (:func:`local_skyline_vectorized`), which also
+serves mixed-preference schemas.
+
+Step 4's promotion is one function for every path,
+:func:`~repro.core.filtering.promote_filter` under the device's own
+bounds (:func:`_promote_filter`); the vectorised path defers it to the
+first read of the result's filter.
 """
 
 from __future__ import annotations
@@ -54,8 +59,6 @@ from .filtering import (
     estimation_bounds,
     normalize_values,
     promote_filter,
-    vdr,
-    vdr_matrix,
 )
 from .query import SkylineQuery
 from .skyline import skyline_rows_in_disk
@@ -146,12 +149,6 @@ class LocalResultCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when idle)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class LocalSkylineResult:
@@ -564,12 +561,29 @@ def _local_skyline_hybrid(
     else:
         survivors = window
 
+    return _storage_result(
+        storage, survivors, unreduced, in_range_mask, flt, estimation, counter
+    )
+
+
+def _storage_result(
+    storage: StorageModel,
+    survivors: np.ndarray,
+    unreduced: int,
+    in_range_mask: np.ndarray,
+    flt: Optional[FilteringTuple],
+    estimation: Estimation,
+    counter: ComparisonCounter,
+) -> LocalSkylineResult:
+    """Step 4's promotion and the result of a storage path's scan."""
     reduced = _rows_to_relation(storage, survivors)
-    updated = _promote_filter(reduced, flt, estimation, storage, counter)
+    counter.count_value(reduced.cardinality)
     return LocalSkylineResult(
         skyline=reduced,
         unreduced_size=unreduced,
-        updated_filter=updated,
+        updated_filter=_promote_filter(
+            reduced, flt, estimation, lambda: storage.local_bounds()[1]
+        ),
         comparisons=counter,
         scanned=storage.cardinality,
         in_range=int(in_range_mask.sum()),
@@ -655,15 +669,8 @@ def _local_skyline_values(
     else:
         survivors = window
 
-    reduced = _rows_to_relation(storage, survivors)
-    updated = _promote_filter(reduced, flt, estimation, storage, counter)
-    return LocalSkylineResult(
-        skyline=reduced,
-        unreduced_size=unreduced,
-        updated_filter=updated,
-        comparisons=counter,
-        scanned=storage.cardinality,
-        in_range=int(in_range_mask.sum()),
+    return _storage_result(
+        storage, survivors, unreduced, in_range_mask, flt, estimation, counter
     )
 
 
@@ -693,18 +700,18 @@ def _promote_filter(
     reduced: Relation,
     flt: Optional[FilteringTuple],
     estimation: Estimation,
-    storage: StorageModel,
-    counter: ComparisonCounter,
+    local_highs: Callable[[], Sequence[float]],
 ) -> Optional[FilteringTuple]:
-    """Pick the max-VDR local survivor; keep whichever of it and the
-    incoming filter has the larger VDR under this device's own bounds."""
+    """Section 3.4 promotion under this device's own bounds: the
+    max-VDR row of ``reduced`` replaces ``flt`` when its VDR is strictly
+    larger. ``local_highs()`` gives the device's ``h_k`` (read for UNDER
+    only)."""
     if reduced.cardinality == 0:
         return flt
-    local_highs = (
-        storage.local_bounds()[1] if estimation is Estimation.UNDER else None
+    bounds = estimation_bounds(
+        reduced.schema, estimation,
+        local_highs=local_highs() if estimation is Estimation.UNDER else None,
     )
-    bounds = estimation_bounds(storage.schema, estimation, local_highs=local_highs)
-    counter.count_value(reduced.cardinality)
     return promote_filter(reduced, flt, bounds)
 
 
@@ -788,33 +795,7 @@ def local_skyline_vectorized(
     )
     if rows.shape[0]:
         result.defer_promotion(partial(
-            _promote_rows, relation, rows, flt, flt_vals, estimation
+            _promote_filter, result.skyline, flt, estimation,
+            relation.normalized_worst,
         ))
     return result
-
-
-def _promote_rows(
-    relation: Relation,
-    rows: np.ndarray,
-    flt: Optional[FilteringTuple],
-    flt_vals: Optional[Tuple[float, ...]],
-    estimation: Estimation,
-) -> Optional[FilteringTuple]:
-    """Section 3.4 promotion over the reduced skyline, ``rows`` of
-    ``relation``: its max-VDR row replaces ``flt`` (normalized:
-    ``flt_vals``) when that VDR is strictly larger."""
-    bounds = estimation_bounds(
-        relation.schema, estimation,
-        local_highs=(
-            relation.normalized_worst()
-            if estimation is Estimation.UNDER else None
-        ),
-    )
-    scores = vdr_matrix(relation.normalized_values().take(rows, axis=0), bounds)
-    best = int(scores.argmax())
-    candidate = FilteringTuple(
-        site=relation.row(int(rows[best])), vdr=float(scores[best])
-    )
-    if flt is None or candidate.vdr > vdr(flt_vals, bounds):
-        return candidate
-    return flt

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 from ..core.filtering import Estimation
 from ..data.partition import make_global_dataset
 from ..metrics.drr import data_reduction_rate
-from ..protocol.static_grid import StaticGridCache, run_static_grid
+from ..protocol.static_grid import run_static_grid
 from .config import DEFAULT, ExperimentScale
 from .runner import FigureResult
 
@@ -45,12 +45,11 @@ def static_drr_series(
         cardinality, dimensions, devices, distribution,
         seed=seed, value_step=1.0,
     )
-    cache = StaticGridCache(dataset)
     out: Dict[str, Optional[float]] = {}
     for name, dynamic, estimation in _SERIES:
         outcomes = run_static_grid(
             dataset, dynamic_filter=dynamic, estimation=estimation,
-            cache=cache, assemble=False,
+            assemble=False,
         )
         out[name] = data_reduction_rate(outcomes)
     return out

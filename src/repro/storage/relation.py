@@ -74,9 +74,6 @@ class Relation:
     def _init_caches(self) -> None:
         self._norm: Optional[np.ndarray] = None
         self._mbr: Optional[Tuple[float, float, float, float]] = None
-        self._local_bounds: Optional[
-            Tuple[Tuple[float, ...], Tuple[float, ...]]
-        ] = None
         self._normalized_worst: Optional[Tuple[float, ...]] = None
         self._normalized_best: Optional[Tuple[float, ...]] = None
         self._skyline_rows: Optional[np.ndarray] = None
@@ -226,7 +223,6 @@ class Relation:
             )
             rel._norm = self._norm
             rel._mbr = self._mbr
-            rel._local_bounds = self._local_bounds
             rel._normalized_worst = self._normalized_worst
             rel._normalized_best = self._normalized_best
             rel._skyline_rows = self._skyline_rows
@@ -328,10 +324,10 @@ class Relation:
     def normalized_worst(self) -> Tuple[float, ...]:
         """Per-attribute worst value present, in minimization space.
 
-        For an all-MIN schema this equals ``local_bounds()[1]`` — the
-        local maxima ``h_k`` the under-estimated dominating region uses
-        (Section 3.3). MAX attributes contribute their negated minimum.
-        Computed once per relation and cached.
+        For an all-MIN schema these are the local maxima ``h_k`` the
+        under-estimated dominating region uses (Section 3.3). MAX
+        attributes contribute their negated minimum. Computed once per
+        relation and cached.
         """
         if self.cardinality == 0:
             raise ValueError("bounds of an empty relation are undefined")
@@ -341,20 +337,6 @@ class Relation:
                 float(norm[:, j].max()) for j in range(norm.shape[1])
             )
         return self._normalized_worst
-
-    def local_bounds(self) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-        """Per-attribute local ``(lows, highs)`` — the ``l_j`` / ``h_j``
-        of Section 4.2, fetched in O(1) from sorted domain storage.
-        Computed once per relation and cached."""
-        if self.cardinality == 0:
-            raise ValueError("bounds of an empty relation are undefined")
-        if self._local_bounds is None:
-            cols = [self._values[:, j] for j in range(self.dimensions)]
-            self._local_bounds = (
-                tuple(float(c.min()) for c in cols),
-                tuple(float(c.max()) for c in cols),
-            )
-        return self._local_bounds
 
     def skyline_rows(self) -> Optional[np.ndarray]:
         """Sorted row indices of the relation's skyline over all its

@@ -1,27 +1,80 @@
 """The legacy result assembler: a fold of unbounded merges.
 
-:class:`LegacyAssembler` rebuilds a relation per contribution with
-:func:`~repro.core.assembly.merge_skylines` and ``block=None`` (one
-unbounded ``(C, I, d)`` broadcast per direction). The incremental
-:class:`~repro.core.assembly.SkylineAssembler` must return the same rows
-in the same order after every contribution.
+:func:`legacy_merge` is the paper's merge as literally written: it
+rebuilds a relation per contribution and compares every incoming row
+against the entire running result in one unbounded ``(C, I, d)``
+broadcast per direction. :class:`LegacyAssembler` folds it. The
+incremental :class:`~repro.core.assembly.SkylineAssembler`, and
+:func:`~repro.core.assembly.merge_skylines` over it, must return the
+same rows in the same order after every contribution.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.core.assembly import _dedup_within, merge_skylines
+import numpy as np
+
+from repro.core.assembly import _dedup_within
+from repro.core.dominance import dominated_mask
 from repro.storage.relation import Relation
 from repro.storage.schema import RelationSchema
 
-__all__ = ["LegacyAssembler", "legacy_merge", "install_legacy_assembler"]
+__all__ = [
+    "LegacyAssembler",
+    "duplicate_mask",
+    "legacy_merge",
+    "install_legacy_assembler",
+]
+
+
+def duplicate_mask(xy: np.ndarray, against: np.ndarray) -> np.ndarray:
+    """Rows of ``xy`` whose exact location appears in ``against``."""
+    if against.shape[0] == 0 or xy.shape[0] == 0:
+        return np.zeros(xy.shape[0], dtype=bool)
+    seen = set(map(tuple, against.tolist()))
+    return np.fromiter(
+        (key in seen for key in map(tuple, xy.tolist())),
+        dtype=bool,
+        count=xy.shape[0],
+    )
 
 
 def legacy_merge(current: Relation, incoming: Relation, block=None) -> Relation:
-    """:func:`merge_skylines` with the unbounded broadcast, whatever the
-    caller's block."""
-    return merge_skylines(current, incoming, block=None)
+    """Merge ``incoming`` into ``current`` with the unbounded broadcast,
+    whatever the caller's block: duplicates dropped (first copy wins),
+    dominated tuples from either side removed."""
+    if current.schema != incoming.schema:
+        raise ValueError("cannot merge skylines over different schemas")
+    if incoming.cardinality == 0:
+        return current
+    if current.cardinality == 0:
+        return _dedup_within(incoming)
+    incoming = _dedup_within(incoming)
+
+    cur_vals = current.normalized_values()
+    inc_vals = incoming.normalized_values()
+
+    # Duplicate detection by (x, y) only (Section 4.3).
+    dup_incoming = duplicate_mask(incoming.xy, current.xy)
+
+    # Incoming tuples are tested against the *pre-merge* current set and
+    # vice versa, exactly as the nested loop of the paper does.
+    inc_dominated = dominated_mask(cur_vals, inc_vals, None)
+    keep_incoming = ~(inc_dominated | dup_incoming)
+    # Only non-duplicate incoming survivors may evict current members —
+    # a duplicate carries no new information, and a dominated incoming
+    # tuple cannot dominate anything the current set keeps.
+    keep_current = ~dominated_mask(inc_vals[keep_incoming], cur_vals, None)
+
+    merged_xy = np.vstack([current.xy[keep_current], incoming.xy[keep_incoming]])
+    merged_vals = np.vstack(
+        [current.values[keep_current], incoming.values[keep_incoming]]
+    )
+    merged_ids = np.concatenate(
+        [current.site_ids[keep_current], incoming.site_ids[keep_incoming]]
+    )
+    return Relation._wrap(current.schema, merged_xy, merged_vals, merged_ids)
 
 
 class LegacyAssembler:
@@ -41,7 +94,7 @@ class LegacyAssembler:
         return self._merges
 
     def add(self, incoming: Relation) -> None:
-        self._current = merge_skylines(self._current, incoming, block=None)
+        self._current = legacy_merge(self._current, incoming)
         self._merges += 1
 
     def add_all(self, results: Iterable[Relation]) -> None:

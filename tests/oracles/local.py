@@ -118,7 +118,10 @@ def _local_skyline_hybrid(
         survivors = window
 
     reduced = _rows_to_relation(storage, survivors)
-    updated = _promote_filter(reduced, flt, estimation, storage, counter)
+    counter.count_value(reduced.cardinality)
+    updated = _promote_filter(
+        reduced, flt, estimation, lambda: storage.local_bounds()[1]
+    )
     return LocalSkylineResult(
         skyline=reduced,
         unreduced_size=unreduced,
@@ -194,7 +197,10 @@ def _local_skyline_values(
         survivors = window
 
     reduced = _rows_to_relation(storage, survivors)
-    updated = _promote_filter(reduced, flt, estimation, storage, counter)
+    counter.count_value(reduced.cardinality)
+    updated = _promote_filter(
+        reduced, flt, estimation, lambda: storage.local_bounds()[1]
+    )
     return LocalSkylineResult(
         skyline=reduced,
         unreduced_size=unreduced,

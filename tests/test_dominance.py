@@ -75,16 +75,12 @@ class TestVectorised:
 
 
 class TestComparisonCounter:
-    def test_counts_and_merge(self):
+    def test_counts(self):
         c = ComparisonCounter()
         c.count_id(5)
+        c.count_id()
         c.count_value(2)
         c.count_distance()
-        assert c.total == 8
-        d = ComparisonCounter()
-        d.count_id(1)
-        c.merge(d)
-        assert c.id_comparisons == 6
         assert (c.id_comparisons, c.value_comparisons, c.distance_checks) == (6, 2, 1)
 
     def test_repr(self):

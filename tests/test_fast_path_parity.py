@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SkylineAssembler, merge_skylines, skyline_of_relation
+from repro.core.assembly import DEFAULT_MERGE_BLOCK
 from repro.experiments.config import SMOKE
 from repro.experiments.executor import (
     RunCache,
@@ -54,7 +55,11 @@ from repro.protocol.device import ProtocolConfig
 from repro.storage import Relation, uniform_schema
 from repro.storage.schema import AttributeSpec, Preference, RelationSchema
 
-from .oracles.assembly import LegacyAssembler, install_legacy_assembler
+from .oracles.assembly import (
+    LegacyAssembler,
+    install_legacy_assembler,
+    legacy_merge,
+)
 from .oracles.local import install_uncached_local
 
 # ---------------------------------------------------------------------------
@@ -129,12 +134,12 @@ class TestAssemblerDifferential:
                 _assert_bit_identical(fast.result(), slow.result())
             assert fast.merges == slow.merges
 
-    @pytest.mark.parametrize("block", [1, 3, None])
+    @pytest.mark.parametrize("block", [1, 3, DEFAULT_MERGE_BLOCK])
     def test_merge_skylines_blocked_vs_unbounded(self, block):
         for seed in range(20):
             _, parts = _pool_partials(seed, parts=2)
             merged = merge_skylines(parts[0], parts[1], block=block)
-            reference = merge_skylines(parts[0], parts[1], block=None)
+            reference = legacy_merge(parts[0], parts[1])
             _assert_bit_identical(merged, reference)
 
     def test_empty_contribution_counts_but_keeps_result(self):

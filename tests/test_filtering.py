@@ -8,12 +8,20 @@ from hypothesis import strategies as st
 
 from repro.core import (
     Estimation,
+    FilteringTuple,
     estimation_bounds,
+    promote_filter,
     select_filter,
     vdr,
     vdr_matrix,
 )
 from repro.storage import uniform_schema
+from repro.storage.schema import (
+    AttributeSpec,
+    Preference,
+    RelationSchema,
+    SiteTuple,
+)
 
 from .conftest import relation_from_values
 from .extensions.multifilter import select_filter_set, union_dominating_volume
@@ -117,6 +125,51 @@ class TestSelectFilter:
         # under: (6)(0)=0 vs (0)(7)=0 -> both zero, argmax -> first
         assert exact.values == (6.0, 2.0)
         assert under.values == (0.0, 9.0)
+
+
+class TestPromoteFilter:
+    """Section 3.4: the incoming filter is scored under the device's own
+    bounds and replaced only by a strictly larger VDR."""
+
+    def _incoming(self, values):
+        return FilteringTuple(
+            site=SiteTuple(x=-1.0, y=-1.0, values=values), vdr=1e9
+        )
+
+    def test_tie_keeps_incoming(self):
+        schema = uniform_schema(2, high=10.0)
+        rel = relation_from_values([[4, 4]], schema)
+        incoming = self._incoming((4.0, 4.0))
+        bounds = estimation_bounds(schema, Estimation.EXACT)
+        assert promote_filter(rel, incoming, bounds) is incoming
+
+    def test_strictly_larger_replaces(self):
+        schema = uniform_schema(2, high=10.0)
+        rel = relation_from_values([[3, 4]], schema)
+        bounds = estimation_bounds(schema, Estimation.EXACT)
+        got = promote_filter(rel, self._incoming((4.0, 4.0)), bounds)
+        assert got.values == (3.0, 4.0)
+        assert got.vdr == 42.0
+
+    def test_scores_in_minimization_space(self):
+        """A MAX attribute counts its larger values as better: raw-value
+        scores would be 0 for both rows here and pick the first."""
+        schema = RelationSchema(
+            attributes=(
+                AttributeSpec("a", 0.0, 10.0, Preference.MIN),
+                AttributeSpec("b", 0.0, 10.0, Preference.MAX),
+            ),
+            spatial_extent=(0.0, 0.0, 1000.0, 1000.0),
+        )
+        rel = relation_from_values([[4, 2], [4, 6]], schema)
+        bounds = estimation_bounds(schema, Estimation.EXACT)
+        got = promote_filter(rel, None, bounds)
+        assert got.values == (4.0, 6.0)
+        assert got.vdr == 36.0
+        # The incoming filter is normalized the same way: (4, 8) scores
+        # 6 * 8 = 48 and stays.
+        incoming = self._incoming((4.0, 8.0))
+        assert promote_filter(rel, incoming, bounds) is incoming
 
 
 class TestUnionDominatingVolume:

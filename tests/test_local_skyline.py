@@ -410,7 +410,7 @@ class TestPromotionReaders:
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = {"deferred": 0, "promoted": 0}
-        defer, promote = LocalSkylineResult.defer_promotion, local_module._promote_rows
+        defer, promote = LocalSkylineResult.defer_promotion, local_module._promote_filter
 
         def counting_defer(self, fn):
             counts["deferred"] += 1
@@ -421,7 +421,7 @@ class TestPromotionReaders:
             return promote(*args)
 
         monkeypatch.setattr(LocalSkylineResult, "defer_promotion", counting_defer)
-        monkeypatch.setattr(local_module, "_promote_rows", counting_promote)
+        monkeypatch.setattr(local_module, "_promote_filter", counting_promote)
         return counts
 
     def test_continuous_run_never_promotes(self, counts):

@@ -8,9 +8,9 @@ level —
   against the legacy fold of :mod:`tests.oracles.assembly`, across
   dimensionalities and mixed MIN/MAX schemas;
 * :func:`~repro.core.assembly.merge_tree` against the sequential fold;
-* the ``dominated_mask`` / ``_duplicate_mask`` kernel edge cases: d=1,
-  single-row inputs, all-duplicate batches, block sizes of 1 and
-  larger than the input, and ``block=None`` vs tiled invariance;
+* the ``dominated_mask`` kernel edge cases (d=1, single-row inputs,
+  block sizes of 1 and larger than the input, ``block=None`` vs tiled
+  invariance) and the merge's duplicate elimination by location;
 * ``ProtocolConfig`` validation;
 * :class:`~repro.core.local.LocalResultCache` bookkeeping (LRU
   eviction, counters, invalidation).
@@ -21,12 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.assembly import (
-    SkylineAssembler,
-    _duplicate_mask,
-    merge_skylines,
-    merge_tree,
-)
+from repro.core.assembly import SkylineAssembler, merge_skylines, merge_tree
 from repro.core.dominance import dominated_mask
 from repro.core.local import LocalResultCache
 from repro.core.query import SkylineQuery
@@ -186,15 +181,26 @@ class TestDominatedByEdges:
 
 class TestDuplicateMaskEdges:
     def test_all_duplicates(self):
-        xy = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]])
-        assert _duplicate_mask(xy, xy).all()
+        """Rows at locations the result holds are dropped, whatever their
+        values; so is a repeat inside one contribution."""
+        schema = _mixed_schema(2)
+        xy = np.array([[1.0, 2.0], [3.0, 4.0]])
+        current = Relation(schema, xy, [[10.0, 10.0], [20.0, 20.0]], [0, 1])
+        incoming = Relation(
+            schema, np.vstack([xy, xy[:1]]),
+            [[30.0, 5.0], [5.0, 30.0], [1.0, 60.0]], [2, 3, 4],
+        )
+        _assert_bit_identical(merge_skylines(current, incoming), current)
 
     def test_no_duplicates_and_empty(self):
-        xy = np.array([[1.0, 2.0]])
-        other = np.array([[9.0, 9.0]])
-        assert not _duplicate_mask(xy, other).any()
-        assert _duplicate_mask(np.empty((0, 2)), xy).shape == (0,)
-        assert not _duplicate_mask(xy, np.empty((0, 2))).any()
+        schema = _mixed_schema(2)
+        one = Relation(schema, [[1.0, 2.0]], [[10.0, 20.0]], [0])
+        other = Relation(schema, [[9.0, 9.0]], [[20.0, 30.0]], [1])
+        empty = Relation.empty(schema)
+        merged = merge_skylines(one, other)
+        assert merged.site_ids.tolist() == [0, 1]
+        _assert_bit_identical(merge_skylines(empty, one), one)
+        _assert_bit_identical(merge_skylines(one, empty), one)
 
     def test_all_duplicate_batch_merges_to_first_copy(self):
         """An incoming partial that duplicates every location leaves the
@@ -236,7 +242,6 @@ class TestLocalResultCache:
         cache.put(key, result)
         assert cache.get(key) is result
         assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == 0.5
 
     def test_signature_distinguishes_epoch_and_scope(self):
         cache = LocalResultCache(4)
@@ -266,6 +271,3 @@ class TestLocalResultCache:
         assert len(cache) == 0
         assert cache.invalidations == 1
         assert cache.get(self._key()) is None
-
-    def test_empty_hit_rate(self):
-        assert LocalResultCache(4).hit_rate == 0.0

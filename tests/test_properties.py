@@ -49,7 +49,7 @@ from repro.net.aodv import AodvRouter
 from repro.net.spatial_index import _SLACK, SKIN
 from repro.obs import Observer
 from repro.protocol import SimulationConfig, run_manet_simulation
-from repro.protocol.static_grid import StaticGridCache, run_static_query
+from repro.protocol.static_grid import run_static_query
 from repro.storage import (
     AttributeSpec,
     HybridStorage,
@@ -451,10 +451,9 @@ class TestDistributedCorrectness:
         dataset = make_global_dataset(
             1500, 2, devices, distribution, seed=seed, value_step=1.0
         )
-        cache = StaticGridCache(dataset)
         outcome = run_static_query(
             dataset, originator=seed % devices,
-            dynamic_filter=dynamic, estimation=estimation, cache=cache,
+            dynamic_filter=dynamic, estimation=estimation,
         )
         want = skyline_of_relation(dataset.global_relation)
         assert sorted(map(tuple, outcome.result.values.tolist())) == sorted(

@@ -1,11 +1,21 @@
 """Tests for the breadth-first (flooding) strategy."""
 
+import numpy as np
 import pytest
 
 from repro.core import skyline_of_relation
+from repro.core.filtering import normalize_values
 from repro.data import make_global_dataset
+from repro.data.workload import generate_workload
+from repro.experiments.config import DEFAULT
 from repro.net import RadioConfig, Simulator, StaticPlacement, World
-from repro.protocol import BFDevice, ProtocolConfig
+from repro.protocol import (
+    BFDevice,
+    ProtocolConfig,
+    SimulationConfig,
+    run_manet_simulation,
+)
+from repro.protocol.device import SkylineDevice
 from repro.storage import union_all
 
 
@@ -149,3 +159,52 @@ class TestBFBehaviour:
         sim.run(until=700.0)
         r2 = devices[4].issue_query(d=450.0)
         assert r2.query.cnt == r1.query.cnt + 1
+
+
+class TestFilterPassInRun:
+    """No tuple a BF responder ships is one the filter it received
+    removes: none is dominated by that filter, none sits at its site
+    (the class of dropped tuples that must be empty)."""
+
+    def test_shipped_rows_survive_the_received_filter(self, monkeypatch):
+        # The Fig. 10 default point that the ``paper_bf`` benchmark
+        # workload runs: 25 moving devices, 100k independent tuples,
+        # d=500 m, the default (under-estimated, dynamic) filter.
+        dataset = make_global_dataset(
+            DEFAULT.manet_fixed_cardinality, 2, DEFAULT.manet_devices,
+            "independent", seed=20060403, value_step=1.0,
+        )
+        workload = generate_workload(
+            DEFAULT.manet_devices, 600.0, 500.0, (1, 1), seed=1,
+        )
+        calls = []
+        compute = SkylineDevice.compute_local
+
+        def recording(self, query, flt):
+            result = compute(self, query, flt)
+            calls.append((flt, result))
+            return result
+
+        monkeypatch.setattr(SkylineDevice, "compute_local", recording)
+        run = run_manet_simulation(
+            dataset, workload,
+            SimulationConfig(strategy="bf", sim_time=600.0, seed=1),
+        )
+        assert run.records
+
+        filtered = [(flt, res) for flt, res in calls if flt is not None]
+        shipped = 0
+        for flt, res in filtered:
+            sky = res.skyline
+            if sky.cardinality == 0:
+                continue
+            shipped += sky.cardinality
+            f = np.array(normalize_values(flt.values, sky.schema))
+            values = sky.normalized_values()
+            dominated = (f <= values).all(axis=1) & (f < values).any(axis=1)
+            at_site = (sky.xy[:, 0] == flt.site.x) & (sky.xy[:, 1] == flt.site.y)
+            assert not dominated.any()
+            assert not at_site.any()
+        # The check saw real traffic, and the filter did remove rows.
+        assert shipped > 0
+        assert any(res.reduced_size < res.unreduced_size for _, res in filtered)

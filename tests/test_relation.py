@@ -91,17 +91,18 @@ class TestSpatial:
 
 
 class TestBoundsAndViews:
-    def test_local_bounds(self, schema2):
+    def test_normalized_bounds(self, schema2):
         rel = Relation.from_rows(
             schema2, [(0, 0, 10, 400), (0, 1, 30, 200), (0, 2, 20, 300)]
         )
-        lows, highs = rel.local_bounds()
-        assert lows == (10.0, 200.0)
-        assert highs == (30.0, 400.0)
+        assert rel.normalized_best() == (10.0, 200.0)
+        assert rel.normalized_worst() == (30.0, 400.0)
 
-    def test_local_bounds_empty_raises(self, schema2):
+    def test_normalized_bounds_empty_raises(self, schema2):
         with pytest.raises(ValueError):
-            Relation.empty(schema2).local_bounds()
+            Relation.empty(schema2).normalized_best()
+        with pytest.raises(ValueError):
+            Relation.empty(schema2).normalized_worst()
 
     def test_take(self, small_relation):
         sub = small_relation.take([3, 1, 7])
