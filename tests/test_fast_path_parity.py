@@ -30,7 +30,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SkylineAssembler, merge_skylines, skyline_of_relation
-from repro.core.assembly import DEFAULT_MERGE_BLOCK
 from repro.experiments.config import SMOKE
 from repro.experiments.executor import (
     RunCache,
@@ -134,11 +133,13 @@ class TestAssemblerDifferential:
                 _assert_bit_identical(fast.result(), slow.result())
             assert fast.merges == slow.merges
 
-    @pytest.mark.parametrize("block", [1, 3, DEFAULT_MERGE_BLOCK])
+    @pytest.mark.parametrize("block", [1, 3, None])
     def test_merge_skylines_blocked_vs_unbounded(self, block):
+        """``None`` leaves the block at merge_skylines' default."""
+        kwargs = {} if block is None else {"block": block}
         for seed in range(20):
             _, parts = _pool_partials(seed, parts=2)
-            merged = merge_skylines(parts[0], parts[1], block=block)
+            merged = merge_skylines(parts[0], parts[1], **kwargs)
             reference = legacy_merge(parts[0], parts[1])
             _assert_bit_identical(merged, reference)
 
